@@ -27,7 +27,7 @@ from .order import (
     weighted_order,
 )
 from .explicit import BallEncoding, expand_step, k_diameter_explicit, rebase
-from .intervals import canonicalize, union_sweep
+from .intervals import IntervalSets, canonicalize
 from .nsds import NaiveNeighbourSets, NeighbourSetStructure, SetHandle
 from .implicit import expand_balls, k_diameter_implicit, simulate_bfs
 from .geometry import (
@@ -68,6 +68,7 @@ __all__ = [
     "GeometricNeighbourSets",
     "Graph",
     "GraphFormatError",
+    "IntervalSets",
     "NaiveNeighbourSets",
     "NeighbourSetStructure",
     "NetSchedule",
@@ -108,7 +109,6 @@ __all__ = [
     "symmetrize",
     "total_difference",
     "trapezoid_decompose",
-    "union_sweep",
     "weighted_order",
     "__version__",
 ]

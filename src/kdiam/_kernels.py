@@ -18,7 +18,7 @@ import numpy as np
 
 try:
     from numba import njit as _njit
-except ImportError:  # pragma: no cover - numba is a normal dependency
+except ImportError:  # numba is the optional [numba] extra
     _njit = None
 
 
@@ -26,15 +26,16 @@ except ImportError:  # pragma: no cover - numba is a normal dependency
 # Pure-numpy backend: frontier-vectorised BFS.
 
 
-def _gather_neighbors(indptr, indices, frontier):
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
+def concat_ranges(starts, stops):
+    """Concatenation of range(starts[i], stops[i]) over all i, as int64.
+
+    With CSR ``indptr``, ``concat_ranges(indptr[rows], indptr[rows + 1])``
+    indexes the entries of ``rows`` in row order.
+    """
+    counts = stops - starts
     total = int(counts.sum())
-    if total == 0:
-        return indices[:0]
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    idx = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
-    return indices[idx]
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return np.arange(total, dtype=np.int64) + shift
 
 
 def _bfs_distances_numpy(indptr, indices, source, radius=None):
@@ -44,7 +45,7 @@ def _bfs_distances_numpy(indptr, indices, source, radius=None):
     frontier = np.array([source], dtype=np.int64)
     level = 0
     while frontier.size and (radius is None or level < radius):
-        neigh = _gather_neighbors(indptr, indices, frontier)
+        neigh = indices[concat_ranges(indptr[frontier], indptr[frontier + 1])]
         neigh = neigh[dist[neigh] < 0]
         if neigh.size == 0:
             break

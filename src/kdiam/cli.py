@@ -65,7 +65,7 @@ def _load_instance(args):
 
 
 def _sniff_kind(path: Path) -> str:
-    first = path.read_text().splitlines()[0]
+    first = next(iter(path.read_text().splitlines()), "")
     return "points" if "," in first else "graph"
 
 
@@ -171,7 +171,10 @@ def _format_report(report: RunReport, fmt: str) -> str:
 
 
 def cmd_diam(args):
-    kind, payload = _load_instance(args)
+    try:
+        kind, payload = _load_instance(args)
+    except (OSError, ValueError) as exc:  # unreadable, malformed, disconnected
+        raise UsageError(f"{args.input}: {exc}") from None
     report = run_algorithm(args.algo, kind, payload, args.k, args.d,
                            args.seed, freeze_order=args.freeze_order)
     report.instance = str(args.input)

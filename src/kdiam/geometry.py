@@ -406,7 +406,13 @@ def parse_points(text: str) -> np.ndarray:
             continue
         if len(row) != 2:
             raise ValueError(f"line {i}: expected 'x,y'")
-        rows.append((float(row[0]), float(row[1])))
+        try:
+            x, y = float(row[0]), float(row[1])
+        except ValueError:
+            raise ValueError(f"line {i}: coordinates must be numbers") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"line {i}: coordinates must be finite")
+        rows.append((x, y))
     if not rows:
         raise ValueError("no points")
     return np.array(rows, dtype=np.float64)

@@ -21,18 +21,15 @@ from .graph import Graph, neighborhood
 @dataclass(frozen=True)
 class NetSchedule:
     """Sampling plan: ``sample_size`` elements drawn without replacement, in
-    order, plus the analysis bookkeeping attached to the plan."""
+    order, and the sizes of its halving prefixes."""
 
     sample_size: int
     sample: tuple
     prefix_sizes: tuple
-    epsilon: float
-    alpha: float
 
 
 def net_schedule(ground_size: int, num_edges: int, d: int,
-                 rng: np.random.Generator, *, alpha: float = 1.0,
-                 weights=None) -> NetSchedule:
+                 rng: np.random.Generator, *, weights=None) -> NetSchedule:
     """Draw the sample schedule for a set system with ``num_edges`` edges.
 
     The sample size is ceil(num_edges ** (1/d)), capped at the ground size
@@ -48,19 +45,15 @@ def net_schedule(ground_size: int, num_edges: int, d: int,
         raise ValueError("ground set must be nonempty")
     s = min(math.ceil(num_edges ** (1.0 / d)), ground_size)
     if weights is None:
-        total = ground_size
         sample = rng.choice(ground_size, size=s, replace=False)
     else:
         w = np.asarray(weights, dtype=np.float64)
         if len(w) != ground_size or (w < 1).any():
             raise ValueError("weights must be positive integers, one per element")
-        total = float(w.sum())
         sample = rng.choice(ground_size, size=s, replace=False, p=w / w.sum())
     q = int(math.floor(math.log2(s))) if s > 1 else 0
     prefix_sizes = tuple(s // (1 << k) for k in range(q + 1))
-    epsilon = 2.0 * alpha * math.log(max(total, 2.0)) / s
-    return NetSchedule(s, tuple(int(x) for x in sample), prefix_sizes,
-                       epsilon, alpha)
+    return NetSchedule(s, tuple(int(x) for x in sample), prefix_sizes)
 
 
 @dataclass(frozen=True)
@@ -114,7 +107,7 @@ class ComponentPartition:
 
 def build_spanning_tree(membership, num_edges: int, d: int,
                         rng: np.random.Generator, *, ground_size: int,
-                        alpha: float = 1.0, weights=None,
+                        weights=None,
                         schedule: NetSchedule | None = None) -> list[TreeEdge]:
     """Spanning tree over hyperedge ids 0..num_edges-1.
 
@@ -124,7 +117,7 @@ def build_spanning_tree(membership, num_edges: int, d: int,
     """
     if schedule is None:
         schedule = net_schedule(ground_size, num_edges, d, rng,
-                                alpha=alpha, weights=weights)
+                                weights=weights)
     partition = ComponentPartition.whole(num_edges)
     for x in schedule.sample:
         hit = {e for e in membership(x) if 0 <= e < num_edges}
@@ -203,8 +196,7 @@ def euler_order(edges: list[TreeEdge], num_nodes: int, root: int = 0) -> EdgeOrd
 
 
 def order_by_k_neighborhoods(g: Graph, k: int, d: int,
-                             rng: np.random.Generator,
-                             *, alpha: float = 1.0) -> EdgeOrder:
+                             rng: np.random.Generator) -> EdgeOrder:
     """Vertex order with small total difference between consecutive k-balls.
 
     The hyperedges are the balls N^k[v]; by symmetry of hop distance the
@@ -214,21 +206,21 @@ def order_by_k_neighborhoods(g: Graph, k: int, d: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     return order_from_membership(
-        lambda x: neighborhood(g, x, k), g.n, d, rng, alpha=alpha)
+        lambda x: neighborhood(g, x, k), g.n, d, rng)
 
 
 def order_from_membership(membership, n: int, d: int,
-                          rng: np.random.Generator, *, alpha: float = 1.0,
+                          rng: np.random.Generator, *,
                           weights=None) -> EdgeOrder:
     """Low-difference order over n hyperedges given a membership oracle on a
     ground set of the same ids (the self-dual ball hypergraph case)."""
     edges = build_spanning_tree(membership, n, d, rng, ground_size=n,
-                                alpha=alpha, weights=weights)
+                                weights=weights)
     return euler_order(edges, n, root=0)
 
 
 def weighted_order(g: Graph, k: int, d: int, weights,
-                   rng: np.random.Generator, *, alpha: float = 1.0) -> EdgeOrder:
+                   rng: np.random.Generator) -> EdgeOrder:
     """Vertex order keeping the weighted total interval count small.
 
     Equivalent to running the unweighted construction on the hypergraph with
@@ -241,7 +233,7 @@ def weighted_order(g: Graph, k: int, d: int, weights,
     if len(w) != g.n or any(x < 1 for x in w):
         raise ValueError("weights must be positive integers, one per vertex")
     return order_from_membership(
-        lambda x: neighborhood(g, x, k), g.n, d, rng, alpha=alpha, weights=w)
+        lambda x: neighborhood(g, x, k), g.n, d, rng, weights=w)
 
 
 def total_difference(order: EdgeOrder, set_of) -> int:

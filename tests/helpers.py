@@ -50,6 +50,92 @@ class UnionFind:
         return True
 
 
+# -- interval sets ----------------------------------------------------------
+# The per-set loop versions the explicit path used before it worked on CSR
+# arrays; they are the reference the array versions are checked against.
+
+
+def union_sweep(reps):
+    """Canonical union of several interval sets by an endpoint sweep."""
+    events = []
+    for rep in reps:
+        for a, b in rep:
+            events.append((a, 1))
+            events.append((b + 1, -1))
+    events.sort()
+    out = []
+    depth = 0
+    start = 0
+    i = 0
+    m = len(events)
+    while i < m:
+        pos = events[i][0]
+        delta = 0
+        while i < m and events[i][0] == pos:
+            delta += events[i][1]
+            i += 1
+        if depth == 0 and depth + delta > 0:
+            start = pos
+        elif depth > 0 and depth + delta == 0:
+            out.append((start, pos - 1))
+        depth += delta
+    return tuple(out)
+
+
+def difference_positions(rep_a, rep_b):
+    """Positions covered by ``rep_a`` but not by ``rep_b`` (merge walk)."""
+    out = []
+    jb = 0
+    nb = len(rep_b)
+    for a, b in rep_a:
+        p = a
+        while p <= b:
+            while jb < nb and rep_b[jb][1] < p:
+                jb += 1
+            if jb == nb or rep_b[jb][0] > b:
+                out.extend(range(p, b + 1))
+                break
+            ba, bb = rep_b[jb]
+            if ba > p:
+                out.extend(range(p, min(ba - 1, b) + 1))
+            p = bb + 1
+    return out
+
+
+def rebase(reps_old, order_old, order_new):
+    """Per-vertex interval tuples re-expressed under ``order_new``."""
+    n = len(order_old)
+    old_vertex = list(order_old)
+    lefts = [[] for _ in range(n)]
+    rights = [[] for _ in range(n)]
+    for i, v in enumerate(order_new, start=1):
+        prev = reps_old[order_new[i - 2]] if i > 1 else ()
+        nxt = reps_old[order_new[i]] if i < n else ()
+        for p in difference_positions(reps_old[v], prev):
+            lefts[old_vertex[p - 1]].append(i)
+        for p in difference_positions(reps_old[v], nxt):
+            rights[old_vertex[p - 1]].append(i)
+    reps_new = []
+    for x in range(n):
+        ls, rs = sorted(lefts[x]), sorted(rights[x])
+        if len(ls) != len(rs):
+            raise AssertionError("endpoint extraction lost an interval")
+        reps_new.append(tuple(zip(ls, rs)))
+    return tuple(reps_new)
+
+
+def expand_step(g, order, reps, radius, d, rng):
+    """(order, reps) of the (radius + 1)-balls: per-vertex sweep unions,
+    a fresh degree-weighted order, then the loop rebase."""
+    from kdiam.order import weighted_order
+
+    unions = tuple(union_sweep([reps[v]] + [reps[x] for x in g.adjacency[v]])
+                   for v in range(g.n))
+    degrees = [max(deg, 1) for deg in g.degrees()]
+    new_order = tuple(weighted_order(g, radius + 1, d, degrees, rng))
+    return new_order, rebase(unions, order, new_order)
+
+
 # -- geometry ---------------------------------------------------------------
 
 

@@ -165,3 +165,27 @@ class TestErrors:
     def test_bad_algorithm_flag(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["diam", "--algo", "nope", "--input", "x", "--k", "1"])
+
+    @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_point_rejected(self, tmp_path, capsys, algo, bad):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"0.0,0.0\n0.5,0.0\n{bad},0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["diam", "--algo", algo, "--input", str(pts), "--k", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {pts}: line 3: coordinates must be finite"]
+
+    @pytest.mark.parametrize("text", ["4 2\n0 1\n2 3\n", "", None])
+    def test_bad_input_file_rejected(self, tmp_path, capsys, text):
+        # disconnected edge list, empty file, missing file
+        gf = tmp_path / "g.el"
+        if text is not None:
+            gf.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["diam", "--algo", "explicit", "--input", str(gf),
+                  "--k", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {gf}: ")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kdiam import intervals
+import helpers
+from kdiam import explicit, intervals
 from kdiam.explicit import (BallEncoding, encoding_is_valid, expand_step,
                             initial_encoding, k_diameter_explicit, rebase)
 from kdiam.gen import random_connected_graph
@@ -22,13 +25,13 @@ class TestRebase:
         enc = initial_encoding(g)
         order = enc.order
         again = rebase(enc.reps, order, order)
-        assert again == enc.reps
+        assert list(again) == list(enc.reps)
 
     def test_k3_any_reorder_full(self):
         g = complete_graph(3)
         reps = tuple(((1, 3),) for _ in range(3))
         out = rebase(reps, (0, 1, 2), (2, 0, 1))
-        assert out == (((1, 3),),) * 3
+        assert tuple(out) == (((1, 3),),) * 3
 
     def test_p5_random_reorder_decodes(self):
         g = path_graph(5)
@@ -50,6 +53,37 @@ class TestRebase:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             rebase((((1, 1),),), (0,), (0, 1))
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.sets(st.integers(1, n)), min_size=n, max_size=n),
+        st.permutations(range(n)), st.permutations(range(n)))),
+        st.sampled_from([1, 3, explicit.BLOCK]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_and_sets(self, case, block):
+        sets, order_old, order_new = case
+        reps = tuple(intervals.canonicalize(s) for s in sets)
+        saved, explicit.BLOCK = explicit.BLOCK, block
+        try:
+            got = tuple(rebase(reps, order_old, order_new))
+        finally:
+            explicit.BLOCK = saved
+        assert got == helpers.rebase(reps, order_old, order_new)
+        new_pos = {v: i + 1 for i, v in enumerate(order_new)}
+        for x in range(len(sets)):
+            # x is in set s_v exactly when new position of v is in rep[x]
+            holders = {new_pos[v] for v, s in enumerate(sets)
+                       if order_old.index(x) + 1 in s}
+            assert got[x] == intervals.canonicalize(holders)
+
+    def test_single_vertex(self):
+        assert tuple(rebase((((1, 1),),), (0,), (0,))) == (((1, 1),),)
+
+    def test_lost_interval_is_an_error(self):
+        # A non-canonical set (the same interval twice) breaks the sweep's
+        # coverage count; the endpoint check reports it instead of
+        # returning wrong sets.
+        with pytest.raises(AssertionError, match="lost an interval"):
+            rebase((((1, 1), (1, 1)), ((2, 2),)), (0, 1), (1, 0))
 
 
 class TestExpandStep:
@@ -89,6 +123,29 @@ class TestExpandStep:
                 for v in range(g.n):
                     assert prev[v] <= cur[v]
                 prev = cur
+
+    @pytest.mark.parametrize("block", [1, 5, explicit.BLOCK])
+    def test_matches_reference_steps(self, monkeypatch, block):
+        monkeypatch.setattr(explicit, "BLOCK", block)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 40))
+            m = int(rng.integers(n - 1, min(n * (n - 1) // 2, 3 * n) + 1))
+            g = random_connected_graph(n, m, rng)
+            enc = initial_encoding(g)
+            order, reps = enc.order, tuple(enc.reps)
+            for r in range(4):
+                enc = expand_step(g, enc, 3, np.random.default_rng(10 + r))
+                order, reps = helpers.expand_step(
+                    g, order, reps, r, 3, np.random.default_rng(10 + r))
+                assert enc.order == order
+                assert tuple(enc.reps) == reps
+
+    def test_single_vertex_graph(self):
+        g = from_edges(1, [])
+        enc = expand_step(g, initial_encoding(g), 2, np.random.default_rng(0))
+        assert tuple(enc.reps) == (((1, 1),),)
+        assert k_diameter_explicit(g, 1, 2, np.random.default_rng(0))
 
     def test_frozen_order_still_correct(self):
         rng = np.random.default_rng(4)
@@ -149,3 +206,19 @@ class TestKDiameterExplicit:
 
         k_diameter_explicit(g, 3, 3, np.random.default_rng(8), inspect=check)
         assert seen == [0, 1, 2, 3]
+
+    def test_last_radius_keeps_the_order(self, monkeypatch):
+        g = random_connected_graph(14, 22, np.random.default_rng(7))
+        calls = []
+        real = explicit.weighted_order
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(explicit, "weighted_order", counting)
+        orders = []
+        k_diameter_explicit(g, 3, 3, np.random.default_rng(8),
+                            inspect=lambda enc: orders.append(enc.order))
+        assert calls == [1, 2]
+        assert orders[3] == orders[2]

@@ -255,3 +255,12 @@ class TestFileFormats:
             parse_polygon("x\n1,2\n")
         with pytest.raises(ValueError):
             parse_polygon("3\n0,0\n1,0\n")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    def test_points_reject_non_finite(self, bad):
+        with pytest.raises(ValueError, match="line 2: coordinates must be finite"):
+            parse_points(f"0,0\n1,{bad}\n")
+
+    def test_points_reject_non_numbers(self):
+        with pytest.raises(ValueError, match="line 1: coordinates must be numbers"):
+            parse_points("a,0\n")

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from kdiam import intervals
 
 
@@ -36,37 +38,124 @@ class TestCanonicalize:
         assert rep == tuple((a, b) for a, b in expect)
 
 
+def union_of(reps):
+    """Array union of several tuple interval sets, as one canonical tuple."""
+    sets = intervals.IntervalSets.from_reps(reps)
+    rows = intervals.union_sweep(sets, np.zeros(len(reps), np.int64), 60)
+    assert (rows[:, 0] == 0).all()
+    return tuple(map(tuple, rows[:, 1:].tolist()))
+
+
+def difference_of(rep_a, rep_b):
+    """Array ``rep_a - rep_b`` as a list of positions."""
+    a = intervals.IntervalSets.from_reps([rep_a])
+    b = intervals.IntervalSets.from_reps([rep_b])
+    (pair, pos), _ = intervals.split_difference(
+        np.zeros(len(a.starts), np.int64), a.starts, a.ends,
+        np.zeros(len(b.starts), np.int64), b.starts, b.ends, 60)
+    assert (pair == 0).all()
+    return pos.tolist()
+
+
+class TestIntervalSets:
+    @given(st.lists(position_sets, max_size=8))
+    def test_roundtrip(self, sets):
+        reps = [intervals.canonicalize(s) for s in sets]
+        packed = intervals.IntervalSets.from_reps(reps)
+        assert len(packed) == len(reps)
+        assert list(packed) == reps
+        assert [packed[v] for v in range(len(reps))] == reps
+        assert packed.counts().tolist() == [len(r) for r in reps]
+
+    @given(st.lists(position_sets, max_size=8),
+           st.lists(st.integers(0, 7), max_size=10))
+    def test_take(self, sets, items):
+        reps = [intervals.canonicalize(s) for s in sets]
+        items = [i for i in items if i < len(reps)]
+        packed = intervals.IntervalSets.from_reps(reps)
+        taken = packed.take(np.array(items, dtype=np.int64))
+        assert list(taken) == [reps[i] for i in items]
+
+    def test_negative_index_and_range(self):
+        packed = intervals.IntervalSets.from_reps([((1, 2),), (), ((4, 4),)])
+        assert packed[-1] == ((4, 4),)
+        assert packed[1] == ()
+        with pytest.raises(IndexError):
+            packed[3]
+
+
 class TestUnionSweep:
     def test_overlapping(self):
-        assert intervals.union_sweep([((1, 2),), ((2, 4),)]) == ((1, 4),)
+        assert union_of([((1, 2),), ((2, 4),)]) == ((1, 4),)
 
     def test_disjoint(self):
-        assert intervals.union_sweep([((1, 1),), ((3, 3),)]) == ((1, 1), (3, 3))
+        assert union_of([((1, 1),), ((3, 3),)]) == ((1, 1), (3, 3))
 
     def test_adjacent_merge(self):
-        assert intervals.union_sweep([((1, 2),), ((3, 4),)]) == ((1, 4),)
+        assert union_of([((1, 2),), ((3, 4),)]) == ((1, 4),)
 
     @given(st.lists(position_sets, max_size=10))
     @settings(max_examples=60)
     def test_matches_set_union(self, sets):
         reps = [intervals.canonicalize(s) for s in sets]
-        got = intervals.union_sweep(reps)
+        got = union_of(reps)
         want = intervals.canonicalize(set().union(*sets) if sets else set())
-        assert got == want
+        assert got == want == helpers.union_sweep(reps)
         assert intervals.is_canonical(got)
+
+    def test_empty_inputs(self):
+        assert union_of([]) == ()
+        assert union_of([(), ()]) == ()
+
+    @given(st.lists(st.lists(position_sets, max_size=5), max_size=8))
+    @settings(max_examples=60)
+    def test_many_owners_match_reference(self, groups):
+        reps = [intervals.canonicalize(s) for g in groups for s in g]
+        owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        rows = intervals.union_sweep(intervals.IntervalSets.from_reps(reps),
+                                     owner, 60)
+        want = [(j, a, b) for j, g in enumerate(groups)
+                for a, b in helpers.union_sweep(
+                    [intervals.canonicalize(s) for s in g])]
+        assert list(map(tuple, rows.tolist())) == want
+
+    def test_single_position_universe(self):
+        sets = intervals.IntervalSets.from_reps([((1, 1),), ((1, 1),)])
+        rows = intervals.union_sweep(sets, np.zeros(2, np.int64), 1)
+        assert rows.tolist() == [[0, 1, 1]]
 
 
 class TestDifferencePositions:
     @given(position_sets, position_sets)
     def test_matches_set_difference(self, a, b):
         ra, rb = intervals.canonicalize(a), intervals.canonicalize(b)
-        assert set(intervals.difference_positions(ra, rb)) == a - b
+        got = difference_of(ra, rb)
+        assert set(got) == a - b
+        assert got == helpers.difference_positions(ra, rb)
 
     def test_sorted_output(self):
         ra = intervals.canonicalize({1, 2, 3, 7, 8, 12})
         rb = intervals.canonicalize({2, 7})
-        out = intervals.difference_positions(ra, rb)
+        out = difference_of(ra, rb)
         assert out == sorted(out) == [1, 3, 8, 12]
+
+    @given(st.lists(st.tuples(position_sets, position_sets), max_size=8))
+    @settings(max_examples=60)
+    def test_both_sides_per_pair(self, pairs):
+        a = intervals.IntervalSets.from_reps(
+            [intervals.canonicalize(x) for x, _ in pairs])
+        b = intervals.IntervalSets.from_reps(
+            [intervals.canonicalize(y) for _, y in pairs])
+        (a_pair, a_pos), (b_pair, b_pos) = intervals.split_difference(
+            np.repeat(np.arange(len(pairs)), a.counts()), a.starts, a.ends,
+            np.repeat(np.arange(len(pairs)), b.counts()), b.starts, b.ends,
+            60)
+        want_a = [(j, p) for j, (x, y) in enumerate(pairs)
+                  for p in sorted(x - y)]
+        want_b = [(j, p) for j, (x, y) in enumerate(pairs)
+                  for p in sorted(y - x)]
+        assert list(zip(a_pair.tolist(), a_pos.tolist())) == want_a
+        assert list(zip(b_pair.tolist(), b_pos.tolist())) == want_b
 
 
 class TestContains:
