@@ -22,9 +22,8 @@ from .order import (
     NetSchedule,
     build_spanning_tree,
     euler_order,
-    order_by_k_neighborhoods,
+    order_from_membership,
     total_difference,
-    weighted_order,
 )
 from .explicit import BallEncoding, expand_step, k_diameter_explicit, rebase
 from .intervals import IntervalSets, canonicalize
@@ -95,7 +94,7 @@ __all__ = [
     "neighborhood",
     "norm_value",
     "normalize_polygon",
-    "order_by_k_neighborhoods",
+    "order_from_membership",
     "plane_init",
     "plane_list_differences",
     "plane_mark",
@@ -109,6 +108,5 @@ __all__ = [
     "symmetrize",
     "total_difference",
     "trapezoid_decompose",
-    "weighted_order",
     "__version__",
 ]

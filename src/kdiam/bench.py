@@ -1,5 +1,4 @@
-"""Benchmark helpers: scaling counters for the slope analysis and the
-numba-vs-numpy kernel comparison."""
+"""Benchmark helpers: scaling counters for the slope analysis."""
 
 from __future__ import annotations
 
@@ -11,20 +10,18 @@ import numpy as np
 from . import _kernels
 from .gen import default_box, random_connected_graph, random_unit_square_points
 from .geometry import axis_square, intersection_graph_naive
-from .graph import Graph
-from .order import order_by_k_neighborhoods
+from .graph import Graph, neighborhood
+from .order import order_from_membership
 
 
 def order_difference_sum(g: Graph, k: int, d: int,
-                         rng: np.random.Generator,
-                         *, backend=None) -> tuple:
+                         rng: np.random.Generator) -> tuple:
     """Compute a low-difference order and the exact total consecutive ball
     difference under it.  Returns (order, diff_sum)."""
-    order = order_by_k_neighborhoods(g, k, d, rng)
+    order = order_from_membership(lambda x: neighborhood(g, x, k), g.n, d, rng)
     indptr, indices = g.csr
-    impl = backend or _kernels
-    diff = int(impl.order_diff_sum(indptr, indices,
-                                   np.asarray(list(order), dtype=np.int64), k))
+    diff = int(_kernels.order_diff_sum(
+        indptr, indices, np.asarray(list(order), dtype=np.int64), k))
     return order, diff
 
 
@@ -40,7 +37,6 @@ class BenchRow:
     n: int
     m: int
     seed: int
-    backend: str
     order_seconds: float
     diff_sum: int
     identity_diff_sum: int
@@ -61,46 +57,19 @@ def sparse_graph(n: int, seed: int) -> Graph:
     return random_connected_graph(n, m, rng)
 
 
-def scaling_rows(kind: str, sizes, k: int, d: int, seed: int,
-                 *, backends=("active",)) -> list:
-    """One row per (n, backend): time to compute the order plus the exact
+def scaling_rows(kind: str, sizes, k: int, d: int, seed: int) -> list:
+    """One row per n: time to compute the order plus the exact
     difference-sum counter under it and under the identity order."""
     make = squares_graph if kind == "unit-squares" else sparse_graph
     rows = []
     for n in sizes:
         g = make(n, seed)
         indptr, indices = g.csr
-        identity = np.arange(g.n, dtype=np.int64)
-        for name in backends:
-            impl = {"active": _kernels,
-                    "numba": _kernels.numba_backend,
-                    "numpy": _kernels.numpy_backend}[name]
-            if impl is None:
-                continue
-            rng = np.random.default_rng(seed)
-            start = time.perf_counter()
-            _, diff = order_difference_sum(g, k, d, rng, backend=impl)
-            elapsed = time.perf_counter() - start
-            ident = int(impl.order_diff_sum(indptr, indices, identity, k))
-            label = _kernels.BACKEND if name == "active" else name
-            rows.append(BenchRow(g.n, g.m, seed, label, elapsed, diff, ident))
-    return rows
-
-
-def kernel_rows(sizes, seed: int) -> list:
-    """Raw kernel comparison: all-sources eccentricities on both backends."""
-    rows = []
-    for n in sizes:
-        g = sparse_graph(n, seed)
-        indptr, indices = g.csr
-        for name, impl in (("numba", _kernels.numba_backend),
-                           ("numpy", _kernels.numpy_backend)):
-            if impl is None:
-                continue
-            start = time.perf_counter()
-            ecc = impl.eccentricities(indptr, indices)
-            elapsed = time.perf_counter() - start
-            rows.append({"n": n, "m": g.m, "backend": name,
-                         "eccentricities_seconds": elapsed,
-                         "diameter": int(ecc.max())})
+        rng = np.random.default_rng(seed)
+        start = time.perf_counter()
+        _, diff = order_difference_sum(g, k, d, rng)
+        elapsed = time.perf_counter() - start
+        ident = int(_kernels.order_diff_sum(
+            indptr, indices, np.arange(g.n, dtype=np.int64), k))
+        rows.append(BenchRow(g.n, g.m, seed, elapsed, diff, ident))
     return rows

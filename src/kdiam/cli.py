@@ -103,54 +103,37 @@ def _materialize(kind, payload) -> Graph:
     return intersection_graph_naive(pts, shape)
 
 
-def run_algorithm(algorithm, kind, payload, k, d, seed,
-                  freeze_order=False) -> RunReport:
+def run_algorithm(algorithm, kind, payload, k, d, seed) -> RunReport:
     rng = np.random.default_rng(seed)
     counters = {}
     start = time.perf_counter()
-    if algorithm == "naive":
+    if algorithm in ("explicit", "implicit") and k < 1:
+        raise UsageError(f"{algorithm} algorithm needs k >= 1")
+    if algorithm in ("naive", "explicit"):
         g = _materialize(kind, payload)
-        answer = k_diameter_naive(g, k)
-        counters["n"] = g.n
-        counters["m"] = g.m
-    elif algorithm == "explicit":
-        if k < 1:
-            raise UsageError("explicit algorithm needs k >= 1")
-        g = _materialize(kind, payload)
-        answer = k_diameter_explicit(g, k, d, rng,
-                                     reorder=not freeze_order)
+        if algorithm == "naive":
+            answer = k_diameter_naive(g, k)
+        else:
+            answer = k_diameter_explicit(g, k, d, rng)
         counters["n"] = g.n
         counters["m"] = g.m
     elif algorithm == "implicit":
-        if k < 1:
-            raise UsageError("implicit algorithm needs k >= 1")
         if kind == "points":
             pts, shape = payload
-            n = len(pts)
-            made = []
-
-            def factory():
-                nsds = geometric_nsds(pts, shape, seed + len(made))
-                made.append(nsds)
-                return nsds
-
-            answer = k_diameter_implicit(factory, n, k, d, rng)
-            counters["n"] = n
-            counters["add_neighbours"] = sum(s.add_count for s in made)
-            counters["list_differences"] = sum(s.list_count for s in made)
+            n, make = len(pts), lambda s: geometric_nsds(pts, shape, s)
         else:
-            g = payload
-            made = []
+            n, make = payload.n, lambda s: NaiveNeighbourSets(payload, s)
+        made = []
 
-            def factory():
-                nsds = NaiveNeighbourSets(g, seed + len(made))
-                made.append(nsds)
-                return nsds
+        def factory():
+            nsds = make(seed + len(made))
+            made.append(nsds)
+            return nsds
 
-            answer = k_diameter_implicit(factory, g.n, k, d, rng)
-            counters["n"] = g.n
-            counters["add_neighbours"] = sum(s.add_count for s in made)
-            counters["list_differences"] = sum(s.list_count for s in made)
+        answer = k_diameter_implicit(factory, n, k, d, rng)
+        counters["n"] = n
+        counters["add_neighbours"] = sum(s.add_count for s in made)
+        counters["list_differences"] = sum(s.list_count for s in made)
     else:
         raise UsageError(f"unknown algorithm {algorithm!r}")
     wall = time.perf_counter() - start
@@ -176,7 +159,7 @@ def cmd_diam(args):
     except (OSError, ValueError) as exc:  # unreadable, malformed, disconnected
         raise UsageError(f"{args.input}: {exc}") from None
     report = run_algorithm(args.algo, kind, payload, args.k, args.d,
-                           args.seed, freeze_order=args.freeze_order)
+                           args.seed)
     report.instance = str(args.input)
     log.info("diam %s on %s: %s in %.3fs", args.algo, args.input,
              report.answer, report.wall_seconds)
@@ -226,23 +209,12 @@ def cmd_verify(args):
 
 def cmd_bench(args):
     sizes = [int(s) for s in args.sizes.split(",")]
-    if args.kind == "kernels":
-        rows = bench_mod.kernel_rows(sizes, args.seed)
-    else:
-        backends = {"active": ("active",), "numba": ("numba",),
-                    "numpy": ("numpy",),
-                    "both": ("numba", "numpy")}[args.backend]
-        rows = [r.as_dict() for r in bench_mod.scaling_rows(
-            args.kind, sizes, args.k, args.d, args.seed, backends=backends)]
-        if len(sizes) >= 2:
-            by_backend = {}
-            for r in rows:
-                by_backend.setdefault(r["backend"], []).append(r)
-            for name, rs in by_backend.items():
-                slope = bench_mod.loglog_slope([r["n"] for r in rs],
-                                               [r["diff_sum"] for r in rs])
-                print(f"# diff_sum log-log slope [{name}]: {slope:.3f}",
-                      file=sys.stderr)
+    rows = [r.as_dict() for r in bench_mod.scaling_rows(
+        args.kind, sizes, args.k, args.d, args.seed)]
+    if len(sizes) >= 2:
+        slope = bench_mod.loglog_slope([r["n"] for r in rows],
+                                       [r["diff_sum"] for r in rows])
+        print(f"# diff_sum log-log slope: {slope:.3f}", file=sys.stderr)
     out = Path(args.output).open("w", newline="") if args.output else sys.stdout
     writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -284,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--output")
     d.add_argument("--format", choices=["json", "csv"], default="json")
-    d.add_argument("--freeze-order", action="store_true",
-                   help="keep the initial vertex order across radii "
-                        "(explicit algorithm; measures the reorder benefit)")
     d.set_defaults(func=cmd_diam)
 
     v = sub.add_parser("verify", help="cross-check all algorithms")
@@ -302,15 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default=["naive", "explicit", "implicit"])
     v.set_defaults(func=cmd_verify)
 
-    b = sub.add_parser("bench", help="scaling and kernel benchmarks (CSV)")
+    b = sub.add_parser("bench", help="order difference-sum scaling (CSV)")
     b.add_argument("--kind", default="unit-squares",
-                   choices=["unit-squares", "sparse-graph", "kernels"])
+                   choices=["unit-squares", "sparse-graph"])
     b.add_argument("--sizes", default="200,400,800,1600")
     b.add_argument("--k", type=int, default=2)
     b.add_argument("--d", type=int, default=4)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--backend", default="active",
-                   choices=["active", "numba", "numpy", "both"])
     b.add_argument("--output")
     b.set_defaults(func=cmd_bench)
     return p

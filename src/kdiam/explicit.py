@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import intervals
-from .graph import Graph
+from . import intervals, order
+from .graph import Graph, neighborhood
 from .intervals import IntervalSets
-from .order import weighted_order
 
 # Most intervals one bulk union or difference sweep takes in.  Larger work is
 # split into blocks of consecutive vertices, which bounds the memory of the
@@ -153,12 +152,13 @@ def expand_step(g: Graph, enc: BallEncoding, d: int,
     if not reorder:
         return BallEncoding(enc.order, unions, r)
     degrees = [max(deg, 1) for deg in g.degrees()]
-    new_order = tuple(weighted_order(g, r, d, degrees, rng))
+    new_order = tuple(order.order_from_membership(
+        lambda x: neighborhood(g, x, r), g.n, d, rng, weights=degrees))
     return BallEncoding(new_order, rebase(unions, enc.order, new_order), r)
 
 
 def k_diameter_explicit(g: Graph, k: int, d: int, rng: np.random.Generator,
-                        *, reorder: bool = True, inspect=None) -> bool:
+                        *, inspect=None) -> bool:
     """True iff the diameter is at most ``k``.
 
     Randomness only affects how much work the interval representations take,
@@ -175,7 +175,7 @@ def k_diameter_explicit(g: Graph, k: int, d: int, rng: np.random.Generator,
     for r in range(1, k + 1):
         # The answer only asks whether every last-radius ball is full, which
         # the unions show under any order, so the last step keeps the old one.
-        enc = expand_step(g, enc, d, rng, reorder=reorder and r < k)
+        enc = expand_step(g, enc, d, rng, reorder=r < k)
         if inspect is not None:
             inspect(enc)
     reps = enc.reps
@@ -186,8 +186,6 @@ def k_diameter_explicit(g: Graph, k: int, d: int, rng: np.random.Generator,
 def encoding_is_valid(g: Graph, enc: BallEncoding) -> bool:
     """Audit helper: every representation canonical and decoding to the exact
     ball (used by the invariant tests, not on the hot path)."""
-    from .graph import neighborhood
-
     for v in range(g.n):
         if not intervals.is_canonical(enc.reps[v], g.n):
             return False

@@ -179,6 +179,20 @@ def shape_metric(f: ConvexPolygon, a, b) -> float:
     return norm_value(f, a - b)
 
 
+def check_distinct(points) -> None:
+    """Raise ``ValueError("duplicate points i and j")`` if two rows of the
+    (n, 2) array ``points`` are equal, for the smallest such j and i the
+    first row equal to it.  -0.0 equals 0.0."""
+    pts = np.asarray(points, dtype=np.float64)
+    _, first, inverse = np.unique(pts, axis=0, return_index=True,
+                                  return_inverse=True)
+    first_equal = first[inverse.reshape(-1)]
+    repeats = np.flatnonzero(first_equal != np.arange(len(pts)))
+    if repeats.size:
+        j = int(repeats[0])
+        raise ValueError(f"duplicate points {int(first_equal[j])} and {j}")
+
+
 def intersection_graph_naive(points, f: ConvexPolygon) -> Graph:
     """Materialized intersection graph for shape ``f`` centered at each
     point: u ~ v iff translated copies of f overlap (boundary touching
@@ -188,10 +202,7 @@ def intersection_graph_naive(points, f: ConvexPolygon) -> Graph:
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pts[i, 0] == pts[j, 0] and pts[i, 1] == pts[j, 1]:
-                raise ValueError(f"duplicate points {i} and {j}")
+    check_distinct(pts)
     h = f if f.is_symmetric() else symmetrize(f)
     sides = h.side_normals()
     adj = np.ones((n, n), dtype=bool)
@@ -426,10 +437,6 @@ def load_points(path) -> np.ndarray:
     return parse_points(Path(path).read_text())
 
 
-def save_points(points, path) -> None:
-    Path(path).write_text(format_points(points))
-
-
 def parse_polygon(text: str) -> ConvexPolygon:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -452,7 +459,3 @@ def format_polygon(poly: ConvexPolygon) -> str:
 
 def load_polygon(path) -> ConvexPolygon:
     return parse_polygon(Path(path).read_text())
-
-
-def save_polygon(poly: ConvexPolygon, path) -> None:
-    Path(path).write_text(format_polygon(poly))

@@ -15,17 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, neighborhood
-
 
 @dataclass(frozen=True)
 class NetSchedule:
-    """Sampling plan: ``sample_size`` elements drawn without replacement, in
-    order, and the sizes of its halving prefixes."""
+    """Sampling plan: the sampled ground elements, drawn without
+    replacement, in order."""
 
-    sample_size: int
     sample: tuple
-    prefix_sizes: tuple
 
 
 def net_schedule(ground_size: int, num_edges: int, d: int,
@@ -51,9 +47,7 @@ def net_schedule(ground_size: int, num_edges: int, d: int,
         if len(w) != ground_size or (w < 1).any():
             raise ValueError("weights must be positive integers, one per element")
         sample = rng.choice(ground_size, size=s, replace=False, p=w / w.sum())
-    q = int(math.floor(math.log2(s))) if s > 1 else 0
-    prefix_sizes = tuple(s // (1 << k) for k in range(q + 1))
-    return NetSchedule(s, tuple(int(x) for x in sample), prefix_sizes)
+    return NetSchedule(tuple(int(x) for x in sample))
 
 
 @dataclass(frozen=True)
@@ -128,11 +122,9 @@ def build_spanning_tree(membership, num_edges: int, d: int,
 
 @dataclass(frozen=True)
 class EdgeOrder:
-    """A permutation of hyperedge (or vertex) ids, with the total consecutive
-    symmetric difference optionally recorded by whoever computed it."""
+    """A permutation of hyperedge (or vertex) ids."""
 
     perm: tuple
-    total_difference: int | None = None
 
     def __post_init__(self):
         if sorted(self.perm) != list(range(len(self.perm))):
@@ -195,45 +187,22 @@ def euler_order(edges: list[TreeEdge], num_nodes: int, root: int = 0) -> EdgeOrd
     return EdgeOrder(tuple(perm))
 
 
-def order_by_k_neighborhoods(g: Graph, k: int, d: int,
-                             rng: np.random.Generator) -> EdgeOrder:
-    """Vertex order with small total difference between consecutive k-balls.
-
-    The hyperedges are the balls N^k[v]; by symmetry of hop distance the
-    edges containing x are exactly the ball around x, so one BFS serves as
-    the membership oracle.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return order_from_membership(
-        lambda x: neighborhood(g, x, k), g.n, d, rng)
-
-
 def order_from_membership(membership, n: int, d: int,
                           rng: np.random.Generator, *,
                           weights=None) -> EdgeOrder:
     """Low-difference order over n hyperedges given a membership oracle on a
-    ground set of the same ids (the self-dual ball hypergraph case)."""
+    ground set of the same ids (the self-dual ball hypergraph case).
+
+    For the radius-k balls of a graph ``g`` the oracle is
+    ``lambda x: neighborhood(g, x, k)``: by symmetry of hop distance the balls
+    containing x are exactly the ball around x.  With ``weights`` (positive
+    integers, one per vertex) the sample is drawn as if every vertex were
+    duplicated weight-many times, which keeps the weighted total interval
+    count small; :func:`net_schedule` rejects bad weights.
+    """
     edges = build_spanning_tree(membership, n, d, rng, ground_size=n,
                                 weights=weights)
     return euler_order(edges, n, root=0)
-
-
-def weighted_order(g: Graph, k: int, d: int, weights,
-                   rng: np.random.Generator) -> EdgeOrder:
-    """Vertex order keeping the weighted total interval count small.
-
-    Equivalent to running the unweighted construction on the hypergraph with
-    every vertex duplicated weight-many times; realized by weighted sampling
-    instead of physical duplication.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    w = list(weights)
-    if len(w) != g.n or any(x < 1 for x in w):
-        raise ValueError("weights must be positive integers, one per vertex")
-    return order_from_membership(
-        lambda x: neighborhood(g, x, k), g.n, d, rng, weights=w)
 
 
 def total_difference(order: EdgeOrder, set_of) -> int:

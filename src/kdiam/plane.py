@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stripes as st
-from .geometry import (ConvexPolygon, axis_square, is_axis_unit_square,
-                       normalize_polygon, symmetrize, trapezoid_decompose)
+from .geometry import (ConvexPolygon, axis_square, check_distinct,
+                       is_axis_unit_square, normalize_polygon, symmetrize,
+                       trapezoid_decompose)
 from .hashing import draw_fingerprints
 from .nsds import NeighbourSetStructure, SetHandle
 
@@ -56,12 +57,7 @@ class PlaneStructure:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (n, 2) array")
-        seen = {}
-        for i, (x, y) in enumerate(pts):
-            key = (float(x), float(y))
-            if key in seen:
-                raise ValueError(f"duplicate points {seen[key]} and {i}")
-            seen[key] = i
+        check_distinct(pts)
         self.n = pts.shape[0]
 
         if shape is None:

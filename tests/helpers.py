@@ -127,12 +127,15 @@ def rebase(reps_old, order_old, order_new):
 def expand_step(g, order, reps, radius, d, rng):
     """(order, reps) of the (radius + 1)-balls: per-vertex sweep unions,
     a fresh degree-weighted order, then the loop rebase."""
-    from kdiam.order import weighted_order
+    import kdiam.order
+    from kdiam.graph import neighborhood
 
     unions = tuple(union_sweep([reps[v]] + [reps[x] for x in g.adjacency[v]])
                    for v in range(g.n))
     degrees = [max(deg, 1) for deg in g.degrees()]
-    new_order = tuple(weighted_order(g, radius + 1, d, degrees, rng))
+    new_order = tuple(kdiam.order.order_from_membership(
+        lambda x: neighborhood(g, x, radius + 1), g.n, d, rng,
+        weights=degrees))
     return new_order, rebase(unions, order, new_order)
 
 

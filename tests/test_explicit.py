@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import kdiam.order
 from kdiam import explicit, intervals
 from kdiam.explicit import (BallEncoding, encoding_is_valid, expand_step,
                             initial_encoding, k_diameter_explicit, rebase)
@@ -210,13 +211,17 @@ class TestKDiameterExplicit:
     def test_last_radius_keeps_the_order(self, monkeypatch):
         g = random_connected_graph(14, 22, np.random.default_rng(7))
         calls = []
-        real = explicit.weighted_order
+        real = kdiam.order.order_from_membership
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+        def counting(membership, *args, **kwargs):
+            # the radius whose balls the membership oracle lists
+            calls.append(next(
+                r for r in range(g.n)
+                if all(set(membership(x)) == neighborhood(g, x, r)
+                       for x in range(g.n))))
+            return real(membership, *args, **kwargs)
 
-        monkeypatch.setattr(explicit, "weighted_order", counting)
+        monkeypatch.setattr(kdiam.order, "order_from_membership", counting)
         orders = []
         k_diameter_explicit(g, 3, 3, np.random.default_rng(8),
                             inspect=lambda enc: orders.append(enc.order))

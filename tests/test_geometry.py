@@ -10,6 +10,7 @@ from kdiam.geometry import (AffineMap, ConvexPolygon, axis_square,
                             minkowski_sum, norm_value, normalize_polygon,
                             parse_points, parse_polygon, shape_metric,
                             symmetrize, trapezoid_decompose)
+from kdiam.plane import geometric_nsds
 
 from helpers import (convex_hull, gauge_by_bisection, geometric_graph_sat,
                      shoelace)
@@ -162,6 +163,22 @@ class TestIntersectionGraph:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             intersection_graph_naive([(0, 0), (0.0, 0.0)], axis_square(1.0))
+
+    def test_duplicate_check_shared(self):
+        # a repeat far from its first occurrence among many points, and a
+        # signed zero, give one message from the oracle and the structure;
+        # of two repeated points the one repeated first is named
+        pts = np.random.default_rng(6).uniform(0, 20, size=(500, 2))
+        pts[480] = pts[7]
+        signed = np.array([(3.0, 2.0), (-0.0, 1.0), (5.0, 5.0), (0.0, 1.0),
+                           (3.0, 2.0)])
+        for points, message in ((pts, "duplicate points 7 and 480"),
+                                (signed, "duplicate points 1 and 3")):
+            for build in (intersection_graph_naive,
+                          lambda p, f: geometric_nsds(p, f, seed=0)):
+                with pytest.raises(ValueError) as exc:
+                    build(points, axis_square(1.0))
+                assert str(exc.value) == message
 
     def test_matches_sat_oracle_squares(self):
         rng = np.random.default_rng(5)

@@ -1,91 +1,24 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import kdiam
 from kdiam import _kernels
 from kdiam.gen import random_connected_graph
 
 
-backends = [_kernels.numpy_backend]
-if _kernels.numba_backend is not None:
-    backends.append(_kernels.numba_backend)
-
-
-@pytest.mark.parametrize("backend", backends, ids=lambda b: b.name)
-def test_bfs_small(backend):
+# The test id is the kernels' BACKEND name.
+@pytest.mark.parametrize("kernels", [_kernels], ids=[_kernels.BACKEND])
+def test_bfs_small(kernels):
     g = random_connected_graph(12, 20, np.random.default_rng(0))
     indptr, indices = g.csr
-    d = backend.bfs_distances(indptr, indices, 0)
+    d = kernels.bfs_distances(indptr, indices, 0)
     assert d[0] == 0
     assert (d >= 0).all()
-
-
-def test_backends_agree():
-    if _kernels.numba_backend is None:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        n = int(rng.integers(2, 60))
-        m = int(rng.integers(n - 1, min(n * (n - 1) // 2, 3 * n) + 1))
-        g = random_connected_graph(n, m, rng)
-        indptr, indices = g.csr
-        for s in range(0, n, max(1, n // 4)):
-            a = _kernels.numba_backend.bfs_distances(indptr, indices, s)
-            b = _kernels.numpy_backend.bfs_distances(indptr, indices, s)
-            assert (a == b).all()
-        ea = _kernels.numba_backend.eccentricities(indptr, indices)
-        eb = _kernels.numpy_backend.eccentricities(indptr, indices)
-        assert (ea == eb).all()
-        for r in (1, 2, 3):
-            ma = _kernels.numba_backend.ball_mask(indptr, indices, 0, r)
-            mb = _kernels.numpy_backend.ball_mask(indptr, indices, 0, r)
-            assert (ma == mb).all()
-        order = rng.permutation(n).astype(np.int64)
-        da = _kernels.numba_backend.order_diff_sum(indptr, indices, order, 2)
-        db = _kernels.numpy_backend.order_diff_sum(indptr, indices, order, 2)
-        assert da == db
 
 
 def test_disconnected_markers():
     indptr = np.array([0, 1, 2, 3, 4], np.int64)
     indices = np.array([1, 0, 3, 2], np.int64)
-    for backend in backends:
-        d = backend.bfs_distances(indptr, indices, 0)
-        assert d[2] == -1 and d[3] == -1
-        ecc = backend.eccentricities(indptr, indices)
-        assert (ecc == -1).all()
-
-
-def _child_backend(flag):
-    """Import ``kdiam._kernels`` in a fresh interpreter with ``KDIAM_NUMBA``
-    set to ``flag``; the child keeps the parent's environment and imports the
-    same kdiam package the parent is testing."""
-    src = str(Path(kdiam.__file__).resolve().parents[1])
-    env = dict(os.environ, KDIAM_NUMBA=flag)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-c",
-         "import kdiam._kernels as k; print(k.BACKEND)"],
-        env=env, capture_output=True, text=True, timeout=120)
-
-
-def test_env_flag_selects_backend():
-    # Backend selection happens once, at import time, so each documented
-    # flag value is checked in its own interpreter.
-    out = _child_backend("0")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-
-    out = _child_backend("1")
-    if _kernels.numba_backend is None:
-        assert out.returncode != 0, out.stdout
-        assert "KDIAM_NUMBA=1 set but numba is not installed" in out.stderr
-    else:
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "numba"
+    d = _kernels.bfs_distances(indptr, indices, 0)
+    assert d[2] == -1 and d[3] == -1
+    ecc = _kernels.eccentricities(indptr, indices)
+    assert (ecc == -1).all()
