@@ -26,7 +26,8 @@ from . import bench as bench_mod
 from . import gen as gen_mod
 from .geometry import (axis_square, format_points, format_polygon,
                        intersection_graph_naive, load_points, load_polygon)
-from .graph import (Graph, diameter_naive, format_edge_list, k_diameter_naive,
+from .graph import (DisconnectedGraphError, Graph, diameter_naive,
+                    format_edge_list, is_connected, k_diameter_naive,
                     load_edge_list)
 from .explicit import k_diameter_explicit
 from .implicit import k_diameter_implicit
@@ -61,6 +62,10 @@ def _load_instance(args):
     pts = load_points(path)
     shape = load_polygon(args.polygon) if getattr(args, "polygon", None) \
         else axis_square(1.0)
+    # Every algorithm needs a finite diameter; the oracle's graph decides
+    # connectivity, as load_edge_list does for edge lists.
+    if not is_connected(intersection_graph_naive(pts, shape)):
+        raise DisconnectedGraphError("intersection graph is disconnected")
     return "points", (pts, shape)
 
 

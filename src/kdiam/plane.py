@@ -75,16 +75,20 @@ class PlaneStructure:
             self._side_dir = None
             self._side_off = None
         else:
+            # Stripes carry only the directions a mark can name: the sides
+            # the trapezoids' tops and bottoms lie on, plus up and down.
             sides = self.shape.side_normals()
-            dirs = [(float(nrm[0]), float(nrm[1])) for nrm, _ in sides]
-            offs = [off for _, off in sides]
+            self.trapezoids = trapezoid_decompose(self.shape)
+            used = sorted({t.top_side for t in self.trapezoids}
+                          | {t.bot_side for t in self.trapezoids})
+            dirs = [(float(sides[i][0][0]), float(sides[i][0][1]))
+                    for i in used]
             dirs.append((0.0, 1.0))
             dirs.append((0.0, -1.0))
             self.up = len(dirs) - 2
             self.down = len(dirs) - 1
-            self.trapezoids = trapezoid_decompose(self.shape)
-            self._side_dir = list(range(len(sides)))
-            self._side_off = offs
+            self._side_dir = {side: j for j, side in enumerate(used)}
+            self._side_off = [off for _, off in sides]
         self.dirs = dirs
 
         rng = np.random.default_rng(seed)
@@ -108,6 +112,7 @@ class PlaneStructure:
                                              initial_roots)
         self.marks = 0
         self.aux_nodes = 0
+        self._plans = {}
 
     def _build_aux(self, lo, hi, roots) -> _AuxNode:
         if lo == hi:
@@ -173,24 +178,37 @@ class PlaneStructure:
                                 y1 + 0.5))
         return out
 
+    def _plan(self, center) -> tuple:
+        """The compiled mark at ``center``: one (stripe static, aux leaf
+        index, parts) entry per band it touches, in band order, where each
+        part is a ``stripe_mark_line`` argument tuple.  Memoized per center,
+        since it depends on nothing else."""
+        x, y = center
+        key = (float(x), float(y))
+        plan = self._plans.get(key)
+        if plan is None:
+            tcx, tcy = (float(v) for v in self.transform.apply([key])[0])
+            by_band: dict[int, list] = {}
+            for band, *part in self._parts_for(tcx, tcy):
+                by_band.setdefault(band, []).append(tuple(part))
+            plan = tuple((self._stripe_static[band], self.band_index[band],
+                          tuple(parts))
+                         for band, parts in sorted(by_band.items()))
+            self._plans[key] = plan
+        return plan
+
     def mark(self, version: PlaneVersion, center) -> PlaneVersion:
         """New version whose marked set gains the points covered by the
         shape centered at ``center`` (original coordinates)."""
         if version.structure is not self:
             raise ValueError("version belongs to a different structure")
         self.marks += 1
-        tcx, tcy = (float(v) for v in self.transform.apply([center])[0])
-        by_band: dict[int, list] = {}
-        for part in self._parts_for(tcx, tcy):
-            by_band.setdefault(part[0], []).append(part[1:])
         root = version.root
-        for band, parts in sorted(by_band.items()):
-            static = self._stripe_static[band]
-            leaf_i = self.band_index[band]
+        for static, leaf_i, parts in self._plan(center):
             stripe_root = self._stripe_leaf(root, leaf_i).stripe_root
             sv = st.StripeVersion(static, stripe_root)
-            for xlo, xhi, side, j, c in parts:
-                sv = st.stripe_mark_line(sv, xlo, xhi, side, j, c)
+            for part in parts:
+                sv = st.stripe_mark_line(sv, *part)
             if sv.root is not stripe_root:
                 root = self._aux_update(root, leaf_i, sv.root)
         return PlaneVersion(self, root)
@@ -318,8 +336,8 @@ class GeometricNeighbourSets(NeighbourSetStructure):
         if shape is None:
             shape = axis_square(1.0)
         marking = symmetrize(shape).scaled(2.0)
-        self._points = pts
         self._plane = PlaneStructure(pts, marking, seed)
+        self._centers = [(float(x), float(y)) for x, y in pts]
         self._versions = [self._plane.empty_version()]
 
     def version_of(self, h: SetHandle) -> PlaneVersion:
@@ -330,8 +348,7 @@ class GeometricNeighbourSets(NeighbourSetStructure):
         self._check_handle(h, len(self._versions))
         self._check_vertex(v)
         self.add_count += 1
-        new = self._plane.mark(self._versions[h.index],
-                               tuple(self._points[v]))
+        new = self._plane.mark(self._versions[h.index], self._centers[v])
         self._versions.append(new)
         return SetHandle(self._id, len(self._versions) - 1)
 

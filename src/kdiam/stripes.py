@@ -108,9 +108,8 @@ class StripeStatic:
         self.mark_nodes = 0
         self.list_nodes = 0
         # Lines repeat across versions (lazy pushes re-derive the same
-        # boundary at the same node), so both derivations are memoized.
+        # boundary at the same node), so each line's state is memoized.
         self._line_cache = {}
-        self._prefix_cache = {}
 
     def _build(self, a, b, level):
         if a < b:
@@ -150,17 +149,10 @@ class StripeStatic:
     def full_hash(self, pos) -> int:
         return self.prefs[pos][0][-1]
 
-    def prefix_hash(self, pos, j, c) -> int:
-        """Fingerprint of the node's points p with dirs[j] . p <= c."""
-        key = (pos, j, c)
-        cached = self._prefix_cache.get(key)
-        if cached is None:
-            count = bisect.bisect_right(self.keys[pos][j], c)
-            cached = self.prefs[pos][j][count]
-            self._prefix_cache[key] = cached
-        return cached
-
-    def boundary_from_line(self, pos, j, c) -> _Boundary:
+    def line_state(self, pos, j, c) -> tuple:
+        """(boundary, covered fingerprint) of the line ``dirs[j] . p = c``
+        over the node at ``pos``; the fingerprint is of the node's points
+        with ``dirs[j] . p <= c``."""
         key = (pos, j, c)
         cached = self._line_cache.get(key)
         if cached is None:
@@ -181,7 +173,9 @@ class StripeStatic:
                 else:
                     lo.append(d1)
                     hi.append(d0)
-            cached = _Boundary((j, c), tuple(lo), tuple(hi))
+            count = bisect.bisect_right(self.keys[pos][j], c)
+            cached = (_Boundary((j, c), tuple(lo), tuple(hi)),
+                      self.prefs[pos][j][count])
             self._line_cache[key] = cached
         return cached
 
@@ -249,8 +243,8 @@ def _init_node(static, pos) -> _Node:
     # Bottom starts below the band (a point lying exactly on the band floor
     # is inside the stripe and must start unmarked); top starts at the band
     # ceiling, which no point reaches.
-    bot = static.boundary_from_line(pos, static.UP, static.y0 - 1.0)
-    top = static.boundary_from_line(pos, static.DOWN, -static.y1)
+    bot = static.line_state(pos, static.UP, static.y0 - 1.0)[0]
+    top = static.line_state(pos, static.DOWN, -static.y1)[0]
     lp, rp = static.left_pos[pos], static.right_pos[pos]
     left = _init_node(static, lp) if lp >= 0 else None
     right = _init_node(static, rp) if rp >= 0 else None
@@ -265,12 +259,10 @@ def _apply_lazy(static, child, bot_line, top_line) -> _Node:
     bot, bot_hash, bot_lazy = child.bot, child.bot_hash, child.bot_lazy
     top, top_hash, top_lazy = child.top, child.top_hash, child.top_lazy
     if bot_line is not None:
-        bot = static.boundary_from_line(child.pos, *bot_line)
-        bot_hash = static.prefix_hash(child.pos, *bot_line)
+        bot, bot_hash = static.line_state(child.pos, *bot_line)
         bot_lazy = internal
     if top_line is not None:
-        top = static.boundary_from_line(child.pos, *top_line)
-        top_hash = static.prefix_hash(child.pos, *top_line)
+        top, top_hash = static.line_state(child.pos, *top_line)
         top_lazy = internal
     combined = _combined_hash(static, child.pos, bot, top, bot_hash, top_hash)
     return _Node(child.pos, child.left, child.right, bot, top,
@@ -316,8 +308,7 @@ def _update(static, node, l, r, side, j, c) -> _Node:
         other = node.top if side == BOT else node.bot
         disjoint = other.lo[j] > c
         if disjoint or other.hi[j] <= c:
-            covered = static.prefix_hash(pos, j, c)
-            boundary = static.boundary_from_line(pos, j, c)
+            boundary, covered = static.line_state(pos, j, c)
             lazy = node.left is not None
             if side == BOT:
                 combined = covered ^ node.top_hash if disjoint \

@@ -171,3 +171,14 @@ class TestErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {gf}: ")
+
+    @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
+    def test_disconnected_points_rejected(self, tmp_path, capsys, algo):
+        # two unit squares far apart: infinite diameter under every algorithm
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0,0\n5,5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["diam", "--algo", algo, "--input", str(pts), "--k", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {pts}: intersection graph is disconnected"]

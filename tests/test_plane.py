@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from kdiam.gen import random_symmetric_polygon, random_unit_square_points
-from kdiam.geometry import ConvexPolygon, axis_square, intersection_graph_naive
+from kdiam.geometry import (ConvexPolygon, axis_square,
+                            intersection_graph_naive, symmetrize)
 from kdiam.nsds import NaiveNeighbourSets
-from kdiam.plane import (geometric_nsds, plane_init,
+from kdiam.plane import (PlaneStructure, geometric_nsds, plane_init,
                          plane_list_differences, plane_mark)
 
 from helpers import point_in_polygon
@@ -101,6 +102,119 @@ class TestMarkAndDiff:
             got = plane_list_differences(versions[i], versions[j])
             assert len(got) == len(set(got))
             assert set(got) == naive[i] ^ naive[j]
+
+
+class TestMarkPlans:
+    """A mark is compiled once per center; reusing the compiled plan must
+    give the same sets as marking on a fresh structure."""
+
+    def test_same_center_on_two_versions(self):
+        rng = np.random.default_rng(21)
+        pts = rng.uniform(0, 6, size=(80, 2))
+        structure, v0 = plane_init(pts, SKEW_HEX, seed=22)
+        c, other = tuple(pts[5]), tuple(pts[40])
+        v1 = plane_mark(v0, other)
+        a = plane_mark(v0, c)
+        b = plane_mark(v1, c)
+        assert len(structure._plans) == 2
+        fresh, f0 = plane_init(pts, SKEW_HEX, seed=22)
+        assert structure.decode(a) == fresh.decode(plane_mark(f0, c))
+        fresh, f0 = plane_init(pts, SKEW_HEX, seed=22)
+        assert structure.decode(b) == fresh.decode(
+            plane_mark(plane_mark(f0, other), c))
+
+    def test_ndarray_center_matches_tuple(self):
+        rng = np.random.default_rng(23)
+        pts = rng.uniform(0, 6, size=(60, 2))
+        structure, v0 = plane_init(pts, SKEW_HEX, seed=24)
+        by_tuple = plane_mark(v0, (float(pts[7][0]), float(pts[7][1])))
+        by_array = plane_mark(v0, pts[7])
+        assert len(structure._plans) == 1
+        fresh, f0 = plane_init(pts, SKEW_HEX, seed=24)
+        want = fresh.decode(plane_mark(f0, pts[7]))
+        assert structure.decode(by_tuple) == want
+        assert structure.decode(by_array) == want
+        assert plane_list_differences(by_tuple, by_array) == []
+
+    def test_non_vertex_center(self):
+        rng = np.random.default_rng(25)
+        pts = rng.uniform(0, 6, size=(60, 2))
+        structure, v0 = plane_init(pts, SKEW_HEX, seed=26)
+        verts = [tuple(vv) for vv in SKEW_HEX.vertices]
+        # centers sharing one coordinate must not share a plan
+        for c in [(2.345, 3.21), (2.345, 1.5), (4.0, 1.5), (2.345, 3.21)]:
+            assert not any(tuple(p) == c for p in pts)
+            v1 = plane_mark(v0, c)
+            v2 = plane_mark(v1, c)
+            assert structure.decode(v1) == naive_cover(pts, verts, c)
+            assert structure.decode(v2) == structure.decode(v1)
+        assert len(structure._plans) == 3
+
+    def test_repeated_centers_random_polygon(self):
+        # centers come from a small pool, so most marks reuse a plan, on
+        # versions branching off earlier ones
+        rng = np.random.default_rng(27)
+        shape = random_symmetric_polygon(4, rng, radius=1.5)
+        pts = rng.uniform(0, 8, size=(100, 2))
+        structure, v0 = plane_init(pts, shape, seed=28)
+        verts = [tuple(vv) for vv in shape.vertices]
+        pool = [tuple(pts[i]) for i in range(0, 100, 9)]
+        pool += [(float(x), float(y))
+                 for x, y in rng.uniform(-1, 9, size=(6, 2))]
+        versions, naive = [v0], [set()]
+        for _ in range(200):
+            base = int(rng.integers(0, len(versions)))
+            c = pool[int(rng.integers(0, len(pool)))]
+            versions.append(plane_mark(versions[base], c))
+            naive.append(naive[base] | naive_cover(pts, verts, c))
+            assert structure.decode(versions[-1]) == naive[-1]
+        assert len(structure._plans) <= len(pool)
+        for _ in range(100):
+            i = int(rng.integers(0, len(versions)))
+            j = int(rng.integers(0, len(versions)))
+            assert set(plane_list_differences(versions[i], versions[j])) \
+                == naive[i] ^ naive[j]
+
+
+def benchmark_hexagon():
+    """Regular hexagon, circumradius 0.6, rotated 10 degrees."""
+    angles = np.deg2rad(10.0) + np.arange(6) * (np.pi / 3.0)
+    return ConvexPolygon(0.6 * np.c_[np.cos(angles), np.sin(angles)])
+
+
+class TestDirections:
+    """Stripes carry the normals of the sides a trapezoid's top or bottom
+    lies on, plus up and down; vertical sides' normals are left out."""
+
+    @staticmethod
+    def expected_dirs(structure):
+        shape = structure.shape
+        want = [(float(nrm[0]), float(nrm[1]))
+                for (nrm, _), edge in zip(shape.side_normals(),
+                                          shape.edge_vectors())
+                if abs(edge[0]) > 1e-9]
+        return want + [(0.0, 1.0), (0.0, -1.0)]
+
+    @pytest.mark.parametrize("label", ["benchmark-hexagon", "random"])
+    def test_only_trapezoid_side_normals(self, label):
+        rng = np.random.default_rng(29)
+        shape = benchmark_hexagon() if label == "benchmark-hexagon" \
+            else random_symmetric_polygon(4, rng)
+        pts = rng.uniform(0, 4, size=(40, 2))
+        structure = geometric_nsds(pts, shape, seed=30)._plane
+        assert structure.dirs == self.expected_dirs(structure)
+        assert len(structure.dirs) == structure.shape.s
+        used = {t.top_side for t in structure.trapezoids} \
+            | {t.bot_side for t in structure.trapezoids}
+        assert len(used) == structure.shape.s - 2
+        for static in structure._stripe_static.values():
+            assert static.dirs == tuple(structure.dirs)
+
+    def test_square_mode_is_up_and_down(self):
+        structure = PlaneStructure([(0.0, 0.0), (0.3, 0.2)],
+                                   symmetrize(axis_square(1.0)), seed=31)
+        assert structure.square_mode
+        assert structure.dirs == [(0.0, 1.0), (0.0, -1.0)]
 
 
 class TestAuxTreeInvariant:

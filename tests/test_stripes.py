@@ -197,6 +197,15 @@ class TestPolygonMode:
                 assert audit_stripe_version(v, model) == []
 
 
+    def test_vertical_direction_rejected(self):
+        dirs = [(1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+        rng = np.random.default_rng(16)
+        pts = make_points(rng, 20, band_y0=0.0, width=5.0)
+        v = stripe_init(pts, 0.0, rng, dirs=dirs, up_index=1, down_index=2)
+        with pytest.raises(StripeError, match="vertical"):
+            stripe_mark_line(v, -1.0, 6.0, BOT, 0, 100.0)
+
+
 class TestPersistence:
     def test_old_versions_stable_after_more_work(self):
         rng = np.random.default_rng(16)
