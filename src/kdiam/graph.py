@@ -248,7 +248,7 @@ def load_edge_list(path) -> Graph:
     """Parse an edge-list file and require connectivity."""
     g = parse_edge_list(Path(path).read_text())
     if not is_connected(g):
-        raise DisconnectedGraphError(f"{path}: graph is disconnected")
+        raise DisconnectedGraphError("graph is disconnected")
     return g
 
 

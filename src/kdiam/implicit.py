@@ -4,8 +4,8 @@ neighbour-set structure.
 Balls are delta-encoded along a vertex order: D_1 is the first ball and D_i
 the symmetric difference of consecutive balls, so the prefix-xor of the
 deltas reconstructs any ball.  One radius step expands all balls with a
-divide-and-conquer that shares common work, reorders, and re-extracts deltas
-output-sensitively.
+divide-and-conquer that shares common work, reorders with membership read
+from the ball handles just built, and re-extracts deltas output-sensitively.
 """
 
 from __future__ import annotations
@@ -75,7 +75,9 @@ def simulate_bfs(nsds: NeighbourSetStructure, v: int,
     Each vertex is listed exactly once: the explored set lives in the
     structure, and listing the difference made by one AddNeighbours yields
     precisely the newly reached vertices.  Returns {vertex: distance} for
-    distances <= r (all of them when r is None).
+    distances <= r (all of them when r is None).  The diameter driver does
+    not call this: it reads the same ball from the handles it has already
+    built; this is the independent oracle the tests check it against.
     """
     if not 0 <= v < nsds.n:
         raise ValueError(f"vertex {v} out of range")
@@ -116,13 +118,15 @@ def k_diameter_implicit(nsds_factory, n: int, k: int, d: int,
     deltas = [{order[0]}] + [{order[i - 1], order[i]} for i in range(1, n)]
     for r in range(1, k + 1):
         nsds = nsds_factory()
-        # Ball handles under the previous order.
+        # Ball handles under the previous order: handles[i] is B_r(order[i]).
         handles = expand_balls(deltas, nsds)
-        # Fresh low-difference order for the current radius; the distance
-        # oracle is BFS simulated through the structure.
-        new_order = list(order_from_membership(
-            lambda x: simulate_bfs(nsds, x, r).keys(), n, d, rng))
         old_pos = {v: i for i, v in enumerate(order)}
+        # Fresh low-difference order for the current radius.  By symmetry of
+        # hop distance the balls containing x are the balls centred in
+        # B_r(x), which is listed straight from x's own handle.
+        new_order = list(order_from_membership(
+            lambda x: nsds.list_differences(nsds.empty, handles[old_pos[x]]),
+            n, d, rng))
         mapped = [handles[old_pos[v]] for v in new_order]
         deltas = [set(nsds.list_differences(nsds.empty, mapped[0]))]
         deltas.extend(

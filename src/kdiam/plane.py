@@ -110,7 +110,6 @@ class PlaneStructure:
 
         self._initial_root = self._build_aux(0, len(self.bands) - 1,
                                              initial_roots)
-        self.marks = 0
         self.aux_nodes = 0
         self._plans = {}
 
@@ -181,7 +180,7 @@ class PlaneStructure:
     def _plan(self, center) -> tuple:
         """The compiled mark at ``center``: one (stripe static, aux leaf
         index, parts) entry per band it touches, in band order, where each
-        part is a ``stripe_mark_line`` argument tuple.  Memoized per center,
+        part is a ``stripe_mark_lines`` part.  Memoized per center,
         since it depends on nothing else."""
         x, y = center
         key = (float(x), float(y))
@@ -197,20 +196,30 @@ class PlaneStructure:
             self._plans[key] = plan
         return plan
 
-    def mark(self, version: PlaneVersion, center) -> PlaneVersion:
+    def mark(self, version: PlaneVersion, centers) -> PlaneVersion:
         """New version whose marked set gains the points covered by the
-        shape centered at ``center`` (original coordinates)."""
+        shape centered at each of ``centers`` (original coordinates).  The
+        parts of all centers are grouped by band, so each band touched gets
+        one stripe descent and one aux-tree update."""
         if version.structure is not self:
             raise ValueError("version belongs to a different structure")
-        self.marks += 1
+        by_leaf: dict[int, tuple] = {}
+        for center in centers:
+            for static, leaf_i, parts in self._plan(center):
+                entry = by_leaf.get(leaf_i)
+                if entry is None:
+                    by_leaf[leaf_i] = (static, list(parts))
+                else:
+                    entry[1].extend(parts)
         root = version.root
-        for static, leaf_i, parts in self._plan(center):
+        for leaf_i, (static, parts) in sorted(by_leaf.items()):
             stripe_root = self._stripe_leaf(root, leaf_i).stripe_root
-            sv = st.StripeVersion(static, stripe_root)
-            for part in parts:
-                sv = st.stripe_mark_line(sv, *part)
+            sv = st.stripe_mark_lines(st.StripeVersion(static, stripe_root),
+                                      parts)
             if sv.root is not stripe_root:
                 root = self._aux_update(root, leaf_i, sv.root)
+        if root is version.root:
+            return version
         return PlaneVersion(self, root)
 
     def _stripe_leaf(self, node: _AuxNode, leaf_i: int) -> _AuxNode:
@@ -318,7 +327,7 @@ def plane_init(points, shape: ConvexPolygon | None, seed: int):
 
 
 def plane_mark(version: PlaneVersion, center) -> PlaneVersion:
-    return version.structure.mark(version, center)
+    return version.structure.mark(version, (center,))
 
 
 def plane_list_differences(v1: PlaneVersion, v2: PlaneVersion) -> list:
@@ -328,7 +337,16 @@ def plane_list_differences(v1: PlaneVersion, v2: PlaneVersion) -> list:
 class GeometricNeighbourSets(NeighbourSetStructure):
     """Neighbour-set structure for the intersection graph of a convex shape:
     the closed neighborhood of v is exactly the point set covered by twice
-    the symmetrized shape centered at v, so AddNeighbours is one mark."""
+    the symmetrized shape centered at v, so AddNeighbours is a mark.
+
+    Marks are deferred.  A new handle records only its parent handle and its
+    vertex; the first time a handle is read, every vertex pending along its
+    chain of parents is marked in one multi-center mark, so a run of
+    AddNeighbours costs one stripe descent per band it touches.  The chain
+    is cut at each pending handle that was extended more than once: that
+    handle is materialized on the way, and its other extensions start from
+    it instead of marking its vertices again.
+    """
 
     def __init__(self, points, shape: ConvexPolygon | None, seed: int):
         pts = np.asarray(points, dtype=np.float64)
@@ -338,26 +356,57 @@ class GeometricNeighbourSets(NeighbourSetStructure):
         marking = symmetrize(shape).scaled(2.0)
         self._plane = PlaneStructure(pts, marking, seed)
         self._centers = [(float(x), float(y)) for x, y in pts]
+        # Per handle index: its version (None while pending), its parent
+        # index and vertex (-1 for the empty set), and how often it was
+        # extended.
         self._versions = [self._plane.empty_version()]
+        self._parent = [-1]
+        self._vertex = [-1]
+        self._extended = [0]
 
     def version_of(self, h: SetHandle) -> PlaneVersion:
         self._check_handle(h, len(self._versions))
-        return self._versions[h.index]
+        return self._version(h.index)
+
+    def _version(self, i: int) -> PlaneVersion:
+        versions = self._versions
+        if versions[i] is not None:
+            return versions[i]
+        # (handle index, its pending vertices from the handle upwards), one
+        # entry per chain segment, from i up to the nearest materialized
+        # ancestor.
+        segments = [(i, [])]
+        j = i
+        while versions[j] is None:
+            segments[-1][1].append(self._vertex[j])
+            j = self._parent[j]
+            if versions[j] is None and self._extended[j] > 1:
+                segments.append((j, []))
+        version = versions[j]
+        centers = self._centers
+        for k, vs in reversed(segments):
+            version = self._plane.mark(version,
+                                       [centers[v] for v in reversed(vs)])
+            versions[k] = version
+        return version
 
     def add_neighbours(self, h: SetHandle, v: int) -> SetHandle:
         self._check_handle(h, len(self._versions))
         self._check_vertex(v)
         self.add_count += 1
-        new = self._plane.mark(self._versions[h.index], self._centers[v])
-        self._versions.append(new)
+        self._extended[h.index] += 1
+        self._versions.append(None)
+        self._parent.append(h.index)
+        self._vertex.append(v)
+        self._extended.append(0)
         return SetHandle(self._id, len(self._versions) - 1)
 
     def list_differences(self, h1: SetHandle, h2: SetHandle) -> list:
         self._check_handle(h1, len(self._versions))
         self._check_handle(h2, len(self._versions))
         self.list_count += 1
-        return self._plane.list_differences(self._versions[h1.index],
-                                            self._versions[h2.index])
+        return self._plane.list_differences(self._version(h1.index),
+                                            self._version(h2.index))
 
 
 def geometric_nsds(points, shape: ConvexPolygon | None,

@@ -182,8 +182,9 @@ class StripeStatic:
 
 def _merge_boundary(b1: _Boundary, b2: _Boundary) -> _Boundary:
     line = b1.line if (b1.line is not None and b1.line == b2.line) else None
-    return _Boundary(line, tuple(map(min, b1.lo, b2.lo)),
-                     tuple(map(max, b1.hi, b2.hi)))
+    return _Boundary(line,
+                     tuple([a if a <= b else b for a, b in zip(b1.lo, b2.lo)]),
+                     tuple([a if a >= b else b for a, b in zip(b1.hi, b2.hi)]))
 
 
 def _combined_hash(static, pos, bot, top, bot_hash, top_hash) -> int:
@@ -295,66 +296,95 @@ def stripe_push(version_or_node, static=None) -> _Node:
     return out
 
 
-def _update(static, node, l, r, side, j, c) -> _Node:
+def _update(static, node, parts) -> _Node:
+    """Apply ``parts``, each an ``(l, r, side, j, c)`` line update over the
+    leaf positions l..r, in one descent.  A part is dropped where it misses
+    the node or is dominated, installed lazily where it covers the node and
+    the other boundary is uniformly related to its line, and otherwise sent
+    on to both children.  The marked set is a union, so installing some
+    parts before parts sent down gives the same set as applying them in
+    their given order."""
     static.mark_nodes += 1
     pos = node.pos
-    if r < static.a[pos] or static.b[pos] < l:
+    a, b = static.a[pos], static.b[pos]
+    rest = []
+    for part in parts:
+        l, r, side, j, c = part
+        if r < a or b < l:
+            continue
+        primary = node.bot if side == BOT else node.top
+        if primary.lo[j] >= c:
+            # The boundary already dominates the new line here: no point gains.
+            continue
+        if l <= a and b <= r and primary.hi[j] <= c:
+            other = node.top if side == BOT else node.bot
+            disjoint = other.lo[j] > c
+            if disjoint or other.hi[j] <= c:
+                boundary, covered = static.line_state(pos, j, c)
+                lazy = node.left is not None
+                if side == BOT:
+                    combined = covered ^ node.top_hash if disjoint \
+                        else static.full_hash(pos)
+                    node = _Node(pos, node.left, node.right, boundary,
+                                 node.top, lazy, node.top_lazy, covered,
+                                 node.top_hash, combined)
+                else:
+                    combined = node.bot_hash ^ covered if disjoint \
+                        else static.full_hash(pos)
+                    node = _Node(pos, node.left, node.right, node.bot,
+                                 boundary, node.bot_lazy, lazy, node.bot_hash,
+                                 covered, combined)
+                continue
+            # The other boundary straddles the line: resolve below.
+        rest.append(part)
+    if not rest:
         return node
-    primary = node.bot if side == BOT else node.top
-    if primary.lo[j] >= c:
-        # The boundary already dominates the new line here: no point gains.
-        return node
-    if l <= static.a[pos] and static.b[pos] <= r and primary.hi[j] <= c:
-        other = node.top if side == BOT else node.bot
-        disjoint = other.lo[j] > c
-        if disjoint or other.hi[j] <= c:
-            boundary, covered = static.line_state(pos, j, c)
-            lazy = node.left is not None
-            if side == BOT:
-                combined = covered ^ node.top_hash if disjoint \
-                    else static.full_hash(pos)
-                return _Node(pos, node.left, node.right, boundary, node.top,
-                             lazy, node.top_lazy, covered, node.top_hash,
-                             combined)
-            combined = node.bot_hash ^ covered if disjoint \
-                else static.full_hash(pos)
-            return _Node(pos, node.left, node.right, node.bot, boundary,
-                         node.bot_lazy, lazy, node.bot_hash, covered,
-                         combined)
-        # The other boundary straddles the line: resolve below.
     pushed = stripe_push(node, static)
-    left = _update(static, pushed.left, l, r, side, j, c)
-    right = _update(static, pushed.right, l, r, side, j, c)
+    left = _update(static, pushed.left, rest)
+    right = _update(static, pushed.right, rest)
     if left is pushed.left and right is pushed.right:
         return node
-    # Only the updated side's boundary can have moved; the other side is
+    # A side whose child boundaries are the pushed ones has not moved and is
     # carried over from the (correct, entered) parent.
-    if side == BOT:
-        return _Node(pos, left, right,
-                     _merge_boundary(left.bot, right.bot), pushed.top,
-                     False, False,
-                     left.bot_hash ^ right.bot_hash, pushed.top_hash,
-                     left.hash ^ right.hash)
-    return _Node(pos, left, right,
-                 pushed.bot, _merge_boundary(left.top, right.top),
-                 False, False,
-                 pushed.bot_hash, left.top_hash ^ right.top_hash,
-                 left.hash ^ right.hash)
+    if left.bot is pushed.left.bot and right.bot is pushed.right.bot:
+        bot, bot_hash = pushed.bot, pushed.bot_hash
+    else:
+        bot = _merge_boundary(left.bot, right.bot)
+        bot_hash = left.bot_hash ^ right.bot_hash
+    if left.top is pushed.left.top and right.top is pushed.right.top:
+        top, top_hash = pushed.top, pushed.top_hash
+    else:
+        top = _merge_boundary(left.top, right.top)
+        top_hash = left.top_hash ^ right.top_hash
+    return _Node(pos, left, right, bot, top, False, False,
+                 bot_hash, top_hash, left.hash ^ right.hash)
 
 
-def stripe_mark_line(version: StripeVersion, xlo, xhi, side, j, c) -> StripeVersion:
-    """New version whose marked set gains the points with x in [xlo, xhi]
-    on the covered side of the line ``dirs[j] . p <= c``."""
+def stripe_mark_lines(version: StripeVersion, parts) -> StripeVersion:
+    """New version whose marked set gains, for every ``(xlo, xhi, side, j,
+    c)`` in ``parts``, the points with x in [xlo, xhi] on the covered side
+    of the line ``dirs[j] . p <= c``; all parts share one descent."""
     static = version.static
-    l = bisect.bisect_left(static.xs, xlo)
-    r = bisect.bisect_right(static.xs, xhi) - 1
-    if l > r:
+    xs = static.xs
+    located = []
+    for xlo, xhi, side, j, c in parts:
+        l = bisect.bisect_left(xs, xlo)
+        r = bisect.bisect_right(xs, xhi) - 1
+        if l <= r:
+            located.append((l, r, side, j, c))
+    if not located:
         return version
-    static.marks += 1
-    root = _update(static, version.root, l, r, side, j, c)
+    static.marks += len(located)
+    root = _update(static, version.root, located)
     if root is version.root:
         return version
     return StripeVersion(static, root)
+
+
+def stripe_mark_line(version: StripeVersion, xlo, xhi, side, j, c) -> StripeVersion:
+    """:func:`stripe_mark_lines` with the single part ``(xlo, xhi, side, j,
+    c)``."""
+    return stripe_mark_lines(version, ((xlo, xhi, side, j, c),))
 
 
 def stripe_mark(version: StripeVersion, center) -> StripeVersion:

@@ -363,3 +363,32 @@ def audit_stripe_version(version, model, tol=1e-9):
 
     walk(version.root, False, False)
     return problems
+
+
+# -- implicit driver --------------------------------------------------------
+
+
+def k_diameter_implicit_reference(nsds_factory, n, k, d, rng, *,
+                                  inspect=None):
+    """The implicit driver with order membership by BFS simulated through
+    the structure: what ``k_diameter_implicit``, which reads membership from
+    the ball handles, must reproduce order for order and delta for delta."""
+    from kdiam.implicit import expand_balls, simulate_bfs
+    from kdiam.order import order_from_membership
+
+    order = list(range(n))
+    deltas = [{order[0]}] + [{order[i - 1], order[i]} for i in range(1, n)]
+    for r in range(1, k + 1):
+        nsds = nsds_factory()
+        handles = expand_balls(deltas, nsds)
+        new_order = list(order_from_membership(
+            lambda x: simulate_bfs(nsds, x, r).keys(), n, d, rng))
+        old_pos = {v: i for i, v in enumerate(order)}
+        mapped = [handles[old_pos[v]] for v in new_order]
+        deltas = [set(nsds.list_differences(nsds.empty, mapped[0]))]
+        deltas.extend(set(nsds.list_differences(mapped[i - 1], mapped[i]))
+                      for i in range(1, n))
+        order = new_order
+        if inspect is not None:
+            inspect(r, nsds, order, deltas)
+    return deltas[0] == set(range(n)) and all(not x for x in deltas[1:])

@@ -172,6 +172,16 @@ class TestErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {gf}: ")
 
+    def test_disconnected_edge_list_names_path_once(self, tmp_path, capsys):
+        gf = tmp_path / "disc.el"
+        gf.write_text("4 2\n0 1\n2 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["diam", "--algo", "explicit", "--input", str(gf),
+                  "--k", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {gf}: graph is disconnected"]
+
     @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
     def test_disconnected_points_rejected(self, tmp_path, capsys, algo):
         # two unit squares far apart: infinite diameter under every algorithm

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kdiam.gen import (default_box, random_connected_graph,
+                       random_points_for_shape, random_symmetric_polygon,
                        random_unit_square_points)
 from kdiam.geometry import axis_square, intersection_graph_naive
 from kdiam.graph import bfs_distances, diameter_naive, from_edges
@@ -9,6 +10,8 @@ from kdiam.implicit import (ExpandCost, expand_balls, k_diameter_implicit,
                             simulate_bfs)
 from kdiam.nsds import NaiveNeighbourSets
 from kdiam.plane import geometric_nsds
+
+from helpers import k_diameter_implicit_reference
 
 
 def path_graph(n):
@@ -177,3 +180,65 @@ class TestKDiameterImplicit:
         with pytest.raises(ValueError):
             k_diameter_implicit(lambda: NaiveNeighbourSets(g), 3, 1, 1,
                                 np.random.default_rng(0))
+
+
+class TestSameWorkAsReference:
+    """The driver reads order membership from the ball handles it has built;
+    the reference simulates BFS.  Both must make the same order and the same
+    deltas at every radius, and the driver's adds must be exactly the
+    expansion's."""
+
+    @staticmethod
+    def run(driver, make, n, k, d, seed):
+        steps, made = [], []
+
+        def factory():
+            made.append(make())
+            return made[-1]
+
+        def inspect(r, nsds, order, deltas):
+            steps.append((r, list(order), [set(x) for x in deltas]))
+
+        answer = driver(factory, n, k, d, np.random.default_rng(seed),
+                        inspect=inspect)
+        return answer, steps, made
+
+    def check(self, make, n, k, d, seed):
+        got, steps, made = self.run(k_diameter_implicit, make, n, k, d, seed)
+        want, ref_steps, _ = self.run(k_diameter_implicit_reference, make,
+                                      n, k, d, seed)
+        assert got == want
+        assert steps == ref_steps
+        deltas = [{0}] + [{i - 1, i} for i in range(1, n)]
+        for (_, _, next_deltas), nsds in zip(steps, made):
+            fresh = make()
+            expand_balls(deltas, fresh)
+            assert nsds.add_count == fresh.add_count
+            deltas = next_deltas
+
+    def test_naive_structure(self):
+        rng = np.random.default_rng(30)
+        for trial in range(6):
+            n = int(rng.integers(4, 30))
+            m = int(rng.integers(n - 1, min(n * (n - 1) // 2, 2 * n) + 1))
+            g = random_connected_graph(n, m, rng)
+            for k in (1, 2, 3):
+                self.check(lambda: NaiveNeighbourSets(g, seed=trial), g.n, k,
+                           3, 100 * trial + k)
+
+    @pytest.mark.parametrize("label", ["square", "polygon"])
+    def test_geometric_structure(self, label):
+        rng = np.random.default_rng(31 if label == "square" else 32)
+        for trial in range(3):
+            n = int(rng.integers(20, 40))
+            if label == "square":
+                shape = None
+                pts = random_unit_square_points(n, default_box(n), rng)
+            else:
+                shape = random_symmetric_polygon(3, rng)
+                pts = random_points_for_shape(n, shape, 2.5, rng)
+            g = intersection_graph_naive(pts, shape or axis_square(1.0))
+            diam = diameter_naive(g)
+            for k in sorted({max(1, diam - 1), diam}):
+                self.check(lambda: geometric_nsds(pts, shape, seed=trial),
+                           n, k, 4, 10 * trial + k)

@@ -3,7 +3,9 @@ import pytest
 
 from kdiam.gen import random_connected_graph
 from kdiam.graph import from_edges
+from kdiam.geometry import axis_square, intersection_graph_naive
 from kdiam.nsds import NaiveNeighbourSets, SetHandle
+from kdiam.plane import geometric_nsds
 
 
 def star_graph(leaves):
@@ -103,3 +105,84 @@ class TestAgainstReplay:
             for hj in handles[i + 1:]:
                 if nsds._fps[hi.index] == nsds._fps[hj.index]:
                     assert nsds.set_of(hi) == nsds.set_of(hj)
+
+
+class TestDeferredMarks:
+    """The geometric structure defers each AddNeighbours until its handle is
+    read; a chain of pending handles is marked in one multi-center mark, cut
+    at handles extended more than once.  Reading in any order must give the
+    sets of the naive structure over the same intersection graph."""
+
+    @staticmethod
+    def counting(nsds, monkeypatch):
+        marked = []
+        plane = nsds._plane
+        mark = plane.mark
+
+        def spy(version, centers):
+            marked.append(len(centers))
+            return mark(version, centers)
+
+        monkeypatch.setattr(plane, "mark", spy)
+        return marked
+
+    def test_random_trees_read_in_random_order(self):
+        rng = np.random.default_rng(60)
+        pts = rng.uniform(0, 5, size=(40, 2))
+        g = intersection_graph_naive(pts, axis_square(1.0))
+        naive = NaiveNeighbourSets(g, seed=61)
+        geo = geometric_nsds(pts, None, seed=61)
+        hn, hg = [naive.empty], [geo.empty]
+        for _ in range(120):
+            base = int(rng.integers(0, len(hn)))
+            v = int(rng.integers(0, 40))
+            hn.append(naive.add_neighbours(hn[base], v))
+            hg.append(geo.add_neighbours(hg[base], v))
+            assert geo.add_count == naive.add_count
+        for i in rng.permutation(len(hn)):
+            j = int(rng.integers(0, len(hn)))
+            assert set(geo.list_differences(hg[i], hg[j])) \
+                == naive.set_of(hn[i]) ^ naive.set_of(hn[j])
+
+    def test_chain_is_one_mark(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        pts = rng.uniform(0, 4, size=(30, 2))
+        g = intersection_graph_naive(pts, axis_square(1.0))
+        nsds = geometric_nsds(pts, None, seed=63)
+        marked = self.counting(nsds, monkeypatch)
+        vs = [3, 17, 3, 29]
+        h = nsds.empty
+        for v in vs:
+            h = nsds.add_neighbours(h, v)
+        assert marked == [] and nsds.add_count == 4
+        want = set(vs).union(*(g.adjacency[v] for v in vs))
+        assert set(nsds.list_differences(nsds.empty, h)) == want
+        assert marked == [4]
+        # read again: already materialized
+        assert set(nsds.list_differences(h, nsds.empty)) == want
+        assert marked == [4]
+
+    def test_fork_is_marked_once(self, monkeypatch):
+        pts = np.random.default_rng(64).uniform(0, 4, size=(30, 2))
+        nsds = geometric_nsds(pts, None, seed=65)
+        marked = self.counting(nsds, monkeypatch)
+        fork = nsds.empty
+        for v in (1, 2, 3):
+            fork = nsds.add_neighbours(fork, v)
+        left = nsds.add_neighbours(nsds.add_neighbours(fork, 4), 5)
+        right = nsds.add_neighbours(nsds.add_neighbours(fork, 6), 7)
+        nsds.list_differences(left, right)
+        assert marked == [3, 2, 2]
+        nsds.list_differences(fork, nsds.empty)
+        assert marked == [3, 2, 2]
+
+    def test_pending_handles_are_checked(self):
+        pts = [(0.0, 0.0), (3.0, 3.0)]
+        nsds = geometric_nsds(pts, None, seed=66)
+        h = nsds.add_neighbours(nsds.empty, 1)
+        with pytest.raises(ValueError):
+            nsds.add_neighbours(h, 2)
+        with pytest.raises(ValueError):
+            nsds.list_differences(h, SetHandle(h.owner_id, 5))
+        assert nsds.add_count == 1
+        assert nsds.list_differences(nsds.empty, h) == [1]

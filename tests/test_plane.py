@@ -176,6 +176,45 @@ class TestMarkPlans:
                 == naive[i] ^ naive[j]
 
 
+class TestBatchedMark:
+    """``mark(v, centers)`` groups the parts of all centers by band; it must
+    give the set of the same centers marked one by one."""
+
+    @pytest.mark.parametrize("shape,label", [
+        (None, "square"),
+        (SKEW_HEX, "hexagon"),
+    ])
+    def test_batches_match_one_by_one(self, shape, label):
+        rng = np.random.default_rng(50 if label == "square" else 51)
+        pts = rng.uniform(0, 8, size=(90, 2))
+        structure, v0 = plane_init(pts, shape, seed=52)
+        pool = [tuple(pts[i]) for i in range(0, 90, 7)]
+        # centers far outside the point cloud touch no band
+        pool += [(float(x), float(y))
+                 for x, y in rng.uniform(-1, 9, size=(8, 2))]
+        pool += [(-40.0, 3.0), (4.0, 60.0)]
+        batched = single = v0
+        for _ in range(40):
+            centers = [pool[int(i)] for i in
+                       rng.integers(0, len(pool),
+                                    size=int(rng.integers(0, 10)))]
+            if centers and rng.random() < 0.3:
+                centers.append(centers[0])  # a repeated center
+            before = batched
+            batched = structure.mark(batched, centers)
+            for c in centers:
+                single = structure.mark(single, (c,))
+            assert structure.decode(batched) == structure.decode(single)
+            assert batched.root.hash == single.root.hash
+            if not centers:
+                assert batched is before
+
+    def test_centers_touching_no_band_return_the_version(self):
+        structure, v0 = plane_init([(0.0, 0.0), (1.0, 0.5)], SKEW_HEX, seed=53)
+        assert structure.mark(v0, []) is v0
+        assert structure.mark(v0, [(50.0, 50.0), (-30.0, 0.0)]) is v0
+
+
 def benchmark_hexagon():
     """Regular hexagon, circumradius 0.6, rotated 10 degrees."""
     angles = np.deg2rad(10.0) + np.arange(6) * (np.pi / 3.0)

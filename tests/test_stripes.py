@@ -6,7 +6,7 @@ import pytest
 from kdiam.hashing import xor_all
 from kdiam.stripes import (BOT, TOP, StripeError, decode_marked, stripe_init,
                            stripe_list_differences, stripe_mark,
-                           stripe_mark_line, stripe_push)
+                           stripe_mark_line, stripe_mark_lines, stripe_push)
 
 from helpers import StripeModel, audit_stripe_version
 
@@ -206,6 +206,55 @@ class TestPolygonMode:
             stripe_mark_line(v, -1.0, 6.0, BOT, 0, 100.0)
 
 
+class TestBatchedMarks:
+    """One descent over a batch of parts must give the marked set (and so
+    the root fingerprint) of the same parts applied one by one, and keep
+    the node rules."""
+
+    @pytest.mark.parametrize("mode", ["square", "diamond"])
+    def test_batches_match_chained_marks(self, mode):
+        rng = np.random.default_rng(40 if mode == "square" else 41)
+        pts = make_points(rng, 90, band_y0=0.0, width=10.0)
+        if mode == "square":
+            v = stripe_init(pts, 0.0, rng)
+        else:
+            s2 = math.sqrt(0.5)
+            dirs = [(s2, s2), (-s2, s2), (s2, -s2), (-s2, -s2),
+                    (0.0, 1.0), (0.0, -1.0)]
+            v = stripe_init(pts, 0.0, rng, dirs=dirs, up_index=4,
+                            down_index=5)
+        static = v.static
+        model = StripeModel(static)
+        batched = chained = v
+        for step in range(60):
+            parts = []
+            for _ in range(int(rng.integers(1, 13))):
+                j = int(rng.integers(0, len(static.dirs)))
+                side = BOT if static.dirs[j][1] > 0 else TOP
+                c = float(rng.uniform(-1.5, 1.5))
+                if mode == "diamond":
+                    c += float(rng.uniform(-4, 4))
+                xlo = float(rng.uniform(-1, 10))
+                xhi = xlo + float(rng.uniform(0.0, 4.0))
+                parts.append((xlo, xhi, side, j, c))
+            batched = stripe_mark_lines(batched, parts)
+            for part in parts:
+                chained = stripe_mark_line(chained, *part)
+                model.apply(*part)
+            assert decode_marked(batched) == decode_marked(chained) \
+                == model.marked_ids(), f"step {step}"
+            assert batched.root.hash == chained.root.hash
+            assert audit_stripe_version(batched, model) == []
+
+    def test_empty_and_missing_batches_return_the_version(self):
+        rng = np.random.default_rng(42)
+        v = stripe_init(make_points(rng, 20), 0.0, rng)
+        assert stripe_mark_lines(v, []) is v
+        assert stripe_mark_lines(
+            v, [(30.0, 31.0, BOT, v.static.UP, 0.5),
+                (-3.0, -2.0, TOP, v.static.DOWN, -0.5)]) is v
+
+
 class TestPersistence:
     def test_old_versions_stable_after_more_work(self):
         rng = np.random.default_rng(16)
@@ -244,9 +293,11 @@ class TestComplexityInstrumentation:
         orig_update = st._update
         per_level = {}
 
-        def counting_update(static, node, l, r, side, j, c):
+        def counting_update(static, node, parts):
             a, b = static.a[node.pos], static.b[node.pos]
-            if not (r < a or b < l):
+            for l, r, side, j, c in parts:
+                if r < a or b < l:
+                    continue
                 primary = node.bot if side == BOT else node.top
                 other = node.top if side == BOT else node.bot
                 if primary.lo[j] < c and l <= a and b <= r:
@@ -255,7 +306,7 @@ class TestComplexityInstrumentation:
                     if not resolved:
                         lvl = static.level[node.pos]
                         per_level[lvl] = per_level.get(lvl, 0) + 1
-            return orig_update(static, node, l, r, side, j, c)
+            return orig_update(static, node, parts)
 
         st._update = counting_update
         try:
