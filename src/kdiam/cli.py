@@ -125,20 +125,13 @@ def run_algorithm(algorithm, kind, payload, k, d, seed) -> RunReport:
     elif algorithm == "implicit":
         if kind == "points":
             pts, shape = payload
-            n, make = len(pts), lambda s: geometric_nsds(pts, shape, s)
+            nsds = geometric_nsds(pts, shape, seed)
         else:
-            n, make = payload.n, lambda s: NaiveNeighbourSets(payload, s)
-        made = []
-
-        def factory():
-            nsds = make(seed + len(made))
-            made.append(nsds)
-            return nsds
-
-        answer = k_diameter_implicit(factory, n, k, d, rng)
-        counters["n"] = n
-        counters["add_neighbours"] = sum(s.add_count for s in made)
-        counters["list_differences"] = sum(s.list_count for s in made)
+            nsds = NaiveNeighbourSets(payload, seed)
+        answer = k_diameter_implicit(lambda: nsds, nsds.n, k, d, rng)
+        counters["n"] = nsds.n
+        counters["add_neighbours"] = nsds.add_count
+        counters["list_differences"] = nsds.list_count
     else:
         raise UsageError(f"unknown algorithm {algorithm!r}")
     wall = time.perf_counter() - start

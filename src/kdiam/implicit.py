@@ -6,6 +6,8 @@ the symmetric difference of consecutive balls, so the prefix-xor of the
 deltas reconstructs any ball.  One radius step expands all balls with a
 divide-and-conquer that shares common work, reorders with membership read
 from the ball handles just built, and re-extracts deltas output-sensitively.
+The last radius step stops after the expansion and checks the balls
+directly.
 """
 
 from __future__ import annotations
@@ -103,21 +105,30 @@ def simulate_bfs(nsds: NeighbourSetStructure, v: int,
 
 def k_diameter_implicit(nsds_factory, n: int, k: int, d: int,
                         rng: np.random.Generator, *, inspect=None) -> bool:
-    """True iff the graph behind the structures has diameter at most ``k``.
+    """True iff the graph behind the structure has diameter at most ``k``.
 
-    ``nsds_factory`` must create fresh structures over the same graph; one is
-    consumed per radius step (old versions are dropped between steps).  The
-    answer does not depend on the rng draw, barring a fingerprint collision
-    inside the structure.
+    ``nsds_factory`` is called once per decide call; the structure it
+    returns is cleared between radius steps, so it keeps what depends only
+    on the graph (for the geometric structure: stripes, compiled marks and
+    line-state caches) and one fingerprint draw for the whole call.  The
+    sets compared do not depend on that draw, so each fingerprint
+    comparison still errs with probability at most 2^-128, and the answer
+    does not depend on the rng draw barring such a collision.
+
+    Radii 1..k-1 each build a fresh low-difference order and its deltas,
+    and ``inspect(r, nsds, order, deltas)`` is called after each of them.
+    The last radius only asks whether every ball is full: it lists the
+    first ball, then its difference to each other ball, and answers False
+    at the first shortfall, so it builds no order and lists no deltas.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if d < 2:
         raise ValueError("d must be >= 2")
+    nsds = nsds_factory()
     order = list(range(n))
     deltas = [{order[0]}] + [{order[i - 1], order[i]} for i in range(1, n)]
-    for r in range(1, k + 1):
-        nsds = nsds_factory()
+    for r in range(1, k):
         # Ball handles under the previous order: handles[i] is B_r(order[i]).
         handles = expand_balls(deltas, nsds)
         old_pos = {v: i for i, v in enumerate(order)}
@@ -135,4 +146,10 @@ def k_diameter_implicit(nsds_factory, n: int, k: int, d: int,
         order = new_order
         if inspect is not None:
             inspect(r, nsds, order, deltas)
-    return deltas[0] == set(range(n)) and all(not d_i for d_i in deltas[1:])
+        nsds.clear()
+    # Every k-ball is full iff the first one is and no other differs from it.
+    handles = expand_balls(deltas, nsds)
+    first = handles[0]
+    if len(nsds.list_differences(nsds.empty, first)) < n:
+        return False
+    return not any(nsds.list_differences(first, h) for h in handles[1:])

@@ -4,6 +4,14 @@ AddNeighbours / ListDifferences, plus the naive reference implementation.
 The implicit diameter algorithm is written against the abstract interface
 only; the geometric structure in :mod:`kdiam.plane` is the other
 implementation.
+
+``clear()`` drops every set but the empty one and issues handles under a
+fresh owner id, so a handle from before the clear raises ``ValueError``.
+What depends only on the graph stays: the closed neighborhoods, the
+fingerprints and, in the geometric structure, the stripes with their
+compiled marks and line-state caches.  ``add_count`` and ``list_count``
+keep counting across clears.  The implicit driver builds one structure per
+call and clears it between radius steps.
 """
 
 from __future__ import annotations
@@ -43,6 +51,11 @@ class NeighbourSetStructure(ABC):
         self.add_count = 0
         self.list_count = 0
 
+    def clear(self) -> None:
+        """Drop every set but the empty one; earlier handles become invalid.
+        Implementations extend this to reset their own storage."""
+        self._id = next(_structure_ids)
+
     @property
     def empty(self) -> SetHandle:
         return SetHandle(self._id, 0)
@@ -80,6 +93,10 @@ class NaiveNeighbourSets(NeighbourSetStructure):
         rng = np.random.default_rng(seed)
         self._hash = draw_fingerprints(rng, g.n)
         self._closed = [frozenset(g.adjacency[v]) | {v} for v in range(g.n)]
+        self.clear()
+
+    def clear(self) -> None:
+        super().clear()
         self._sets = [frozenset()]
         self._fps = [0]
 

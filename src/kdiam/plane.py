@@ -356,6 +356,12 @@ class GeometricNeighbourSets(NeighbourSetStructure):
         marking = symmetrize(shape).scaled(2.0)
         self._plane = PlaneStructure(pts, marking, seed)
         self._centers = [(float(x), float(y)) for x, y in pts]
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every version; the plane structure, with its stripes,
+        compiled marks and line-state caches, is kept."""
+        super().clear()
         # Per handle index: its version (None while pending), its parent
         # index and vertex (-1 for the empty set), and how often it was
         # extended.

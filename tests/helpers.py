@@ -371,8 +371,10 @@ def audit_stripe_version(version, model, tol=1e-9):
 def k_diameter_implicit_reference(nsds_factory, n, k, d, rng, *,
                                   inspect=None):
     """The implicit driver with order membership by BFS simulated through
-    the structure: what ``k_diameter_implicit``, which reads membership from
-    the ball handles, must reproduce order for order and delta for delta."""
+    the structure and a fresh structure per radius: what
+    ``k_diameter_implicit``, which reads membership from the ball handles,
+    must reproduce order for order and delta for delta at every radius
+    below k, and answer for answer."""
     from kdiam.implicit import expand_balls, simulate_bfs
     from kdiam.order import order_from_membership
 

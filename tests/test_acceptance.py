@@ -230,8 +230,9 @@ def test_criterion_8_invariant_audits():
                 if acc != set(simulate_bfs(nsds, order[i], r)):
                     violations.append(("delta", trial, r, i))
 
+        # Deltas are built for radii below k, so k = 4 audits radius 3.
         k_diameter_implicit(lambda: NaiveNeighbourSets(g, seed=trial),
-                            g.n, 3, 3, rng, inspect=check_deltas)
+                            g.n, 4, 3, rng, inspect=check_deltas)
 
     # (c) stripe-node invariant walker on trees with n <= 256
     from kdiam.stripes import BOT, TOP, stripe_init, stripe_mark

@@ -168,9 +168,50 @@ class TestKDiameterImplicit:
                 assert acc == want
                 checked.append((r, i))
 
-        k_diameter_implicit(lambda: NaiveNeighbourSets(g, seed=1), g.n, 3, 3,
+        # Deltas are built for radii below k, so k = 4 audits radius 3.
+        k_diameter_implicit(lambda: NaiveNeighbourSets(g, seed=1), g.n, 4, 3,
                             rng, inspect=inspect)
-        assert checked
+        assert {r for r, _ in checked} == {1, 2, 3}
+
+    def test_one_structure_and_k_minus_one_orders(self, monkeypatch):
+        import kdiam.implicit
+
+        g = random_connected_graph(14, 20, np.random.default_rng(8))
+        diam = diameter_naive(g)
+        orders = []
+        build = kdiam.implicit.order_from_membership
+
+        def counting(*args, **kwargs):
+            orders.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(kdiam.implicit, "order_from_membership", counting)
+        for k in range(1, 5):
+            made = []
+
+            def factory():
+                made.append(NaiveNeighbourSets(g, seed=k))
+                return made[-1]
+
+            orders.clear()
+            got = k_diameter_implicit(factory, g.n, k, 3,
+                                      np.random.default_rng(k))
+            assert got == (diam <= k)
+            assert len(made) == 1
+            assert len(orders) == k - 1
+
+    def test_last_radius_stops_at_first_short_ball(self):
+        made = []
+
+        def factory():
+            made.append(NaiveNeighbourSets(path_graph(10)))
+            return made[-1]
+
+        assert k_diameter_implicit(factory, 10, 1, 3,
+                                   np.random.default_rng(0)) is False
+        (nsds,) = made
+        assert nsds.list_count == 1
+        assert nsds.add_count == 10
 
     def test_validates_arguments(self):
         g = complete_graph(3)
@@ -184,9 +225,10 @@ class TestKDiameterImplicit:
 
 class TestSameWorkAsReference:
     """The driver reads order membership from the ball handles it has built;
-    the reference simulates BFS.  Both must make the same order and the same
-    deltas at every radius, and the driver's adds must be exactly the
-    expansion's."""
+    the reference simulates BFS and builds a fresh structure per radius.
+    Both must make the same order and the same deltas at every radius below
+    k (the driver builds none at k), and the driver's one structure must
+    have made exactly the expansion's adds over radii 1..k."""
 
     @staticmethod
     def run(driver, make, n, k, d, seed):
@@ -208,13 +250,17 @@ class TestSameWorkAsReference:
         want, ref_steps, _ = self.run(k_diameter_implicit_reference, make,
                                       n, k, d, seed)
         assert got == want
-        assert steps == ref_steps
+        assert len(ref_steps) == k
+        assert steps == ref_steps[:k - 1]
+        (nsds,) = made
         deltas = [{0}] + [{i - 1, i} for i in range(1, n)]
-        for (_, _, next_deltas), nsds in zip(steps, made):
+        adds = 0
+        for _, _, next_deltas in ref_steps:
             fresh = make()
             expand_balls(deltas, fresh)
-            assert nsds.add_count == fresh.add_count
+            adds += fresh.add_count
             deltas = next_deltas
+        assert nsds.add_count == adds
 
     def test_naive_structure(self):
         rng = np.random.default_rng(30)

@@ -42,6 +42,55 @@ class TestHandles:
             a.add_neighbours(a.empty, 99)
 
 
+class TestClear:
+    """After clear() a structure must behave as a fresh one over the same
+    graph, reject every earlier handle, and keep counting."""
+
+    @staticmethod
+    def structures():
+        rng = np.random.default_rng(70)
+        pts = rng.uniform(0, 4, size=(30, 2))
+        g = intersection_graph_naive(pts, axis_square(1.0))
+        yield (lambda: NaiveNeighbourSets(g, seed=71)), g.n
+        yield (lambda: geometric_nsds(pts, None, seed=71)), g.n
+
+    @staticmethod
+    def build(nsds, ops):
+        handles = [nsds.empty]
+        for base, v in ops:
+            handles.append(nsds.add_neighbours(handles[base], v))
+        return handles
+
+    def test_clear_acts_as_fresh(self):
+        rng = np.random.default_rng(72)
+        for make, n in self.structures():
+            ops = [(int(rng.integers(0, i + 1)), int(rng.integers(0, n)))
+                   for i in range(40)]
+            nsds = make()
+            old = self.build(nsds, ops)
+            nsds.list_differences(old[3], old[-1])
+            adds, lists = nsds.add_count, nsds.list_count
+            nsds.clear()
+            assert (nsds.add_count, nsds.list_count) == (adds, lists)
+            for h in (old[0], old[-1]):
+                with pytest.raises(ValueError):
+                    nsds.list_differences(h, nsds.empty)
+                with pytest.raises(ValueError):
+                    nsds.add_neighbours(h, 0)
+            assert (nsds.add_count, nsds.list_count) == (adds, lists)
+            fresh = make()
+            got = self.build(nsds, ops)
+            want = self.build(fresh, ops)
+            assert nsds.add_count == adds + len(ops)
+            for i in rng.permutation(len(ops) + 1):
+                j = int(rng.integers(0, len(ops) + 1))
+                assert sorted(nsds.list_differences(got[i], got[j])) == \
+                    sorted(fresh.list_differences(want[i], want[j]))
+                assert sorted(nsds.list_differences(nsds.empty, got[i])) == \
+                    sorted(fresh.list_differences(fresh.empty, want[i]))
+            assert nsds.list_count == lists + 2 * (len(ops) + 1)
+
+
 class TestAgainstReplay:
     def test_random_sequences_match_naive_replay(self):
         rng = np.random.default_rng(1)
