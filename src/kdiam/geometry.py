@@ -2,8 +2,19 @@
 
 Shapes are strictly convex CCW polygons (degenerate 1- and 2-vertex shapes
 are allowed where harmless, e.g. as Minkowski summands).  All predicates use
-the module-wide absolute tolerance ``TOL``; test instances keep coordinates
-well clear of it.
+the module-wide absolute tolerance ``TOL``.
+
+Adjacency is defined once, by :func:`adjacency_sides`: for a shape ``f``,
+u ~ v iff u - v lies in the closed polygon ``2 * symmetrize(f)`` with every
+side pushed outward by ``TOL`` along its unit normal.  Copies of ``f`` that
+touch exactly are adjacent, and so are copies whose gap is at most ``TOL``
+along some side normal; copies further apart are not.  The oracle
+(:func:`intersection_graph_naive`) tests those side inequalities; the
+geometric neighbour-set structure marks the polygon they bound
+(:func:`adjacency_shape`) in its normalized frame, where the rounding of the
+normalizing map (about 1e-16 relative) cannot undo a margin of ``TOL``.
+Only pairs whose gap lies within that rounding of ``TOL`` itself may be
+judged differently by the two.
 """
 
 from __future__ import annotations
@@ -193,23 +204,43 @@ def check_distinct(points) -> None:
         raise ValueError(f"duplicate points {int(first_equal[j])} and {j}")
 
 
+def adjacency_sides(f: ConvexPolygon) -> list:
+    """(unit normal, offset) per side of the adjacency shape for copies of
+    ``f``: u ~ v iff normal . (u - v) <= offset for every side.  The sides
+    of twice the symmetrized shape, each pushed out by ``TOL`` (see the
+    module docstring)."""
+    h = f if f.is_symmetric() else symmetrize(f)
+    return [(nrm, 2.0 * off + TOL) for nrm, off in h.side_normals()]
+
+
+def adjacency_shape(f: ConvexPolygon) -> ConvexPolygon:
+    """The polygon bounded by :func:`adjacency_sides`: vertex i is where
+    side i - 1 meets side i."""
+    sides = adjacency_sides(f)
+    verts = []
+    for (n0, o0), (n1, o1) in zip(sides[-1:] + sides[:-1], sides):
+        det = n0[0] * n1[1] - n0[1] * n1[0]
+        verts.append(((o0 * n1[1] - o1 * n0[1]) / det,
+                      (n0[0] * o1 - n1[0] * o0) / det))
+    return ConvexPolygon(verts)
+
+
 def intersection_graph_naive(points, f: ConvexPolygon) -> Graph:
     """Materialized intersection graph for shape ``f`` centered at each
     point: u ~ v iff translated copies of f overlap (boundary touching
-    counts), equivalently u - v lies in twice the symmetrized shape.
+    counts), equivalently u - v meets every :func:`adjacency_sides`
+    inequality.
 
     This is the oracle graph the geometric algorithms are checked against.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     check_distinct(pts)
-    h = f if f.is_symmetric() else symmetrize(f)
-    sides = h.side_normals()
     adj = np.ones((n, n), dtype=bool)
-    for nrm, off in sides:
+    for nrm, off in adjacency_sides(f):
         dots = pts @ nrm
         gap = dots[:, None] - dots[None, :]
-        adj &= gap <= 2.0 * off + TOL
+        adj &= gap <= off
     np.fill_diagonal(adj, False)
     edges = [(i, j) for i, j in zip(*np.nonzero(np.triu(adj)))]
     return from_edges(n, [(int(i), int(j)) for i, j in edges])

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stripes as st
-from .geometry import (ConvexPolygon, axis_square, check_distinct,
-                       is_axis_unit_square, normalize_polygon, symmetrize,
+from .geometry import (ConvexPolygon, adjacency_shape, axis_square,
+                       check_distinct, is_axis_unit_square, normalize_polygon,
                        trapezoid_decompose)
 from .hashing import draw_fingerprints
 from .nsds import NeighbourSetStructure, SetHandle
@@ -336,8 +336,9 @@ def plane_list_differences(v1: PlaneVersion, v2: PlaneVersion) -> list:
 
 class GeometricNeighbourSets(NeighbourSetStructure):
     """Neighbour-set structure for the intersection graph of a convex shape:
-    the closed neighborhood of v is exactly the point set covered by twice
-    the symmetrized shape centered at v, so AddNeighbours is a mark.
+    the closed neighborhood of v is exactly the point set covered by the
+    adjacency shape (twice the symmetrized shape, grown by the geometry
+    tolerance) centered at v, so AddNeighbours is a mark.
 
     Marks are deferred.  A new handle records only its parent handle and its
     vertex; the first time a handle is read, every vertex pending along its
@@ -353,8 +354,7 @@ class GeometricNeighbourSets(NeighbourSetStructure):
         super().__init__(pts.shape[0])
         if shape is None:
             shape = axis_square(1.0)
-        marking = symmetrize(shape).scaled(2.0)
-        self._plane = PlaneStructure(pts, marking, seed)
+        self._plane = PlaneStructure(pts, adjacency_shape(shape), seed)
         self._centers = [(float(x), float(y)) for x, y in pts]
         self.clear()
 

@@ -16,7 +16,18 @@ The rules the tree maintains:
   5. operations push lazy flags before entering children, so entered nodes
      are never outdated;
   6. a lazy node's boundary is a single line and the two covered regions are
-     uniformly nested or uniformly crossed over the node's points (split).
+     uniformly nested or uniformly crossed over the node's points (split);
+  7. a node over at most ``WORD`` points is a *word node*: its ``mask`` is
+     the exact marked subset of its points, bit ``i - a`` for stripe
+     position ``i``; larger nodes keep ``mask = 0``.
+
+The mask is kept by union: a lazy install or a lazy push ORs in the line's
+covered bits, and a merge ORs the left mask with the right mask shifted by
+the left size.  Union is exact because marks only add points and a line is
+installed only where it dominates the boundary it replaces, so the points
+the old boundary (stale or not) covered are covered by the new line too.
+Listing stops at a word node and reads the differing points off the XOR of
+the two masks, in position order, without pushing or descending further.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from .hashing import draw_fingerprints
 
 BOT = 0
 TOP = 1
+WORD = 64  # points per word node: the bottom levels are packed into masks
 
 
 class StripeError(ValueError):
@@ -50,10 +62,10 @@ class _Boundary(NamedTuple):
 class _Node:
     __slots__ = ("pos", "left", "right", "bot", "top",
                  "bot_lazy", "top_lazy", "bot_hash", "top_hash", "hash",
-                 "pushed")
+                 "mask", "pushed")
 
     def __init__(self, pos, left, right, bot, top,
-                 bot_lazy, top_lazy, bot_hash, top_hash, hash_):
+                 bot_lazy, top_lazy, bot_hash, top_hash, hash_, mask):
         self.pos = pos
         self.left = left
         self.right = right
@@ -64,6 +76,7 @@ class _Node:
         self.bot_hash = bot_hash
         self.top_hash = top_hash
         self.hash = hash_
+        self.mask = mask
         self.pushed = None  # memoized non-lazy equivalent
 
     @property
@@ -73,7 +86,8 @@ class _Node:
 
 class StripeStatic:
     """Immutable per-stripe data shared by all versions: the point layout,
-    per-direction sort orders with prefix fingerprints, and the tree shape."""
+    per-direction sort orders with prefix fingerprints (and, on word nodes,
+    prefix masks), and the tree shape."""
 
     def __init__(self, point_ids, coords, fingerprints, band_y0, dirs,
                  up_index, down_index, band_height=1.0):
@@ -102,6 +116,7 @@ class StripeStatic:
         self.level = []
         self.keys = []   # per pos, per dir: sorted u.p values
         self.prefs = []  # per pos, per dir: XOR prefix fingerprints
+        self.pmasks = []  # per word-node pos, per dir: prefix masks; else None
         self._build(0, n - 1, 0)
         self.root_pos = len(self.a) - 1
         self.marks = 0
@@ -126,8 +141,10 @@ class StripeStatic:
         self.left_pos.append(lp)
         self.right_pos.append(rp)
         self.level.append(level)
+        word = b - a < WORD
         keys_here = []
         prefs_here = []
+        pmasks_here = [] if word else None
         for ux, uy in self.dirs:
             idx = sorted(range(a, b + 1),
                          key=lambda i: (ux * self.pts[i][0] + uy * self.pts[i][1],
@@ -138,8 +155,14 @@ class StripeStatic:
             for i in idx:
                 pref.append(pref[-1] ^ self.h[i])
             prefs_here.append(pref)
+            if word:
+                pmask = [0]
+                for i in idx:
+                    pmask.append(pmask[-1] | 1 << (i - a))
+                pmasks_here.append(pmask)
         self.keys.append(keys_here)
         self.prefs.append(prefs_here)
+        self.pmasks.append(pmasks_here)
         return pos
 
     @property
@@ -150,9 +173,10 @@ class StripeStatic:
         return self.prefs[pos][0][-1]
 
     def line_state(self, pos, j, c) -> tuple:
-        """(boundary, covered fingerprint) of the line ``dirs[j] . p = c``
-        over the node at ``pos``; the fingerprint is of the node's points
-        with ``dirs[j] . p <= c``."""
+        """(boundary, covered fingerprint, covered mask) of the line
+        ``dirs[j] . p = c`` over the node at ``pos``; fingerprint and mask
+        are of the node's points with ``dirs[j] . p <= c`` (the mask is 0
+        above word nodes)."""
         key = (pos, j, c)
         cached = self._line_cache.get(key)
         if cached is None:
@@ -174,8 +198,10 @@ class StripeStatic:
                     lo.append(d1)
                     hi.append(d0)
             count = bisect.bisect_right(self.keys[pos][j], c)
+            pmasks = self.pmasks[pos]
             cached = (_Boundary((j, c), tuple(lo), tuple(hi)),
-                      self.prefs[pos][j][count])
+                      self.prefs[pos][j][count],
+                      pmasks[j][count] if pmasks is not None else 0)
             self._line_cache[key] = cached
         return cached
 
@@ -249,25 +275,30 @@ def _init_node(static, pos) -> _Node:
     lp, rp = static.left_pos[pos], static.right_pos[pos]
     left = _init_node(static, lp) if lp >= 0 else None
     right = _init_node(static, rp) if rp >= 0 else None
-    return _Node(pos, left, right, bot, top, False, False, 0, 0, 0)
+    return _Node(pos, left, right, bot, top, False, False, 0, 0, 0, 0)
 
 
 def _apply_lazy(static, child, bot_line, top_line) -> _Node:
     """Copy of a child with the parent's lazy line boundaries installed.
     Both sides are applied before the fingerprint is recombined, so a
-    both-lazy parent never mixes a fresh line with a stale opposite side."""
+    both-lazy parent never mixes a fresh line with a stale opposite side.
+    The lines dominate what the child's stale sides covered, so the mask is
+    the child's mask united with the lines' covered bits."""
     internal = child.left is not None
     bot, bot_hash, bot_lazy = child.bot, child.bot_hash, child.bot_lazy
     top, top_hash, top_lazy = child.top, child.top_hash, child.top_lazy
+    mask = child.mask
     if bot_line is not None:
-        bot, bot_hash = static.line_state(child.pos, *bot_line)
+        bot, bot_hash, covered = static.line_state(child.pos, *bot_line)
         bot_lazy = internal
+        mask |= covered
     if top_line is not None:
-        top, top_hash = static.line_state(child.pos, *top_line)
+        top, top_hash, covered = static.line_state(child.pos, *top_line)
         top_lazy = internal
+        mask |= covered
     combined = _combined_hash(static, child.pos, bot, top, bot_hash, top_hash)
     return _Node(child.pos, child.left, child.right, bot, top,
-                 bot_lazy, top_lazy, bot_hash, top_hash, combined)
+                 bot_lazy, top_lazy, bot_hash, top_hash, combined, mask)
 
 
 def stripe_push(version_or_node, static=None) -> _Node:
@@ -291,7 +322,7 @@ def stripe_push(version_or_node, static=None) -> _Node:
     left = _apply_lazy(static, node.left, bot_line, top_line)
     right = _apply_lazy(static, node.right, bot_line, top_line)
     out = _Node(node.pos, left, right, node.bot, node.top, False, False,
-                node.bot_hash, node.top_hash, node.hash)
+                node.bot_hash, node.top_hash, node.hash, node.mask)
     node.pushed = out
     return out
 
@@ -320,20 +351,21 @@ def _update(static, node, parts) -> _Node:
             other = node.top if side == BOT else node.bot
             disjoint = other.lo[j] > c
             if disjoint or other.hi[j] <= c:
-                boundary, covered = static.line_state(pos, j, c)
+                boundary, covered, bits = static.line_state(pos, j, c)
                 lazy = node.left is not None
+                mask = node.mask | bits
                 if side == BOT:
                     combined = covered ^ node.top_hash if disjoint \
                         else static.full_hash(pos)
                     node = _Node(pos, node.left, node.right, boundary,
                                  node.top, lazy, node.top_lazy, covered,
-                                 node.top_hash, combined)
+                                 node.top_hash, combined, mask)
                 else:
                     combined = node.bot_hash ^ covered if disjoint \
                         else static.full_hash(pos)
                     node = _Node(pos, node.left, node.right, node.bot,
                                  boundary, node.bot_lazy, lazy, node.bot_hash,
-                                 covered, combined)
+                                 covered, combined, mask)
                 continue
             # The other boundary straddles the line: resolve below.
         rest.append(part)
@@ -356,8 +388,10 @@ def _update(static, node, parts) -> _Node:
     else:
         top = _merge_boundary(left.top, right.top)
         top_hash = left.top_hash ^ right.top_hash
+    mask = left.mask | right.mask << (static.a[right.pos] - a) \
+        if b - a < WORD else 0
     return _Node(pos, left, right, bot, top, False, False,
-                 bot_hash, top_hash, left.hash ^ right.hash)
+                 bot_hash, top_hash, left.hash ^ right.hash, mask)
 
 
 def stripe_mark_lines(version: StripeVersion, parts) -> StripeVersion:
@@ -404,8 +438,10 @@ def stripe_mark(version: StripeVersion, center) -> StripeVersion:
 
 
 def stripe_list_differences(v1: StripeVersion, v2: StripeVersion) -> list:
-    """Point ids marked in exactly one of the two versions.  Descends both
-    trees together, pruning subtrees with equal fingerprints."""
+    """Point ids marked in exactly one of the two versions, in x order.
+    Descends both trees together, pruning subtrees with equal fingerprints,
+    down to word nodes, whose differing points are the set bits of the XOR
+    of the two masks."""
     if v1.static is not v2.static:
         raise StripeError("versions come from different stripes")
     static = v1.static
@@ -418,8 +454,14 @@ def _list_diff(static, n1, n2, out):
     static.list_nodes += 1
     if n1 is n2 or n1.hash == n2.hash:
         return
-    if n1.is_leaf:
-        out.append(static.ids[static.a[n1.pos]])
+    a = static.a[n1.pos]
+    if static.b[n1.pos] - a < WORD:
+        ids = static.ids
+        diff = n1.mask ^ n2.mask
+        while diff:
+            low = diff & -diff
+            out.append(ids[a + low.bit_length() - 1])
+            diff ^= low
         return
     n1 = stripe_push(n1, static)
     n2 = stripe_push(n2, static)

@@ -285,7 +285,10 @@ class StripeModel:
 
 def audit_stripe_version(version, model, tol=1e-9):
     """Walk a version checking the node rules against the replayed model:
-    non-outdated fields exact, lazy nodes simple and uniformly split."""
+    non-outdated fields exact, lazy nodes simple and uniformly split, word
+    nodes' masks the exact marked subset and larger nodes' masks 0."""
+    from kdiam.stripes import WORD
+
     static = version.static
     bvals = [model.boundaries_at(i) for i in range(static.size)]
 
@@ -335,8 +338,23 @@ def audit_stripe_version(version, model, tol=1e-9):
         if not (bot_out or top_out):
             if node.hash != expect_hash(node.pos, "both"):
                 problems.append(("hash", node.pos))
-        for side, lazy in (("bot", node.bot_lazy), ("top", node.top_lazy)):
-            if not lazy:
+        a, b = static.a[node.pos], static.b[node.pos]
+        if b - a >= WORD:
+            if node.mask != 0:
+                problems.append(("mask above word nodes", node.pos))
+        elif not (bot_out or top_out):
+            want = 0
+            for i in range(a, b + 1):
+                y = static.pts[i][1]
+                if y <= bvals[i][0] or y >= bvals[i][1]:
+                    want |= 1 << (i - a)
+            if node.mask != want:
+                problems.append(("mask", node.pos))
+        for side, lazy, out in (("bot", node.bot_lazy, bot_out),
+                                ("top", node.top_lazy, top_out)):
+            # A lazy line under a lazy ancestor on the same side is replaced
+            # by the ancestor's line before anything reads it.
+            if not lazy or out:
                 continue
             boundary = node.bot if side == "bot" else node.top
             other = node.top if side == "bot" else node.bot

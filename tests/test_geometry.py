@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from kdiam.gen import random_symmetric_polygon
-from kdiam.geometry import (AffineMap, ConvexPolygon, axis_square,
-                            format_points, format_polygon,
-                            intersection_graph_naive, is_axis_unit_square,
-                            minkowski_sum, norm_value, normalize_polygon,
-                            parse_points, parse_polygon, shape_metric,
-                            symmetrize, trapezoid_decompose)
+from kdiam.geometry import (TOL, AffineMap, ConvexPolygon, adjacency_shape,
+                            adjacency_sides, axis_square, format_points,
+                            format_polygon, intersection_graph_naive,
+                            is_axis_unit_square, minkowski_sum, norm_value,
+                            normalize_polygon, parse_points, parse_polygon,
+                            shape_metric, symmetrize, trapezoid_decompose)
 from kdiam.plane import geometric_nsds
 
 from helpers import (convex_hull, gauge_by_bisection, geometric_graph_sat,
@@ -164,6 +164,12 @@ class TestIntersectionGraph:
         with pytest.raises(ValueError, match="duplicate"):
             intersection_graph_naive([(0, 0), (0.0, 0.0)], axis_square(1.0))
 
+    def test_touching_within_tol_adjacent_beyond_not(self):
+        square = axis_square(1.0)
+        for gap, edge in ((0.0, True), (0.5 * TOL, True), (3 * TOL, False)):
+            g = intersection_graph_naive([(0, 0), (1.0 + gap, 0.3)], square)
+            assert (list(g.edges()) == [(0, 1)]) is edge, gap
+
     def test_duplicate_check_shared(self):
         # a repeat far from its first occurrence among many points, and a
         # signed zero, give one message from the oracle and the structure;
@@ -195,6 +201,29 @@ class TestIntersectionGraph:
             direct = geometric_graph_sat(pts, [tuple(v) for v in f.vertices])
             via_gauge = set(intersection_graph_naive(pts, f).edges())
             assert direct == via_gauge
+
+
+class TestAdjacencyShape:
+    def test_sides_are_twice_the_symmetrized_shape_plus_tol(self):
+        rng = np.random.default_rng(9)
+        for sides in (3, 4, 5, 6):
+            f = random_convex(rng, sides=sides)
+            want = symmetrize(f).scaled(2.0).side_normals()
+            got = adjacency_sides(f)
+            assert len(got) == len(want)
+            for (n0, o0), (n1, o1) in zip(want, got):
+                assert np.allclose(n0, n1, atol=1e-9)
+                assert o1 == pytest.approx(o0 + TOL, abs=1e-12)
+
+    def test_shape_is_bounded_by_the_sides(self):
+        rng = np.random.default_rng(10)
+        for sides in (3, 4, 5, 6):
+            f = random_convex(rng, sides=sides)
+            shape = adjacency_shape(f)
+            for (n0, o0), (n1, o1) in zip(adjacency_sides(f),
+                                          shape.side_normals()):
+                assert np.allclose(n0, n1, atol=1e-12)
+                assert o1 == pytest.approx(o0, abs=1e-12)
 
 
 class TestNormalize:

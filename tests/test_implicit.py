@@ -9,7 +9,7 @@ from kdiam.graph import bfs_distances, diameter_naive, from_edges
 from kdiam.implicit import (ExpandCost, expand_balls, k_diameter_implicit,
                             simulate_bfs)
 from kdiam.nsds import NaiveNeighbourSets
-from kdiam.plane import geometric_nsds
+from kdiam.plane import GeometricNeighbourSets, geometric_nsds
 
 from helpers import k_diameter_implicit_reference
 
@@ -223,20 +223,45 @@ class TestKDiameterImplicit:
                                 np.random.default_rng(0))
 
 
+def in_descent_order(nsds):
+    """Wrap a geometric structure's listing so that every output is checked
+    to come in descent order (stripes bottom to top, x order within one):
+    the order a descent to the leaves lists them in, on which the order
+    construction's membership reads depend."""
+    plane = nsds._plane
+    rank = {}
+    for band in plane.bands:
+        for pid in plane._stripe_static[band].ids:
+            rank[pid] = len(rank)
+    listing = nsds.list_differences
+
+    def checked(h1, h2):
+        out = listing(h1, h2)
+        assert out == sorted(out, key=rank.__getitem__)
+        return out
+
+    nsds.list_differences = checked
+    return nsds
+
+
 class TestSameWorkAsReference:
     """The driver reads order membership from the ball handles it has built;
     the reference simulates BFS and builds a fresh structure per radius.
     Both must make the same order and the same deltas at every radius below
     k (the driver builds none at k), and the driver's one structure must
-    have made exactly the expansion's adds over radii 1..k."""
+    have made exactly the expansion's adds over radii 1..k.  Geometric
+    structures must list in descent order throughout."""
 
     @staticmethod
     def run(driver, make, n, k, d, seed):
         steps, made = [], []
 
         def factory():
-            made.append(make())
-            return made[-1]
+            nsds = make()
+            if isinstance(nsds, GeometricNeighbourSets):
+                in_descent_order(nsds)
+            made.append(nsds)
+            return nsds
 
         def inspect(r, nsds, order, deltas):
             steps.append((r, list(order), [set(x) for x in deltas]))

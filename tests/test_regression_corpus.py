@@ -3,11 +3,15 @@ all of them, for every k in range.  Guards against representation drift."""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kdiam.cli import run_algorithm
-from kdiam.geometry import axis_square, load_points, load_polygon
-from kdiam.graph import load_edge_list
+from kdiam.geometry import (axis_square, intersection_graph_naive,
+                            load_points, load_polygon)
+from kdiam.graph import diameter_naive, load_edge_list
+from kdiam.implicit import k_diameter_implicit
+from kdiam.plane import geometric_nsds
 
 DATA = Path(__file__).parent / "data"
 
@@ -16,6 +20,10 @@ CASES = [
     ("squares_medium.csv", "points", None),
     ("graph_small.el", "graph", None),
     ("hexagon_points.csv", "points", "hexagon_points.poly.csv"),
+    # |x| + |y| <= 0.5 on a 0.5-spaced lattice: every lattice neighbour
+    # touches exactly, and the normalized frame rounds the touch outward.
+    ("rotated_square_lattice.csv", "points",
+     "rotated_square_lattice.poly.csv"),
 ]
 
 
@@ -33,3 +41,15 @@ def test_all_algorithms_agree(name, kind, poly):
             for algo in ("naive", "explicit", "implicit")
         }
         assert len(set(answers.values())) == 1, (name, k, answers)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rotated_square_lattice_touches_are_edges(seed):
+    pts = load_points(DATA / "rotated_square_lattice.csv")
+    shape = load_polygon(DATA / "rotated_square_lattice.poly.csv")
+    assert diameter_naive(intersection_graph_naive(pts, shape)) == 4
+    for k, want in ((3, False), (4, True), (5, True)):
+        got = k_diameter_implicit(lambda: geometric_nsds(pts, shape, seed),
+                                  len(pts), k, 3,
+                                  np.random.default_rng(seed))
+        assert got is want, (seed, k)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kdiam.hashing import xor_all
-from kdiam.stripes import (BOT, TOP, StripeError, decode_marked, stripe_init,
-                           stripe_list_differences, stripe_mark,
+from kdiam.stripes import (BOT, TOP, WORD, StripeError, decode_marked,
+                           stripe_init, stripe_list_differences, stripe_mark,
                            stripe_mark_line, stripe_mark_lines, stripe_push)
 
 from helpers import StripeModel, audit_stripe_version
@@ -167,6 +167,83 @@ class TestListDifferences:
             got = stripe_list_differences(versions[i], versions[j])
             assert len(got) == len(set(got))
             assert set(got) == naive[i] ^ naive[j]
+
+
+class TestWordNodes:
+    """Nodes over at most WORD points keep their exact marked subset as a
+    mask, and listing reads a difference there off the XOR of two masks:
+    the same ids, in the same x order, as a descent to the leaves."""
+
+    S2 = math.sqrt(0.5)
+    DIRS = [(S2, S2), (-S2, S2), (S2, -S2), (-S2, -S2), (0.0, 1.0), (0.0, -1.0)]
+
+    @classmethod
+    def branching_versions(cls, n, seed, steps=80):
+        """Versions built by batches of slanted and flat line parts, each on
+        top of a random earlier version, with each version's part lineage."""
+        rng = np.random.default_rng(seed)
+        width = max(n / 8.0, 1.0)
+        v = stripe_init(make_points(rng, n, width=width), 0.0, rng,
+                        dirs=cls.DIRS, up_index=4, down_index=5)
+        versions, lineages = [v], [[]]
+        for _ in range(steps):
+            base = int(rng.integers(0, len(versions)))
+            parts = []
+            for _ in range(int(rng.integers(1, 5))):
+                j = int(rng.integers(0, len(cls.DIRS)))
+                ux, uy = cls.DIRS[j]
+                x0 = float(rng.uniform(0, width))
+                c = ux * x0 + uy * float(rng.uniform(-0.5, 1.5))
+                if rng.random() < 0.2:
+                    xlo, xhi = -1.0, width + 1.0
+                else:
+                    xlo = x0 - float(rng.uniform(0, 3))
+                    xhi = x0 + float(rng.uniform(0, 3))
+                parts.append((xlo, xhi, BOT if uy > 0 else TOP, j, c))
+            versions.append(stripe_mark_lines(versions[base], parts))
+            lineages.append(lineages[base] + parts)
+        return versions, lineages
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    def test_listing_matches_decode_in_set_and_order(self, n):
+        versions, lineages = self.branching_versions(n, seed=200 + n)
+        static = versions[0].static
+        marked = []
+        for v, lineage in zip(versions, lineages):
+            model = StripeModel(static)
+            for part in lineage:
+                model.apply(*part)
+            assert audit_stripe_version(v, model) == []
+            marked.append(decode_marked(v))
+            assert marked[-1] == model.marked_ids()
+        rng = np.random.default_rng(n)
+        for _ in range(150):
+            i = int(rng.integers(0, len(versions)))
+            j = int(rng.integers(0, len(versions)))
+            diff = marked[i] ^ marked[j]
+            want = [pid for pid in static.ids if pid in diff]
+            assert stripe_list_differences(versions[i], versions[j]) == want
+
+    @pytest.mark.parametrize("n", [1, 40, WORD])
+    def test_listing_a_word_stripe_visits_one_node(self, n):
+        versions, _ = self.branching_versions(n, seed=300 + n, steps=30)
+        static = versions[0].static
+        listed = 0
+        for i in range(len(versions)):
+            before = static.list_nodes
+            listed += len(stripe_list_differences(versions[0], versions[i]))
+            assert static.list_nodes == before + 1
+        assert listed > 0
+
+    def test_listing_above_a_word_enters_the_children(self):
+        versions, _ = self.branching_versions(WORD + 1, seed=400, steps=30)
+        static = versions[0].static
+        for v in versions:
+            before = static.list_nodes
+            if stripe_list_differences(versions[0], v):
+                assert static.list_nodes == before + 3
+            else:
+                assert static.list_nodes == before + 1
 
 
 class TestPolygonMode:
