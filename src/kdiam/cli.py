@@ -109,11 +109,15 @@ def _materialize(kind, payload) -> Graph:
 
 
 def run_algorithm(algorithm, kind, payload, k, d, seed) -> RunReport:
+    # naive ignores d but rejects a bad one too, like the other algorithms.
+    k_min = 0 if algorithm == "naive" else 1
+    if k < k_min:
+        raise UsageError(f"{algorithm} algorithm needs k >= {k_min}")
+    if d < 2:
+        raise UsageError(f"d must be >= 2, got {d}")
     rng = np.random.default_rng(seed)
     counters = {}
     start = time.perf_counter()
-    if algorithm in ("explicit", "implicit") and k < 1:
-        raise UsageError(f"{algorithm} algorithm needs k >= 1")
     if algorithm in ("naive", "explicit"):
         g = _materialize(kind, payload)
         if algorithm == "naive":

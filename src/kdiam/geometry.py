@@ -106,9 +106,6 @@ class ConvexPolygon:
     def negated(self) -> "ConvexPolygon":
         return ConvexPolygon(-self.vertices)
 
-    def translated(self, offset) -> "ConvexPolygon":
-        return ConvexPolygon(self.vertices + np.asarray(offset, dtype=np.float64))
-
 
 def _start_at_bottom(poly: ConvexPolygon) -> np.ndarray:
     v = poly.vertices
@@ -272,15 +269,6 @@ class AffineMap:
             verts = verts[::-1]
         return ConvexPolygon(verts)
 
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        m = self._m @ inner._m
-        t = self._m @ np.asarray(inner.translation) + np.asarray(self.translation)
-        return AffineMap(tuple(map(tuple, m)), tuple(t))
-
-    @staticmethod
-    def identity() -> "AffineMap":
-        return AffineMap(((1.0, 0.0), (0.0, 1.0)))
-
 
 def normalize_polygon(f: ConvexPolygon) -> tuple[ConvexPolygon, AffineMap]:
     """Put a symmetric polygon into the stripe-friendly frame.
@@ -289,8 +277,13 @@ def normalize_polygon(f: ConvexPolygon) -> tuple[ConvexPolygon, AffineMap]:
     compresses so that side and its mirror become the vertical sides of the
     centered unit square.  The result has height at most s, contains the
     unit square, and the returned map sends input points into the new frame.
-    Among longest sides the one needing the least rotation is picked, so an
-    axis-aligned unit square maps to itself by the identity.
+
+    Exact side normals matter: stripes always carry up (0, 1) and down
+    (0, -1), and share a direction only between equal normals.  Among
+    longest sides the one needing the least rotation is picked, so an
+    axis-aligned square maps by a multiple of the identity and keeps its
+    normals exact.  Any parallelogram's image is the unit square up to
+    rounding; within 2e-15 of it, the square itself is returned.
     """
     if not f.is_symmetric():
         raise ValueError("polygon must be centrally symmetric")
@@ -324,7 +317,10 @@ def normalize_polygon(f: ConvexPolygon) -> tuple[ConvexPolygon, AffineMap]:
     shear = np.array([[1.0 / (2.0 * a), 0.0], [-mid_y / a, 1.0]])
     matrix = shear @ rot_scale
     amap = AffineMap(tuple(map(tuple, matrix)))
-    return amap.apply_polygon(f), amap
+    out = amap.apply_polygon(f)
+    if f.s == 4 and np.abs(np.abs(out.vertices) - 0.5).max() <= 2e-15:
+        out = ConvexPolygon(np.copysign(0.5, out.vertices))
+    return out, amap
 
 
 @dataclass(frozen=True)
@@ -340,18 +336,6 @@ class Trapezoid:
     bot1: float
     top_side: int
     bot_side: int
-
-    def top_at(self, x: float) -> float:
-        if self.x1 == self.x0:
-            return max(self.top0, self.top1)
-        t = (x - self.x0) / (self.x1 - self.x0)
-        return self.top0 + t * (self.top1 - self.top0)
-
-    def bot_at(self, x: float) -> float:
-        if self.x1 == self.x0:
-            return min(self.bot0, self.bot1)
-        t = (x - self.x0) / (self.x1 - self.x0)
-        return self.bot0 + t * (self.bot1 - self.bot0)
 
     def area(self) -> float:
         return (self.x1 - self.x0) * (
@@ -426,14 +410,6 @@ def axis_square(side: float = 1.0, center=(0.0, 0.0)) -> ConvexPolygon:
     cx, cy = center
     return ConvexPolygon([[cx - h, cy - h], [cx + h, cy - h],
                           [cx + h, cy + h], [cx - h, cy + h]])
-
-
-def is_axis_unit_square(poly: ConvexPolygon, tol: float = 1e-9) -> bool:
-    if poly.s != 4:
-        return False
-    ref = _start_at_bottom(poly)
-    want = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
-    return bool(np.allclose(ref, want, atol=tol))
 
 
 # ---------------------------------------------------------------------------

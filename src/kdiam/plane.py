@@ -2,10 +2,12 @@
 
 The plane splits into height-1 stripes (only stripes holding a point are
 materialized).  One mark places a convex symmetric shape at a center: the
-shape's vertical slabs are routed per stripe as bottom-boundary, top-boundary
-or full-height updates.  An auxiliary persistent tree over the stripes keeps
-per-stripe fingerprints so listing differences touches only stripes that
-actually differ.
+shape's vertical slabs (trapezoids) are routed per stripe as bottom-boundary,
+top-boundary or full-height updates.  Every shape, the unit square included,
+takes this one path; a unit square is a single slab whose top and bottom lie
+on the up and down directions every stripe carries.  An auxiliary persistent
+tree over the stripes keeps per-stripe fingerprints so listing differences
+touches only stripes that actually differ.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 
 from . import stripes as st
 from .geometry import (ConvexPolygon, adjacency_shape, axis_square,
-                       check_distinct, is_axis_unit_square, normalize_polygon,
-                       trapezoid_decompose)
+                       check_distinct, normalize_polygon, trapezoid_decompose)
 from .hashing import draw_fingerprints
 from .nsds import NeighbourSetStructure, SetHandle
 
@@ -50,7 +51,10 @@ class PlaneStructure:
 
     ``shape`` is the marking shape: a centrally symmetric convex polygon
     (None means the axis-aligned unit square).  It is normalized into the
-    stripe frame once; points and mark centers pass through the same map.
+    stripe frame once and cut into trapezoids; points and mark centers pass
+    through the same map.  ``dirs`` holds each stripe direction once: up
+    and down at indices 0 and 1, then the distinct normals of the
+    trapezoids' top and bottom sides.
     """
 
     def __init__(self, points, shape: ConvexPolygon | None, seed: int):
@@ -65,31 +69,22 @@ class PlaneStructure:
         if not shape.is_symmetric():
             raise ValueError("marking shape must be centrally symmetric")
         self.shape, self.transform = normalize_polygon(shape)
-        self.square_mode = is_axis_unit_square(self.shape)
         self.tpoints = self.transform.apply(pts)
 
-        if self.square_mode:
-            dirs = [(0.0, 1.0), (0.0, -1.0)]
-            self.up, self.down = 0, 1
-            self.trapezoids = None
-            self._side_dir = None
-            self._side_off = None
-        else:
-            # Stripes carry only the directions a mark can name: the sides
-            # the trapezoids' tops and bottoms lie on, plus up and down.
-            sides = self.shape.side_normals()
-            self.trapezoids = trapezoid_decompose(self.shape)
-            used = sorted({t.top_side for t in self.trapezoids}
-                          | {t.bot_side for t in self.trapezoids})
-            dirs = [(float(sides[i][0][0]), float(sides[i][0][1]))
-                    for i in used]
-            dirs.append((0.0, 1.0))
-            dirs.append((0.0, -1.0))
-            self.up = len(dirs) - 2
-            self.down = len(dirs) - 1
-            self._side_dir = {side: j for j, side in enumerate(used)}
-            self._side_off = [off for _, off in sides]
-        self.dirs = dirs
+        # A normal exactly equal to an earlier direction shares its index; a
+        # near-equal one would move the line by the normals' difference times
+        # the point coordinates, which at large coordinates exceeds TOL.
+        sides = self.shape.side_normals()
+        self.trapezoids = trapezoid_decompose(self.shape)
+        self.dirs = list(st.UP_DOWN)
+        self._side_dir = {}
+        for side in sorted({t.top_side for t in self.trapezoids}
+                           | {t.bot_side for t in self.trapezoids}):
+            d = (float(sides[side][0][0]), float(sides[side][0][1]))
+            if d not in self.dirs:
+                self.dirs.append(d)
+            self._side_dir[side] = self.dirs.index(d)
+        self._side_off = [off for _, off in sides]
 
         rng = np.random.default_rng(seed)
         self.fingerprints = dict(enumerate(draw_fingerprints(rng, self.n)))
@@ -103,8 +98,7 @@ class PlaneStructure:
         initial_roots = {}
         for band in self.bands:
             v = st.stripe_init(by_band[band], float(band), self.fingerprints,
-                               dirs=self.dirs, up_index=self.up,
-                               down_index=self.down)
+                               dirs=self.dirs)
             self._stripe_static[band] = v.static
             initial_roots[band] = v.root
 
@@ -129,22 +123,6 @@ class PlaneStructure:
         """(band, xlo, xhi, side, dir index, offset) updates for a mark whose
         transformed center is (tcx, tcy)."""
         out = []
-        if self.square_mode:
-            lo_band = math.floor(tcy - 0.5)
-            hi_band = math.floor(tcy + 0.5)
-            for band in range(lo_band, hi_band + 1):
-                if band not in self.band_index:
-                    continue
-                y0 = float(band)
-                if tcy + 0.5 < y0 or tcy - 0.5 >= y0 + 1.0:
-                    continue
-                if tcy <= y0 + 0.5:
-                    out.append((band, tcx - 0.5, tcx + 0.5,
-                                st.BOT, self.up, tcy + 0.5))
-                else:
-                    out.append((band, tcx - 0.5, tcx + 0.5,
-                                st.TOP, self.down, -(tcy - 0.5)))
-            return out
         for trap in self.trapezoids:
             x0, x1 = trap.x0 + tcx, trap.x1 + tcx
             top0, top1 = trap.top0 + tcy, trap.top1 + tcy
@@ -173,7 +151,7 @@ class PlaneStructure:
                     out.append((band, seg[0], seg[1], st.TOP, jb, cb))
                 seg = _rect_window(x0, x1, top0, top1, bot0, bot1, y0, y1)
                 if seg is not None:
-                    out.append((band, seg[0], seg[1], st.BOT, self.up,
+                    out.append((band, seg[0], seg[1], st.BOT, st.UP,
                                 y1 + 0.5))
         return out
 
@@ -369,10 +347,6 @@ class GeometricNeighbourSets(NeighbourSetStructure):
         self._parent = [-1]
         self._vertex = [-1]
         self._extended = [0]
-
-    def version_of(self, h: SetHandle) -> PlaneVersion:
-        self._check_handle(h, len(self._versions))
-        return self._version(h.index)
 
     def _version(self, i: int) -> PlaneVersion:
         versions = self._versions

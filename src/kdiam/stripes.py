@@ -42,6 +42,9 @@ from .hashing import draw_fingerprints
 
 BOT = 0
 TOP = 1
+UP = 0  # every stripe's dirs start with UP_DOWN: up (0, 1), down (0, -1)
+DOWN = 1
+UP_DOWN = ((0.0, 1.0), (0.0, -1.0))
 WORD = 64  # points per word node: the bottom levels are packed into masks
 
 
@@ -89,23 +92,22 @@ class StripeStatic:
     per-direction sort orders with prefix fingerprints (and, on word nodes,
     prefix masks), and the tree shape."""
 
-    def __init__(self, point_ids, coords, fingerprints, band_y0, dirs,
-                 up_index, down_index, band_height=1.0):
+    def __init__(self, point_ids, coords, fingerprints, band_y0, dirs):
         order = sorted(range(len(point_ids)),
                        key=lambda i: (coords[i][0], point_ids[i]))
         self.ids = [point_ids[i] for i in order]
         self.pts = [tuple(coords[i]) for i in order]
         self.h = [fingerprints[point_ids[i]] for i in order]
         self.y0 = band_y0
-        self.y1 = band_y0 + band_height
+        self.y1 = band_y0 + 1.0
         for pid, (x, y) in zip(self.ids, self.pts):
             if not (self.y0 <= y < self.y1):
                 raise StripeError(f"point {pid} at y={y} outside band "
                                   f"[{self.y0}, {self.y1})")
         self.xs = [p[0] for p in self.pts]
         self.dirs = tuple(tuple(d) for d in dirs)
-        self.UP = up_index
-        self.DOWN = down_index
+        if self.dirs[:2] != UP_DOWN:
+            raise StripeError("dirs must start with up (0, 1) and down (0, -1)")
         n = len(self.ids)
         self.a = []
         self.b = []
@@ -240,14 +242,16 @@ class StripeVersion:
     root: _Node
 
 
-def stripe_init(points, band_y0, rng_or_fingerprints, *, dirs=None,
-                up_index=None, down_index=None, band_height=1.0) -> StripeVersion:
-    """Empty-marking version over the given (id, x, y) points.
+def stripe_init(points, band_y0, rng_or_fingerprints, *,
+                dirs=UP_DOWN) -> StripeVersion:
+    """Empty-marking version over the given (id, x, y) points of the band
+    [band_y0, band_y0 + 1).
 
     ``rng_or_fingerprints`` is either a numpy Generator (fingerprints are
     drawn from it) or a prebuilt {id: fingerprint} mapping shared with a
-    larger structure.  The default directions are vertical only, i.e. unit
-    square mode.
+    larger structure.  ``dirs`` starts with up and down, at the indices
+    ``UP`` and ``DOWN``; the default is those two only, all a unit square's
+    marks use.
     """
     ids = [p[0] for p in points]
     coords = [(p[1], p[2]) for p in points]
@@ -257,11 +261,7 @@ def stripe_init(points, band_y0, rng_or_fingerprints, *, dirs=None,
         fps = dict(zip(ids, draw_fingerprints(rng_or_fingerprints, len(ids))))
     else:
         fps = rng_or_fingerprints
-    if dirs is None:
-        dirs = ((0.0, 1.0), (0.0, -1.0))
-        up_index, down_index = 0, 1
-    static = StripeStatic(ids, coords, fps, band_y0, dirs,
-                          up_index, down_index, band_height)
+    static = StripeStatic(ids, coords, fps, band_y0, dirs)
     root = _init_node(static, static.root_pos)
     return StripeVersion(static, root)
 
@@ -270,8 +270,8 @@ def _init_node(static, pos) -> _Node:
     # Bottom starts below the band (a point lying exactly on the band floor
     # is inside the stripe and must start unmarked); top starts at the band
     # ceiling, which no point reaches.
-    bot = static.line_state(pos, static.UP, static.y0 - 1.0)[0]
-    top = static.line_state(pos, static.DOWN, -static.y1)[0]
+    bot = static.line_state(pos, UP, static.y0 - 1.0)[0]
+    top = static.line_state(pos, DOWN, -static.y1)[0]
     lp, rp = static.left_pos[pos], static.right_pos[pos]
     left = _init_node(static, lp) if lp >= 0 else None
     right = _init_node(static, rp) if rp >= 0 else None
@@ -432,9 +432,9 @@ def stripe_mark(version: StripeVersion, center) -> StripeVersion:
         return version
     if cy <= static.y0 + 0.5:
         return stripe_mark_line(version, cx - 0.5, cx + 0.5,
-                                BOT, static.UP, cy + 0.5)
+                                BOT, UP, cy + 0.5)
     return stripe_mark_line(version, cx - 0.5, cx + 0.5,
-                            TOP, static.DOWN, -(cy - 0.5))
+                            TOP, DOWN, -(cy - 0.5))
 
 
 def stripe_list_differences(v1: StripeVersion, v2: StripeVersion) -> list:

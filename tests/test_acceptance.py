@@ -235,7 +235,7 @@ def test_criterion_8_invariant_audits():
                             g.n, 4, 3, rng, inspect=check_deltas)
 
     # (c) stripe-node invariant walker on trees with n <= 256
-    from kdiam.stripes import BOT, TOP, stripe_init, stripe_mark
+    from kdiam.stripes import BOT, DOWN, TOP, UP, stripe_init, stripe_mark
     from helpers import StripeModel, audit_stripe_version
 
     for n in (64, 256):
@@ -250,11 +250,9 @@ def test_criterion_8_invariant_audits():
             v = stripe_mark(v, (cx, cy))
             if v is not before:
                 if cy <= 0.5:
-                    model.apply(cx - 0.5, cx + 0.5, BOT, v.static.UP,
-                                cy + 0.5)
+                    model.apply(cx - 0.5, cx + 0.5, BOT, UP, cy + 0.5)
                 else:
-                    model.apply(cx - 0.5, cx + 0.5, TOP, v.static.DOWN,
-                                -(cy - 0.5))
+                    model.apply(cx - 0.5, cx + 0.5, TOP, DOWN, -(cy - 0.5))
             if step % 20 == 0:
                 violations.extend(audit_stripe_version(v, model))
         violations.extend(audit_stripe_version(v, model))

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +182,20 @@ class TestErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {gf}: graph is disconnected"]
+
+    @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "2", "--d", "1"], "d must be >= 2, got 1"),
+        (["--k", "-1"], "{algo} algorithm needs k >= {k_min}")],
+        ids=["d=1", "k=-1"])
+    def test_bad_k_or_d_rejected(self, capsys, algo, flags, message):
+        pts = Path(__file__).parent / "data" / "squares_small.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["diam", "--algo", algo, "--input", str(pts), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        k_min = 0 if algo == "naive" else 1
+        assert err == ["error: " + message.format(algo=algo, k_min=k_min)]
 
     @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
     def test_disconnected_points_rejected(self, tmp_path, capsys, algo):

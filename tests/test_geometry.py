@@ -7,9 +7,9 @@ from kdiam.gen import random_symmetric_polygon
 from kdiam.geometry import (TOL, AffineMap, ConvexPolygon, adjacency_shape,
                             adjacency_sides, axis_square, format_points,
                             format_polygon, intersection_graph_naive,
-                            is_axis_unit_square, minkowski_sum, norm_value,
-                            normalize_polygon, parse_points, parse_polygon,
-                            shape_metric, symmetrize, trapezoid_decompose)
+                            minkowski_sum, norm_value, normalize_polygon,
+                            parse_points, parse_polygon, shape_metric,
+                            symmetrize, trapezoid_decompose)
 from kdiam.plane import geometric_nsds
 
 from helpers import (convex_hull, gauge_by_bisection, geometric_graph_sat,
@@ -226,18 +226,34 @@ class TestAdjacencyShape:
                 assert o1 == pytest.approx(o0, abs=1e-12)
 
 
+UNIT_SQUARE = [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
+
+
 class TestNormalize:
     def test_square_identity(self):
         out, amap = normalize_polygon(axis_square(1.0))
-        assert is_axis_unit_square(out)
-        assert np.allclose(np.asarray(amap.matrix), np.eye(2))
+        assert out.vertices.tolist() == UNIT_SQUARE
+        assert np.asarray(amap.matrix).tolist() == np.eye(2).tolist()
 
     def test_rotated_square(self):
         c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
         rot = AffineMap(((c, -s), (s, c)))
         sq = rot.apply_polygon(axis_square(1.0))
         out, _ = normalize_polygon(sq)
-        assert is_axis_unit_square(out)
+        assert sorted(out.vertices.tolist()) == sorted(UNIT_SQUARE)
+
+    @pytest.mark.parametrize("vertices", [
+        [[-0.5, -0.3], [0.6, -0.3], [0.5, 0.3], [-0.6, 0.3]],
+        [[-0.3, -0.8], [0.3, -0.6], [0.3, 0.8], [-0.3, 0.6]],
+        [[0.0, -1.0], [2.0, 0.5], [0.0, 1.0], [-2.0, -0.5]]])
+    def test_parallelogram_is_exactly_the_unit_square(self, vertices):
+        # Its image is the unit square up to the map's rounding; the
+        # returned shape is that square exactly, in the image's vertex order.
+        f = ConvexPolygon(vertices)
+        out, amap = normalize_polygon(f)
+        assert sorted(out.vertices.tolist()) == sorted(UNIT_SQUARE)
+        assert np.allclose(amap.apply(f.vertices), out.vertices,
+                           rtol=0, atol=1e-15)
 
     def test_postconditions_random_polygons(self):
         rng = np.random.default_rng(7)

@@ -1,16 +1,20 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kdiam.gen import random_symmetric_polygon, random_unit_square_points
-from kdiam.geometry import (ConvexPolygon, axis_square,
-                            intersection_graph_naive, symmetrize)
+from kdiam.geometry import (ConvexPolygon, adjacency_shape, axis_square,
+                            intersection_graph_naive, load_polygon)
 from kdiam.nsds import NaiveNeighbourSets
 from kdiam.plane import (PlaneStructure, geometric_nsds, plane_init,
                          plane_list_differences, plane_mark)
+from kdiam.stripes import BOT, DOWN, TOP, UP
 
 from helpers import point_in_polygon
+
+DATA = Path(__file__).parent / "data"
 
 SKEW_HEX = ConvexPolygon([[1.2, 0.0], [0.5, 0.9], [-0.6, 0.8],
                           [-1.2, 0.0], [-0.5, -0.9], [0.6, -0.8]])
@@ -222,17 +226,20 @@ def benchmark_hexagon():
 
 
 class TestDirections:
-    """Stripes carry the normals of the sides a trapezoid's top or bottom
-    lies on, plus up and down; vertical sides' normals are left out."""
+    """Stripes carry up and down at indices 0 and 1, then each distinct
+    normal of the sides a trapezoid's top or bottom lies on; vertical sides'
+    normals are left out, and a normal equal to one already there is not
+    added again."""
 
     @staticmethod
     def expected_dirs(structure):
         shape = structure.shape
-        want = [(float(nrm[0]), float(nrm[1]))
-                for (nrm, _), edge in zip(shape.side_normals(),
-                                          shape.edge_vectors())
-                if abs(edge[0]) > 1e-9]
-        return want + [(0.0, 1.0), (0.0, -1.0)]
+        want = [(0.0, 1.0), (0.0, -1.0)]
+        for (nrm, _), edge in zip(shape.side_normals(), shape.edge_vectors()):
+            d = (float(nrm[0]), float(nrm[1]))
+            if abs(edge[0]) > 1e-9 and d not in want:
+                want.append(d)
+        return want
 
     @pytest.mark.parametrize("label", ["benchmark-hexagon", "random"])
     def test_only_trapezoid_side_normals(self, label):
@@ -249,11 +256,68 @@ class TestDirections:
         for static in structure._stripe_static.values():
             assert static.dirs == tuple(structure.dirs)
 
-    def test_square_mode_is_up_and_down(self):
-        structure = PlaneStructure([(0.0, 0.0), (0.3, 0.2)],
-                                   symmetrize(axis_square(1.0)), seed=31)
-        assert structure.square_mode
+    @pytest.mark.parametrize("label", ["unit-square", "rectangle",
+                                       "sheared", "rotated-square"])
+    def test_parallelograms_use_up_and_down_only(self, label):
+        shape = {
+            "unit-square": axis_square(1.0),
+            "rectangle": ConvexPolygon([[-0.5, -0.2], [0.5, -0.2],
+                                        [0.5, 0.2], [-0.5, 0.2]]),
+            "sheared": ConvexPolygon([[-0.5, -0.3], [0.6, -0.3],
+                                      [0.5, 0.3], [-0.6, 0.3]]),
+            "rotated-square": load_polygon(
+                DATA / "rotated_square_lattice.poly.csv"),
+        }[label]
+        for f in (shape, adjacency_shape(shape)):
+            structure = PlaneStructure([(0.0, 0.0), (0.3, 0.2)], f, seed=31)
+            assert structure.dirs == [(0.0, 1.0), (0.0, -1.0)]
+
+    def test_octagon_shares_up_and_down(self):
+        # Its top and bottom sides are horizontal, so their normals are up
+        # and down themselves; the four diagonal sides add one each.
+        octagon = ConvexPolygon([[1.0, -0.5], [1.0, 0.5], [0.5, 1.0],
+                                 [-0.5, 1.0], [-1.0, 0.5], [-1.0, -0.5],
+                                 [-0.5, -1.0], [0.5, -1.0]])
+        structure = PlaneStructure([(0.0, 0.0), (0.3, 0.2)], octagon, seed=32)
+        assert structure.dirs[:2] == [(0.0, 1.0), (0.0, -1.0)]
+        assert len(set(structure.dirs)) == len(structure.dirs) == 6
+        assert structure.dirs == self.expected_dirs(structure)
+
+
+def square_branch_plan(structure, center):
+    """The compiled mark the retired unit-square branch built: one part per
+    band the square reaches, raising the bottom boundary along up where the
+    square reaches the band floor and lowering the top one along down
+    otherwise."""
+    tcx, tcy = (float(v) for v in structure.transform.apply([center])[0])
+    plan = []
+    for band in range(math.floor(tcy - 0.5), math.floor(tcy + 0.5) + 1):
+        y0 = float(band)
+        if band not in structure.band_index or tcy + 0.5 < y0 \
+                or tcy - 0.5 >= y0 + 1.0:
+            continue
+        if tcy <= y0 + 0.5:
+            part = (tcx - 0.5, tcx + 0.5, BOT, UP, tcy + 0.5)
+        else:
+            part = (tcx - 0.5, tcx + 0.5, TOP, DOWN, -(tcy - 0.5))
+        plan.append((structure._stripe_static[band], structure.band_index[band],
+                     (part,)))
+    return tuple(plan)
+
+
+class TestUnitSquarePlans:
+    """The trapezoid path does the same work on unit squares as the square
+    branch it replaced: the same parts, in the same order, per center."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_plan_equals_square_branch(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = random_unit_square_points(150, 3.2, rng)
+        structure = geometric_nsds(pts, None, seed=seed)._plane
         assert structure.dirs == [(0.0, 1.0), (0.0, -1.0)]
+        for center in pts:
+            assert structure._plan(center) == \
+                square_branch_plan(structure, center)
 
 
 class TestAuxTreeInvariant:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from kdiam.hashing import xor_all
-from kdiam.stripes import (BOT, TOP, WORD, StripeError, decode_marked,
-                           stripe_init, stripe_list_differences, stripe_mark,
-                           stripe_mark_line, stripe_mark_lines, stripe_push)
+from kdiam.stripes import (BOT, DOWN, TOP, UP, WORD, StripeError,
+                           decode_marked, stripe_init, stripe_list_differences,
+                           stripe_mark, stripe_mark_line, stripe_mark_lines,
+                           stripe_push)
 
 from helpers import StripeModel, audit_stripe_version
 
@@ -94,9 +95,9 @@ class TestPush:
         pts = make_points(rng, 32)
         v = stripe_init(pts, 0.0, rng)
         # full-width top boundary at 0.8 makes the root top-lazy
-        v2 = stripe_mark_line(v, -1.0, 21.0, TOP, v.static.DOWN, -0.8)
+        v2 = stripe_mark_line(v, -1.0, 21.0, TOP, DOWN, -0.8)
         node = v2.root
-        assert node.top_lazy and node.top.line == (v.static.DOWN, -0.8)
+        assert node.top_lazy and node.top.line == (DOWN, -0.8)
         pushed = stripe_push(node, v2.static)
         assert not pushed.bot_lazy and not pushed.top_lazy
         for child in (pushed.left, pushed.right):
@@ -118,10 +119,9 @@ class TestPush:
             v = stripe_mark(v, (cx, cy))
             if v is not before:
                 if cy <= 0.5:
-                    model.apply(cx - 0.5, cx + 0.5, BOT, v.static.UP, cy + 0.5)
+                    model.apply(cx - 0.5, cx + 0.5, BOT, UP, cy + 0.5)
                 else:
-                    model.apply(cx - 0.5, cx + 0.5, TOP, v.static.DOWN,
-                                -(cy - 0.5))
+                    model.apply(cx - 0.5, cx + 0.5, TOP, DOWN, -(cy - 0.5))
             assert audit_stripe_version(v, model) == []
 
 
@@ -175,7 +175,7 @@ class TestWordNodes:
     the same ids, in the same x order, as a descent to the leaves."""
 
     S2 = math.sqrt(0.5)
-    DIRS = [(S2, S2), (-S2, S2), (S2, -S2), (-S2, -S2), (0.0, 1.0), (0.0, -1.0)]
+    DIRS = [(0.0, 1.0), (0.0, -1.0), (S2, S2), (-S2, S2), (S2, -S2), (-S2, -S2)]
 
     @classmethod
     def branching_versions(cls, n, seed, steps=80):
@@ -184,7 +184,7 @@ class TestWordNodes:
         rng = np.random.default_rng(seed)
         width = max(n / 8.0, 1.0)
         v = stripe_init(make_points(rng, n, width=width), 0.0, rng,
-                        dirs=cls.DIRS, up_index=4, down_index=5)
+                        dirs=cls.DIRS)
         versions, lineages = [v], [[]]
         for _ in range(steps):
             base = int(rng.integers(0, len(versions)))
@@ -250,15 +250,15 @@ class TestPolygonMode:
     def test_slanted_line_marks(self):
         # boundary directions of a diamond (all four diagonal normals)
         s2 = math.sqrt(0.5)
-        dirs = [(s2, s2), (-s2, s2), (s2, -s2), (-s2, -s2),
-                (0.0, 1.0), (0.0, -1.0)]
+        dirs = [(0.0, 1.0), (0.0, -1.0),
+                (s2, s2), (-s2, s2), (s2, -s2), (-s2, -s2)]
         rng = np.random.default_rng(15)
         pts = make_points(rng, 120, band_y0=0.0, width=10.0)
-        v = stripe_init(pts, 0.0, rng, dirs=dirs, up_index=4, down_index=5)
+        v = stripe_init(pts, 0.0, rng, dirs=dirs)
         model = StripeModel(v.static)
         marked = set()
         for step in range(200):
-            j = int(rng.integers(0, 4))
+            j = int(rng.integers(2, 6))
             ux, uy = dirs[j]
             c = float(rng.uniform(-2, 12))
             xlo = float(rng.uniform(-1, 9))
@@ -275,12 +275,18 @@ class TestPolygonMode:
 
 
     def test_vertical_direction_rejected(self):
-        dirs = [(1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+        dirs = [(0.0, 1.0), (0.0, -1.0), (1.0, 0.0)]
         rng = np.random.default_rng(16)
         pts = make_points(rng, 20, band_y0=0.0, width=5.0)
-        v = stripe_init(pts, 0.0, rng, dirs=dirs, up_index=1, down_index=2)
+        v = stripe_init(pts, 0.0, rng, dirs=dirs)
         with pytest.raises(StripeError, match="vertical"):
-            stripe_mark_line(v, -1.0, 6.0, BOT, 0, 100.0)
+            stripe_mark_line(v, -1.0, 6.0, BOT, 2, 100.0)
+
+    def test_dirs_must_start_with_up_and_down(self):
+        rng = np.random.default_rng(17)
+        pts = make_points(rng, 5, band_y0=0.0, width=5.0)
+        with pytest.raises(StripeError, match="up .* and down"):
+            stripe_init(pts, 0.0, rng, dirs=[(0.0, -1.0), (0.0, 1.0)])
 
 
 class TestBatchedMarks:
@@ -296,10 +302,9 @@ class TestBatchedMarks:
             v = stripe_init(pts, 0.0, rng)
         else:
             s2 = math.sqrt(0.5)
-            dirs = [(s2, s2), (-s2, s2), (s2, -s2), (-s2, -s2),
-                    (0.0, 1.0), (0.0, -1.0)]
-            v = stripe_init(pts, 0.0, rng, dirs=dirs, up_index=4,
-                            down_index=5)
+            dirs = [(0.0, 1.0), (0.0, -1.0),
+                    (s2, s2), (-s2, s2), (s2, -s2), (-s2, -s2)]
+            v = stripe_init(pts, 0.0, rng, dirs=dirs)
         static = v.static
         model = StripeModel(static)
         batched = chained = v
@@ -328,8 +333,8 @@ class TestBatchedMarks:
         v = stripe_init(make_points(rng, 20), 0.0, rng)
         assert stripe_mark_lines(v, []) is v
         assert stripe_mark_lines(
-            v, [(30.0, 31.0, BOT, v.static.UP, 0.5),
-                (-3.0, -2.0, TOP, v.static.DOWN, -0.5)]) is v
+            v, [(30.0, 31.0, BOT, UP, 0.5),
+                (-3.0, -2.0, TOP, DOWN, -0.5)]) is v
 
 
 class TestPersistence:
