@@ -108,13 +108,17 @@ def _materialize(kind, payload) -> Graph:
     return intersection_graph_naive(pts, shape)
 
 
-def run_algorithm(algorithm, kind, payload, k, d, seed) -> RunReport:
-    # naive ignores d but rejects a bad one too, like the other algorithms.
-    k_min = 0 if algorithm == "naive" else 1
+def _check_k_d(what: str, k: int, k_min: int, d: int) -> None:
     if k < k_min:
-        raise UsageError(f"{algorithm} algorithm needs k >= {k_min}")
+        raise UsageError(f"{what} needs k >= {k_min}")
     if d < 2:
         raise UsageError(f"d must be >= 2, got {d}")
+
+
+def run_algorithm(algorithm, kind, payload, k, d, seed) -> RunReport:
+    # naive ignores d but rejects a bad one too, like the other algorithms.
+    _check_k_d(f"{algorithm} algorithm", k, 0 if algorithm == "naive" else 1,
+               d)
     rng = np.random.default_rng(seed)
     counters = {}
     start = time.perf_counter()
@@ -129,9 +133,9 @@ def run_algorithm(algorithm, kind, payload, k, d, seed) -> RunReport:
     elif algorithm == "implicit":
         if kind == "points":
             pts, shape = payload
-            nsds = geometric_nsds(pts, shape, seed)
+            nsds = geometric_nsds(pts, shape)
         else:
-            nsds = NaiveNeighbourSets(payload, seed)
+            nsds = NaiveNeighbourSets(payload)
         answer = k_diameter_implicit(lambda: nsds, nsds.n, k, d, rng)
         counters["n"] = nsds.n
         counters["add_neighbours"] = nsds.add_count
@@ -210,6 +214,7 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
+    _check_k_d("bench", args.k, 1, args.d)
     sizes = [int(s) for s in args.sizes.split(",")]
     rows = [r.as_dict() for r in bench_mod.scaling_rows(
         args.kind, sizes, args.k, args.d, args.seed)]

@@ -41,20 +41,9 @@ def random_unit_square_points(n: int, box: float,
                               max_tries: int = 200) -> np.ndarray:
     """n distinct points in [0, box]^2 whose unit-square intersection graph
     is connected (resampled until it is)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    square = axis_square(1.0)
-    for _ in range(max_tries):
-        pts = rng.uniform(0.0, box, size=(n, 2))
-        if len({(x, y) for x, y in pts}) < n:
-            continue
-        if not require_connected:
-            return pts
-        if n == 1 or is_connected(intersection_graph_naive(pts, square)):
-            return pts
-    raise RuntimeError(
-        f"no connected instance in {max_tries} tries (n={n}, box={box}); "
-        "shrink the box")
+    return random_points_for_shape(n, axis_square(1.0), box, rng,
+                                   require_connected=require_connected,
+                                   max_tries=max_tries)
 
 
 def default_box(n: int) -> float:
@@ -83,7 +72,11 @@ def random_points_for_shape(n: int, shape: ConvexPolygon, box: float,
                             rng: np.random.Generator,
                             *, require_connected: bool = True,
                             max_tries: int = 200) -> np.ndarray:
-    """n distinct points whose intersection graph for ``shape`` is connected."""
+    """n distinct points in [0, box]^2 whose intersection graph for
+    ``shape`` is connected (resampled until it is, unless
+    ``require_connected`` is false)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     for _ in range(max_tries):
         pts = rng.uniform(0.0, box, size=(n, 2))
         if len({(x, y) for x, y in pts}) < n:
@@ -93,4 +86,5 @@ def random_points_for_shape(n: int, shape: ConvexPolygon, box: float,
         if n == 1 or is_connected(intersection_graph_naive(pts, shape)):
             return pts
     raise RuntimeError(
-        f"no connected instance in {max_tries} tries (n={n}, box={box})")
+        f"no connected instance in {max_tries} tries (n={n}, box={box}); "
+        "shrink the box")

@@ -110,10 +110,8 @@ def k_diameter_implicit(nsds_factory, n: int, k: int, d: int,
     ``nsds_factory`` is called once per decide call; the structure it
     returns is cleared between radius steps, so it keeps what depends only
     on the graph (for the geometric structure: stripes, compiled marks and
-    line-state caches) and one fingerprint draw for the whole call.  The
-    sets compared do not depend on that draw, so each fingerprint
-    comparison still errs with probability at most 2^-128, and the answer
-    does not depend on the rng draw barring such a collision.
+    line-state caches).  Set comparisons are exact, so the answer does not
+    depend on the rng draw.
 
     Radii 1..k-1 each build a fresh low-difference order and its deltas,
     and ``inspect(r, nsds, order, deltas)`` is called after each of them.

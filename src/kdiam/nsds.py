@@ -7,11 +7,11 @@ implementation.
 
 ``clear()`` drops every set but the empty one and issues handles under a
 fresh owner id, so a handle from before the clear raises ``ValueError``.
-What depends only on the graph stays: the closed neighborhoods, the
-fingerprints and, in the geometric structure, the stripes with their
-compiled marks and line-state caches.  ``add_count`` and ``list_count``
-keep counting across clears.  The implicit driver builds one structure per
-call and clears it between radius steps.
+What depends only on the graph stays: the closed neighborhoods and, in
+the geometric structure, the stripes with their compiled marks and
+line-state caches.  ``add_count`` and ``list_count`` keep counting across
+clears.  The implicit driver builds one structure per call and clears it
+between radius steps.
 """
 
 from __future__ import annotations
@@ -20,10 +20,7 @@ import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import Graph
-from .hashing import draw_fingerprints
 
 _structure_ids = itertools.count()
 
@@ -81,44 +78,33 @@ class NeighbourSetStructure(ABC):
 
 
 class NaiveNeighbourSets(NeighbourSetStructure):
-    """Reference implementation backed by frozensets plus XOR fingerprints.
+    """Reference implementation backed by frozensets.
 
     Meets the interface contract but not the sub-linear cost bounds; it is
     the oracle for the efficient structure and the backend for running the
     implicit algorithm on explicit graphs.
     """
 
-    def __init__(self, g: Graph, seed: int = 0):
+    def __init__(self, g: Graph):
         super().__init__(g.n)
-        rng = np.random.default_rng(seed)
-        self._hash = draw_fingerprints(rng, g.n)
         self._closed = [frozenset(g.adjacency[v]) | {v} for v in range(g.n)]
         self.clear()
 
     def clear(self) -> None:
         super().clear()
         self._sets = [frozenset()]
-        self._fps = [0]
 
     def add_neighbours(self, h: SetHandle, v: int) -> SetHandle:
         self._check_handle(h, len(self._sets))
         self._check_vertex(v)
         self.add_count += 1
-        base = self._sets[h.index]
-        new = base | self._closed[v]
-        fp = self._fps[h.index]
-        for u in new - base:
-            fp ^= self._hash[u]
-        self._sets.append(new)
-        self._fps.append(fp)
+        self._sets.append(self._sets[h.index] | self._closed[v])
         return SetHandle(self._id, len(self._sets) - 1)
 
     def list_differences(self, h1: SetHandle, h2: SetHandle) -> list:
         self._check_handle(h1, len(self._sets))
         self._check_handle(h2, len(self._sets))
         self.list_count += 1
-        if self._fps[h1.index] == self._fps[h2.index]:
-            return []
         return sorted(self._sets[h1.index] ^ self._sets[h2.index])
 
     def set_of(self, h: SetHandle) -> frozenset:

@@ -5,9 +5,11 @@ materialized).  One mark places a convex symmetric shape at a center: the
 shape's vertical slabs (trapezoids) are routed per stripe as bottom-boundary,
 top-boundary or full-height updates.  Every shape, the unit square included,
 takes this one path; a unit square is a single slab whose top and bottom lie
-on the up and down directions every stripe carries.  An auxiliary persistent
-tree over the stripes keeps per-stripe fingerprints so listing differences
-touches only stripes that actually differ.
+on the up and down directions every stripe carries.  A version is one
+stripe root per band plus the whole marked set as one exact mask, the
+stripes' root masks laid side by side in band order, so listing a
+difference is one XOR of two masks read through a table of point ids in
+band-then-x order.
 """
 
 from __future__ import annotations
@@ -20,30 +22,18 @@ import numpy as np
 from . import stripes as st
 from .geometry import (ConvexPolygon, adjacency_shape, axis_square,
                        check_distinct, normalize_polygon, trapezoid_decompose)
-from .hashing import draw_fingerprints
 from .nsds import NeighbourSetStructure, SetHandle
-
-
-class _AuxNode:
-    __slots__ = ("lo", "hi", "left", "right", "hash", "stripe_root")
-
-    def __init__(self, lo, hi, left, right, hash_, stripe_root=None):
-        self.lo = lo
-        self.hi = hi
-        self.left = left
-        self.right = right
-        self.hash = hash_
-        self.stripe_root = stripe_root
 
 
 @dataclass(frozen=True)
 class PlaneVersion:
-    """Immutable snapshot of the whole marked family: the root of the
-    auxiliary stripe tree (leaf fingerprints always equal the fingerprint at
-    the stripe's current root; internal ones are XORs of children)."""
+    """Immutable snapshot of the whole marked family: one stripe root per
+    band, in band order, and the marked set as a mask whose bits from a
+    band's offset on are that band's root mask."""
 
     structure: "PlaneStructure"
-    root: _AuxNode
+    roots: tuple
+    mask: int
 
 
 class PlaneStructure:
@@ -57,7 +47,7 @@ class PlaneStructure:
     trapezoids' top and bottom sides.
     """
 
-    def __init__(self, points, shape: ConvexPolygon | None, seed: int):
+    def __init__(self, points, shape: ConvexPolygon | None):
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (n, 2) array")
@@ -86,36 +76,31 @@ class PlaneStructure:
             self._side_dir[side] = self.dirs.index(d)
         self._side_off = [off for _, off in sides]
 
-        rng = np.random.default_rng(seed)
-        self.fingerprints = dict(enumerate(draw_fingerprints(rng, self.n)))
-
         by_band: dict[int, list] = {}
         for i, (x, y) in enumerate(self.tpoints):
             by_band.setdefault(math.floor(y), []).append((i, float(x), float(y)))
         self.bands = sorted(by_band)
         self.band_index = {b: i for i, b in enumerate(self.bands)}
         self._stripe_static = {}
-        initial_roots = {}
+        # Per band index: the bit offset of its stripe in a version mask;
+        # _ids[offset + i] is the stripe's point at position i.
+        self._offsets = []
+        self._ids = []
+        roots = []
         for band in self.bands:
-            v = st.stripe_init(by_band[band], float(band), self.fingerprints,
-                               dirs=self.dirs)
+            v = st.stripe_init(by_band[band], float(band), dirs=self.dirs)
             self._stripe_static[band] = v.static
-            initial_roots[band] = v.root
-
-        self._initial_root = self._build_aux(0, len(self.bands) - 1,
-                                             initial_roots)
-        self.aux_nodes = 0
+            self._offsets.append(len(self._ids))
+            self._ids.extend(v.static.ids)
+            roots.append(v.root)
+        # Roots only: a version stored here would refer back to the
+        # structure, and the cycle would keep it alive until a collection.
+        self._empty_roots = tuple(roots)
+        self.aux_nodes = 0  # listings made (the benchmark's counter name)
         self._plans = {}
 
-    def _build_aux(self, lo, hi, roots) -> _AuxNode:
-        if lo == hi:
-            return _AuxNode(lo, hi, None, None, 0, roots[self.bands[lo]])
-        mid = (lo + hi) // 2
-        return _AuxNode(lo, hi, self._build_aux(lo, mid, roots),
-                        self._build_aux(mid + 1, hi, roots), 0)
-
     def empty_version(self) -> PlaneVersion:
-        return PlaneVersion(self, self._initial_root)
+        return PlaneVersion(self, self._empty_roots, 0)
 
     # -- marking ------------------------------------------------------------
 
@@ -156,7 +141,7 @@ class PlaneStructure:
         return out
 
     def _plan(self, center) -> tuple:
-        """The compiled mark at ``center``: one (stripe static, aux leaf
+        """The compiled mark at ``center``: one (stripe static, band
         index, parts) entry per band it touches, in band order, where each
         part is a ``stripe_mark_lines`` part.  Memoized per center,
         since it depends on nothing else."""
@@ -178,82 +163,50 @@ class PlaneStructure:
         """New version whose marked set gains the points covered by the
         shape centered at each of ``centers`` (original coordinates).  The
         parts of all centers are grouped by band, so each band touched gets
-        one stripe descent and one aux-tree update."""
+        one stripe descent.  Marks only add points, so ORing each new stripe
+        mask in at its band's offset gives the exact new mask."""
         if version.structure is not self:
             raise ValueError("version belongs to a different structure")
-        by_leaf: dict[int, tuple] = {}
+        by_band: dict[int, tuple] = {}
         for center in centers:
-            for static, leaf_i, parts in self._plan(center):
-                entry = by_leaf.get(leaf_i)
+            for static, band_i, parts in self._plan(center):
+                entry = by_band.get(band_i)
                 if entry is None:
-                    by_leaf[leaf_i] = (static, list(parts))
+                    by_band[band_i] = (static, list(parts))
                 else:
                     entry[1].extend(parts)
-        root = version.root
-        for leaf_i, (static, parts) in sorted(by_leaf.items()):
-            stripe_root = self._stripe_leaf(root, leaf_i).stripe_root
-            sv = st.stripe_mark_lines(st.StripeVersion(static, stripe_root),
-                                      parts)
-            if sv.root is not stripe_root:
-                root = self._aux_update(root, leaf_i, sv.root)
-        if root is version.root:
+        roots = None
+        mask = version.mask
+        for band_i, (static, parts) in by_band.items():
+            stripe_root = version.roots[band_i]
+            root = st.stripe_mark_lines(st.StripeVersion(static, stripe_root),
+                                        parts).root
+            if root is not stripe_root:
+                if roots is None:
+                    roots = list(version.roots)
+                roots[band_i] = root
+                mask |= root.mask << self._offsets[band_i]
+        if roots is None:
             return version
-        return PlaneVersion(self, root)
-
-    def _stripe_leaf(self, node: _AuxNode, leaf_i: int) -> _AuxNode:
-        while node.stripe_root is None:
-            node = node.left if leaf_i <= node.left.hi else node.right
-        return node
-
-    def _aux_update(self, node: _AuxNode, leaf_i: int, stripe_root) -> _AuxNode:
-        if node.stripe_root is not None:
-            return _AuxNode(node.lo, node.hi, None, None,
-                            stripe_root.hash, stripe_root)
-        if leaf_i <= node.left.hi:
-            left, right = self._aux_update(node.left, leaf_i, stripe_root), node.right
-        else:
-            left, right = node.left, self._aux_update(node.right, leaf_i, stripe_root)
-        return _AuxNode(node.lo, node.hi, left, right,
-                        left.hash ^ right.hash)
+        return PlaneVersion(self, tuple(roots), mask)
 
     # -- queries ------------------------------------------------------------
 
     def list_differences(self, v1: PlaneVersion, v2: PlaneVersion) -> list:
-        """Point ids marked in exactly one version; descends the stripe tree
-        pruning on equal fingerprints, then delegates per differing stripe."""
+        """Point ids marked in exactly one version, in band-then-x order:
+        the set bits of the XOR of the two version masks."""
         if v1.structure is not self or v2.structure is not self:
             raise ValueError("versions belong to a different structure")
-        out = []
-        self._aux_diff(v1.root, v2.root, out)
-        return out
-
-    def _aux_diff(self, n1: _AuxNode, n2: _AuxNode, out) -> None:
         self.aux_nodes += 1
-        if n1 is n2 or n1.hash == n2.hash:
-            return
-        if n1.stripe_root is not None:
-            static = self._stripe_static[self.bands[n1.lo]]
-            out.extend(st.stripe_list_differences(
-                st.StripeVersion(static, n1.stripe_root),
-                st.StripeVersion(static, n2.stripe_root)))
-            return
-        self._aux_diff(n1.left, n2.left, out)
-        self._aux_diff(n1.right, n2.right, out)
+        return st.ids_of(v1.mask ^ v2.mask, self._ids)
 
     def decode(self, version: PlaneVersion) -> set:
-        """Full marked set of a version (test oracle support)."""
+        """Full marked set of a version, read from the stripe leaves (test
+        oracle support)."""
         out = set()
-
-        def visit(node):
-            if node.stripe_root is not None:
-                static = self._stripe_static[self.bands[node.lo]]
-                out.update(st.decode_marked(
-                    st.StripeVersion(static, node.stripe_root)))
-                return
-            visit(node.left)
-            visit(node.right)
-
-        visit(version.root)
+        for band, root in zip(self.bands, version.roots):
+            out.update(st.decode_marked(
+                st.StripeVersion(self._stripe_static[band], root)))
         return out
 
     def stripe_node_counters(self):
@@ -298,9 +251,9 @@ def _rect_window(x0, x1, t0, t1, b0, b1, y0, y1):
     return (lo, hi) if lo <= hi else None
 
 
-def plane_init(points, shape: ConvexPolygon | None, seed: int):
+def plane_init(points, shape: ConvexPolygon | None):
     """Build the structure; returns (structure, empty version)."""
-    structure = PlaneStructure(points, shape, seed)
+    structure = PlaneStructure(points, shape)
     return structure, structure.empty_version()
 
 
@@ -327,12 +280,12 @@ class GeometricNeighbourSets(NeighbourSetStructure):
     it instead of marking its vertices again.
     """
 
-    def __init__(self, points, shape: ConvexPolygon | None, seed: int):
+    def __init__(self, points, shape: ConvexPolygon | None):
         pts = np.asarray(points, dtype=np.float64)
         super().__init__(pts.shape[0])
         if shape is None:
             shape = axis_square(1.0)
-        self._plane = PlaneStructure(pts, adjacency_shape(shape), seed)
+        self._plane = PlaneStructure(pts, adjacency_shape(shape))
         self._centers = [(float(x), float(y)) for x, y in pts]
         self.clear()
 
@@ -390,6 +343,8 @@ class GeometricNeighbourSets(NeighbourSetStructure):
 
 
 def geometric_nsds(points, shape: ConvexPolygon | None,
-                   seed: int) -> GeometricNeighbourSets:
-    """Structure instance ready for the implicit diameter algorithm."""
-    return GeometricNeighbourSets(points, shape, seed)
+                   seed=None) -> GeometricNeighbourSets:
+    """Structure instance ready for the implicit diameter algorithm.  The
+    structure draws nothing at random; ``seed`` is accepted and ignored so
+    callers written for a seeded structure keep working."""
+    return GeometricNeighbourSets(points, shape)

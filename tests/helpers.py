@@ -285,17 +285,14 @@ class StripeModel:
 
 def audit_stripe_version(version, model, tol=1e-9):
     """Walk a version checking the node rules against the replayed model:
-    non-outdated fields exact, lazy nodes simple and uniformly split, word
-    nodes' masks the exact marked subset and larger nodes' masks 0."""
-    from kdiam.stripes import WORD
-
+    non-outdated boundaries and their masks exact (bit ``i - a`` for the
+    point at stripe position i), lazy boundaries single lines."""
     static = version.static
     bvals = [model.boundaries_at(i) for i in range(static.size)]
 
-    def expect_boundary(pos, which):
-        pts = range(static.a[pos], static.b[pos] + 1)
-        samples = [(static.xs[i], bvals[i][0 if which == "bot" else 1])
-                   for i in pts]
+    def expect_boundary(pos, side):
+        samples = [(static.xs[i], bvals[i][side])
+                   for i in range(static.a[pos], static.b[pos] + 1)]
         lo, hi = [], []
         for ux, uy in static.dirs:
             dots = [ux * x + uy * y for x, y in samples]
@@ -303,76 +300,36 @@ def audit_stripe_version(version, model, tol=1e-9):
             hi.append(max(dots))
         return lo, hi
 
-    def expect_hash(pos, which):
-        acc = 0
-        for i in range(static.a[pos], static.b[pos] + 1):
+    def expect_mask(pos, side):
+        a = static.a[pos]
+        want = 0
+        for i in range(a, static.b[pos] + 1):
             y = static.pts[i][1]
-            b, t = bvals[i]
-            cov = (y <= b) if which == "bot" else (y >= t) if which == "top" \
-                else (y <= b or y >= t)
-            if cov:
-                acc ^= static.h[i]
-        return acc
+            if (y <= bvals[i][0]) if side == 0 else (y >= bvals[i][1]):
+                want |= 1 << (i - a)
+        return want
 
     problems = []
 
     def walk(node, bot_out, top_out):
-        if not bot_out:
-            lo, hi = expect_boundary(node.pos, "bot")
+        for side, name, out in ((0, "bot", bot_out), (1, "top", top_out)):
+            if out:
+                continue
+            boundary = node.bot if side == 0 else node.top
+            lo, hi = expect_boundary(node.pos, side)
             for i in range(len(static.dirs)):
-                if abs(node.bot.lo[i] - lo[i]) > tol or \
-                        abs(node.bot.hi[i] - hi[i]) > tol:
-                    problems.append(("bot extremes", node.pos, i))
+                if abs(boundary.lo[i] - lo[i]) > tol or \
+                        abs(boundary.hi[i] - hi[i]) > tol:
+                    problems.append((f"{name} extremes", node.pos, i))
                     break
-            if node.bot_hash != expect_hash(node.pos, "bot"):
-                problems.append(("bot hash", node.pos))
-        if not top_out:
-            lo, hi = expect_boundary(node.pos, "top")
-            for i in range(len(static.dirs)):
-                if abs(node.top.lo[i] - lo[i]) > tol or \
-                        abs(node.top.hi[i] - hi[i]) > tol:
-                    problems.append(("top extremes", node.pos, i))
-                    break
-            if node.top_hash != expect_hash(node.pos, "top"):
-                problems.append(("top hash", node.pos))
-        if not (bot_out or top_out):
-            if node.hash != expect_hash(node.pos, "both"):
-                problems.append(("hash", node.pos))
-        a, b = static.a[node.pos], static.b[node.pos]
-        if b - a >= WORD:
-            if node.mask != 0:
-                problems.append(("mask above word nodes", node.pos))
-        elif not (bot_out or top_out):
-            want = 0
-            for i in range(a, b + 1):
-                y = static.pts[i][1]
-                if y <= bvals[i][0] or y >= bvals[i][1]:
-                    want |= 1 << (i - a)
-            if node.mask != want:
-                problems.append(("mask", node.pos))
-        for side, lazy, out in (("bot", node.bot_lazy, bot_out),
-                                ("top", node.top_lazy, top_out)):
+            mask = node.bot_mask if side == 0 else node.top_mask
+            if mask != expect_mask(node.pos, side):
+                problems.append((f"{name} mask", node.pos))
             # A lazy line under a lazy ancestor on the same side is replaced
             # by the ancestor's line before anything reads it.
-            if not lazy or out:
-                continue
-            boundary = node.bot if side == "bot" else node.top
-            other = node.top if side == "bot" else node.bot
-            if boundary.line is None:
-                problems.append((f"{side} lazy but not simple", node.pos))
-                continue
-            j, c = boundary.line
-            above = below = 0
-            for i in range(static.a[node.pos], static.b[node.pos] + 1):
-                x = static.xs[i]
-                oy = bvals[i][1 if side == "bot" else 0]
-                dot = static.dirs[j][0] * x + static.dirs[j][1] * oy
-                if dot > c:
-                    above += 1
-                else:
-                    below += 1
-            if above and below:
-                problems.append((f"{side} lazy but not split", node.pos))
+            lazy = node.bot_lazy if side == 0 else node.top_lazy
+            if lazy and boundary.line is None:
+                problems.append((f"{name} lazy but not simple", node.pos))
         if node.left is not None:
             walk(node.left, bot_out or node.bot_lazy,
                  top_out or node.top_lazy)

@@ -60,7 +60,7 @@ def test_criterion_2_implicit_geometric_oracle_equivalence():
         diam = diameter_naive(g)
         for k in range(1, 6):
             got = k_diameter_implicit(
-                lambda: geometric_nsds(pts, None, seed=trial * 11 + k),
+                lambda: geometric_nsds(pts, None),
                 n, k, 4, rng)
             if got != (diam <= k):
                 mismatches += 1
@@ -83,7 +83,7 @@ def test_criterion_3_persistent_structure_correctness():
         n = int(rng.integers(50, 501))
         width = max(2.0, math.sqrt(n))
         pts = rng.uniform(0, width, size=(n, 2))
-        structure, v = plane_init(pts, shape, seed=seq)
+        structure, v = plane_init(pts, shape)
         n_marks = int(rng.integers(100, 501))
         versions = [v]
         naive = [set()]
@@ -116,7 +116,7 @@ def test_criterion_4_expansion_cost_bound():
                       rng.choice(n, size=rng.integers(0, n + 1),
                                  replace=False))
                   for _ in range(t)]
-        nsds = NaiveNeighbourSets(g, seed=trial)
+        nsds = NaiveNeighbourSets(g)
         cost = ExpandCost()
         expand_balls(deltas, nsds, cost=cost)
         a = len(deltas[0])
@@ -231,7 +231,7 @@ def test_criterion_8_invariant_audits():
                     violations.append(("delta", trial, r, i))
 
         # Deltas are built for radii below k, so k = 4 audits radius 3.
-        k_diameter_implicit(lambda: NaiveNeighbourSets(g, seed=trial),
+        k_diameter_implicit(lambda: NaiveNeighbourSets(g),
                             g.n, 4, 3, rng, inspect=check_deltas)
 
     # (c) stripe-node invariant walker on trees with n <= 256
@@ -241,7 +241,7 @@ def test_criterion_8_invariant_audits():
     for n in (64, 256):
         pts = [(i, float(rng.uniform(0, 25)), float(rng.uniform(0, 1)))
                for i in range(n)]
-        v = stripe_init(pts, 0.0, rng)
+        v = stripe_init(pts, 0.0)
         model = StripeModel(v.static)
         for step in range(200):
             cx = float(rng.uniform(-1, 26))
@@ -257,26 +257,26 @@ def test_criterion_8_invariant_audits():
                 violations.extend(audit_stripe_version(v, model))
         violations.extend(audit_stripe_version(v, model))
 
-    # (d) auxiliary-tree fingerprint consistency
+    # (d) plane version masks: the stripe root masks side by side in band
+    # order, and the bits of the decoded set in the same layout
     pts = rng.uniform(0, 10, size=(150, 2))
-    structure, version = plane_init(pts, None, seed=0)
+    structure, version = plane_init(pts, None)
     versions = [version]
     for _ in range(200):
         c = (float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
         versions.append(plane_mark(versions[-1], c))
 
-    def audit_aux(node):
-        if node.stripe_root is not None:
-            if node.hash != node.stripe_root.hash:
-                violations.append(("aux leaf", node.lo))
-            return
-        audit_aux(node.left)
-        audit_aux(node.right)
-        if node.hash != node.left.hash ^ node.right.hash:
-            violations.append(("aux internal", node.lo, node.hi))
-
-    for vv in versions[::10]:
-        audit_aux(vv.root)
+    for step, vv in enumerate(versions[::10]):
+        marked = structure.decode(vv)
+        roots = bits = offset = 0
+        for band, root in zip(structure.bands, vv.roots):
+            static = structure._stripe_static[band]
+            roots |= root.mask << offset
+            bits |= sum(1 << (offset + i) for i, pid in
+                        enumerate(static.ids) if pid in marked)
+            offset += static.size
+        if not vv.mask == roots == bits:
+            violations.append(("plane mask", 10 * step))
 
     assert violations == []
     report(8, "canonicality, delta prefixes, stripe walker, stripe index",

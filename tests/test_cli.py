@@ -197,6 +197,17 @@ class TestErrors:
         k_min = 0 if algo == "naive" else 1
         assert err == ["error: " + message.format(algo=algo, k_min=k_min)]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--d", "1"], "d must be >= 2, got 1"),
+        (["--k", "0"], "bench needs k >= 1")], ids=["d=1", "k=0"])
+    def test_bench_bad_k_or_d_rejected(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "20,40", *flags])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.strip().splitlines() == ["error: " + message]
+
     @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
     def test_disconnected_points_rejected(self, tmp_path, capsys, algo):
         # two unit squares far apart: infinite diameter under every algorithm

@@ -181,7 +181,7 @@ class TestIntersectionGraph:
         for points, message in ((pts, "duplicate points 7 and 480"),
                                 (signed, "duplicate points 1 and 3")):
             for build in (intersection_graph_naive,
-                          lambda p, f: geometric_nsds(p, f, seed=0)):
+                          lambda p, f: geometric_nsds(p, f)):
                 with pytest.raises(ValueError) as exc:
                     build(points, axis_square(1.0))
                 assert str(exc.value) == message

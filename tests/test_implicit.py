@@ -53,7 +53,7 @@ class TestExpandBalls:
                           rng.choice(n, size=rng.integers(0, n + 1),
                                      replace=False))
                       for _ in range(t)]
-            nsds = NaiveNeighbourSets(g, seed=trial)
+            nsds = NaiveNeighbourSets(g)
             cost = ExpandCost()
             handles = expand_balls(deltas, nsds, cost=cost)
             acc = set()
@@ -81,7 +81,7 @@ class TestSimulateBfs:
         rng = np.random.default_rng(1)
         pts = random_unit_square_points(25, default_box(25), rng)
         g = intersection_graph_naive(pts, axis_square(1.0))
-        nsds = geometric_nsds(pts, None, seed=0)
+        nsds = geometric_nsds(pts, None)
         for v in range(0, g.n, 5):
             got = simulate_bfs(nsds, v)
             ref = bfs_distances(g, v).dist
@@ -126,7 +126,7 @@ class TestKDiameterImplicit:
             diam = diameter_naive(g)
             for k in range(1, 5):
                 got = k_diameter_implicit(
-                    lambda: NaiveNeighbourSets(g, seed=trial), g.n, k, 3, rng)
+                    lambda: NaiveNeighbourSets(g), g.n, k, 3, rng)
                 assert got == (diam <= k)
 
     def test_matches_naive_on_geometric(self):
@@ -138,7 +138,7 @@ class TestKDiameterImplicit:
             diam = diameter_naive(g)
             for k in range(1, 5):
                 got = k_diameter_implicit(
-                    lambda: geometric_nsds(pts, None, seed=trial * 7 + k),
+                    lambda: geometric_nsds(pts, None),
                     n, k, 4, rng)
                 assert got == (diam <= k)
 
@@ -147,7 +147,7 @@ class TestKDiameterImplicit:
         diam = diameter_naive(g)
         for k in (1, 2, 3):
             answers = {k_diameter_implicit(
-                lambda: NaiveNeighbourSets(g, seed=0), g.n, k, 2,
+                lambda: NaiveNeighbourSets(g), g.n, k, 2,
                 np.random.default_rng(s)) for s in range(6)}
             assert answers == {diam <= k}
 
@@ -169,7 +169,7 @@ class TestKDiameterImplicit:
                 checked.append((r, i))
 
         # Deltas are built for radii below k, so k = 4 audits radius 3.
-        k_diameter_implicit(lambda: NaiveNeighbourSets(g, seed=1), g.n, 4, 3,
+        k_diameter_implicit(lambda: NaiveNeighbourSets(g), g.n, 4, 3,
                             rng, inspect=inspect)
         assert {r for r, _ in checked} == {1, 2, 3}
 
@@ -190,7 +190,7 @@ class TestKDiameterImplicit:
             made = []
 
             def factory():
-                made.append(NaiveNeighbourSets(g, seed=k))
+                made.append(NaiveNeighbourSets(g))
                 return made[-1]
 
             orders.clear()
@@ -294,7 +294,7 @@ class TestSameWorkAsReference:
             m = int(rng.integers(n - 1, min(n * (n - 1) // 2, 2 * n) + 1))
             g = random_connected_graph(n, m, rng)
             for k in (1, 2, 3):
-                self.check(lambda: NaiveNeighbourSets(g, seed=trial), g.n, k,
+                self.check(lambda: NaiveNeighbourSets(g), g.n, k,
                            3, 100 * trial + k)
 
     @pytest.mark.parametrize("label", ["square", "polygon"])
@@ -311,5 +311,5 @@ class TestSameWorkAsReference:
             g = intersection_graph_naive(pts, shape or axis_square(1.0))
             diam = diameter_naive(g)
             for k in sorted({max(1, diam - 1), diam}):
-                self.check(lambda: geometric_nsds(pts, shape, seed=trial),
+                self.check(lambda: geometric_nsds(pts, shape),
                            n, k, 4, 10 * trial + k)

@@ -51,8 +51,8 @@ class TestClear:
         rng = np.random.default_rng(70)
         pts = rng.uniform(0, 4, size=(30, 2))
         g = intersection_graph_naive(pts, axis_square(1.0))
-        yield (lambda: NaiveNeighbourSets(g, seed=71)), g.n
-        yield (lambda: geometric_nsds(pts, None, seed=71)), g.n
+        yield (lambda: NaiveNeighbourSets(g)), g.n
+        yield (lambda: geometric_nsds(pts, None)), g.n
 
     @staticmethod
     def build(nsds, ops):
@@ -98,7 +98,7 @@ class TestAgainstReplay:
             n = int(rng.integers(3, 20))
             m = int(rng.integers(n - 1, min(n * (n - 1) // 2, 2 * n) + 1))
             g = random_connected_graph(n, m, rng)
-            nsds = NaiveNeighbourSets(g, seed=trial)
+            nsds = NaiveNeighbourSets(g)
             closed = [set(g.adjacency[v]) | {v} for v in range(n)]
             replay = [set()]
             handles = [nsds.empty]
@@ -141,20 +141,6 @@ class TestAgainstReplay:
             ac = len(nsds.list_differences(a, c))
             assert ac <= ab + bc
 
-    def test_fingerprint_equal_implies_set_equal(self):
-        g = random_connected_graph(10, 14, np.random.default_rng(5))
-        nsds = NaiveNeighbourSets(g, seed=9)
-        rng = np.random.default_rng(6)
-        handles = [nsds.empty]
-        for _ in range(50):
-            base = int(rng.integers(0, len(handles)))
-            handles.append(nsds.add_neighbours(handles[base],
-                                               int(rng.integers(0, g.n))))
-        for i, hi in enumerate(handles):
-            for hj in handles[i + 1:]:
-                if nsds._fps[hi.index] == nsds._fps[hj.index]:
-                    assert nsds.set_of(hi) == nsds.set_of(hj)
-
 
 class TestDeferredMarks:
     """The geometric structure defers each AddNeighbours until its handle is
@@ -179,8 +165,8 @@ class TestDeferredMarks:
         rng = np.random.default_rng(60)
         pts = rng.uniform(0, 5, size=(40, 2))
         g = intersection_graph_naive(pts, axis_square(1.0))
-        naive = NaiveNeighbourSets(g, seed=61)
-        geo = geometric_nsds(pts, None, seed=61)
+        naive = NaiveNeighbourSets(g)
+        geo = geometric_nsds(pts, None)
         hn, hg = [naive.empty], [geo.empty]
         for _ in range(120):
             base = int(rng.integers(0, len(hn)))
@@ -197,7 +183,7 @@ class TestDeferredMarks:
         rng = np.random.default_rng(62)
         pts = rng.uniform(0, 4, size=(30, 2))
         g = intersection_graph_naive(pts, axis_square(1.0))
-        nsds = geometric_nsds(pts, None, seed=63)
+        nsds = geometric_nsds(pts, None)
         marked = self.counting(nsds, monkeypatch)
         vs = [3, 17, 3, 29]
         h = nsds.empty
@@ -213,7 +199,7 @@ class TestDeferredMarks:
 
     def test_fork_is_marked_once(self, monkeypatch):
         pts = np.random.default_rng(64).uniform(0, 4, size=(30, 2))
-        nsds = geometric_nsds(pts, None, seed=65)
+        nsds = geometric_nsds(pts, None)
         marked = self.counting(nsds, monkeypatch)
         fork = nsds.empty
         for v in (1, 2, 3):
@@ -227,7 +213,7 @@ class TestDeferredMarks:
 
     def test_pending_handles_are_checked(self):
         pts = [(0.0, 0.0), (3.0, 3.0)]
-        nsds = geometric_nsds(pts, None, seed=66)
+        nsds = geometric_nsds(pts, None)
         h = nsds.add_neighbours(nsds.empty, 1)
         with pytest.raises(ValueError):
             nsds.add_neighbours(h, 2)

@@ -29,17 +29,17 @@ def naive_cover(points, shape_vertices, center):
 class TestInit:
     def test_single_band(self):
         pts = [(0.0, 0.1), (1.0, 0.9), (2.0, 0.5)]
-        structure, v = plane_init(pts, None, seed=0)
+        structure, v = plane_init(pts, None)
         assert len(structure.bands) == 1
 
     def test_two_bands(self):
-        structure, _ = plane_init([(0.0, 0.2), (0.0, 7.3)], None, seed=0)
+        structure, _ = plane_init([(0.0, 0.2), (0.0, 7.3)], None)
         assert len(structure.bands) == 2
 
     def test_band_assignment_matches_floor(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-30, 30, size=(1000, 2))
-        structure, _ = plane_init(pts, None, seed=0)
+        structure, _ = plane_init(pts, None)
         # the unit-square marking shape is scaled by 1/2 into the stripe frame
         want = {}
         for i, p in enumerate(structure.tpoints):
@@ -50,35 +50,35 @@ class TestInit:
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            plane_init([(1.0, 1.0), (1.0, 1.0)], None, seed=0)
+            plane_init([(1.0, 1.0), (1.0, 1.0)], None)
 
 
 class TestMarkAndDiff:
     def test_mark_far_away_noop(self):
         pts = [(0.0, 0.0), (1.0, 0.5)]
-        structure, v = plane_init(pts, None, seed=1)
+        structure, v = plane_init(pts, None)
         v2 = plane_mark(v, (50.0, 50.0))
         assert structure.decode(v2) == set()
 
     def test_mark_near_point(self):
-        structure, v = plane_init([(0.0, 0.0), (5.0, 5.0)], None, seed=2)
+        structure, v = plane_init([(0.0, 0.0), (5.0, 5.0)], None)
         v2 = plane_mark(v, (0.4, 0.0))
         assert structure.decode(v2) == {0}
 
     def test_same_version_diff_empty(self):
-        structure, v = plane_init([(0.0, 0.0)], None, seed=3)
+        structure, v = plane_init([(0.0, 0.0)], None)
         assert plane_list_differences(v, v) == []
 
     def test_cross_structure_rejected(self):
-        _, v1 = plane_init([(0.0, 0.0)], None, seed=4)
-        _, v2 = plane_init([(0.0, 0.0)], None, seed=4)
+        _, v1 = plane_init([(0.0, 0.0)], None)
+        _, v2 = plane_init([(0.0, 0.0)], None)
         with pytest.raises(ValueError):
             plane_list_differences(v1, v2)
 
     def test_two_stripes_one_mark(self):
         # square spanning two bands covers one point in each
         pts = [(0.0, 0.9), (0.0, 1.1)]
-        structure, v = plane_init(pts, axis_square(2.0), seed=5)
+        structure, v = plane_init(pts, axis_square(2.0))
         v2 = plane_mark(v, (0.0, 1.0))
         assert structure.decode(v2) == {0, 1}
         assert sorted(plane_list_differences(v, v2)) == [0, 1]
@@ -90,7 +90,7 @@ class TestMarkAndDiff:
     def test_random_sequences_match_naive(self, shape, label):
         rng = np.random.default_rng(hash(label) % 2 ** 31)
         pts = rng.uniform(0, 10, size=(120, 2))
-        structure, v = plane_init(pts, shape, seed=6)
+        structure, v = plane_init(pts, shape)
         shape_verts = [tuple(vv) for vv in
                        (shape or axis_square(1.0)).vertices]
         versions = [v]
@@ -115,26 +115,26 @@ class TestMarkPlans:
     def test_same_center_on_two_versions(self):
         rng = np.random.default_rng(21)
         pts = rng.uniform(0, 6, size=(80, 2))
-        structure, v0 = plane_init(pts, SKEW_HEX, seed=22)
+        structure, v0 = plane_init(pts, SKEW_HEX)
         c, other = tuple(pts[5]), tuple(pts[40])
         v1 = plane_mark(v0, other)
         a = plane_mark(v0, c)
         b = plane_mark(v1, c)
         assert len(structure._plans) == 2
-        fresh, f0 = plane_init(pts, SKEW_HEX, seed=22)
+        fresh, f0 = plane_init(pts, SKEW_HEX)
         assert structure.decode(a) == fresh.decode(plane_mark(f0, c))
-        fresh, f0 = plane_init(pts, SKEW_HEX, seed=22)
+        fresh, f0 = plane_init(pts, SKEW_HEX)
         assert structure.decode(b) == fresh.decode(
             plane_mark(plane_mark(f0, other), c))
 
     def test_ndarray_center_matches_tuple(self):
         rng = np.random.default_rng(23)
         pts = rng.uniform(0, 6, size=(60, 2))
-        structure, v0 = plane_init(pts, SKEW_HEX, seed=24)
+        structure, v0 = plane_init(pts, SKEW_HEX)
         by_tuple = plane_mark(v0, (float(pts[7][0]), float(pts[7][1])))
         by_array = plane_mark(v0, pts[7])
         assert len(structure._plans) == 1
-        fresh, f0 = plane_init(pts, SKEW_HEX, seed=24)
+        fresh, f0 = plane_init(pts, SKEW_HEX)
         want = fresh.decode(plane_mark(f0, pts[7]))
         assert structure.decode(by_tuple) == want
         assert structure.decode(by_array) == want
@@ -143,7 +143,7 @@ class TestMarkPlans:
     def test_non_vertex_center(self):
         rng = np.random.default_rng(25)
         pts = rng.uniform(0, 6, size=(60, 2))
-        structure, v0 = plane_init(pts, SKEW_HEX, seed=26)
+        structure, v0 = plane_init(pts, SKEW_HEX)
         verts = [tuple(vv) for vv in SKEW_HEX.vertices]
         # centers sharing one coordinate must not share a plan
         for c in [(2.345, 3.21), (2.345, 1.5), (4.0, 1.5), (2.345, 3.21)]:
@@ -160,7 +160,7 @@ class TestMarkPlans:
         rng = np.random.default_rng(27)
         shape = random_symmetric_polygon(4, rng, radius=1.5)
         pts = rng.uniform(0, 8, size=(100, 2))
-        structure, v0 = plane_init(pts, shape, seed=28)
+        structure, v0 = plane_init(pts, shape)
         verts = [tuple(vv) for vv in shape.vertices]
         pool = [tuple(pts[i]) for i in range(0, 100, 9)]
         pool += [(float(x), float(y))
@@ -191,7 +191,7 @@ class TestBatchedMark:
     def test_batches_match_one_by_one(self, shape, label):
         rng = np.random.default_rng(50 if label == "square" else 51)
         pts = rng.uniform(0, 8, size=(90, 2))
-        structure, v0 = plane_init(pts, shape, seed=52)
+        structure, v0 = plane_init(pts, shape)
         pool = [tuple(pts[i]) for i in range(0, 90, 7)]
         # centers far outside the point cloud touch no band
         pool += [(float(x), float(y))
@@ -209,12 +209,12 @@ class TestBatchedMark:
             for c in centers:
                 single = structure.mark(single, (c,))
             assert structure.decode(batched) == structure.decode(single)
-            assert batched.root.hash == single.root.hash
+            assert batched.mask == single.mask
             if not centers:
                 assert batched is before
 
     def test_centers_touching_no_band_return_the_version(self):
-        structure, v0 = plane_init([(0.0, 0.0), (1.0, 0.5)], SKEW_HEX, seed=53)
+        structure, v0 = plane_init([(0.0, 0.0), (1.0, 0.5)], SKEW_HEX)
         assert structure.mark(v0, []) is v0
         assert structure.mark(v0, [(50.0, 50.0), (-30.0, 0.0)]) is v0
 
@@ -247,7 +247,7 @@ class TestDirections:
         shape = benchmark_hexagon() if label == "benchmark-hexagon" \
             else random_symmetric_polygon(4, rng)
         pts = rng.uniform(0, 4, size=(40, 2))
-        structure = geometric_nsds(pts, shape, seed=30)._plane
+        structure = geometric_nsds(pts, shape)._plane
         assert structure.dirs == self.expected_dirs(structure)
         assert len(structure.dirs) == structure.shape.s
         used = {t.top_side for t in structure.trapezoids} \
@@ -269,7 +269,7 @@ class TestDirections:
                 DATA / "rotated_square_lattice.poly.csv"),
         }[label]
         for f in (shape, adjacency_shape(shape)):
-            structure = PlaneStructure([(0.0, 0.0), (0.3, 0.2)], f, seed=31)
+            structure = PlaneStructure([(0.0, 0.0), (0.3, 0.2)], f)
             assert structure.dirs == [(0.0, 1.0), (0.0, -1.0)]
 
     def test_octagon_shares_up_and_down(self):
@@ -278,7 +278,7 @@ class TestDirections:
         octagon = ConvexPolygon([[1.0, -0.5], [1.0, 0.5], [0.5, 1.0],
                                  [-0.5, 1.0], [-1.0, 0.5], [-1.0, -0.5],
                                  [-0.5, -1.0], [0.5, -1.0]])
-        structure = PlaneStructure([(0.0, 0.0), (0.3, 0.2)], octagon, seed=32)
+        structure = PlaneStructure([(0.0, 0.0), (0.3, 0.2)], octagon)
         assert structure.dirs[:2] == [(0.0, 1.0), (0.0, -1.0)]
         assert len(set(structure.dirs)) == len(structure.dirs) == 6
         assert structure.dirs == self.expected_dirs(structure)
@@ -313,33 +313,41 @@ class TestUnitSquarePlans:
     def test_plan_equals_square_branch(self, seed):
         rng = np.random.default_rng(seed)
         pts = random_unit_square_points(150, 3.2, rng)
-        structure = geometric_nsds(pts, None, seed=seed)._plane
+        structure = geometric_nsds(pts, None)._plane
         assert structure.dirs == [(0.0, 1.0), (0.0, -1.0)]
         for center in pts:
             assert structure._plan(center) == \
                 square_branch_plan(structure, center)
 
 
-class TestAuxTreeInvariant:
-    def test_internal_hash_is_xor_of_children(self):
+def concatenated_masks(structure, version):
+    """(the stripe root masks laid side by side in band order, the same
+    layout's bits for the decoded set)."""
+    roots = bits = 0
+    offset = 0
+    marked = structure.decode(version)
+    for band, root in zip(structure.bands, version.roots):
+        static = structure._stripe_static[band]
+        roots |= root.mask << offset
+        bits |= sum(1 << (offset + i)
+                    for i, pid in enumerate(static.ids) if pid in marked)
+        offset += static.size
+    return roots, bits
+
+
+class TestVersionMask:
+    def test_mask_is_concatenated_stripe_masks(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 8, size=(60, 2))
-        structure, v = plane_init(pts, None, seed=8)
+        structure, v = plane_init(pts, None)
         versions = [v]
         for _ in range(120):
             c = (float(rng.uniform(0, 8)), float(rng.uniform(0, 8)))
             versions.append(plane_mark(versions[-1], c))
-
-        def audit(node):
-            if node.stripe_root is not None:
-                assert node.hash == node.stripe_root.hash
-                return
-            audit(node.left)
-            audit(node.right)
-            assert node.hash == node.left.hash ^ node.right.hash
-
         for version in versions:
-            audit(version.root)
+            assert len(version.roots) == len(structure.bands)
+            assert (version.mask, version.mask) == \
+                concatenated_masks(structure, version)
 
 
 class TestGeometricNSDS:
@@ -347,7 +355,7 @@ class TestGeometricNSDS:
         rng = np.random.default_rng(9)
         pts = random_unit_square_points(40, 4.0, rng)
         g = intersection_graph_naive(pts, axis_square(1.0))
-        nsds = geometric_nsds(pts, None, seed=10)
+        nsds = geometric_nsds(pts, None)
         for v in range(0, 40, 7):
             h = nsds.add_neighbours(nsds.empty, v)
             got = set(nsds.list_differences(nsds.empty, h))
@@ -355,7 +363,7 @@ class TestGeometricNSDS:
 
     def test_far_apart_points_self_only(self):
         pts = [(0.0, 0.0), (40.0, 40.0)]
-        nsds = geometric_nsds(pts, None, seed=11)
+        nsds = geometric_nsds(pts, None)
         h = nsds.add_neighbours(nsds.empty, 0)
         assert nsds.list_differences(nsds.empty, h) == [0]
 
@@ -363,7 +371,7 @@ class TestGeometricNSDS:
         rng = np.random.default_rng(12)
         shape = random_symmetric_polygon(3, rng)
         pts = rng.uniform(0, 6, size=(30, 2))
-        nsds = geometric_nsds(pts, shape, seed=13)
+        nsds = geometric_nsds(pts, shape)
         for v in range(30):
             h = nsds.add_neighbours(nsds.empty, v)
             assert v in set(nsds.list_differences(nsds.empty, h))
@@ -377,8 +385,8 @@ class TestGeometricNSDS:
             n = int(rng.integers(5, 40))
             pts = rng.uniform(0, 6, size=(n, 2))
             g = intersection_graph_naive(pts, shape or axis_square(1.0))
-            geo = geometric_nsds(pts, shape, seed=seq)
-            ref = NaiveNeighbourSets(g, seed=seq)
+            geo = geometric_nsds(pts, shape)
+            ref = NaiveNeighbourSets(g)
             geo_handles = [geo.empty]
             ref_handles = [ref.empty]
             for _ in range(25):
@@ -401,7 +409,7 @@ class TestOutputSensitivity:
         rng = np.random.default_rng(17)
         n = 4096
         pts = np.c_[rng.uniform(0, n / 16, size=n), rng.uniform(0, 24, size=n)]
-        structure, v0 = plane_init(pts, None, seed=18)
+        structure, v0 = plane_init(pts, None)
         v1 = plane_mark(v0, tuple(pts[123]))
         covered = structure.decode(v1)
         # reset counters, then measure one output-sensitive query
@@ -419,7 +427,7 @@ class TestOutputSensitivity:
         rng = np.random.default_rng(19)
         n = 4096
         pts = np.c_[rng.uniform(0, n / 16, size=n), rng.uniform(0, 24, size=n)]
-        structure, v = plane_init(pts, None, seed=20)
+        structure, v = plane_init(pts, None)
         base = sum(s.mark_nodes for s in structure._stripe_static.values())
         marks = 200
         for _ in range(marks):

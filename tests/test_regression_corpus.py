@@ -49,7 +49,7 @@ def test_rotated_square_lattice_touches_are_edges(seed):
     shape = load_polygon(DATA / "rotated_square_lattice.poly.csv")
     assert diameter_naive(intersection_graph_naive(pts, shape)) == 4
     for k, want in ((3, False), (4, True), (5, True)):
-        got = k_diameter_implicit(lambda: geometric_nsds(pts, shape, seed),
+        got = k_diameter_implicit(lambda: geometric_nsds(pts, shape),
                                   len(pts), k, 3,
                                   np.random.default_rng(seed))
         assert got is want, (seed, k)

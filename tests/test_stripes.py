@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kdiam.hashing import xor_all
-from kdiam.stripes import (BOT, DOWN, TOP, UP, WORD, StripeError,
+from kdiam.stripes import (BOT, DOWN, TOP, UP, StripeError,
                            decode_marked, stripe_init, stripe_list_differences,
                            stripe_mark, stripe_mark_line, stripe_mark_lines,
                            stripe_push)
@@ -20,25 +19,25 @@ def make_points(rng, n, band_y0=0.0, width=20.0):
 class TestInit:
     def test_single_point(self):
         rng = np.random.default_rng(0)
-        v = stripe_init([(0, 1.0, 0.5)], 0.0, rng)
+        v = stripe_init([(0, 1.0, 0.5)], 0.0)
         assert v.root.is_leaf
-        assert v.root.hash == 0
+        assert v.root.mask == 0
         assert decode_marked(v) == set()
 
-    def test_full_marking_hash_is_xor_of_all(self):
+    def test_full_marking_mask_is_all_bits(self):
         rng = np.random.default_rng(1)
         pts = make_points(rng, 40)
-        v = stripe_init(pts, 0.0, rng)
+        v = stripe_init(pts, 0.0)
         cur = v
         for x in np.linspace(0, 20, 41):
             cur = stripe_mark(cur, (float(x), 0.5))
         assert decode_marked(cur) == set(range(40))
-        assert cur.root.hash == xor_all(cur.static.h)
+        assert cur.root.mask == (1 << 40) - 1
 
     def test_leaves_x_sorted(self):
         rng = np.random.default_rng(2)
         pts = make_points(rng, 100)
-        v = stripe_init(pts, 0.0, rng)
+        v = stripe_init(pts, 0.0)
         assert v.static.xs == sorted(v.static.xs)
         want = [i for i, _, _ in sorted(pts, key=lambda t: (t[1], t[0]))]
         assert v.static.ids == want
@@ -46,11 +45,11 @@ class TestInit:
     def test_rejects_point_outside_band(self):
         rng = np.random.default_rng(3)
         with pytest.raises(StripeError):
-            stripe_init([(0, 1.0, 2.5)], 0.0, rng)
+            stripe_init([(0, 1.0, 2.5)], 0.0)
 
     def test_point_on_band_floor_starts_unmarked(self):
         rng = np.random.default_rng(4)
-        v = stripe_init([(0, 1.0, 0.0)], 0.0, rng)
+        v = stripe_init([(0, 1.0, 0.0)], 0.0)
         assert decode_marked(v) == set()
 
 
@@ -58,20 +57,20 @@ class TestMark:
     def test_mark_far_left_noop(self):
         rng = np.random.default_rng(5)
         pts = make_points(rng, 30)
-        v = stripe_init(pts, 0.0, rng)
+        v = stripe_init(pts, 0.0)
         v2 = stripe_mark(v, (-50.0, 0.5))
         assert decode_marked(v2) == set()
 
     def test_single_point_centered_square(self):
         rng = np.random.default_rng(6)
-        v = stripe_init([(0, 0.0, 0.0)], -0.5, rng)
+        v = stripe_init([(0, 0.0, 0.0)], -0.5)
         v2 = stripe_mark(v, (0.0, 0.0))
         assert decode_marked(v2) == {0}
 
     def test_random_marks_match_naive(self):
         rng = np.random.default_rng(7)
         pts = make_points(rng, 200, band_y0=2.0)
-        v = stripe_init(pts, 2.0, rng)
+        v = stripe_init(pts, 2.0)
         marked = set()
         for step in range(500):
             cx = float(rng.uniform(-1, 21))
@@ -87,13 +86,13 @@ class TestPush:
     def test_non_lazy_returns_equivalent(self):
         rng = np.random.default_rng(8)
         pts = make_points(rng, 10)
-        v = stripe_init(pts, 0.0, rng)
+        v = stripe_init(pts, 0.0)
         assert stripe_push(v.root, v.static) is v.root
 
     def test_lazy_top_propagates_line(self):
         rng = np.random.default_rng(9)
         pts = make_points(rng, 32)
-        v = stripe_init(pts, 0.0, rng)
+        v = stripe_init(pts, 0.0)
         # full-width top boundary at 0.8 makes the root top-lazy
         v2 = stripe_mark_line(v, -1.0, 21.0, TOP, DOWN, -0.8)
         node = v2.root
@@ -107,10 +106,29 @@ class TestPush:
             type(v2)(v2.static, pushed))
         assert decode_marked(v2) == {i for i, x, y in pts if y >= 0.8}
 
+    def test_bottom_line_installs_lazily_over_straddling_top(self):
+        # The top boundary is lowered to 0.3 over the left half only, so it
+        # lies on both sides of the bottom line y = 0.5 over the root; the
+        # full-width bottom line still dominates the root's bottom boundary
+        # and is installed there lazily.
+        rng = np.random.default_rng(30)
+        pts = make_points(rng, 32)
+        v = stripe_init(pts, 0.0)
+        model = StripeModel(v.static)
+        for part in ((-1.0, 10.0, TOP, DOWN, -0.3),
+                     (-1.0, 21.0, BOT, UP, 0.5)):
+            v = stripe_mark_line(v, *part)
+            model.apply(*part)
+        top = v.root.top
+        assert top.lo[UP] < 0.5 < top.hi[UP]
+        assert v.root.bot_lazy and v.root.bot.line == (UP, 0.5)
+        assert audit_stripe_version(v, model) == []
+        assert decode_marked(v) == model.marked_ids()
+
     def test_push_audit_after_random_marks(self):
         rng = np.random.default_rng(10)
         pts = make_points(rng, 64)
-        v = stripe_init(pts, 0.0, rng)
+        v = stripe_init(pts, 0.0)
         model = StripeModel(v.static)
         for _ in range(120):
             cx = float(rng.uniform(-1, 21))
@@ -129,26 +147,26 @@ class TestListDifferences:
     def test_same_version(self):
         rng = np.random.default_rng(11)
         pts = make_points(rng, 20)
-        v = stripe_init(pts, 0.0, rng)
+        v = stripe_init(pts, 0.0)
         assert stripe_list_differences(v, v) == []
 
     def test_empty_vs_one_mark(self):
         rng = np.random.default_rng(12)
-        v = stripe_init([(7, 3.0, 0.4)], 0.0, rng)
+        v = stripe_init([(7, 3.0, 0.4)], 0.0)
         v2 = stripe_mark(v, (3.0, 0.4))
         assert stripe_list_differences(v, v2) == [7]
 
     def test_mismatched_universes(self):
         rng = np.random.default_rng(13)
-        v1 = stripe_init([(0, 1.0, 0.5)], 0.0, rng)
-        v2 = stripe_init([(0, 1.0, 0.5)], 0.0, rng)
+        v1 = stripe_init([(0, 1.0, 0.5)], 0.0)
+        v2 = stripe_init([(0, 1.0, 0.5)], 0.0)
         with pytest.raises(StripeError):
             stripe_list_differences(v1, v2)
 
     def test_random_pairs_match_naive(self):
         rng = np.random.default_rng(14)
         pts = make_points(rng, 150)
-        v = stripe_init(pts, 0.0, rng)
+        v = stripe_init(pts, 0.0)
         versions = [v]
         naive = [set()]
         for _ in range(300):
@@ -170,9 +188,10 @@ class TestListDifferences:
 
 
 class TestWordNodes:
-    """Nodes over at most WORD points keep their exact marked subset as a
-    mask, and listing reads a difference there off the XOR of two masks:
-    the same ids, in the same x order, as a descent to the leaves."""
+    """Stripes of about one and two 64-bit words: every node keeps its
+    exact marked subset as a mask, and listing reads a difference off the
+    XOR of the two root masks: the same ids, in the same x order, as a
+    descent to the leaves."""
 
     S2 = math.sqrt(0.5)
     DIRS = [(0.0, 1.0), (0.0, -1.0), (S2, S2), (-S2, S2), (S2, -S2), (-S2, -S2)]
@@ -183,7 +202,7 @@ class TestWordNodes:
         top of a random earlier version, with each version's part lineage."""
         rng = np.random.default_rng(seed)
         width = max(n / 8.0, 1.0)
-        v = stripe_init(make_points(rng, n, width=width), 0.0, rng,
+        v = stripe_init(make_points(rng, n, width=width), 0.0,
                         dirs=cls.DIRS)
         versions, lineages = [v], [[]]
         for _ in range(steps):
@@ -224,7 +243,7 @@ class TestWordNodes:
             want = [pid for pid in static.ids if pid in diff]
             assert stripe_list_differences(versions[i], versions[j]) == want
 
-    @pytest.mark.parametrize("n", [1, 40, WORD])
+    @pytest.mark.parametrize("n", [1, 40, 64, 65, 129])
     def test_listing_a_word_stripe_visits_one_node(self, n):
         versions, _ = self.branching_versions(n, seed=300 + n, steps=30)
         static = versions[0].static
@@ -235,15 +254,14 @@ class TestWordNodes:
             assert static.list_nodes == before + 1
         assert listed > 0
 
-    def test_listing_above_a_word_enters_the_children(self):
-        versions, _ = self.branching_versions(WORD + 1, seed=400, steps=30)
+    def test_root_mask_is_the_decoded_set(self):
+        versions, _ = self.branching_versions(129, seed=400, steps=30)
         static = versions[0].static
         for v in versions:
-            before = static.list_nodes
-            if stripe_list_differences(versions[0], v):
-                assert static.list_nodes == before + 3
-            else:
-                assert static.list_nodes == before + 1
+            marked = decode_marked(v)
+            assert v.root.mask == sum(1 << i for i, pid in
+                                      enumerate(static.ids) if pid in marked)
+        assert any(v.root.mask >> 64 for v in versions)
 
 
 class TestPolygonMode:
@@ -254,7 +272,7 @@ class TestPolygonMode:
                 (s2, s2), (-s2, s2), (s2, -s2), (-s2, -s2)]
         rng = np.random.default_rng(15)
         pts = make_points(rng, 120, band_y0=0.0, width=10.0)
-        v = stripe_init(pts, 0.0, rng, dirs=dirs)
+        v = stripe_init(pts, 0.0, dirs=dirs)
         model = StripeModel(v.static)
         marked = set()
         for step in range(200):
@@ -278,7 +296,7 @@ class TestPolygonMode:
         dirs = [(0.0, 1.0), (0.0, -1.0), (1.0, 0.0)]
         rng = np.random.default_rng(16)
         pts = make_points(rng, 20, band_y0=0.0, width=5.0)
-        v = stripe_init(pts, 0.0, rng, dirs=dirs)
+        v = stripe_init(pts, 0.0, dirs=dirs)
         with pytest.raises(StripeError, match="vertical"):
             stripe_mark_line(v, -1.0, 6.0, BOT, 2, 100.0)
 
@@ -286,25 +304,25 @@ class TestPolygonMode:
         rng = np.random.default_rng(17)
         pts = make_points(rng, 5, band_y0=0.0, width=5.0)
         with pytest.raises(StripeError, match="up .* and down"):
-            stripe_init(pts, 0.0, rng, dirs=[(0.0, -1.0), (0.0, 1.0)])
+            stripe_init(pts, 0.0, dirs=[(0.0, -1.0), (0.0, 1.0)])
 
 
 class TestBatchedMarks:
     """One descent over a batch of parts must give the marked set (and so
-    the root fingerprint) of the same parts applied one by one, and keep
-    the node rules."""
+    the root mask) of the same parts applied one by one, and keep the node
+    rules."""
 
     @pytest.mark.parametrize("mode", ["square", "diamond"])
     def test_batches_match_chained_marks(self, mode):
         rng = np.random.default_rng(40 if mode == "square" else 41)
         pts = make_points(rng, 90, band_y0=0.0, width=10.0)
         if mode == "square":
-            v = stripe_init(pts, 0.0, rng)
+            v = stripe_init(pts, 0.0)
         else:
             s2 = math.sqrt(0.5)
             dirs = [(0.0, 1.0), (0.0, -1.0),
                     (s2, s2), (-s2, s2), (s2, -s2), (-s2, -s2)]
-            v = stripe_init(pts, 0.0, rng, dirs=dirs)
+            v = stripe_init(pts, 0.0, dirs=dirs)
         static = v.static
         model = StripeModel(static)
         batched = chained = v
@@ -325,12 +343,12 @@ class TestBatchedMarks:
                 model.apply(*part)
             assert decode_marked(batched) == decode_marked(chained) \
                 == model.marked_ids(), f"step {step}"
-            assert batched.root.hash == chained.root.hash
+            assert batched.root.mask == chained.root.mask
             assert audit_stripe_version(batched, model) == []
 
     def test_empty_and_missing_batches_return_the_version(self):
         rng = np.random.default_rng(42)
-        v = stripe_init(make_points(rng, 20), 0.0, rng)
+        v = stripe_init(make_points(rng, 20), 0.0)
         assert stripe_mark_lines(v, []) is v
         assert stripe_mark_lines(
             v, [(30.0, 31.0, BOT, UP, 0.5),
@@ -341,7 +359,7 @@ class TestPersistence:
     def test_old_versions_stable_after_more_work(self):
         rng = np.random.default_rng(16)
         pts = make_points(rng, 80)
-        v = stripe_init(pts, 0.0, rng)
+        v = stripe_init(pts, 0.0)
         versions = [v]
         naive = [set()]
         for _ in range(200):
@@ -369,7 +387,7 @@ class TestComplexityInstrumentation:
         # covered-but-unresolved nodes can appear per level of one update
         rng = np.random.default_rng(17)
         pts = make_points(rng, 256)
-        v = stripe_init(pts, 0.0, rng)
+        v = stripe_init(pts, 0.0)
         from kdiam import stripes as st
 
         orig_update = st._update
@@ -381,13 +399,9 @@ class TestComplexityInstrumentation:
                 if r < a or b < l:
                     continue
                 primary = node.bot if side == BOT else node.top
-                other = node.top if side == BOT else node.bot
-                if primary.lo[j] < c and l <= a and b <= r:
-                    resolved = primary.hi[j] <= c and (
-                        other.lo[j] > c or other.hi[j] <= c)
-                    if not resolved:
-                        lvl = static.level[node.pos]
-                        per_level[lvl] = per_level.get(lvl, 0) + 1
+                if l <= a and b <= r and primary.lo[j] < c < primary.hi[j]:
+                    lvl = static.level[node.pos]
+                    per_level[lvl] = per_level.get(lvl, 0) + 1
             return orig_update(static, node, parts)
 
         st._update = counting_update
@@ -409,7 +423,7 @@ class TestComplexityInstrumentation:
             width = n / 12.0
             pts = [(i, float(rng.uniform(0, width)), float(rng.uniform(0, 1)))
                    for i in range(n)]
-            v = stripe_init(pts, 0.0, rng)
+            v = stripe_init(pts, 0.0)
             static = v.static
             base = static.mark_nodes
             marks = 300
