@@ -47,13 +47,7 @@ from .plane import (
     plane_list_differences,
     plane_mark,
 )
-from .stripes import (
-    StripeVersion,
-    stripe_init,
-    stripe_list_differences,
-    stripe_mark,
-    stripe_push,
-)
+from .stripes import StripeVersion, stripe_init, stripe_list_differences
 
 __version__ = "0.1.0"
 
@@ -103,8 +97,6 @@ __all__ = [
     "simulate_bfs",
     "stripe_init",
     "stripe_list_differences",
-    "stripe_mark",
-    "stripe_push",
     "symmetrize",
     "total_difference",
     "trapezoid_decompose",

@@ -109,9 +109,9 @@ def k_diameter_implicit(nsds_factory, n: int, k: int, d: int,
 
     ``nsds_factory`` is called once per decide call; the structure it
     returns is cleared between radius steps, so it keeps what depends only
-    on the graph (for the geometric structure: stripes, compiled marks and
-    line-state caches).  Set comparisons are exact, so the answer does not
-    depend on the rng draw.
+    on the graph (for the geometric structure: the closed-neighbourhood
+    masks).  Set comparisons are exact, so the answer does not depend on
+    the rng draw.
 
     Radii 1..k-1 each build a fresh low-difference order and its deltas,
     and ``inspect(r, nsds, order, deltas)`` is called after each of them.

@@ -7,11 +7,10 @@ implementation.
 
 ``clear()`` drops every set but the empty one and issues handles under a
 fresh owner id, so a handle from before the clear raises ``ValueError``.
-What depends only on the graph stays: the closed neighborhoods and, in
-the geometric structure, the stripes with their compiled marks and
-line-state caches.  ``add_count`` and ``list_count`` keep counting across
-clears.  The implicit driver builds one structure per call and clears it
-between radius steps.
+What depends only on the graph stays: the closed neighborhoods (in the
+geometric structure, their masks).  ``add_count`` and ``list_count`` keep
+counting across clears.  The implicit driver builds one structure per call
+and clears it between radius steps.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
-"""Plane-wide persistent marking structure and its neighbour-set adapter.
+"""Plane-wide marking structure and its neighbour-set adapter.
 
 The plane splits into height-1 stripes (only stripes holding a point are
 materialized).  One mark places a convex symmetric shape at a center: the
-shape's vertical slabs (trapezoids) are routed per stripe as bottom-boundary,
-top-boundary or full-height updates.  Every shape, the unit square included,
-takes this one path; a unit square is a single slab whose top and bottom lie
-on the up and down directions every stripe carries.  A version is one
-stripe root per band plus the whole marked set as one exact mask, the
-stripes' root masks laid side by side in band order, so listing a
-difference is one XOR of two masks read through a table of point ids in
-band-then-x order.
+shape's vertical slabs (trapezoids) are cut per stripe into parts, each
+covering the points of an x range on one side of a line
+(:mod:`kdiam.stripes`).  Every shape, the unit square included, takes this
+one path; a unit square is a single slab whose top and bottom lie on the up
+and down directions every stripe carries.  A marked set is one exact mask,
+the stripes' masks laid side by side in band order, so marking ORs in each
+center's covered mask (computed once per center) and listing a difference
+is one XOR of two masks read through a table of point ids in band-then-x
+order.
 """
 
 from __future__ import annotations
@@ -27,17 +28,15 @@ from .nsds import NeighbourSetStructure, SetHandle
 
 @dataclass(frozen=True)
 class PlaneVersion:
-    """Immutable snapshot of the whole marked family: one stripe root per
-    band, in band order, and the marked set as a mask whose bits from a
-    band's offset on are that band's root mask."""
+    """Immutable marked set: bit ``offset + i`` of ``mask`` is the point at
+    position i of the stripe whose bits start at ``offset``."""
 
     structure: "PlaneStructure"
-    roots: tuple
     mask: int
 
 
 class PlaneStructure:
-    """Persistent family of point subsets under shape marks.
+    """Family of point subsets under shape marks.
 
     ``shape`` is the marking shape: a centrally symmetric convex polygon
     (None means the axis-aligned unit square).  It is normalized into the
@@ -81,31 +80,27 @@ class PlaneStructure:
             by_band.setdefault(math.floor(y), []).append((i, float(x), float(y)))
         self.bands = sorted(by_band)
         self.band_index = {b: i for i, b in enumerate(self.bands)}
-        self._stripe_static = {}
-        # Per band index: the bit offset of its stripe in a version mask;
-        # _ids[offset + i] is the stripe's point at position i.
+        # Per band index: its stripe and the bit offset of that stripe in a
+        # mask; ids[offset + i] is the stripe's point at position i.
+        self.stripes = []
         self._offsets = []
-        self._ids = []
-        roots = []
+        self.ids = []
         for band in self.bands:
-            v = st.stripe_init(by_band[band], float(band), dirs=self.dirs)
-            self._stripe_static[band] = v.static
-            self._offsets.append(len(self._ids))
-            self._ids.extend(v.static.ids)
-            roots.append(v.root)
-        # Roots only: a version stored here would refer back to the
-        # structure, and the cycle would keep it alive until a collection.
-        self._empty_roots = tuple(roots)
+            stripe = st.stripe_init(by_band[band], float(band),
+                                    dirs=self.dirs).stripe
+            self.stripes.append(stripe)
+            self._offsets.append(len(self.ids))
+            self.ids.extend(stripe.ids)
         self.aux_nodes = 0  # listings made (the benchmark's counter name)
-        self._plans = {}
+        self._covers = {}
 
     def empty_version(self) -> PlaneVersion:
-        return PlaneVersion(self, self._empty_roots, 0)
+        return PlaneVersion(self, 0)
 
     # -- marking ------------------------------------------------------------
 
     def _parts_for(self, tcx, tcy):
-        """(band, xlo, xhi, side, dir index, offset) updates for a mark whose
+        """(band, xlo, xhi, dir index, offset) parts of a mark whose
         transformed center is (tcx, tcy)."""
         out = []
         for trap in self.trapezoids:
@@ -130,65 +125,41 @@ class PlaneStructure:
                 # unit square, so the two cases cannot meet at one x.
                 seg = _x_window(x0, x1, top0, top1, y0, y1)
                 if seg is not None:
-                    out.append((band, seg[0], seg[1], st.BOT, jt, ct))
+                    out.append((band, seg[0], seg[1], jt, ct))
                 seg = _x_window(x0, x1, bot0, bot1, y0, y1)
                 if seg is not None:
-                    out.append((band, seg[0], seg[1], st.TOP, jb, cb))
+                    out.append((band, seg[0], seg[1], jb, cb))
                 seg = _rect_window(x0, x1, top0, top1, bot0, bot1, y0, y1)
                 if seg is not None:
-                    out.append((band, seg[0], seg[1], st.BOT, st.UP,
-                                y1 + 0.5))
+                    out.append((band, seg[0], seg[1], st.UP, y1 + 0.5))
         return out
 
-    def _plan(self, center) -> tuple:
-        """The compiled mark at ``center``: one (stripe static, band
-        index, parts) entry per band it touches, in band order, where each
-        part is a ``stripe_mark_lines`` part.  Memoized per center,
-        since it depends on nothing else."""
-        x, y = center
-        key = (float(x), float(y))
-        plan = self._plans.get(key)
-        if plan is None:
+    def cover(self, center) -> int:
+        """Mask of the points the shape centered at ``center`` (original
+        coordinates) covers: the OR of its parts' masks, each at its
+        stripe's offset.  Memoized per center, since it depends on nothing
+        else."""
+        key = (float(center[0]), float(center[1]))
+        mask = self._covers.get(key)
+        if mask is None:
             tcx, tcy = (float(v) for v in self.transform.apply([key])[0])
-            by_band: dict[int, list] = {}
+            mask = 0
             for band, *part in self._parts_for(tcx, tcy):
-                by_band.setdefault(band, []).append(tuple(part))
-            plan = tuple((self._stripe_static[band], self.band_index[band],
-                          tuple(parts))
-                         for band, parts in sorted(by_band.items()))
-            self._plans[key] = plan
-        return plan
+                i = self.band_index[band]
+                mask |= self.stripes[i].covered(*part) << self._offsets[i]
+            self._covers[key] = mask
+        return mask
 
     def mark(self, version: PlaneVersion, centers) -> PlaneVersion:
         """New version whose marked set gains the points covered by the
-        shape centered at each of ``centers`` (original coordinates).  The
-        parts of all centers are grouped by band, so each band touched gets
-        one stripe descent.  Marks only add points, so ORing each new stripe
-        mask in at its band's offset gives the exact new mask."""
+        shape centered at each of ``centers``; the version itself when no
+        point is gained."""
         if version.structure is not self:
             raise ValueError("version belongs to a different structure")
-        by_band: dict[int, tuple] = {}
-        for center in centers:
-            for static, band_i, parts in self._plan(center):
-                entry = by_band.get(band_i)
-                if entry is None:
-                    by_band[band_i] = (static, list(parts))
-                else:
-                    entry[1].extend(parts)
-        roots = None
         mask = version.mask
-        for band_i, (static, parts) in by_band.items():
-            stripe_root = version.roots[band_i]
-            root = st.stripe_mark_lines(st.StripeVersion(static, stripe_root),
-                                        parts).root
-            if root is not stripe_root:
-                if roots is None:
-                    roots = list(version.roots)
-                roots[band_i] = root
-                mask |= root.mask << self._offsets[band_i]
-        if roots is None:
-            return version
-        return PlaneVersion(self, tuple(roots), mask)
+        for center in centers:
+            mask |= self.cover(center)
+        return version if mask == version.mask else PlaneVersion(self, mask)
 
     # -- queries ------------------------------------------------------------
 
@@ -198,20 +169,15 @@ class PlaneStructure:
         if v1.structure is not self or v2.structure is not self:
             raise ValueError("versions belong to a different structure")
         self.aux_nodes += 1
-        return st.ids_of(v1.mask ^ v2.mask, self._ids)
+        return st.ids_of(v1.mask ^ v2.mask, self.ids)
 
     def decode(self, version: PlaneVersion) -> set:
-        """Full marked set of a version, read from the stripe leaves (test
-        oracle support)."""
-        out = set()
-        for band, root in zip(self.bands, version.roots):
-            out.update(st.decode_marked(
-                st.StripeVersion(self._stripe_static[band], root)))
-        return out
+        """Full marked set of a version."""
+        return set(st.ids_of(version.mask, self.ids))
 
     def stripe_node_counters(self):
         return {band: (s.marks, s.mark_nodes, s.list_nodes)
-                for band, s in self._stripe_static.items()}
+                for band, s in zip(self.bands, self.stripes)}
 
 
 def _x_window(x0, x1, v0, v1, y0, y1):
@@ -269,16 +235,9 @@ class GeometricNeighbourSets(NeighbourSetStructure):
     """Neighbour-set structure for the intersection graph of a convex shape:
     the closed neighborhood of v is exactly the point set covered by the
     adjacency shape (twice the symmetrized shape, grown by the geometry
-    tolerance) centered at v, so AddNeighbours is a mark.
-
-    Marks are deferred.  A new handle records only its parent handle and its
-    vertex; the first time a handle is read, every vertex pending along its
-    chain of parents is marked in one multi-center mark, so a run of
-    AddNeighbours costs one stripe descent per band it touches.  The chain
-    is cut at each pending handle that was extended more than once: that
-    handle is materialized on the way, and its other extensions start from
-    it instead of marking its vertices again.
-    """
+    tolerance) centered at v.  Each ``closed[v]`` is that cover's mask,
+    computed once per structure; a handle's set is a mask, AddNeighbours
+    ORs ``closed[v]`` into it and ListDifferences reads the XOR of two."""
 
     def __init__(self, points, shape: ConvexPolygon | None):
         pts = np.asarray(points, dtype=np.float64)
@@ -286,60 +245,27 @@ class GeometricNeighbourSets(NeighbourSetStructure):
         if shape is None:
             shape = axis_square(1.0)
         self._plane = PlaneStructure(pts, adjacency_shape(shape))
-        self._centers = [(float(x), float(y)) for x, y in pts]
+        self.closed = [self._plane.cover(p) for p in pts.tolist()]
         self.clear()
 
     def clear(self) -> None:
-        """Drop every version; the plane structure, with its stripes,
-        compiled marks and line-state caches, is kept."""
+        """Drop every set; the closed-neighbourhood masks are kept."""
         super().clear()
-        # Per handle index: its version (None while pending), its parent
-        # index and vertex (-1 for the empty set), and how often it was
-        # extended.
-        self._versions = [self._plane.empty_version()]
-        self._parent = [-1]
-        self._vertex = [-1]
-        self._extended = [0]
-
-    def _version(self, i: int) -> PlaneVersion:
-        versions = self._versions
-        if versions[i] is not None:
-            return versions[i]
-        # (handle index, its pending vertices from the handle upwards), one
-        # entry per chain segment, from i up to the nearest materialized
-        # ancestor.
-        segments = [(i, [])]
-        j = i
-        while versions[j] is None:
-            segments[-1][1].append(self._vertex[j])
-            j = self._parent[j]
-            if versions[j] is None and self._extended[j] > 1:
-                segments.append((j, []))
-        version = versions[j]
-        centers = self._centers
-        for k, vs in reversed(segments):
-            version = self._plane.mark(version,
-                                       [centers[v] for v in reversed(vs)])
-            versions[k] = version
-        return version
+        self._masks = [0]
 
     def add_neighbours(self, h: SetHandle, v: int) -> SetHandle:
-        self._check_handle(h, len(self._versions))
+        self._check_handle(h, len(self._masks))
         self._check_vertex(v)
         self.add_count += 1
-        self._extended[h.index] += 1
-        self._versions.append(None)
-        self._parent.append(h.index)
-        self._vertex.append(v)
-        self._extended.append(0)
-        return SetHandle(self._id, len(self._versions) - 1)
+        self._masks.append(self._masks[h.index] | self.closed[v])
+        return SetHandle(self._id, len(self._masks) - 1)
 
     def list_differences(self, h1: SetHandle, h2: SetHandle) -> list:
-        self._check_handle(h1, len(self._versions))
-        self._check_handle(h2, len(self._versions))
+        self._check_handle(h1, len(self._masks))
+        self._check_handle(h2, len(self._masks))
         self.list_count += 1
-        return self._plane.list_differences(self._version(h1.index),
-                                            self._version(h2.index))
+        return st.ids_of(self._masks[h1.index] ^ self._masks[h2.index],
+                         self._plane.ids)
 
 
 def geometric_nsds(points, shape: ConvexPolygon | None,

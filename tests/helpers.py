@@ -235,111 +235,6 @@ def shoelace(verts):
     return acc / 2.0
 
 
-# -- stripe ground truth ----------------------------------------------------
-
-
-class StripeModel:
-    """Replays stripe updates naively: per point, the bottom boundary value
-    is the max of all bottom lines covering its x (plus the below-band
-    sentinel), the top value the min of top lines (plus the band ceiling)."""
-
-    def __init__(self, static):
-        self.static = static
-        self.bot_updates = []
-        self.top_updates = []
-
-    def apply(self, xlo, xhi, side, j, c):
-        from kdiam.stripes import BOT
-
-        if side == BOT:
-            self.bot_updates.append((xlo, xhi, j, c))
-        else:
-            self.top_updates.append((xlo, xhi, j, c))
-
-    def line_value(self, j, c, x):
-        ux, uy = self.static.dirs[j]
-        return (c - ux * x) / uy
-
-    def boundaries_at(self, i):
-        """(B, T) boundary values at stored point i (x-sorted index)."""
-        x = self.static.xs[i]
-        b = self.static.y0 - 1.0
-        for xlo, xhi, j, c in self.bot_updates:
-            if xlo <= x <= xhi:
-                b = max(b, self.line_value(j, c, x))
-        t = self.static.y1
-        for xlo, xhi, j, c in self.top_updates:
-            if xlo <= x <= xhi:
-                t = min(t, self.line_value(j, c, x))
-        return b, t
-
-    def covered(self, i):
-        b, t = self.boundaries_at(i)
-        y = self.static.pts[i][1]
-        return y <= b or y >= t
-
-    def marked_ids(self):
-        return {self.static.ids[i] for i in range(self.static.size)
-                if self.covered(i)}
-
-
-def audit_stripe_version(version, model, tol=1e-9):
-    """Walk a version checking the node rules against the replayed model:
-    non-outdated boundaries and their masks exact (bit ``i - a`` for the
-    point at stripe position i), lazy boundaries single lines."""
-    static = version.static
-    bvals = [model.boundaries_at(i) for i in range(static.size)]
-
-    def expect_boundary(pos, side):
-        samples = [(static.xs[i], bvals[i][side])
-                   for i in range(static.a[pos], static.b[pos] + 1)]
-        lo, hi = [], []
-        for ux, uy in static.dirs:
-            dots = [ux * x + uy * y for x, y in samples]
-            lo.append(min(dots))
-            hi.append(max(dots))
-        return lo, hi
-
-    def expect_mask(pos, side):
-        a = static.a[pos]
-        want = 0
-        for i in range(a, static.b[pos] + 1):
-            y = static.pts[i][1]
-            if (y <= bvals[i][0]) if side == 0 else (y >= bvals[i][1]):
-                want |= 1 << (i - a)
-        return want
-
-    problems = []
-
-    def walk(node, bot_out, top_out):
-        for side, name, out in ((0, "bot", bot_out), (1, "top", top_out)):
-            if out:
-                continue
-            boundary = node.bot if side == 0 else node.top
-            lo, hi = expect_boundary(node.pos, side)
-            for i in range(len(static.dirs)):
-                if abs(boundary.lo[i] - lo[i]) > tol or \
-                        abs(boundary.hi[i] - hi[i]) > tol:
-                    problems.append((f"{name} extremes", node.pos, i))
-                    break
-            mask = node.bot_mask if side == 0 else node.top_mask
-            if mask != expect_mask(node.pos, side):
-                problems.append((f"{name} mask", node.pos))
-            # A lazy line under a lazy ancestor on the same side is replaced
-            # by the ancestor's line before anything reads it.
-            lazy = node.bot_lazy if side == 0 else node.top_lazy
-            if lazy and boundary.line is None:
-                problems.append((f"{name} lazy but not simple", node.pos))
-        if node.left is not None:
-            walk(node.left, bot_out or node.bot_lazy,
-                 top_out or node.top_lazy)
-            walk(node.right, bot_out or node.bot_lazy,
-                 top_out or node.top_lazy)
-
-    walk(version.root, False, False)
-    return problems
-
-
 # -- implicit driver --------------------------------------------------------
 
 

@@ -234,50 +234,55 @@ def test_criterion_8_invariant_audits():
         k_diameter_implicit(lambda: NaiveNeighbourSets(g),
                             g.n, 4, 3, rng, inspect=check_deltas)
 
-    # (c) stripe-node invariant walker on trees with n <= 256
-    from kdiam.stripes import BOT, DOWN, TOP, UP, stripe_init, stripe_mark
-    from helpers import StripeModel, audit_stripe_version
+    # (c) every stripe part's covered mask against brute force, on stripes
+    # with n <= 256: the points at positions l..r (x in [xlo, xhi]) with
+    # dirs[j] . p <= c, and the version mask as the OR of the parts so far
+    from kdiam.stripes import DOWN, UP, stripe_init, stripe_mark_line
 
     for n in (64, 256):
         pts = [(i, float(rng.uniform(0, 25)), float(rng.uniform(0, 1)))
                for i in range(n)]
         v = stripe_init(pts, 0.0)
-        model = StripeModel(v.static)
+        stripe = v.stripe
+        marked = 0
         for step in range(200):
             cx = float(rng.uniform(-1, 26))
             cy = float(rng.uniform(-0.6, 1.6))
-            before = v
-            v = stripe_mark(v, (cx, cy))
-            if v is not before:
-                if cy <= 0.5:
-                    model.apply(cx - 0.5, cx + 0.5, BOT, UP, cy + 0.5)
-                else:
-                    model.apply(cx - 0.5, cx + 0.5, TOP, DOWN, -(cy - 0.5))
-            if step % 20 == 0:
-                violations.extend(audit_stripe_version(v, model))
-        violations.extend(audit_stripe_version(v, model))
+            if cy <= 0.5:
+                part = (cx - 0.5, cx + 0.5, UP, cy + 0.5)
+            else:
+                part = (cx - 0.5, cx + 0.5, DOWN, -(cy - 0.5))
+            xlo, xhi, j, c = part
+            ux, uy = stripe.dirs[j]
+            want = sum(1 << i for i, (x, y) in enumerate(stripe.pts)
+                       if xlo <= x <= xhi and ux * x + uy * y <= c)
+            if stripe.covered(*part) != want:
+                violations.append(("stripe part", n, step))
+            marked |= want
+            v = stripe_mark_line(v, *part)
+            if v.mask != marked:
+                violations.append(("stripe mask", n, step))
 
-    # (d) plane version masks: the stripe root masks side by side in band
-    # order, and the bits of the decoded set in the same layout
+    # (d) plane version masks: the bits of the brute-force marked set
+    # (point in shape over the marks applied) laid out band by band, x
+    # order within a band
     pts = rng.uniform(0, 10, size=(150, 2))
     structure, version = plane_init(pts, None)
-    versions = [version]
-    for _ in range(200):
+    square_verts = [tuple(v) for v in axis_square(1.0).vertices]
+    layout = sorted(range(len(pts)), key=lambda i: (
+        math.floor(structure.tpoints[i][1]), structure.tpoints[i][0], i))
+    bit = {pid: pos for pos, pid in enumerate(layout)}
+    marked = set()
+    for step in range(200):
         c = (float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
-        versions.append(plane_mark(versions[-1], c))
-
-    for step, vv in enumerate(versions[::10]):
-        marked = structure.decode(vv)
-        roots = bits = offset = 0
-        for band, root in zip(structure.bands, vv.roots):
-            static = structure._stripe_static[band]
-            roots |= root.mask << offset
-            bits |= sum(1 << (offset + i) for i, pid in
-                        enumerate(static.ids) if pid in marked)
-            offset += static.size
-        if not vv.mask == roots == bits:
-            violations.append(("plane mask", 10 * step))
+        version = plane_mark(version, c)
+        marked |= {i for i, p in enumerate(pts)
+                   if point_in_polygon((p[0] - c[0], p[1] - c[1]),
+                                       square_verts)}
+        if (step + 1) % 10 == 0 and \
+                version.mask != sum(1 << bit[i] for i in marked):
+            violations.append(("plane mask", step + 1))
 
     assert violations == []
-    report(8, "canonicality, delta prefixes, stripe walker, stripe index",
+    report(8, "canonicality, delta prefixes, stripe parts, plane masks",
            start, 300)

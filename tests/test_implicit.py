@@ -230,8 +230,8 @@ def in_descent_order(nsds):
     construction's membership reads depend."""
     plane = nsds._plane
     rank = {}
-    for band in plane.bands:
-        for pid in plane._stripe_static[band].ids:
+    for stripe in plane.stripes:
+        for pid in stripe.ids:
             rank[pid] = len(rank)
     listing = nsds.list_differences
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from kdiam.gen import random_connected_graph
-from kdiam.graph import from_edges
+from kdiam.gen import random_connected_graph, random_unit_square_points
+from kdiam.graph import diameter_naive, from_edges
 from kdiam.geometry import axis_square, intersection_graph_naive
+from kdiam.implicit import k_diameter_implicit
 from kdiam.nsds import NaiveNeighbourSets, SetHandle
-from kdiam.plane import geometric_nsds
+from kdiam.plane import PlaneStructure, geometric_nsds
 
 
 def star_graph(leaves):
@@ -142,24 +143,10 @@ class TestAgainstReplay:
             assert ac <= ab + bc
 
 
-class TestDeferredMarks:
-    """The geometric structure defers each AddNeighbours until its handle is
-    read; a chain of pending handles is marked in one multi-center mark, cut
-    at handles extended more than once.  Reading in any order must give the
-    sets of the naive structure over the same intersection graph."""
-
-    @staticmethod
-    def counting(nsds, monkeypatch):
-        marked = []
-        plane = nsds._plane
-        mark = plane.mark
-
-        def spy(version, centers):
-            marked.append(len(centers))
-            return mark(version, centers)
-
-        monkeypatch.setattr(plane, "mark", spy)
-        return marked
+class TestClosedMasks:
+    """The geometric structure keeps one closed-neighbourhood mask per
+    vertex and a mask per handle.  Reading handles in any order must give
+    the sets of the naive structure over the same intersection graph."""
 
     def test_random_trees_read_in_random_order(self):
         rng = np.random.default_rng(60)
@@ -179,39 +166,36 @@ class TestDeferredMarks:
             assert set(geo.list_differences(hg[i], hg[j])) \
                 == naive.set_of(hn[i]) ^ naive.set_of(hn[j])
 
-    def test_chain_is_one_mark(self, monkeypatch):
-        rng = np.random.default_rng(62)
-        pts = rng.uniform(0, 4, size=(30, 2))
+    def test_each_cover_computed_once_across_clears(self, monkeypatch):
+        # A full decide call at k = 3 clears its one structure twice; the
+        # covered mask of each vertex is computed at most once in it.
+        rng = np.random.default_rng(66)
+        pts = random_unit_square_points(60, 3.0, rng)
         g = intersection_graph_naive(pts, axis_square(1.0))
-        nsds = geometric_nsds(pts, None)
-        marked = self.counting(nsds, monkeypatch)
-        vs = [3, 17, 3, 29]
-        h = nsds.empty
-        for v in vs:
-            h = nsds.add_neighbours(h, v)
-        assert marked == [] and nsds.add_count == 4
-        want = set(vs).union(*(g.adjacency[v] for v in vs))
-        assert set(nsds.list_differences(nsds.empty, h)) == want
-        assert marked == [4]
-        # read again: already materialized
-        assert set(nsds.list_differences(h, nsds.empty)) == want
-        assert marked == [4]
+        computed = []
+        cover = PlaneStructure.cover
 
-    def test_fork_is_marked_once(self, monkeypatch):
-        pts = np.random.default_rng(64).uniform(0, 4, size=(30, 2))
-        nsds = geometric_nsds(pts, None)
-        marked = self.counting(nsds, monkeypatch)
-        fork = nsds.empty
-        for v in (1, 2, 3):
-            fork = nsds.add_neighbours(fork, v)
-        left = nsds.add_neighbours(nsds.add_neighbours(fork, 4), 5)
-        right = nsds.add_neighbours(nsds.add_neighbours(fork, 6), 7)
-        nsds.list_differences(left, right)
-        assert marked == [3, 2, 2]
-        nsds.list_differences(fork, nsds.empty)
-        assert marked == [3, 2, 2]
+        def counting(self, center):
+            computed.append(tuple(center))
+            return cover(self, center)
 
-    def test_pending_handles_are_checked(self):
+        monkeypatch.setattr(PlaneStructure, "cover", counting)
+        made, clears = [], []
+
+        def factory():
+            made.append(geometric_nsds(pts, None))
+            clear = made[-1].clear
+            made[-1].clear = lambda: (clears.append(1), clear())
+            return made[-1]
+
+        got = k_diameter_implicit(factory, 60, 3, 4,
+                                  np.random.default_rng(0))
+        assert got == (diameter_naive(g) <= 3)
+        assert len(made) == 1 and len(clears) == 2
+        assert len(computed) <= 60
+        assert made[0].add_count > 60
+
+    def test_handles_are_checked(self):
         pts = [(0.0, 0.0), (3.0, 3.0)]
         nsds = geometric_nsds(pts, None)
         h = nsds.add_neighbours(nsds.empty, 1)

@@ -10,7 +10,7 @@ from kdiam.geometry import (ConvexPolygon, adjacency_shape, axis_square,
 from kdiam.nsds import NaiveNeighbourSets
 from kdiam.plane import (PlaneStructure, geometric_nsds, plane_init,
                          plane_list_differences, plane_mark)
-from kdiam.stripes import BOT, DOWN, TOP, UP
+from kdiam.stripes import DOWN, UP
 
 from helpers import point_in_polygon
 
@@ -44,8 +44,8 @@ class TestInit:
         want = {}
         for i, p in enumerate(structure.tpoints):
             want.setdefault(math.floor(p[1]), set()).add(i)
-        got = {band: set(static.ids)
-               for band, static in structure._stripe_static.items()}
+        got = {band: set(stripe.ids)
+               for band, stripe in zip(structure.bands, structure.stripes)}
         assert got == want
 
     def test_duplicate_points_rejected(self):
@@ -109,8 +109,8 @@ class TestMarkAndDiff:
 
 
 class TestMarkPlans:
-    """A mark is compiled once per center; reusing the compiled plan must
-    give the same sets as marking on a fresh structure."""
+    """A center's covered mask is computed once; reusing it must give the
+    same sets as marking on a fresh structure."""
 
     def test_same_center_on_two_versions(self):
         rng = np.random.default_rng(21)
@@ -120,7 +120,7 @@ class TestMarkPlans:
         v1 = plane_mark(v0, other)
         a = plane_mark(v0, c)
         b = plane_mark(v1, c)
-        assert len(structure._plans) == 2
+        assert len(structure._covers) == 2
         fresh, f0 = plane_init(pts, SKEW_HEX)
         assert structure.decode(a) == fresh.decode(plane_mark(f0, c))
         fresh, f0 = plane_init(pts, SKEW_HEX)
@@ -133,7 +133,7 @@ class TestMarkPlans:
         structure, v0 = plane_init(pts, SKEW_HEX)
         by_tuple = plane_mark(v0, (float(pts[7][0]), float(pts[7][1])))
         by_array = plane_mark(v0, pts[7])
-        assert len(structure._plans) == 1
+        assert len(structure._covers) == 1
         fresh, f0 = plane_init(pts, SKEW_HEX)
         want = fresh.decode(plane_mark(f0, pts[7]))
         assert structure.decode(by_tuple) == want
@@ -145,17 +145,17 @@ class TestMarkPlans:
         pts = rng.uniform(0, 6, size=(60, 2))
         structure, v0 = plane_init(pts, SKEW_HEX)
         verts = [tuple(vv) for vv in SKEW_HEX.vertices]
-        # centers sharing one coordinate must not share a plan
+        # centers sharing one coordinate must not share a cover
         for c in [(2.345, 3.21), (2.345, 1.5), (4.0, 1.5), (2.345, 3.21)]:
             assert not any(tuple(p) == c for p in pts)
             v1 = plane_mark(v0, c)
             v2 = plane_mark(v1, c)
             assert structure.decode(v1) == naive_cover(pts, verts, c)
             assert structure.decode(v2) == structure.decode(v1)
-        assert len(structure._plans) == 3
+        assert len(structure._covers) == 3
 
     def test_repeated_centers_random_polygon(self):
-        # centers come from a small pool, so most marks reuse a plan, on
+        # centers come from a small pool, so most marks reuse a cover, on
         # versions branching off earlier ones
         rng = np.random.default_rng(27)
         shape = random_symmetric_polygon(4, rng, radius=1.5)
@@ -172,7 +172,7 @@ class TestMarkPlans:
             versions.append(plane_mark(versions[base], c))
             naive.append(naive[base] | naive_cover(pts, verts, c))
             assert structure.decode(versions[-1]) == naive[-1]
-        assert len(structure._plans) <= len(pool)
+        assert len(structure._covers) <= len(pool)
         for _ in range(100):
             i = int(rng.integers(0, len(versions)))
             j = int(rng.integers(0, len(versions)))
@@ -253,8 +253,8 @@ class TestDirections:
         used = {t.top_side for t in structure.trapezoids} \
             | {t.bot_side for t in structure.trapezoids}
         assert len(used) == structure.shape.s - 2
-        for static in structure._stripe_static.values():
-            assert static.dirs == tuple(structure.dirs)
+        for stripe in structure.stripes:
+            assert stripe.dirs == tuple(structure.dirs)
 
     @pytest.mark.parametrize("label", ["unit-square", "rectangle",
                                        "sheared", "rotated-square"])
@@ -284,30 +284,32 @@ class TestDirections:
         assert structure.dirs == self.expected_dirs(structure)
 
 
-def square_branch_plan(structure, center):
-    """The compiled mark the retired unit-square branch built: one part per
-    band the square reaches, raising the bottom boundary along up where the
-    square reaches the band floor and lowering the top one along down
+def square_branch_cover(structure, center):
+    """The covered mask of the retired unit-square branch: one part per band
+    the square reaches, covering below its top side along up where the
+    square reaches the band floor and above its bottom side along down
     otherwise."""
     tcx, tcy = (float(v) for v in structure.transform.apply([center])[0])
-    plan = []
-    for band in range(math.floor(tcy - 0.5), math.floor(tcy + 0.5) + 1):
+    mask = offset = 0
+    for band, stripe in zip(structure.bands, structure.stripes):
         y0 = float(band)
-        if band not in structure.band_index or tcy + 0.5 < y0 \
-                or tcy - 0.5 >= y0 + 1.0:
-            continue
-        if tcy <= y0 + 0.5:
-            part = (tcx - 0.5, tcx + 0.5, BOT, UP, tcy + 0.5)
-        else:
-            part = (tcx - 0.5, tcx + 0.5, TOP, DOWN, -(tcy - 0.5))
-        plan.append((structure._stripe_static[band], structure.band_index[band],
-                     (part,)))
-    return tuple(plan)
+        if tcy + 0.5 >= y0 and tcy - 0.5 < y0 + 1.0:
+            if tcy <= y0 + 0.5:
+                part = (tcx - 0.5, tcx + 0.5, UP, tcy + 0.5)
+            else:
+                part = (tcx - 0.5, tcx + 0.5, DOWN, -(tcy - 0.5))
+            ux, uy = stripe.dirs[part[2]]
+            mask |= sum(1 << (offset + i)
+                        for i, (x, y) in enumerate(stripe.pts)
+                        if part[0] <= x <= part[1]
+                        and ux * x + uy * y <= part[3])
+        offset += len(stripe.ids)
+    return mask
 
 
 class TestUnitSquarePlans:
-    """The trapezoid path does the same work on unit squares as the square
-    branch it replaced: the same parts, in the same order, per center."""
+    """The trapezoid path covers on unit squares exactly what the square
+    branch it replaced covered, per center."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_plan_equals_square_branch(self, seed):
@@ -316,23 +318,23 @@ class TestUnitSquarePlans:
         structure = geometric_nsds(pts, None)._plane
         assert structure.dirs == [(0.0, 1.0), (0.0, -1.0)]
         for center in pts:
-            assert structure._plan(center) == \
-                square_branch_plan(structure, center)
+            assert structure.cover(center) == \
+                square_branch_cover(structure, center)
 
 
-def concatenated_masks(structure, version):
-    """(the stripe root masks laid side by side in band order, the same
-    layout's bits for the decoded set)."""
-    roots = bits = 0
-    offset = 0
-    marked = structure.decode(version)
-    for band, root in zip(structure.bands, version.roots):
-        static = structure._stripe_static[band]
-        roots |= root.mask << offset
-        bits |= sum(1 << (offset + i)
-                    for i, pid in enumerate(static.ids) if pid in marked)
-        offset += static.size
-    return roots, bits
+def concatenated_masks(structure, marked):
+    """The stripes' masks of the set ``marked`` laid side by side in band
+    order, each with bit i for its point at position i in x order."""
+    bands = {}
+    for i, (x, y) in enumerate(structure.tpoints):
+        bands.setdefault(math.floor(y), []).append((float(x), i))
+    mask = offset = 0
+    for band in sorted(bands):
+        stripe = sorted(bands[band])
+        mask |= sum(1 << (offset + pos)
+                    for pos, (_, i) in enumerate(stripe) if i in marked)
+        offset += len(stripe)
+    return mask
 
 
 class TestVersionMask:
@@ -340,14 +342,13 @@ class TestVersionMask:
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 8, size=(60, 2))
         structure, v = plane_init(pts, None)
-        versions = [v]
+        verts = [tuple(vv) for vv in axis_square(1.0).vertices]
+        marked = set()
         for _ in range(120):
             c = (float(rng.uniform(0, 8)), float(rng.uniform(0, 8)))
-            versions.append(plane_mark(versions[-1], c))
-        for version in versions:
-            assert len(version.roots) == len(structure.bands)
-            assert (version.mask, version.mask) == \
-                concatenated_masks(structure, version)
+            v = plane_mark(v, c)
+            marked |= naive_cover(pts, verts, c)
+            assert v.mask == concatenated_masks(structure, marked)
 
 
 class TestGeometricNSDS:
@@ -405,34 +406,24 @@ class TestGeometricNSDS:
 
 
 class TestOutputSensitivity:
-    def test_list_differences_touches_little(self):
-        rng = np.random.default_rng(17)
-        n = 4096
-        pts = np.c_[rng.uniform(0, n / 16, size=n), rng.uniform(0, 24, size=n)]
-        structure, v0 = plane_init(pts, None)
-        v1 = plane_mark(v0, tuple(pts[123]))
-        covered = structure.decode(v1)
-        # reset counters, then measure one output-sensitive query
-        for static in structure._stripe_static.values():
-            static.list_nodes = 0
-        structure.aux_nodes = 0
-        got = plane_list_differences(v0, v1)
-        assert set(got) == covered
-        visits = structure.aux_nodes + sum(
-            s.list_nodes for s in structure._stripe_static.values())
-        budget = 16 * (len(got) + 1) * (math.log2(n) + 2)
-        assert visits <= budget, (visits, budget)
-
-    def test_mark_touches_logarithmically(self):
+    def test_marking_a_seen_center_adds_no_stripe_work(self):
         rng = np.random.default_rng(19)
         n = 4096
         pts = np.c_[rng.uniform(0, n / 16, size=n), rng.uniform(0, 24, size=n)]
-        structure, v = plane_init(pts, None)
-        base = sum(s.mark_nodes for s in structure._stripe_static.values())
-        marks = 200
-        for _ in range(marks):
-            c = (float(rng.uniform(0, n / 16)), float(rng.uniform(0, 24)))
+        structure, v0 = plane_init(pts, None)
+
+        def stripe_work():
+            return sum(s.marks + s.mark_nodes for s in structure.stripes)
+
+        centers = [(float(rng.uniform(0, n / 16)), float(rng.uniform(0, 24)))
+                   for _ in range(200)]
+        v = v0
+        for c in centers:
             v = plane_mark(v, c)
-        visits = sum(s.mark_nodes
-                     for s in structure._stripe_static.values()) - base
-        assert visits / marks <= 16 * math.log2(n)
+        work = stripe_work()
+        assert work > 0
+        w = v0
+        for c in reversed(centers):
+            w = plane_mark(w, c)
+        assert stripe_work() == work
+        assert w.mask == v.mask

@@ -43,6 +43,24 @@ def test_all_algorithms_agree(name, kind, poly):
         assert len(set(answers.values())) == 1, (name, k, answers)
 
 
+POINT_CASES = [c for c in CASES if c[1] == "points"]
+
+
+@pytest.mark.parametrize("name,kind,poly", POINT_CASES,
+                         ids=[c[0] for c in POINT_CASES])
+def test_every_closed_neighbourhood_matches_the_oracle(name, kind, poly):
+    # On the rotated-square lattice every lattice neighbour touches exactly.
+    pts = load_points(DATA / name)
+    shape = load_polygon(DATA / poly) if poly else axis_square(1.0)
+    g = intersection_graph_naive(pts, shape)
+    nsds = geometric_nsds(pts, shape)
+    for v in range(len(pts)):
+        h = nsds.add_neighbours(nsds.empty, v)
+        got = nsds.list_differences(nsds.empty, h)
+        assert len(got) == len(set(got))
+        assert set(got) == set(g.adjacency[v]) | {v}, v
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rotated_square_lattice_touches_are_edges(seed):
     pts = load_points(DATA / "rotated_square_lattice.csv")
