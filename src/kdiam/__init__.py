@@ -27,7 +27,7 @@ from .order import (
 )
 from .explicit import BallEncoding, expand_step, k_diameter_explicit, rebase
 from .intervals import IntervalSets, canonicalize
-from .nsds import NaiveNeighbourSets, NeighbourSetStructure, SetHandle
+from .nsds import MaskNeighbourSets
 from .implicit import expand_balls, k_diameter_implicit, simulate_bfs
 from .geometry import (
     AffineMap,
@@ -40,7 +40,6 @@ from .geometry import (
     trapezoid_decompose,
 )
 from .plane import (
-    GeometricNeighbourSets,
     PlaneStructure,
     geometric_nsds,
     plane_init,
@@ -58,15 +57,12 @@ __all__ = [
     "DisconnectedGraphError",
     "DistanceVector",
     "EdgeOrder",
-    "GeometricNeighbourSets",
     "Graph",
     "GraphFormatError",
     "IntervalSets",
-    "NaiveNeighbourSets",
-    "NeighbourSetStructure",
+    "MaskNeighbourSets",
     "NetSchedule",
     "PlaneStructure",
-    "SetHandle",
     "StripeVersion",
     "bfs_distances",
     "build_spanning_tree",

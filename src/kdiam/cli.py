@@ -31,7 +31,7 @@ from .graph import (DisconnectedGraphError, Graph, diameter_naive,
                     load_edge_list)
 from .explicit import k_diameter_explicit
 from .implicit import k_diameter_implicit
-from .nsds import NaiveNeighbourSets
+from .nsds import MaskNeighbourSets
 from .plane import geometric_nsds
 
 
@@ -135,7 +135,7 @@ def run_algorithm(algorithm, kind, payload, k, d, seed) -> RunReport:
             pts, shape = payload
             nsds = geometric_nsds(pts, shape)
         else:
-            nsds = NaiveNeighbourSets(payload)
+            nsds = MaskNeighbourSets.from_graph(payload)
         answer = k_diameter_implicit(lambda: nsds, nsds.n, k, d, rng)
         counters["n"] = nsds.n
         counters["add_neighbours"] = nsds.add_count

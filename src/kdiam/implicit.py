@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .nsds import NeighbourSetStructure, SetHandle
+from .nsds import MaskNeighbourSets
 from .order import order_from_membership
 
 
@@ -37,8 +37,8 @@ class ExpandCost:
         return a + 3 * b * (ceil_log + 1) + 2 * t
 
 
-def expand_balls(deltas, nsds: NeighbourSetStructure, *,
-                 cost: ExpandCost | None = None) -> list[SetHandle]:
+def expand_balls(deltas, nsds: MaskNeighbourSets, *,
+                 cost: ExpandCost | None = None) -> list[int]:
     """Handles for N[D_1 xor ... xor D_i], one per prefix of the deltas.
 
     Elements unique to D_1 belong to every prefix, so their neighborhoods are
@@ -51,7 +51,7 @@ def expand_balls(deltas, nsds: NeighbourSetStructure, *,
     return _expand_rec(nsds.empty, deltas, nsds, cost)
 
 
-def _expand_rec(base: SetHandle, deltas, nsds, cost) -> list[SetHandle]:
+def _expand_rec(base: int, deltas, nsds, cost) -> list[int]:
     t = len(deltas)
     if cost is not None:
         cost.calls += 1
@@ -70,7 +70,7 @@ def _expand_rec(base: SetHandle, deltas, nsds, cost) -> list[SetHandle]:
     return first + second
 
 
-def simulate_bfs(nsds: NeighbourSetStructure, v: int,
+def simulate_bfs(nsds: MaskNeighbourSets, v: int,
                  r: int | None = None) -> dict:
     """Hop distances from ``v`` using only the two structure operations.
 
@@ -107,11 +107,10 @@ def k_diameter_implicit(nsds_factory, n: int, k: int, d: int,
                         rng: np.random.Generator, *, inspect=None) -> bool:
     """True iff the graph behind the structure has diameter at most ``k``.
 
-    ``nsds_factory`` is called once per decide call; the structure it
-    returns is cleared between radius steps, so it keeps what depends only
-    on the graph (for the geometric structure: the closed-neighbourhood
-    masks).  Set comparisons are exact, so the answer does not depend on
-    the rng draw.
+    ``nsds_factory`` is called once per decide call, and the structure it
+    returns serves every radius step.  A handle lives only while the driver
+    holds it: the balls of one radius and the recursion's shared sets.  Set
+    comparisons are exact, so the answer does not depend on the rng draw.
 
     Radii 1..k-1 each build a fresh low-difference order and its deltas,
     and ``inspect(r, nsds, order, deltas)`` is called after each of them.
@@ -144,7 +143,6 @@ def k_diameter_implicit(nsds_factory, n: int, k: int, d: int,
         order = new_order
         if inspect is not None:
             inspect(r, nsds, order, deltas)
-        nsds.clear()
     # Every k-ball is full iff the first one is and no other differs from it.
     handles = expand_balls(deltas, nsds)
     first = handles[0]

@@ -23,7 +23,7 @@ import numpy as np
 from . import stripes as st
 from .geometry import (ConvexPolygon, adjacency_shape, axis_square,
                        check_distinct, normalize_polygon, trapezoid_decompose)
-from .nsds import NeighbourSetStructure, SetHandle
+from .nsds import MaskNeighbourSets
 
 
 @dataclass(frozen=True)
@@ -136,18 +136,23 @@ class PlaneStructure:
 
     def cover(self, center) -> int:
         """Mask of the points the shape centered at ``center`` (original
-        coordinates) covers: the OR of its parts' masks, each at its
-        stripe's offset.  Memoized per center, since it depends on nothing
-        else."""
+        coordinates) covers.  Memoized per center, since it depends on
+        nothing else."""
         key = (float(center[0]), float(center[1]))
         mask = self._covers.get(key)
         if mask is None:
             tcx, tcy = (float(v) for v in self.transform.apply([key])[0])
-            mask = 0
-            for band, *part in self._parts_for(tcx, tcy):
-                i = self.band_index[band]
-                mask |= self.stripes[i].covered(*part) << self._offsets[i]
-            self._covers[key] = mask
+            mask = self._covers[key] = self.cover_at(tcx, tcy)
+        return mask
+
+    def cover_at(self, tcx: float, tcy: float) -> int:
+        """Mask of the points the shape covers when centered at (tcx, tcy)
+        in transformed coordinates: the OR of its parts' masks, each at its
+        stripe's offset."""
+        mask = 0
+        for band, *part in self._parts_for(tcx, tcy):
+            i = self.band_index[band]
+            mask |= self.stripes[i].covered(*part) << self._offsets[i]
         return mask
 
     def mark(self, version: PlaneVersion, centers) -> PlaneVersion:
@@ -231,46 +236,18 @@ def plane_list_differences(v1: PlaneVersion, v2: PlaneVersion) -> list:
     return v1.structure.list_differences(v1, v2)
 
 
-class GeometricNeighbourSets(NeighbourSetStructure):
-    """Neighbour-set structure for the intersection graph of a convex shape:
-    the closed neighborhood of v is exactly the point set covered by the
-    adjacency shape (twice the symmetrized shape, grown by the geometry
-    tolerance) centered at v.  Each ``closed[v]`` is that cover's mask,
-    computed once per structure; a handle's set is a mask, AddNeighbours
-    ORs ``closed[v]`` into it and ListDifferences reads the XOR of two."""
-
-    def __init__(self, points, shape: ConvexPolygon | None):
-        pts = np.asarray(points, dtype=np.float64)
-        super().__init__(pts.shape[0])
-        if shape is None:
-            shape = axis_square(1.0)
-        self._plane = PlaneStructure(pts, adjacency_shape(shape))
-        self.closed = [self._plane.cover(p) for p in pts.tolist()]
-        self.clear()
-
-    def clear(self) -> None:
-        """Drop every set; the closed-neighbourhood masks are kept."""
-        super().clear()
-        self._masks = [0]
-
-    def add_neighbours(self, h: SetHandle, v: int) -> SetHandle:
-        self._check_handle(h, len(self._masks))
-        self._check_vertex(v)
-        self.add_count += 1
-        self._masks.append(self._masks[h.index] | self.closed[v])
-        return SetHandle(self._id, len(self._masks) - 1)
-
-    def list_differences(self, h1: SetHandle, h2: SetHandle) -> list:
-        self._check_handle(h1, len(self._masks))
-        self._check_handle(h2, len(self._masks))
-        self.list_count += 1
-        return st.ids_of(self._masks[h1.index] ^ self._masks[h2.index],
-                         self._plane.ids)
-
-
 def geometric_nsds(points, shape: ConvexPolygon | None,
-                   seed=None) -> GeometricNeighbourSets:
-    """Structure instance ready for the implicit diameter algorithm.  The
-    structure draws nothing at random; ``seed`` is accepted and ignored so
-    callers written for a seeded structure keep working."""
-    return GeometricNeighbourSets(points, shape)
+                   seed=None) -> MaskNeighbourSets:
+    """Neighbour-set structure of the intersection graph of ``shape``
+    (None: the axis-aligned unit square) placed at ``points``, built without
+    the graph.  The closed neighbourhood of v is exactly the point set that
+    the adjacency shape (twice the symmetrized shape, grown by the geometry
+    tolerance) covers when centered at v, so ``closed[v]`` is that cover's
+    mask and listings come in band-then-x order.  The structure draws
+    nothing at random; ``seed`` is accepted and ignored so callers written
+    for a seeded structure keep working."""
+    if shape is None:
+        shape = axis_square(1.0)
+    plane = PlaneStructure(points, adjacency_shape(shape))
+    closed = [plane.cover_at(x, y) for x, y in plane.tpoints.tolist()]
+    return MaskNeighbourSets(closed, plane.ids)

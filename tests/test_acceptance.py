@@ -18,7 +18,7 @@ from kdiam.graph import (diameter_naive, distance_vc_shatter_check,
                          neighborhood)
 from kdiam.implicit import ExpandCost, expand_balls, k_diameter_implicit
 from kdiam.intervals import is_canonical
-from kdiam.nsds import NaiveNeighbourSets
+from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import geometric_nsds, plane_init, plane_list_differences, \
     plane_mark
 from kdiam.bench import loglog_slope, order_difference_sum
@@ -116,7 +116,7 @@ def test_criterion_4_expansion_cost_bound():
                       rng.choice(n, size=rng.integers(0, n + 1),
                                  replace=False))
                   for _ in range(t)]
-        nsds = NaiveNeighbourSets(g)
+        nsds = MaskNeighbourSets.from_graph(g)
         cost = ExpandCost()
         expand_balls(deltas, nsds, cost=cost)
         a = len(deltas[0])
@@ -231,7 +231,7 @@ def test_criterion_8_invariant_audits():
                     violations.append(("delta", trial, r, i))
 
         # Deltas are built for radii below k, so k = 4 audits radius 3.
-        k_diameter_implicit(lambda: NaiveNeighbourSets(g),
+        k_diameter_implicit(lambda: MaskNeighbourSets.from_graph(g),
                             g.n, 4, 3, rng, inspect=check_deltas)
 
     # (c) every stripe part's covered mask against brute force, on stripes

@@ -8,8 +8,8 @@ from kdiam.geometry import axis_square, intersection_graph_naive
 from kdiam.graph import bfs_distances, diameter_naive, from_edges
 from kdiam.implicit import (ExpandCost, expand_balls, k_diameter_implicit,
                             simulate_bfs)
-from kdiam.nsds import NaiveNeighbourSets
-from kdiam.plane import GeometricNeighbourSets, geometric_nsds
+from kdiam.nsds import MaskNeighbourSets
+from kdiam.plane import geometric_nsds
 
 from helpers import k_diameter_implicit_reference
 
@@ -25,19 +25,19 @@ def complete_graph(n):
 class TestExpandBalls:
     def test_single_delta(self):
         g = path_graph(4)
-        nsds = NaiveNeighbourSets(g)
+        nsds = MaskNeighbourSets.from_graph(g)
         (h,) = expand_balls([{1}], nsds)
-        assert nsds.set_of(h) == frozenset({0, 1, 2})
+        assert set(nsds.list_differences(nsds.empty, h)) == {0, 1, 2}
 
     def test_two_deltas_cancel(self):
         g = path_graph(4)
-        nsds = NaiveNeighbourSets(g)
+        nsds = MaskNeighbourSets.from_graph(g)
         h1, h2 = expand_balls([{0}, {0, 2}], nsds)
-        assert nsds.set_of(h1) == frozenset({0, 1})
-        assert nsds.set_of(h2) == frozenset({1, 2, 3})
+        assert set(nsds.list_differences(nsds.empty, h1)) == {0, 1}
+        assert set(nsds.list_differences(nsds.empty, h2)) == {1, 2, 3}
 
     def test_empty_input(self):
-        nsds = NaiveNeighbourSets(path_graph(3))
+        nsds = MaskNeighbourSets.from_graph(path_graph(3))
         with pytest.raises(ValueError):
             expand_balls([], nsds)
 
@@ -53,7 +53,7 @@ class TestExpandBalls:
                           rng.choice(n, size=rng.integers(0, n + 1),
                                      replace=False))
                       for _ in range(t)]
-            nsds = NaiveNeighbourSets(g)
+            nsds = MaskNeighbourSets.from_graph(g)
             cost = ExpandCost()
             handles = expand_balls(deltas, nsds, cost=cost)
             acc = set()
@@ -62,7 +62,8 @@ class TestExpandBalls:
                 want = set()
                 for v in acc:
                     want |= set(g.adjacency[v]) | {v}
-                assert nsds.set_of(handles[i]) == frozenset(want)
+                got = nsds.list_differences(nsds.empty, handles[i])
+                assert set(got) == want
             a = len(deltas[0])
             b = sum(len(d) for d in deltas[1:])
             assert cost.operations <= ExpandCost.bound(a, b, t)
@@ -70,11 +71,11 @@ class TestExpandBalls:
 
 class TestSimulateBfs:
     def test_k3_radius1(self):
-        nsds = NaiveNeighbourSets(complete_graph(3))
+        nsds = MaskNeighbourSets.from_graph(complete_graph(3))
         assert simulate_bfs(nsds, 0, 1) == {0: 0, 1: 1, 2: 1}
 
     def test_p5_endpoint_radius2(self):
-        nsds = NaiveNeighbourSets(path_graph(5))
+        nsds = MaskNeighbourSets.from_graph(path_graph(5))
         assert set(simulate_bfs(nsds, 0, 2)) == {0, 1, 2}
 
     def test_matches_bfs_on_geometric(self):
@@ -89,7 +90,7 @@ class TestSimulateBfs:
 
     def test_each_vertex_listed_once(self):
         g = random_connected_graph(15, 25, np.random.default_rng(2))
-        nsds = NaiveNeighbourSets(g)
+        nsds = MaskNeighbourSets.from_graph(g)
         before = nsds.add_count
         simulate_bfs(nsds, 0)
         # one add per popped vertex, n pops of vertices below the limit
@@ -126,7 +127,7 @@ class TestKDiameterImplicit:
             diam = diameter_naive(g)
             for k in range(1, 5):
                 got = k_diameter_implicit(
-                    lambda: NaiveNeighbourSets(g), g.n, k, 3, rng)
+                    lambda: MaskNeighbourSets.from_graph(g), g.n, k, 3, rng)
                 assert got == (diam <= k)
 
     def test_matches_naive_on_geometric(self):
@@ -147,7 +148,7 @@ class TestKDiameterImplicit:
         diam = diameter_naive(g)
         for k in (1, 2, 3):
             answers = {k_diameter_implicit(
-                lambda: NaiveNeighbourSets(g), g.n, k, 2,
+                lambda: MaskNeighbourSets.from_graph(g), g.n, k, 2,
                 np.random.default_rng(s)) for s in range(6)}
             assert answers == {diam <= k}
 
@@ -169,7 +170,7 @@ class TestKDiameterImplicit:
                 checked.append((r, i))
 
         # Deltas are built for radii below k, so k = 4 audits radius 3.
-        k_diameter_implicit(lambda: NaiveNeighbourSets(g), g.n, 4, 3,
+        k_diameter_implicit(lambda: MaskNeighbourSets.from_graph(g), g.n, 4, 3,
                             rng, inspect=inspect)
         assert {r for r, _ in checked} == {1, 2, 3}
 
@@ -190,7 +191,7 @@ class TestKDiameterImplicit:
             made = []
 
             def factory():
-                made.append(NaiveNeighbourSets(g))
+                made.append(MaskNeighbourSets.from_graph(g))
                 return made[-1]
 
             orders.clear()
@@ -204,7 +205,7 @@ class TestKDiameterImplicit:
         made = []
 
         def factory():
-            made.append(NaiveNeighbourSets(path_graph(10)))
+            made.append(MaskNeighbourSets.from_graph(path_graph(10)))
             return made[-1]
 
         assert k_diameter_implicit(factory, 10, 1, 3,
@@ -216,23 +217,20 @@ class TestKDiameterImplicit:
     def test_validates_arguments(self):
         g = complete_graph(3)
         with pytest.raises(ValueError):
-            k_diameter_implicit(lambda: NaiveNeighbourSets(g), 3, 0, 2,
-                                np.random.default_rng(0))
+            k_diameter_implicit(lambda: MaskNeighbourSets.from_graph(g),
+                                3, 0, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            k_diameter_implicit(lambda: NaiveNeighbourSets(g), 3, 1, 1,
-                                np.random.default_rng(0))
+            k_diameter_implicit(lambda: MaskNeighbourSets.from_graph(g),
+                                3, 1, 1, np.random.default_rng(0))
 
 
 def in_descent_order(nsds):
-    """Wrap a geometric structure's listing so that every output is checked
-    to come in descent order (stripes bottom to top, x order within one):
-    the order a descent to the leaves lists them in, on which the order
-    construction's membership reads depend."""
-    plane = nsds._plane
-    rank = {}
-    for stripe in plane.stripes:
-        for pid in stripe.ids:
-            rank[pid] = len(rank)
+    """Wrap a structure's listing so that every output is checked to be
+    increasing in its elements' positions in ``nsds.ids`` (the geometric
+    structure's stripes bottom to top, x order within one; the graph
+    structure's vertex ids): the order on which the order construction's
+    membership reads depend."""
+    rank = {v: i for i, v in enumerate(nsds.ids)}
     listing = nsds.list_differences
 
     def checked(h1, h2):
@@ -249,17 +247,15 @@ class TestSameWorkAsReference:
     the reference simulates BFS and builds a fresh structure per radius.
     Both must make the same order and the same deltas at every radius below
     k (the driver builds none at k), and the driver's one structure must
-    have made exactly the expansion's adds over radii 1..k.  Geometric
-    structures must list in descent order throughout."""
+    have made exactly the expansion's adds over radii 1..k.  Every listing
+    must come in the structure's id order."""
 
     @staticmethod
     def run(driver, make, n, k, d, seed):
         steps, made = [], []
 
         def factory():
-            nsds = make()
-            if isinstance(nsds, GeometricNeighbourSets):
-                in_descent_order(nsds)
+            nsds = in_descent_order(make())
             made.append(nsds)
             return nsds
 
@@ -294,7 +290,7 @@ class TestSameWorkAsReference:
             m = int(rng.integers(n - 1, min(n * (n - 1) // 2, 2 * n) + 1))
             g = random_connected_graph(n, m, rng)
             for k in (1, 2, 3):
-                self.check(lambda: NaiveNeighbourSets(g), g.n, k,
+                self.check(lambda: MaskNeighbourSets.from_graph(g), g.n, k,
                            3, 100 * trial + k)
 
     @pytest.mark.parametrize("label", ["square", "polygon"])

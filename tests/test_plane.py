@@ -7,7 +7,6 @@ import pytest
 from kdiam.gen import random_symmetric_polygon, random_unit_square_points
 from kdiam.geometry import (ConvexPolygon, adjacency_shape, axis_square,
                             intersection_graph_naive, load_polygon)
-from kdiam.nsds import NaiveNeighbourSets
 from kdiam.plane import (PlaneStructure, geometric_nsds, plane_init,
                          plane_list_differences, plane_mark)
 from kdiam.stripes import DOWN, UP
@@ -247,7 +246,7 @@ class TestDirections:
         shape = benchmark_hexagon() if label == "benchmark-hexagon" \
             else random_symmetric_polygon(4, rng)
         pts = rng.uniform(0, 4, size=(40, 2))
-        structure = geometric_nsds(pts, shape)._plane
+        structure = PlaneStructure(pts, adjacency_shape(shape))
         assert structure.dirs == self.expected_dirs(structure)
         assert len(structure.dirs) == structure.shape.s
         used = {t.top_side for t in structure.trapezoids} \
@@ -315,7 +314,7 @@ class TestUnitSquarePlans:
     def test_plan_equals_square_branch(self, seed):
         rng = np.random.default_rng(seed)
         pts = random_unit_square_points(150, 3.2, rng)
-        structure = geometric_nsds(pts, None)._plane
+        structure = PlaneStructure(pts, adjacency_shape(axis_square(1.0)))
         assert structure.dirs == [(0.0, 1.0), (0.0, -1.0)]
         for center in pts:
             assert structure.cover(center) == \
@@ -379,30 +378,28 @@ class TestGeometricNSDS:
 
     @pytest.mark.parametrize("shape", [None, SKEW_HEX])
     def test_contract_equivalence_with_naive(self, shape):
-        # 50 random operation sequences per shape, each checked against the
-        # reference structure over the materialized graph
+        # 50 random operation sequences per shape, each checked against
+        # Python sets replayed over the materialized graph
         for seq in range(50):
             rng = np.random.default_rng(1000 + seq)
             n = int(rng.integers(5, 40))
             pts = rng.uniform(0, 6, size=(n, 2))
             g = intersection_graph_naive(pts, shape or axis_square(1.0))
+            closed = [set(g.adjacency[v]) | {v} for v in range(g.n)]
             geo = geometric_nsds(pts, shape)
-            ref = NaiveNeighbourSets(g)
             geo_handles = [geo.empty]
-            ref_handles = [ref.empty]
+            replay = [set()]
             for _ in range(25):
                 base = int(rng.integers(0, len(geo_handles)))
                 v = int(rng.integers(0, g.n))
                 geo_handles.append(geo.add_neighbours(geo_handles[base], v))
-                ref_handles.append(ref.add_neighbours(ref_handles[base], v))
+                replay.append(replay[base] | closed[v])
             for _ in range(40):
                 i = int(rng.integers(0, len(geo_handles)))
                 j = int(rng.integers(0, len(geo_handles)))
                 got = sorted(geo.list_differences(geo_handles[i],
                                                   geo_handles[j]))
-                want = sorted(ref.list_differences(ref_handles[i],
-                                                   ref_handles[j]))
-                assert got == want, (seq, i, j)
+                assert got == sorted(replay[i] ^ replay[j]), (seq, i, j)
 
 
 class TestOutputSensitivity:
