@@ -17,14 +17,7 @@ from .graph import (
     neighborhood,
     save_edge_list,
 )
-from .order import (
-    EdgeOrder,
-    NetSchedule,
-    build_spanning_tree,
-    euler_order,
-    order_from_membership,
-    total_difference,
-)
+from .order import order_from_membership
 from .explicit import BallEncoding, expand_step, k_diameter_explicit, rebase
 from .intervals import IntervalSets, canonicalize
 from .nsds import MaskNeighbourSets
@@ -56,20 +49,16 @@ __all__ = [
     "ConvexPolygon",
     "DisconnectedGraphError",
     "DistanceVector",
-    "EdgeOrder",
     "Graph",
     "GraphFormatError",
     "IntervalSets",
     "MaskNeighbourSets",
-    "NetSchedule",
     "PlaneStructure",
     "StripeVersion",
     "bfs_distances",
-    "build_spanning_tree",
     "canonicalize",
     "diameter_naive",
     "distance_vc_shatter_check",
-    "euler_order",
     "expand_balls",
     "expand_step",
     "from_edges",
@@ -94,7 +83,6 @@ __all__ = [
     "stripe_init",
     "stripe_list_differences",
     "symmetrize",
-    "total_difference",
     "trapezoid_decompose",
     "__version__",
 ]

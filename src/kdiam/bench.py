@@ -21,7 +21,7 @@ def order_difference_sum(g: Graph, k: int, d: int,
     order = order_from_membership(lambda x: neighborhood(g, x, k), g.n, d, rng)
     indptr, indices = g.csr
     diff = int(_kernels.order_diff_sum(
-        indptr, indices, np.asarray(list(order), dtype=np.int64), k))
+        indptr, indices, np.asarray(order, dtype=np.int64), k))
     return order, diff
 
 

@@ -143,17 +143,19 @@ def expand_step(g: Graph, enc: BallEncoding, d: int,
     """Encoding of (radius+1)-balls from a radius encoding.
 
     Step 1 unions each closed neighborhood's representations under the old
-    order; step 2 draws a fresh degree-weighted order for the new radius;
-    step 3 rebases the unions onto that order.  With ``reorder`` off the
-    unions are kept under the old order and steps 2 and 3 are skipped.
+    order; step 2 draws a fresh degree-weighted order for the new radius,
+    reading its membership from those unions; step 3 rebases the unions
+    onto that order.  With ``reorder`` off the unions are kept under the old
+    order and steps 2 and 3 are skipped.
     """
     r = enc.radius + 1
     unions = _closed_unions(g, enc.reps)
     if not reorder:
         return BallEncoding(enc.order, unions, r)
     degrees = [max(deg, 1) for deg in g.degrees()]
-    new_order = tuple(order.order_from_membership(
-        lambda x: neighborhood(g, x, r), g.n, d, rng, weights=degrees))
+    new_order = order.order_from_membership(
+        BallEncoding(enc.order, unions, r).decode, g.n, d, rng,
+        weights=degrees)
     return BallEncoding(new_order, rebase(unions, enc.order, new_order), r)
 
 

@@ -47,9 +47,10 @@ class Graph:
                 if u == prev:
                     raise ValueError(f"duplicate edge {v}-{u}")
                 prev = u
+        neighbours = [frozenset(neigh) for neigh in adj]
         for v, neigh in enumerate(adj):
             for u in neigh:
-                if v not in adj[u]:
+                if v not in neighbours[u]:
                     raise ValueError(f"asymmetric adjacency: {v}-{u}")
         self.n = n
         self.adjacency = adj

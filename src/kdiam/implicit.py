@@ -132,9 +132,9 @@ def k_diameter_implicit(nsds_factory, n: int, k: int, d: int,
         # Fresh low-difference order for the current radius.  By symmetry of
         # hop distance the balls containing x are the balls centred in
         # B_r(x), which is listed straight from x's own handle.
-        new_order = list(order_from_membership(
+        new_order = order_from_membership(
             lambda x: nsds.list_differences(nsds.empty, handles[old_pos[x]]),
-            n, d, rng))
+            n, d, rng)
         mapped = [handles[old_pos[v]] for v in new_order]
         deltas = [set(nsds.list_differences(nsds.empty, mapped[0]))]
         deltas.extend(

@@ -21,8 +21,6 @@ from ._kernels import concat_ranges
 
 IntervalSet = tuple  # of (a, b) int pairs
 
-EMPTY: IntervalSet = ()
-
 
 def is_canonical(rep: IntervalSet, n: int | None = None) -> bool:
     prev_end = -1
@@ -41,7 +39,7 @@ def canonicalize(positions) -> IntervalSet:
     """Minimal disjoint non-adjacent interval cover of a position set."""
     pos = sorted(set(positions))
     if not pos:
-        return EMPTY
+        return ()
     out = []
     start = prev = pos[0]
     for p in pos[1:]:
@@ -58,10 +56,6 @@ def positions(rep: IntervalSet):
     """Iterate the covered positions in increasing order."""
     for a, b in rep:
         yield from range(a, b + 1)
-
-
-def size(rep: IntervalSet) -> int:
-    return sum(b - a + 1 for a, b in rep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,10 +187,3 @@ def split_difference(a_pair, a_starts, a_ends, b_pair, b_starts, b_ends,
         pair = covered // span
         out.append((pair, covered - pair * span))
     return tuple(out)
-
-
-def contains(rep: IntervalSet, p: int) -> bool:
-    import bisect
-
-    i = bisect.bisect_right(rep, (p, float("inf"))) - 1
-    return i >= 0 and rep[i][0] <= p <= rep[i][1]

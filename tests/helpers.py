@@ -50,6 +50,30 @@ class UnionFind:
         return True
 
 
+def dfs_preorder(edges, n, root=0):
+    """Recursive depth-first preorder from ``root``, neighbours in
+    increasing id."""
+    adj = {x: set() for x in range(n)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    out = []
+
+    def visit(u):
+        out.append(u)
+        for v in sorted(adj[u]):
+            if v not in out:
+                visit(v)
+
+    visit(root)
+    return out
+
+
+def total_difference(order, set_of):
+    """Exact sum of |set_of(v_i) symdiff set_of(v_i+1)| along the order."""
+    return sum(len(set_of(a) ^ set_of(b)) for a, b in zip(order, order[1:]))
+
+
 # -- interval sets ----------------------------------------------------------
 # The per-set loop versions the explicit path used before it worked on CSR
 # arrays; they are the reference the array versions are checked against.

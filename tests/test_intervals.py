@@ -22,7 +22,6 @@ class TestCanonicalize:
         rep = intervals.canonicalize(pos)
         assert set(intervals.positions(rep)) == pos
         assert intervals.is_canonical(rep)
-        assert intervals.size(rep) == len(pos)
 
     def test_random_50_subset_matches_merge_oracle(self):
         rng = np.random.default_rng(0)
@@ -156,10 +155,3 @@ class TestDifferencePositions:
                   for p in sorted(y - x)]
         assert list(zip(a_pair.tolist(), a_pos.tolist())) == want_a
         assert list(zip(b_pair.tolist(), b_pos.tolist())) == want_b
-
-
-class TestContains:
-    @given(position_sets, st.integers(min_value=1, max_value=60))
-    def test_membership(self, pos, p):
-        rep = intervals.canonicalize(pos)
-        assert intervals.contains(rep, p) == (p in pos)

@@ -4,11 +4,10 @@ import pytest
 from kdiam.gen import random_connected_graph, random_unit_square_points
 from kdiam.geometry import axis_square, intersection_graph_naive
 from kdiam.graph import from_edges, neighborhood
-from kdiam.order import (EdgeOrder, TreeEdge, build_spanning_tree, euler_order,
-                         euler_tour, net_schedule, order_from_membership,
-                         total_difference)
+from kdiam.order import (net_sample, order_from_membership, preorder,
+                         spanning_tree)
 
-from helpers import UnionFind, ball
+from helpers import UnionFind, dfs_preorder, total_difference
 
 
 def ball_order(g, k, d, rng, weights=None):
@@ -24,130 +23,136 @@ def hyperedge_membership(edges):
     return membership
 
 
+def random_tree(n, rng):
+    """Edges of a random labelled tree on ``0..n-1``, in random order and
+    orientation."""
+    label = rng.permutation(n).tolist()
+    edges = [(label[int(rng.integers(v))], label[v]) for v in range(1, n)]
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    return [edges[i] for i in rng.permutation(len(edges))]
+
+
 class TestNetSchedule:
     def test_sizes_and_prefixes(self):
         rng = np.random.default_rng(0)
-        sched = net_schedule(100, 81, 4, rng)
-        assert len(sched.sample) == 3  # ceil(81 ** 0.25)
-        assert len(set(sched.sample)) == 3
-
-    def test_degenerate_samples_everything(self):
-        rng = np.random.default_rng(1)
-        sched = net_schedule(3, 100, 2, rng)
-        assert sorted(sched.sample) == [0, 1, 2]
+        sample = net_sample(81, 4, rng)
+        assert len(sample) == 3  # ceil(81 ** 0.25)
+        assert len(set(sample)) == 3
+        assert all(0 <= x < 81 for x in sample)
 
     def test_weighted_rejects_bad_weights(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError):
-            net_schedule(3, 9, 2, rng, weights=[1, 0, 1])
+            net_sample(3, 2, rng, weights=[1, 0, 1])
+        with pytest.raises(ValueError):
+            net_sample(3, 2, rng, weights=[1, 1])
+
+    def test_rejects_small_d_and_no_ids(self):
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError):
+            net_sample(9, 1, rng)
+        with pytest.raises(ValueError):
+            net_sample(0, 2, rng)
 
 
 class TestBuildSpanningTree:
     def test_single_hyperedge(self):
-        rng = np.random.default_rng(0)
-        edges = build_spanning_tree(hyperedge_membership([{0}]), 1, 2, rng,
-                                    ground_size=1)
-        assert edges == []
+        assert spanning_tree(hyperedge_membership([{0}]), 1, (0,)) == []
 
     def test_forced_split(self):
         # two disjoint singleton hyperedges; sampling either element splits
-        rng = np.random.default_rng(0)
-        edges = build_spanning_tree(hyperedge_membership([{0}, {1}]), 2, 2,
-                                    rng, ground_size=2)
-        assert len(edges) == 1
-        assert {edges[0].u, edges[0].v} == {0, 1}
+        edges = spanning_tree(hyperedge_membership([{0}, {1}]), 2, (1,))
+        assert [set(e) for e in edges] == [{0, 1}]
 
     def test_singletons_form_tree(self):
         rng = np.random.default_rng(3)
         hyper = [{i} for i in range(8)]
-        edges = build_spanning_tree(hyperedge_membership(hyper), 8, 2, rng,
-                                    ground_size=8)
+        edges = spanning_tree(hyperedge_membership(hyper), 8,
+                              net_sample(8, 2, rng))
         assert len(edges) == 7
         uf = UnionFind(8)
-        for e in edges:
-            assert uf.union(e.u, e.v), "edge closed a cycle"
+        for u, v in edges:
+            assert uf.union(u, v), "edge closed a cycle"
 
     def test_always_spanning_tree_any_seed(self):
         g = random_connected_graph(15, 25, np.random.default_rng(4))
         hyper = [neighborhood(g, v, 2) for v in range(g.n)]
         for seed in range(12):
-            rng = np.random.default_rng(seed)
-            edges = build_spanning_tree(hyperedge_membership(hyper), g.n, 3,
-                                        rng, ground_size=g.n)
+            sample = net_sample(g.n, 3, np.random.default_rng(seed))
+            edges = spanning_tree(hyperedge_membership(hyper), g.n, sample)
             assert len(edges) == g.n - 1
             uf = UnionFind(g.n)
-            for e in edges:
-                assert uf.union(e.u, e.v)
+            for u, v in edges:
+                assert uf.union(u, v)
 
     def test_secondary_edges_agree_on_sample(self):
+        """A spanning tree crosses each of the p classes of ids that agree
+        on the sample at least p - 1 times; this one crosses exactly that
+        often, so every chaining edge joins ids that agree on the sample."""
         g = random_connected_graph(20, 30, np.random.default_rng(5))
-        hyper = [neighborhood(g, v, 1) for v in range(g.n)]
-        rng = np.random.default_rng(6)
-        sched = net_schedule(g.n, g.n, 2, rng)
-        edges = build_spanning_tree(hyperedge_membership(hyper), g.n, 2, rng,
-                                    schedule=sched, ground_size=g.n)
-        sample = set(sched.sample)
-        for e in edges:
-            if not e.primary:
-                assert hyper[e.u] & sample == hyper[e.v] & sample
+        for seed in range(10):
+            hyper = [neighborhood(g, v, 1 + seed % 3) for v in range(g.n)]
+            drawn = net_sample(g.n, 2, np.random.default_rng(seed))
+            edges = spanning_tree(hyperedge_membership(hyper), g.n, drawn)
+            sample = set(drawn)
+            patterns = {frozenset(h & sample) for h in hyper}
+            crossing = sum(hyper[u] & sample != hyper[v] & sample
+                           for u, v in edges)
+            assert crossing == len(patterns) - 1
 
     def test_zero_hyperedges(self):
         with pytest.raises(ValueError):
-            build_spanning_tree(hyperedge_membership([]), 0, 2,
-                                np.random.default_rng(0), ground_size=1)
+            order_from_membership(hyperedge_membership([]), 0, 2,
+                                  np.random.default_rng(0))
 
 
 class TestEulerOrder:
+    """The preorder is the tree's Euler tour pruned to first visits."""
+
     def test_single_node(self):
-        assert list(euler_order([], 1, root=0)) == [0]
+        assert preorder([], 1) == (0,)
 
     def test_path_tree(self):
-        edges = [TreeEdge(0, 1, True), TreeEdge(1, 2, True)]
-        assert list(euler_order(edges, 3, root=0)) == [0, 1, 2]
+        assert preorder([(2, 1), (0, 1)], 3) == (0, 1, 2)
 
     def test_star_first_visit(self):
-        edges = [TreeEdge(0, i, True) for i in range(1, 5)]
-        order = euler_order(edges, 5, root=0)
-        assert order.perm[0] == 0
-        assert sorted(order.perm) == [0, 1, 2, 3, 4]
-        # first-visit property: pruning the tour keeps first occurrences
-        tour = euler_tour(edges, 5, root=0)
-        firsts = []
-        for node in tour:
-            if node not in firsts:
-                firsts.append(node)
-        assert list(order) == firsts
+        edges = [(i, 0) for i in (4, 2, 1, 3)]
+        assert preorder(edges, 5) == (0, 1, 2, 3, 4)
 
     def test_not_a_tree(self):
         with pytest.raises(ValueError):
-            euler_order([TreeEdge(0, 1, True)], 3, root=0)
-        with pytest.raises(ValueError):
-            euler_order([TreeEdge(0, 1, True), TreeEdge(0, 1, False)], 3)
+            preorder([(0, 1)], 3)
+
+    def test_matches_recursive_reference(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            edges = random_tree(n, rng)
+            assert list(preorder(edges, n)) == dfs_preorder(edges, n)
 
     def test_pruning_never_increases_difference(self):
+        """The Euler tour crosses every tree edge twice, so the order costs
+        at most twice the tree's total difference."""
         g = random_connected_graph(14, 22, np.random.default_rng(7))
-        hyper = [neighborhood(g, v, 1) for v in range(g.n)]
-        rng = np.random.default_rng(8)
-        edges = build_spanning_tree(hyperedge_membership(hyper), g.n, 2, rng,
-                                    ground_size=g.n)
-        tour = euler_tour(edges, g.n, root=0)
-        tour_sum = sum(len(hyper[a] ^ hyper[b]) for a, b in zip(tour, tour[1:]))
-        order = euler_order(edges, g.n, root=0)
-        order_sum = total_difference(order, lambda v: hyper[v])
-        assert order_sum <= tour_sum
+        for seed in range(10):
+            hyper = [neighborhood(g, v, 1 + seed % 3) for v in range(g.n)]
+            sample = net_sample(g.n, 2, np.random.default_rng(seed))
+            edges = spanning_tree(hyperedge_membership(hyper), g.n, sample)
+            tree_sum = sum(len(hyper[u] ^ hyper[v]) for u, v in edges)
+            order = preorder(edges, g.n)
+            assert total_difference(order, hyper.__getitem__) <= 2 * tree_sum
 
 
 class TestVertexOrders:
     def test_k3_any_permutation_zero_difference(self):
         g = from_edges(3, [(0, 1), (1, 2), (0, 2)])
         order = ball_order(g, 1, 2, np.random.default_rng(0))
-        assert sorted(order.perm) == [0, 1, 2]
+        assert sorted(order) == [0, 1, 2]
         assert total_difference(order, lambda v: neighborhood(g, v, 1)) == 0
 
     def test_p4_not_worse_than_identity(self):
         g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        identity = EdgeOrder((0, 1, 2, 3))
-        base = total_difference(identity, lambda v: neighborhood(g, v, 1))
+        base = total_difference((0, 1, 2, 3), lambda v: neighborhood(g, v, 1))
         for seed in range(10):
             order = ball_order(g, 1, 2, np.random.default_rng(seed))
             got = total_difference(order, lambda v: neighborhood(g, v, 1))
@@ -164,7 +169,7 @@ class TestVertexOrders:
     def test_weighted_uniform_reduces_to_unweighted(self):
         g = random_connected_graph(12, 18, np.random.default_rng(9))
         o1 = ball_order(g, 1, 2, np.random.default_rng(42), [1] * g.n)
-        assert sorted(o1.perm) == list(range(g.n))
+        assert sorted(o1) == list(range(g.n))
 
     def test_k3_weighted_interval_cost(self):
         from kdiam.intervals import canonicalize
@@ -172,7 +177,7 @@ class TestVertexOrders:
         g = from_edges(3, [(0, 1), (1, 2), (0, 2)])
         weights = [5, 1, 1]
         order = ball_order(g, 1, 2, np.random.default_rng(3), weights)
-        pos = order.position_of()
+        pos = {v: i for i, v in enumerate(order)}
         cost = 0
         for v in range(3):
             rep = canonicalize({pos[u] + 1 for u in neighborhood(g, v, 1)})
@@ -194,8 +199,8 @@ class TestVertexOrders:
             return total
 
         base = cost_under([0, 1, 2, 3])
-        costs = [cost_under(list(ball_order(g, 1, 2, np.random.default_rng(s),
-                                            weights)))
+        costs = [cost_under(ball_order(g, 1, 2, np.random.default_rng(s),
+                                       weights))
                  for s in range(20)]
         assert sum(costs) / len(costs) <= base
 
@@ -203,30 +208,6 @@ class TestVertexOrders:
         g = from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
             ball_order(g, 1, 2, np.random.default_rng(0), [1, 0])
-
-
-class TestTotalDifference:
-    def test_identical_sets(self):
-        order = EdgeOrder((0, 1))
-        assert total_difference(order, lambda v: {1, 2}) == 0
-
-    def test_disjoint_singletons(self):
-        sets = [{1}, {2}]
-        assert total_difference(EdgeOrder((0, 1)), lambda v: sets[v]) == 2
-
-    def test_five_cycle_identity(self):
-        # consecutive balls on the cycle differ by 2; four gaps in the order
-        g = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-        balls = [ball(g.adjacency, v, 1) for v in range(5)]
-        expect = sum(len(balls[i] ^ balls[i + 1]) for i in range(4))
-        assert expect == 8
-        got = total_difference(EdgeOrder(tuple(range(5))),
-                               lambda v: neighborhood(g, v, 1))
-        assert got == 8
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            EdgeOrder((0, 0, 1))
 
 
 def test_subquadratic_trend_small():
