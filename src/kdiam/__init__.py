@@ -23,14 +23,11 @@ from .intervals import IntervalSets, canonicalize
 from .nsds import MaskNeighbourSets
 from .implicit import expand_balls, k_diameter_implicit, simulate_bfs
 from .geometry import (
-    AffineMap,
     ConvexPolygon,
     intersection_graph_naive,
     minkowski_sum,
     norm_value,
-    normalize_polygon,
     symmetrize,
-    trapezoid_decompose,
 )
 from .plane import (
     PlaneStructure,
@@ -44,7 +41,6 @@ from .stripes import StripeVersion, stripe_init, stripe_list_differences
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "BallEncoding",
     "ConvexPolygon",
     "DisconnectedGraphError",
@@ -72,7 +68,6 @@ __all__ = [
     "minkowski_sum",
     "neighborhood",
     "norm_value",
-    "normalize_polygon",
     "order_from_membership",
     "plane_init",
     "plane_list_differences",
@@ -83,6 +78,5 @@ __all__ = [
     "stripe_init",
     "stripe_list_differences",
     "symmetrize",
-    "trapezoid_decompose",
     "__version__",
 ]

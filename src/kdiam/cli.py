@@ -296,6 +296,9 @@ def main(argv=None) -> int:
     if args.command == "gen" and args.generator == "sparse-graph" \
             and args.m is None:
         raise UsageError("sparse-graph needs --m")
+    if args.command == "gen" and args.generator == "polygon-points" \
+            and (args.sides < 4 or args.sides % 2):
+        raise UsageError(f"--sides must be even and >= 4, got {args.sides}")
     return args.func(args)
 
 

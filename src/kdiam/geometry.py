@@ -4,17 +4,17 @@ Shapes are strictly convex CCW polygons (degenerate 1- and 2-vertex shapes
 are allowed where harmless, e.g. as Minkowski summands).  All predicates use
 the module-wide absolute tolerance ``TOL``.
 
-Adjacency is defined once, by :func:`adjacency_sides`: for a shape ``f``,
+Adjacency is defined once, by :func:`adjacency_slabs`: for a shape ``f``,
 u ~ v iff u - v lies in the closed polygon ``2 * symmetrize(f)`` with every
 side pushed outward by ``TOL`` along its unit normal.  Copies of ``f`` that
 touch exactly are adjacent, and so are copies whose gap is at most ``TOL``
-along some side normal; copies further apart are not.  The oracle
-(:func:`intersection_graph_naive`) tests those side inequalities; the
-geometric neighbour-set structure marks the polygon they bound
-(:func:`adjacency_shape`) in its normalized frame, where the rounding of the
-normalizing map (about 1e-16 relative) cannot undo a margin of ``TOL``.
-Only pairs whose gap lies within that rounding of ``TOL`` itself may be
-judged differently by the two.
+along some side normal; copies further apart are not.  That polygon is
+centrally symmetric, so it is the intersection of one slab
+``|normal . x| <= half-width`` per pair of opposite sides.  The oracle
+(:func:`intersection_graph_naive`) and the geometric neighbour-set structure
+(:mod:`kdiam.plane`) both compare ``|normal . u - normal . v|`` with the
+half-width, on the same projections ``points @ normal``, so they judge every
+pair alike, touching pairs included.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,11 +78,6 @@ class ConvexPolygon:
             out.append((nrm, float(nrm @ self.vertices[i])))
         return out
 
-    def area(self) -> float:
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        return float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]) / 2.0)
-
     def is_symmetric(self, tol: float = 1e-7) -> bool:
         """Central symmetry about the origin (vertex i pairs with vertex
         i + s/2 negated, after cyclic alignment)."""
@@ -96,6 +90,17 @@ class ConvexPolygon:
         j = int(np.argmin(dists))
         rolled = np.roll(v, -((j - half) % self.s), axis=0)
         return bool(np.allclose(rolled[half:], -rolled[:half], atol=tol))
+
+    def slabs(self) -> list:
+        """(outward unit normal, offset) of the first side of each pair of
+        opposite sides of a centrally symmetric polygon: the polygon is
+        exactly the set of points p with ``|normal . p| <= offset`` for every
+        pair."""
+        if self.s < 3:
+            raise ValueError("a polygon needs at least 3 vertices")
+        if not self.is_symmetric():
+            raise ValueError("polygon must be centrally symmetric")
+        return self.side_normals()[:self.s // 2]
 
     def scaled(self, factor: float) -> "ConvexPolygon":
         # Negative factors are point reflections, which keep CCW order.
@@ -201,32 +206,22 @@ def check_distinct(points) -> None:
         raise ValueError(f"duplicate points {int(first_equal[j])} and {j}")
 
 
-def adjacency_sides(f: ConvexPolygon) -> list:
-    """(unit normal, offset) per side of the adjacency shape for copies of
-    ``f``: u ~ v iff normal . (u - v) <= offset for every side.  The sides
-    of twice the symmetrized shape, each pushed out by ``TOL`` (see the
-    module docstring)."""
-    h = f if f.is_symmetric() else symmetrize(f)
-    return [(nrm, 2.0 * off + TOL) for nrm, off in h.side_normals()]
-
-
-def adjacency_shape(f: ConvexPolygon) -> ConvexPolygon:
-    """The polygon bounded by :func:`adjacency_sides`: vertex i is where
-    side i - 1 meets side i."""
-    sides = adjacency_sides(f)
-    verts = []
-    for (n0, o0), (n1, o1) in zip(sides[-1:] + sides[:-1], sides):
-        det = n0[0] * n1[1] - n0[1] * n1[0]
-        verts.append(((o0 * n1[1] - o1 * n0[1]) / det,
-                      (n0[0] * o1 - n1[0] * o0) / det))
-    return ConvexPolygon(verts)
+def adjacency_slabs(f: ConvexPolygon) -> list:
+    """(unit normal, half-width) per pair of opposite sides of the
+    adjacency shape for copies of ``f``: u ~ v iff
+    ``|normal . u - normal . v| <= half-width`` for every pair.  The sides of
+    twice the symmetrized shape, each pushed out by ``TOL`` (see the module
+    docstring).  A shape that :meth:`ConvexPolygon.is_symmetric` accepts
+    may still be asymmetric within its tolerance, so it is symmetrized too:
+    the opposite sides of ``symmetrize(f)`` are exact negations."""
+    return [(nrm, 2.0 * w + TOL) for nrm, w in symmetrize(f).slabs()]
 
 
 def intersection_graph_naive(points, f: ConvexPolygon) -> Graph:
     """Materialized intersection graph for shape ``f`` centered at each
     point: u ~ v iff translated copies of f overlap (boundary touching
-    counts), equivalently u - v meets every :func:`adjacency_sides`
-    inequality.
+    counts), equivalently u and v meet every :func:`adjacency_slabs`
+    inequality, each evaluated on the projections ``points @ normal``.
 
     This is the oracle graph the geometric algorithms are checked against.
     """
@@ -234,175 +229,12 @@ def intersection_graph_naive(points, f: ConvexPolygon) -> Graph:
     n = pts.shape[0]
     check_distinct(pts)
     adj = np.ones((n, n), dtype=bool)
-    for nrm, off in adjacency_sides(f):
+    for nrm, w in adjacency_slabs(f):
         dots = pts @ nrm
-        gap = dots[:, None] - dots[None, :]
-        adj &= gap <= off
+        adj &= np.abs(dots[:, None] - dots[None, :]) <= w
     np.fill_diagonal(adj, False)
     edges = [(i, j) for i, j in zip(*np.nonzero(np.triu(adj)))]
     return from_edges(n, [(int(i), int(j)) for i, j in edges])
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Invertible linear map plus translation, applied as A @ p + t."""
-
-    matrix: tuple
-    translation: tuple = (0.0, 0.0)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if abs(np.linalg.det(m)) <= TOL:
-            raise ValueError("affine map must be invertible")
-
-    @property
-    def _m(self):
-        return np.asarray(self.matrix, dtype=np.float64)
-
-    def apply(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self._m.T + np.asarray(self.translation)
-
-    def apply_polygon(self, poly: ConvexPolygon) -> ConvexPolygon:
-        verts = self.apply(poly.vertices)
-        if np.linalg.det(self._m) < 0:
-            verts = verts[::-1]
-        return ConvexPolygon(verts)
-
-
-def normalize_polygon(f: ConvexPolygon) -> tuple[ConvexPolygon, AffineMap]:
-    """Put a symmetric polygon into the stripe-friendly frame.
-
-    Scales a longest side to length 1, rotates it vertical, then shears and
-    compresses so that side and its mirror become the vertical sides of the
-    centered unit square.  The result has height at most s, contains the
-    unit square, and the returned map sends input points into the new frame.
-
-    Exact side normals matter: stripes always carry up (0, 1) and down
-    (0, -1), and share a direction only between equal normals.  Among
-    longest sides the one needing the least rotation is picked, so an
-    axis-aligned square maps by a multiple of the identity and keeps its
-    normals exact.  Any parallelogram's image is the unit square up to
-    rounding; within 2e-15 of it, the square itself is returned.
-    """
-    if not f.is_symmetric():
-        raise ValueError("polygon must be centrally symmetric")
-    edges = f.edge_vectors()
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    longest = float(lengths.max())
-    candidates = [i for i in range(f.s) if lengths[i] >= longest - 1e-12]
-
-    def rotation_for(i):
-        # Angle rotating edge i to point straight up.
-        return math.remainder(math.pi / 2 - math.atan2(edges[i][1], edges[i][0]),
-                              2 * math.pi)
-
-    best = min(candidates, key=lambda i: (abs(rotation_for(i)), i))
-    phi = rotation_for(best)
-    c, s_ = math.cos(phi), math.sin(phi)
-    rot_scale = np.array([[c, -s_], [s_, c]]) / longest
-
-    verts = f.vertices @ rot_scale.T
-    edge = verts[(best + 1) % f.s] - verts[best]
-    assert abs(edge[0]) < 1e-9 and edge[1] > 0
-    a = float(verts[best][0])
-    if a < 0:
-        # Chosen side sits on the left; its mirror is the right one.
-        a = -a
-        mid_y = -float((verts[best][1] + verts[(best + 1) % f.s][1]) / 2.0)
-    else:
-        mid_y = float((verts[best][1] + verts[(best + 1) % f.s][1]) / 2.0)
-    if a <= TOL:
-        raise ValueError("degenerate polygon: zero width")
-    shear = np.array([[1.0 / (2.0 * a), 0.0], [-mid_y / a, 1.0]])
-    matrix = shear @ rot_scale
-    amap = AffineMap(tuple(map(tuple, matrix)))
-    out = amap.apply_polygon(f)
-    if f.s == 4 and np.abs(np.abs(out.vertices) - 0.5).max() <= 2e-15:
-        out = ConvexPolygon(np.copysign(0.5, out.vertices))
-    return out, amap
-
-
-@dataclass(frozen=True)
-class Trapezoid:
-    """One vertical slab of a polygon: x range, top and bottom side values
-    at both ends, and the indices of the polygon sides they lie on."""
-
-    x0: float
-    x1: float
-    top0: float
-    top1: float
-    bot0: float
-    bot1: float
-    top_side: int
-    bot_side: int
-
-    def area(self) -> float:
-        return (self.x1 - self.x0) * (
-            (self.top0 - self.bot0) + (self.top1 - self.bot1)) / 2.0
-
-
-def _chains(poly: ConvexPolygon):
-    """Split the boundary into lower and upper chains from the leftmost to
-    the rightmost vertex.  Each chain is a list of (va, vb, side) segments
-    going left to right, where ``side`` indexes the polygon edge the segment
-    lies on."""
-    v = poly.vertices
-    s = poly.s
-    keys = list(zip(v[:, 0], v[:, 1]))
-    left = min(range(s), key=keys.__getitem__)
-    right = max(range(s), key=keys.__getitem__)
-    lower = []  # walks with the CCW orientation; segment (i, i+1) is edge i
-    i = left
-    while i != right:
-        lower.append((i, (i + 1) % s, i))
-        i = (i + 1) % s
-    upper = []  # walks against the orientation; segment (i+1, i) is edge i
-    i = right
-    while i != left:
-        upper.append(((i + 1) % s, i, i))
-        i = (i + 1) % s
-    upper.reverse()
-    return lower, upper
-
-
-def trapezoid_decompose(poly: ConvexPolygon) -> list[Trapezoid]:
-    """Cut the polygon with a vertical line through every vertex.
-
-    The union of the cells is the polygon, and each cell's non-vertical
-    sides lie on single polygon sides.
-    """
-    v = poly.vertices
-    lower, upper = _chains(poly)
-    cuts = sorted(set(round(float(x), 12) for x in v[:, 0]))
-    if len(cuts) < 2:
-        raise ValueError("polygon has zero width")
-
-    def side_covering(chain, x):
-        for va, vb, side in chain:
-            if v[va][0] - 1e-12 <= x <= v[vb][0] + 1e-12 and v[vb][0] > v[va][0]:
-                return side
-        raise ValueError(f"x={x} outside chain span")
-
-    out = []
-    for x0, x1 in zip(cuts, cuts[1:]):
-        mid = (x0 + x1) / 2.0
-        sb = side_covering(lower, mid)
-        st = side_covering(upper, mid)
-        out.append(Trapezoid(
-            x0, x1,
-            _line_at(v, st, poly.s, x0), _line_at(v, st, poly.s, x1),
-            _line_at(v, sb, poly.s, x0), _line_at(v, sb, poly.s, x1),
-            top_side=st, bot_side=sb))
-    return out
-
-
-def _line_at(v, side, s, x):
-    a, b = v[side], v[(side + 1) % s]
-    if abs(b[0] - a[0]) <= 1e-15:
-        return float(min(a[1], b[1]))
-    t = (x - a[0]) / (b[0] - a[0])
-    return float(a[1] + t * (b[1] - a[1]))
 
 
 def axis_square(side: float = 1.0, center=(0.0, 0.0)) -> ConvexPolygon:

@@ -6,8 +6,8 @@ neighbourhood N[v], and ListDifferences lists the symmetric difference of
 two sets, output-sensitively.  Here a set is an ``int`` mask, so a handle is
 its own set and never changes.  The one class has two constructors:
 :meth:`MaskNeighbourSets.from_graph` over an explicit graph, and
-:func:`kdiam.plane.geometric_nsds`, which builds the masks from the stripes
-without the graph.
+:func:`kdiam.plane.geometric_nsds`, which builds the masks from one sorted
+stripe per slab of the shape, without the graph.
 """
 
 from __future__ import annotations
@@ -17,31 +17,28 @@ from .stripes import ids_of
 
 
 class MaskNeighbourSets:
-    """Vertex sets of a fixed graph as masks: bit i stands for vertex
-    ``ids[i]`` and ``closed[v]`` is the mask of N[v].
+    """Vertex sets of a fixed graph as masks: bit v stands for vertex v and
+    ``closed[v]`` is the mask of N[v].
 
     The empty set is ``0``.  AddNeighbours(h, v) is ``h | closed[v]`` and
-    ListDifferences(h1, h2) lists the set bits of ``h1 ^ h2`` through
-    ``ids``, each element once, in increasing bit order.  ``add_count`` and
-    ``list_count`` count the two operations.
+    ListDifferences(h1, h2) lists the set bits of ``h1 ^ h2``, each element
+    once, in increasing order.  ``add_count`` and ``list_count`` count the
+    two operations.
     """
 
     empty = 0
 
-    def __init__(self, closed: list[int], ids):
+    def __init__(self, closed: list[int]):
         self.closed = closed
-        self.ids = ids
         self.n = len(closed)
         self.add_count = 0
         self.list_count = 0
 
     @classmethod
     def from_graph(cls, g: Graph) -> MaskNeighbourSets:
-        """Structure over an explicit graph: bit v is vertex v, so listings
-        come in increasing id order."""
-        closed = [sum(1 << u for u in (v, *g.adjacency[v]))
-                  for v in range(g.n)]
-        return cls(closed, range(g.n))
+        """Structure over an explicit graph."""
+        return cls([sum(1 << u for u in (v, *g.adjacency[v]))
+                    for v in range(g.n)])
 
     def add_neighbours(self, h: int, v: int) -> int:
         """The set h union N[v]."""
@@ -53,4 +50,4 @@ class MaskNeighbourSets:
     def list_differences(self, h1: int, h2: int) -> list:
         """The elements of exactly one of the two sets."""
         self.list_count += 1
-        return ids_of(h1 ^ h2, self.ids)
+        return ids_of(h1 ^ h2)

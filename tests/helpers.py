@@ -249,16 +249,6 @@ def geometric_graph_sat(points, verts):
     return edges
 
 
-def shoelace(verts):
-    s = len(verts)
-    acc = 0.0
-    for i in range(s):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % s]
-        acc += x1 * y2 - x2 * y1
-    return acc / 2.0
-
-
 # -- implicit driver --------------------------------------------------------
 
 

@@ -234,44 +234,33 @@ def test_criterion_8_invariant_audits():
         k_diameter_implicit(lambda: MaskNeighbourSets.from_graph(g),
                             g.n, 4, 3, rng, inspect=check_deltas)
 
-    # (c) every stripe part's covered mask against brute force, on stripes
-    # with n <= 256: the points at positions l..r (x in [xlo, xhi]) with
-    # dirs[j] . p <= c, and the version mask as the OR of the parts so far
-    from kdiam.stripes import DOWN, UP, stripe_init, stripe_mark_line
+    # (c) every stripe lookup's covered mask against brute force, on
+    # stripes with n <= 256: the points i whose projection p has
+    # |p - c| <= w, and the version mask as the OR of the lookups so far
+    from kdiam.stripes import stripe_init, stripe_mark_line
 
     for n in (64, 256):
-        pts = [(i, float(rng.uniform(0, 25)), float(rng.uniform(0, 1)))
-               for i in range(n)]
-        v = stripe_init(pts, 0.0)
+        pts = rng.uniform((0, 0), (25, 1), size=(n, 2))
+        keys = (pts @ np.array([1.0, 0.0])).tolist()
+        v = stripe_init(keys)
         stripe = v.stripe
         marked = 0
         for step in range(200):
-            cx = float(rng.uniform(-1, 26))
-            cy = float(rng.uniform(-0.6, 1.6))
-            if cy <= 0.5:
-                part = (cx - 0.5, cx + 0.5, UP, cy + 0.5)
-            else:
-                part = (cx - 0.5, cx + 0.5, DOWN, -(cy - 0.5))
-            xlo, xhi, j, c = part
-            ux, uy = stripe.dirs[j]
-            want = sum(1 << i for i, (x, y) in enumerate(stripe.pts)
-                       if xlo <= x <= xhi and ux * x + uy * y <= c)
-            if stripe.covered(*part) != want:
-                violations.append(("stripe part", n, step))
+            c = float(rng.uniform(-1, 26))
+            w = float(rng.uniform(0, 1))
+            want = sum(1 << i for i, p in enumerate(keys) if abs(p - c) <= w)
+            if stripe.covered(c, w) != want:
+                violations.append(("stripe lookup", n, step))
             marked |= want
-            v = stripe_mark_line(v, *part)
+            v = stripe_mark_line(v, c, w)
             if v.mask != marked:
                 violations.append(("stripe mask", n, step))
 
-    # (d) plane version masks: the bits of the brute-force marked set
-    # (point in shape over the marks applied) laid out band by band, x
-    # order within a band
+    # (d) plane version masks: bit i for point i of the brute-force marked
+    # set (point in shape over the marks applied)
     pts = rng.uniform(0, 10, size=(150, 2))
     structure, version = plane_init(pts, None)
     square_verts = [tuple(v) for v in axis_square(1.0).vertices]
-    layout = sorted(range(len(pts)), key=lambda i: (
-        math.floor(structure.tpoints[i][1]), structure.tpoints[i][0], i))
-    bit = {pid: pos for pos, pid in enumerate(layout)}
     marked = set()
     for step in range(200):
         c = (float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
@@ -280,9 +269,9 @@ def test_criterion_8_invariant_audits():
                    if point_in_polygon((p[0] - c[0], p[1] - c[1]),
                                        square_verts)}
         if (step + 1) % 10 == 0 and \
-                version.mask != sum(1 << bit[i] for i in marked):
+                version.mask != sum(1 << i for i in marked):
             violations.append(("plane mask", step + 1))
 
     assert violations == []
-    report(8, "canonicality, delta prefixes, stripe parts, plane masks",
+    report(8, "canonicality, delta prefixes, stripe lookups, plane masks",
            start, 300)

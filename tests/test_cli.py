@@ -208,6 +208,30 @@ class TestErrors:
         assert out.out == ""
         assert out.err.strip().splitlines() == ["error: " + message]
 
+    @pytest.mark.parametrize("sides", ["5", "3", "2"])
+    def test_bad_polygon_sides_rejected(self, tmp_path, capsys, sides):
+        out = tmp_path / "pts.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "polygon-points", "--n", "12", "--sides", sides,
+                  "--output", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: --sides must be even and >= 4, got {sides}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
+    def test_shape_with_two_vertices_rejected(self, tmp_path, capsys, algo):
+        # unit segments 10 apart do not touch; no algorithm may answer
+        pts, poly = tmp_path / "pts.csv", tmp_path / "seg.poly.csv"
+        pts.write_text("0,0\n10,0\n20,0\n")
+        poly.write_text("2\n0,0\n1,0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["diam", "--algo", algo, "--input", str(pts),
+                  "--polygon", str(poly), "--k", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {pts}: a polygon needs at least 3 vertices"]
+
     @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
     def test_disconnected_points_rejected(self, tmp_path, capsys, algo):
         # two unit squares far apart: infinite diameter under every algorithm

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from kdiam.gen import random_symmetric_polygon
-from kdiam.geometry import (TOL, AffineMap, ConvexPolygon, adjacency_shape,
-                            adjacency_sides, axis_square, format_points,
-                            format_polygon, intersection_graph_naive,
-                            minkowski_sum, norm_value, normalize_polygon,
-                            parse_points, parse_polygon, shape_metric,
-                            symmetrize, trapezoid_decompose)
+from kdiam.geometry import (TOL, ConvexPolygon, adjacency_slabs, axis_square,
+                            format_points, format_polygon,
+                            intersection_graph_naive, minkowski_sum,
+                            norm_value, parse_points, parse_polygon,
+                            shape_metric, symmetrize)
 from kdiam.plane import geometric_nsds
 
-from helpers import (convex_hull, gauge_by_bisection, geometric_graph_sat,
-                     shoelace)
+from helpers import convex_hull, gauge_by_bisection, geometric_graph_sat
 
 
 def hull_equal(poly: ConvexPolygon, points, tol=1e-9):
@@ -205,100 +203,121 @@ class TestIntersectionGraph:
 
 class TestAdjacencyShape:
     def test_sides_are_twice_the_symmetrized_shape_plus_tol(self):
+        # One slab per pair of opposite sides of 2 * symmetrize(f): the
+        # first side's normal, its offset pushed out by TOL.
         rng = np.random.default_rng(9)
-        for sides in (3, 4, 5, 6):
-            f = random_convex(rng, sides=sides)
+        # A square with one corner 4e-6 off passes is_symmetric(); its
+        # adjacency shape is still a hexagon.
+        near_square = ConvexPolygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5],
+                                     [-0.5, 0.5 + 4e-6]])
+        assert near_square.is_symmetric()
+        assert len(adjacency_slabs(near_square)) == 3
+        for sides in (3, 4, 5, 6, near_square):
+            f = near_square if sides is near_square \
+                else random_convex(rng, sides=sides)
             want = symmetrize(f).scaled(2.0).side_normals()
-            got = adjacency_sides(f)
-            assert len(got) == len(want)
+            got = adjacency_slabs(f)
+            assert 2 * len(got) == len(want)
             for (n0, o0), (n1, o1) in zip(want, got):
                 assert np.allclose(n0, n1, atol=1e-9)
                 assert o1 == pytest.approx(o0 + TOL, abs=1e-12)
 
     def test_shape_is_bounded_by_the_sides(self):
+        # The intersection of the slabs is the polygon bounded by every
+        # side of 2 * symmetrize(f) pushed out by TOL: on random offsets
+        # and on each pushed-out vertex, nudged in and out.
         rng = np.random.default_rng(10)
         for sides in (3, 4, 5, 6):
             f = random_convex(rng, sides=sides)
-            shape = adjacency_shape(f)
-            for (n0, o0), (n1, o1) in zip(adjacency_sides(f),
-                                          shape.side_normals()):
-                assert np.allclose(n0, n1, atol=1e-12)
-                assert o1 == pytest.approx(o0, abs=1e-12)
+            h = symmetrize(f).scaled(2.0)
+            pushed = [(nrm, off + TOL) for nrm, off in h.side_normals()]
+            slabs = adjacency_slabs(f)
+            probes = list(rng.uniform(-4, 4, size=(400, 2)))
+            for v in h.vertices:
+                probes += [v * (1 - 1e-6), v * (1 + 1e-6)]
+            inside_count = 0
+            for x in probes:
+                in_slabs = all(abs(nrm @ x) <= w for nrm, w in slabs)
+                in_sides = all(nrm @ x <= off for nrm, off in pushed)
+                assert in_slabs == in_sides
+                inside_count += in_slabs
+            assert 0 < inside_count < len(probes)
 
 
 UNIT_SQUARE = [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
 
 
+def slab_frame(poly):
+    """The vertices of ``poly`` in the frame of its slabs: coordinate j is
+    ``normal_j . v / (2 * offset_j)``."""
+    return np.array([[nrm @ v / (2.0 * off) for nrm, off in poly.slabs()]
+                     for v in poly.vertices])
+
+
 class TestNormalize:
+    """A symmetric polygon's slabs are the frame the plane structure works
+    in: one (outward unit normal, offset) per pair of opposite sides, the
+    polygon being exactly where ``|normal . p| <= offset`` for each."""
+
     def test_square_identity(self):
-        out, amap = normalize_polygon(axis_square(1.0))
-        assert out.vertices.tolist() == UNIT_SQUARE
-        assert np.asarray(amap.matrix).tolist() == np.eye(2).tolist()
+        slabs = axis_square(1.0).slabs()
+        assert [(nrm.tolist(), off) for nrm, off in slabs] == \
+            [([0.0, -1.0], 0.5), ([1.0, 0.0], 0.5)]
+        assert slab_frame(axis_square(1.0)).tolist() == \
+            [[0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5]]
 
     def test_rotated_square(self):
-        c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
-        rot = AffineMap(((c, -s), (s, c)))
-        sq = rot.apply_polygon(axis_square(1.0))
-        out, _ = normalize_polygon(sq)
-        assert sorted(out.vertices.tolist()) == sorted(UNIT_SQUARE)
+        phi = 0.3
+        c, s = math.cos(phi), math.sin(phi)
+        sq = ConvexPolygon(axis_square(1.0).vertices @ np.array(
+            [[c, s], [-s, c]]))
+        slabs = sq.slabs()
+        assert len(slabs) == 2
+        for (nrm, off), want in zip(slabs, ([s, -c], [c, s])):
+            assert np.allclose(nrm, want, atol=1e-15)
+            assert off == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("vertices", [
         [[-0.5, -0.3], [0.6, -0.3], [0.5, 0.3], [-0.6, 0.3]],
         [[-0.3, -0.8], [0.3, -0.6], [0.3, 0.8], [-0.3, 0.6]],
         [[0.0, -1.0], [2.0, 0.5], [0.0, 1.0], [-2.0, -0.5]]])
     def test_parallelogram_is_exactly_the_unit_square(self, vertices):
-        # Its image is the unit square up to the map's rounding; the
-        # returned shape is that square exactly, in the image's vertex order.
+        # Two slabs, and in their frame the vertices are the corners of the
+        # unit square up to rounding.
         f = ConvexPolygon(vertices)
-        out, amap = normalize_polygon(f)
-        assert sorted(out.vertices.tolist()) == sorted(UNIT_SQUARE)
-        assert np.allclose(amap.apply(f.vertices), out.vertices,
-                           rtol=0, atol=1e-15)
+        assert len(f.slabs()) == 2
+        frame = slab_frame(f)
+        assert np.allclose(np.abs(frame), 0.5, rtol=0, atol=1e-15)
+        assert sorted(np.copysign(0.5, frame).tolist()) == \
+            sorted(UNIT_SQUARE)
 
     def test_postconditions_random_polygons(self):
         rng = np.random.default_rng(7)
         for _ in range(15):
             f = random_symmetric_polygon(int(rng.integers(2, 6)), rng)
-            out, amap = normalize_polygon(f)
-            ev = out.edge_vectors()
-            verticals = [i for i in range(out.s)
-                         if abs(ev[i][0]) < 1e-9 and
-                         abs(abs(ev[i][1]) - 1.0) < 1e-9]
-            assert len(verticals) == 2
-            xs = out.vertices[:, 0]
-            assert np.max(np.abs(xs)) == pytest.approx(0.5, abs=1e-9)
-            height = out.vertices[:, 1].max() - out.vertices[:, 1].min()
-            assert height <= out.s + 1e-9
-            for corner in [(0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5)]:
-                assert norm_value(out, corner) <= 1 + 1e-9
-            # map preserves the polygon: image of f equals the output
-            assert np.allclose(amap.apply(f.vertices), out.vertices)
+            slabs = f.slabs()
+            assert len(slabs) == f.s // 2
+            for nrm, off in slabs:
+                assert math.hypot(*nrm) == pytest.approx(1.0, abs=1e-15)
+                assert off > 0
+            # every vertex lies on the boundary of exactly two slabs and
+            # inside all of them
+            for v in f.vertices:
+                slack = [off - abs(nrm @ v) for nrm, off in slabs]
+                assert min(slack) >= -1e-12
+                assert sum(sl <= 1e-12 for sl in slack) == 2
+            # the polygon is the intersection of its slabs
+            for x in rng.uniform(-2, 2, size=(200, 2)):
+                assert all(abs(nrm @ x) <= off for nrm, off in slabs) == \
+                    (norm_value(f, x) <= 1.0)
 
     def test_requires_symmetric(self):
-        with pytest.raises(ValueError):
-            normalize_polygon(ConvexPolygon([[0, 0], [1, 0], [0, 1]]))
-
-
-class TestTrapezoids:
-    def test_square_single(self):
-        traps = trapezoid_decompose(axis_square(1.0))
-        assert len(traps) == 1
-        t = traps[0]
-        assert (t.x0, t.x1) == (-0.5, 0.5)
-
-    def test_hexagon_three_x_values(self):
-        hx = ConvexPolygon([[0.6, -0.7], [0.6, 0.7], [0.0, 1.0],
-                            [-0.6, 0.7], [-0.6, -0.7], [0.0, -1.0]])
-        assert len(trapezoid_decompose(hx)) == 2
-
-    def test_area_matches_shoelace(self):
-        rng = np.random.default_rng(8)
-        for _ in range(15):
-            f = random_symmetric_polygon(int(rng.integers(2, 6)), rng)
-            out, _ = normalize_polygon(f)
-            traps = trapezoid_decompose(out)
-            want = shoelace([tuple(v) for v in out.vertices])
-            assert sum(t.area() for t in traps) == pytest.approx(want, abs=1e-9)
+        with pytest.raises(ValueError, match="symmetric"):
+            ConvexPolygon([[0, 0], [1, 0], [0, 1]]).slabs()
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            ConvexPolygon([[-1, 0], [1, 0]]).slabs()
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            adjacency_slabs(ConvexPolygon([[0, 0], [1, 0]]))
 
 
 class TestFileFormats:

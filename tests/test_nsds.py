@@ -6,7 +6,8 @@ from kdiam.graph import diameter_naive, from_edges
 from kdiam.geometry import axis_square, intersection_graph_naive
 from kdiam.implicit import k_diameter_implicit
 from kdiam.nsds import MaskNeighbourSets
-from kdiam.plane import PlaneStructure, geometric_nsds
+from kdiam.plane import geometric_nsds
+from kdiam.stripes import Stripe
 
 
 def star_graph(leaves):
@@ -119,18 +120,19 @@ class TestClosedMasks:
 
     def test_one_decide_computes_at_most_n_covers(self, monkeypatch):
         # A full decide call at k = 3 builds one structure, and the covered
-        # mask of each vertex is computed at most once in it.
+        # mask of each vertex is computed at most once in it: one lookup
+        # per vertex in each of the unit square's two stripes.
         rng = np.random.default_rng(66)
         pts = random_unit_square_points(60, 3.0, rng)
         g = intersection_graph_naive(pts, axis_square(1.0))
         computed = []
-        cover_at = PlaneStructure.cover_at
+        covered = Stripe.covered
 
-        def counting(self, tcx, tcy):
-            computed.append((tcx, tcy))
-            return cover_at(self, tcx, tcy)
+        def counting(self, c, w):
+            computed.append((c, w))
+            return covered(self, c, w)
 
-        monkeypatch.setattr(PlaneStructure, "cover_at", counting)
+        monkeypatch.setattr(Stripe, "covered", counting)
         made = []
 
         def factory():
@@ -141,7 +143,7 @@ class TestClosedMasks:
                                   np.random.default_rng(0))
         assert got == (diameter_naive(g) <= 3)
         assert len(made) == 1
-        assert len(computed) <= 60
+        assert len(computed) <= 2 * 60
         assert made[0].add_count > 60
 
     def test_handles_are_checked(self):

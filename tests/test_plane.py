@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from kdiam.gen import random_symmetric_polygon, random_unit_square_points
-from kdiam.geometry import (ConvexPolygon, adjacency_shape, axis_square,
-                            intersection_graph_naive, load_polygon)
+from kdiam.geometry import (TOL, ConvexPolygon, adjacency_slabs,
+                            axis_square, intersection_graph_naive,
+                            load_polygon)
 from kdiam.plane import (PlaneStructure, geometric_nsds, plane_init,
                          plane_list_differences, plane_mark)
-from kdiam.stripes import DOWN, UP
 
 from helpers import point_in_polygon
 
@@ -17,6 +17,11 @@ DATA = Path(__file__).parent / "data"
 
 SKEW_HEX = ConvexPolygon([[1.2, 0.0], [0.5, 0.9], [-0.6, 0.8],
                           [-1.2, 0.0], [-0.5, -0.9], [0.6, -0.8]])
+# Shapes that are not centrally symmetric: the structure and the oracle both
+# work with their symmetrization.
+TRIANGLE = ConvexPolygon([[-0.7, -0.4], [0.9, -0.2], [0.1, 0.8]])
+PENTAGON = ConvexPolygon([[-0.5, -0.6], [0.6, -0.5], [0.9, 0.3],
+                          [0.0, 0.9], [-0.8, 0.2]])
 
 
 def naive_cover(points, shape_vertices, center):
@@ -26,27 +31,6 @@ def naive_cover(points, shape_vertices, center):
 
 
 class TestInit:
-    def test_single_band(self):
-        pts = [(0.0, 0.1), (1.0, 0.9), (2.0, 0.5)]
-        structure, v = plane_init(pts, None)
-        assert len(structure.bands) == 1
-
-    def test_two_bands(self):
-        structure, _ = plane_init([(0.0, 0.2), (0.0, 7.3)], None)
-        assert len(structure.bands) == 2
-
-    def test_band_assignment_matches_floor(self):
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(-30, 30, size=(1000, 2))
-        structure, _ = plane_init(pts, None)
-        # the unit-square marking shape is scaled by 1/2 into the stripe frame
-        want = {}
-        for i, p in enumerate(structure.tpoints):
-            want.setdefault(math.floor(p[1]), set()).add(i)
-        got = {band: set(stripe.ids)
-               for band, stripe in zip(structure.bands, structure.stripes)}
-        assert got == want
-
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             plane_init([(1.0, 1.0), (1.0, 1.0)], None)
@@ -75,7 +59,8 @@ class TestMarkAndDiff:
             plane_list_differences(v1, v2)
 
     def test_two_stripes_one_mark(self):
-        # square spanning two bands covers one point in each
+        # one lookup per slab: the square covers both points only where
+        # both slabs do
         pts = [(0.0, 0.9), (0.0, 1.1)]
         structure, v = plane_init(pts, axis_square(2.0))
         v2 = plane_mark(v, (0.0, 1.0))
@@ -108,8 +93,9 @@ class TestMarkAndDiff:
 
 
 class TestMarkPlans:
-    """A center's covered mask is computed once; reusing it must give the
-    same sets as marking on a fresh structure."""
+    """Marking keeps no state but the version masks: a center marked on two
+    versions, or twice, must give the same sets as marking on a fresh
+    structure."""
 
     def test_same_center_on_two_versions(self):
         rng = np.random.default_rng(21)
@@ -119,7 +105,6 @@ class TestMarkPlans:
         v1 = plane_mark(v0, other)
         a = plane_mark(v0, c)
         b = plane_mark(v1, c)
-        assert len(structure._covers) == 2
         fresh, f0 = plane_init(pts, SKEW_HEX)
         assert structure.decode(a) == fresh.decode(plane_mark(f0, c))
         fresh, f0 = plane_init(pts, SKEW_HEX)
@@ -132,7 +117,6 @@ class TestMarkPlans:
         structure, v0 = plane_init(pts, SKEW_HEX)
         by_tuple = plane_mark(v0, (float(pts[7][0]), float(pts[7][1])))
         by_array = plane_mark(v0, pts[7])
-        assert len(structure._covers) == 1
         fresh, f0 = plane_init(pts, SKEW_HEX)
         want = fresh.decode(plane_mark(f0, pts[7]))
         assert structure.decode(by_tuple) == want
@@ -144,17 +128,16 @@ class TestMarkPlans:
         pts = rng.uniform(0, 6, size=(60, 2))
         structure, v0 = plane_init(pts, SKEW_HEX)
         verts = [tuple(vv) for vv in SKEW_HEX.vertices]
-        # centers sharing one coordinate must not share a cover
+        # centers sharing one coordinate cover different sets
         for c in [(2.345, 3.21), (2.345, 1.5), (4.0, 1.5), (2.345, 3.21)]:
             assert not any(tuple(p) == c for p in pts)
             v1 = plane_mark(v0, c)
             v2 = plane_mark(v1, c)
             assert structure.decode(v1) == naive_cover(pts, verts, c)
             assert structure.decode(v2) == structure.decode(v1)
-        assert len(structure._covers) == 3
 
     def test_repeated_centers_random_polygon(self):
-        # centers come from a small pool, so most marks reuse a cover, on
+        # centers come from a small pool, so most are marked again, on
         # versions branching off earlier ones
         rng = np.random.default_rng(27)
         shape = random_symmetric_polygon(4, rng, radius=1.5)
@@ -171,7 +154,6 @@ class TestMarkPlans:
             versions.append(plane_mark(versions[base], c))
             naive.append(naive[base] | naive_cover(pts, verts, c))
             assert structure.decode(versions[-1]) == naive[-1]
-        assert len(structure._covers) <= len(pool)
         for _ in range(100):
             i = int(rng.integers(0, len(versions)))
             j = int(rng.integers(0, len(versions)))
@@ -180,8 +162,8 @@ class TestMarkPlans:
 
 
 class TestBatchedMark:
-    """``mark(v, centers)`` groups the parts of all centers by band; it must
-    give the set of the same centers marked one by one."""
+    """``mark(v, centers)`` ORs the covers of all centers into one mask; it
+    must give the set of the same centers marked one by one."""
 
     @pytest.mark.parametrize("shape,label", [
         (None, "square"),
@@ -192,7 +174,7 @@ class TestBatchedMark:
         pts = rng.uniform(0, 8, size=(90, 2))
         structure, v0 = plane_init(pts, shape)
         pool = [tuple(pts[i]) for i in range(0, 90, 7)]
-        # centers far outside the point cloud touch no band
+        # centers far outside the point cloud cover no point
         pool += [(float(x), float(y))
                  for x, y in rng.uniform(-1, 9, size=(8, 2))]
         pool += [(-40.0, 3.0), (4.0, 60.0)]
@@ -225,20 +207,31 @@ def benchmark_hexagon():
 
 
 class TestDirections:
-    """Stripes carry up and down at indices 0 and 1, then each distinct
-    normal of the sides a trapezoid's top or bottom lies on; vertical sides'
-    normals are left out, and a normal equal to one already there is not
-    added again."""
+    """One stripe per pair of opposite sides: its normal is the first
+    side's outward normal, and the opposite side, whose normal is its
+    negation (the "down" to its "up"), is the same slab's other bound and
+    adds no stripe.  Each stripe holds every point's projection on its
+    normal, sorted."""
 
     @staticmethod
-    def expected_dirs(structure):
-        shape = structure.shape
-        want = [(0.0, 1.0), (0.0, -1.0)]
-        for (nrm, _), edge in zip(shape.side_normals(), shape.edge_vectors()):
-            d = (float(nrm[0]), float(nrm[1]))
-            if abs(edge[0]) > 1e-9 and d not in want:
-                want.append(d)
-        return want
+    def check_slabs(structure, shape):
+        """Each slab's normal is a side normal of ``shape`` whose opposite
+        side's normal is its negation, and each pair of opposite sides has
+        one slab.  Returns the matching side offsets."""
+        half = shape.s // 2
+        assert len(structure.stripes) == len(structure.slabs) == half
+        sides = shape.side_normals()
+        offsets, pairs = [], set()
+        for j, (nrm, _) in enumerate(structure.slabs):
+            (i,) = [i for i, (side, _) in enumerate(sides)
+                    if np.allclose(side, nrm, rtol=0, atol=1e-15)]
+            opposite = sides[(i + half) % shape.s][0]
+            assert np.allclose(opposite, -nrm, rtol=0, atol=1e-15)
+            pairs.add(i % half)
+            offsets.append(sides[i][1])
+            assert structure.stripes[j].keys == sorted(structure.keys[j])
+        assert len(pairs) == half
+        return offsets
 
     @pytest.mark.parametrize("label", ["benchmark-hexagon", "random"])
     def test_only_trapezoid_side_normals(self, label):
@@ -246,14 +239,10 @@ class TestDirections:
         shape = benchmark_hexagon() if label == "benchmark-hexagon" \
             else random_symmetric_polygon(4, rng)
         pts = rng.uniform(0, 4, size=(40, 2))
-        structure = PlaneStructure(pts, adjacency_shape(shape))
-        assert structure.dirs == self.expected_dirs(structure)
-        assert len(structure.dirs) == structure.shape.s
-        used = {t.top_side for t in structure.trapezoids} \
-            | {t.bot_side for t in structure.trapezoids}
-        assert len(used) == structure.shape.s - 2
-        for stripe in structure.stripes:
-            assert stripe.dirs == tuple(structure.dirs)
+        structure = PlaneStructure(pts, adjacency_slabs(shape))
+        offsets = self.check_slabs(structure, shape)
+        for (_, w), off in zip(structure.slabs, offsets):
+            assert w == pytest.approx(2.0 * off + TOL, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("label", ["unit-square", "rectangle",
                                        "sheared", "rotated-square"])
@@ -267,77 +256,49 @@ class TestDirections:
             "rotated-square": load_polygon(
                 DATA / "rotated_square_lattice.poly.csv"),
         }[label]
-        for f in (shape, adjacency_shape(shape)):
-            structure = PlaneStructure([(0.0, 0.0), (0.3, 0.2)], f)
-            assert structure.dirs == [(0.0, 1.0), (0.0, -1.0)]
+        pts = [(0.0, 0.0), (0.3, 0.2)]
+        for slabs in (shape.slabs(), adjacency_slabs(shape)):
+            self.check_slabs(PlaneStructure(pts, slabs), shape)
 
     def test_octagon_shares_up_and_down(self):
-        # Its top and bottom sides are horizontal, so their normals are up
-        # and down themselves; the four diagonal sides add one each.
+        # Its top and bottom sides are horizontal: one stripe along up
+        # (0, 1) serves both, and the other six sides add three.
         octagon = ConvexPolygon([[1.0, -0.5], [1.0, 0.5], [0.5, 1.0],
                                  [-0.5, 1.0], [-1.0, 0.5], [-1.0, -0.5],
                                  [-0.5, -1.0], [0.5, -1.0]])
-        structure = PlaneStructure([(0.0, 0.0), (0.3, 0.2)], octagon)
-        assert structure.dirs[:2] == [(0.0, 1.0), (0.0, -1.0)]
-        assert len(set(structure.dirs)) == len(structure.dirs) == 6
-        assert structure.dirs == self.expected_dirs(structure)
+        structure = PlaneStructure([(0.0, 0.0), (0.3, 0.2)],
+                                   octagon.slabs())
+        self.check_slabs(structure, octagon)
+        normals = [nrm.tolist() for nrm, _ in structure.slabs]
+        assert sum(abs(nx) == 0.0 for nx, _ in normals) == 1
+        assert [0.0, 1.0] in normals
 
 
-def square_branch_cover(structure, center):
-    """The covered mask of the retired unit-square branch: one part per band
-    the square reaches, covering below its top side along up where the
-    square reaches the band floor and above its bottom side along down
-    otherwise."""
-    tcx, tcy = (float(v) for v in structure.transform.apply([center])[0])
-    mask = offset = 0
-    for band, stripe in zip(structure.bands, structure.stripes):
-        y0 = float(band)
-        if tcy + 0.5 >= y0 and tcy - 0.5 < y0 + 1.0:
-            if tcy <= y0 + 0.5:
-                part = (tcx - 0.5, tcx + 0.5, UP, tcy + 0.5)
-            else:
-                part = (tcx - 0.5, tcx + 0.5, DOWN, -(tcy - 0.5))
-            ux, uy = stripe.dirs[part[2]]
-            mask |= sum(1 << (offset + i)
-                        for i, (x, y) in enumerate(stripe.pts)
-                        if part[0] <= x <= part[1]
-                        and ux * x + uy * y <= part[3])
-        offset += len(stripe.ids)
-    return mask
+def square_branch_cover(points, center, h):
+    """The covered mask of the retired unit-square branch, on the original
+    coordinates: the points with ``|x - cx| <= h`` and ``|y - cy| <= h``."""
+    cx, cy = (float(v) for v in center)
+    return sum(1 << i for i, (x, y) in enumerate(points.tolist())
+               if abs(x - cx) <= h and abs(y - cy) <= h)
 
 
 class TestUnitSquarePlans:
-    """The trapezoid path covers on unit squares exactly what the square
-    branch it replaced covered, per center."""
+    """The slab path covers on unit squares exactly what the square branch
+    covered, per center."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_plan_equals_square_branch(self, seed):
         rng = np.random.default_rng(seed)
         pts = random_unit_square_points(150, 3.2, rng)
-        structure = PlaneStructure(pts, adjacency_shape(axis_square(1.0)))
-        assert structure.dirs == [(0.0, 1.0), (0.0, -1.0)]
+        structure = PlaneStructure(pts, adjacency_slabs(axis_square(1.0)))
+        assert len(structure.stripes) == 2
         for center in pts:
             assert structure.cover(center) == \
-                square_branch_cover(structure, center)
-
-
-def concatenated_masks(structure, marked):
-    """The stripes' masks of the set ``marked`` laid side by side in band
-    order, each with bit i for its point at position i in x order."""
-    bands = {}
-    for i, (x, y) in enumerate(structure.tpoints):
-        bands.setdefault(math.floor(y), []).append((float(x), i))
-    mask = offset = 0
-    for band in sorted(bands):
-        stripe = sorted(bands[band])
-        mask |= sum(1 << (offset + pos)
-                    for pos, (_, i) in enumerate(stripe) if i in marked)
-        offset += len(stripe)
-    return mask
+                square_branch_cover(pts, center, 1.0 + TOL)
 
 
 class TestVersionMask:
-    def test_mask_is_concatenated_stripe_masks(self):
+    def test_mask_has_bit_i_for_point_i(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 8, size=(60, 2))
         structure, v = plane_init(pts, None)
@@ -347,7 +308,7 @@ class TestVersionMask:
             c = (float(rng.uniform(0, 8)), float(rng.uniform(0, 8)))
             v = plane_mark(v, c)
             marked |= naive_cover(pts, verts, c)
-            assert v.mask == concatenated_masks(structure, marked)
+            assert v.mask == sum(1 << i for i in marked)
 
 
 class TestGeometricNSDS:
@@ -376,7 +337,7 @@ class TestGeometricNSDS:
             h = nsds.add_neighbours(nsds.empty, v)
             assert v in set(nsds.list_differences(nsds.empty, h))
 
-    @pytest.mark.parametrize("shape", [None, SKEW_HEX])
+    @pytest.mark.parametrize("shape", [None, SKEW_HEX, TRIANGLE, PENTAGON])
     def test_contract_equivalence_with_naive(self, shape):
         # 50 random operation sequences per shape, each checked against
         # Python sets replayed over the materialized graph
@@ -401,26 +362,23 @@ class TestGeometricNSDS:
                                                   geo_handles[j]))
                 assert got == sorted(replay[i] ^ replay[j]), (seq, i, j)
 
-
-class TestOutputSensitivity:
-    def test_marking_a_seen_center_adds_no_stripe_work(self):
-        rng = np.random.default_rng(19)
-        n = 4096
-        pts = np.c_[rng.uniform(0, n / 16, size=n), rng.uniform(0, 24, size=n)]
-        structure, v0 = plane_init(pts, None)
-
-        def stripe_work():
-            return sum(s.marks + s.mark_nodes for s in structure.stripes)
-
-        centers = [(float(rng.uniform(0, n / 16)), float(rng.uniform(0, 24)))
-                   for _ in range(200)]
-        v = v0
-        for c in centers:
-            v = plane_mark(v, c)
-        work = stripe_work()
-        assert work > 0
-        w = v0
-        for c in reversed(centers):
-            w = plane_mark(w, c)
-        assert stripe_work() == work
-        assert w.mask == v.mask
+    @pytest.mark.parametrize("offset", [0.0, 3.0, 1e3, 1e6])
+    @pytest.mark.parametrize("label", ["square", "hexagon"])
+    def test_tol_edge_rows_match_the_oracle(self, label, offset):
+        # 8 points in a row along a slab normal of the adjacency shape,
+        # spaced its half-width (1 + TOL for the unit square) give or take
+        # 0-6 ulps, start at (offset, offset): every neighbouring pair lies
+        # on the adjacency boundary or a few roundings from it, and closed[v]
+        # must be the oracle's row bit for bit.
+        shape = axis_square(1.0) if label == "square" else benchmark_hexagon()
+        nrm, w = adjacency_slabs(shape)[0]
+        for ulps in range(-6, 7):
+            step = w
+            for _ in range(abs(ulps)):
+                step = math.nextafter(step, math.copysign(math.inf, ulps))
+            pts = offset + np.arange(8.0)[:, None] * step * nrm
+            g = intersection_graph_naive(pts, shape)
+            nsds = geometric_nsds(pts, shape)
+            for v in range(8):
+                assert nsds.closed[v] == \
+                    sum(1 << u for u in (v, *g.adjacency[v])), (ulps, v)

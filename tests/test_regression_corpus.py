@@ -21,7 +21,7 @@ CASES = [
     ("graph_small.el", "graph", None),
     ("hexagon_points.csv", "points", "hexagon_points.poly.csv"),
     # |x| + |y| <= 0.5 on a 0.5-spaced lattice: every lattice neighbour
-    # touches exactly, and the normalized frame rounds the touch outward.
+    # touches exactly.
     ("rotated_square_lattice.csv", "points",
      "rotated_square_lattice.poly.csv"),
 ]
