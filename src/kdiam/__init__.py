@@ -25,9 +25,7 @@ from .implicit import expand_balls, k_diameter_implicit, simulate_bfs
 from .geometry import (
     ConvexPolygon,
     intersection_graph_naive,
-    minkowski_sum,
     norm_value,
-    symmetrize,
 )
 from .plane import (
     PlaneStructure,
@@ -65,7 +63,6 @@ __all__ = [
     "k_diameter_implicit",
     "k_diameter_naive",
     "load_edge_list",
-    "minkowski_sum",
     "neighborhood",
     "norm_value",
     "order_from_membership",
@@ -77,6 +74,5 @@ __all__ = [
     "simulate_bfs",
     "stripe_init",
     "stripe_list_differences",
-    "symmetrize",
     "__version__",
 ]

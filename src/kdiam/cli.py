@@ -30,7 +30,7 @@ from .graph import (DisconnectedGraphError, Graph, diameter_naive,
                     format_edge_list, is_connected, k_diameter_naive,
                     load_edge_list)
 from .explicit import k_diameter_explicit
-from .implicit import k_diameter_implicit
+from .implicit import k_diameter_implicit, simulate_bfs
 from .nsds import MaskNeighbourSets
 from .plane import geometric_nsds
 
@@ -62,10 +62,6 @@ def _load_instance(args):
     pts = load_points(path)
     shape = load_polygon(args.polygon) if getattr(args, "polygon", None) \
         else axis_square(1.0)
-    # Every algorithm needs a finite diameter; the oracle's graph decides
-    # connectivity, as load_edge_list does for edge lists.
-    if not is_connected(intersection_graph_naive(pts, shape)):
-        raise DisconnectedGraphError("intersection graph is disconnected")
     return "points", (pts, shape)
 
 
@@ -101,11 +97,24 @@ def cmd_gen(args):
     return 0
 
 
+# Every algorithm needs a finite diameter.  load_edge_list checks an edge
+# list; a point instance is checked on what the algorithm builds from it.
 def _materialize(kind, payload) -> Graph:
     if kind == "graph":
         return payload
-    pts, shape = payload
-    return intersection_graph_naive(pts, shape)
+    g = intersection_graph_naive(*payload)
+    if not is_connected(g):
+        raise DisconnectedGraphError("intersection graph is disconnected")
+    return g
+
+
+def _points_nsds(pts, shape) -> MaskNeighbourSets:
+    nsds = geometric_nsds(pts, shape)
+    # a BFS on a fresh structure over the same masks leaves the counters of
+    # the returned one at zero
+    if len(simulate_bfs(MaskNeighbourSets(nsds.closed), 0)) != nsds.n:
+        raise DisconnectedGraphError("intersection graph is disconnected")
+    return nsds
 
 
 def _check_k_d(what: str, k: int, k_min: int, d: int) -> None:
@@ -132,8 +141,7 @@ def run_algorithm(algorithm, kind, payload, k, d, seed) -> RunReport:
         counters["m"] = g.m
     elif algorithm == "implicit":
         if kind == "points":
-            pts, shape = payload
-            nsds = geometric_nsds(pts, shape)
+            nsds = _points_nsds(*payload)
         else:
             nsds = MaskNeighbourSets.from_graph(payload)
         answer = k_diameter_implicit(lambda: nsds, nsds.n, k, d, rng)
@@ -164,8 +172,11 @@ def cmd_diam(args):
         kind, payload = _load_instance(args)
     except (OSError, ValueError) as exc:  # unreadable, malformed, disconnected
         raise UsageError(f"{args.input}: {exc}") from None
-    report = run_algorithm(args.algo, kind, payload, args.k, args.d,
-                           args.seed)
+    try:
+        report = run_algorithm(args.algo, kind, payload, args.k, args.d,
+                               args.seed)
+    except DisconnectedGraphError as exc:  # a disconnected point instance
+        raise UsageError(f"{args.input}: {exc}") from None
     report.instance = str(args.input)
     log.info("diam %s on %s: %s in %.3fs", args.algo, args.input,
              report.answer, report.wall_seconds)

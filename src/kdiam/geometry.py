@@ -1,20 +1,21 @@
 """Convex-polygon machinery for the geometric intersection graphs.
 
-Shapes are strictly convex CCW polygons (degenerate 1- and 2-vertex shapes
-are allowed where harmless, e.g. as Minkowski summands).  All predicates use
-the module-wide absolute tolerance ``TOL``.
+Shapes are strictly convex CCW polygons.  All predicates use the module-wide
+absolute tolerance ``TOL``.
 
-Adjacency is defined once, by :func:`adjacency_slabs`: for a shape ``f``,
-u ~ v iff u - v lies in the closed polygon ``2 * symmetrize(f)`` with every
-side pushed outward by ``TOL`` along its unit normal.  Copies of ``f`` that
-touch exactly are adjacent, and so are copies whose gap is at most ``TOL``
-along some side normal; copies further apart are not.  That polygon is
-centrally symmetric, so it is the intersection of one slab
-``|normal . x| <= half-width`` per pair of opposite sides.  The oracle
-(:func:`intersection_graph_naive`) and the geometric neighbour-set structure
-(:mod:`kdiam.plane`) both compare ``|normal . u - normal . v|`` with the
-half-width, on the same projections ``points @ normal``, so they judge every
-pair alike, touching pairs included.
+Every convex polygon is the intersection of one slab
+``lo <= normal . x <= hi`` per class of parallel sides
+(:meth:`ConvexPolygon.slabs`), lo and hi being the least and greatest
+projection of a vertex on the normal.  Adjacency is defined once, by
+:func:`adjacency_slabs`: copies of ``f`` at u and v meet iff u - v lies in
+``f - f``, whose slab along each such normal is ``[lo - hi, hi - lo]``;
+pushing every side out by ``TOL`` makes copies that touch exactly adjacent,
+and so are copies whose gap is at most ``TOL`` along some side normal;
+copies further apart are not.  The oracle (:func:`intersection_graph_naive`)
+and the geometric neighbour-set structure (:mod:`kdiam.plane`) both compare
+``normal . u - normal . v`` with the slab's bounds, on the same projections
+``points @ normal``, so they judge every pair alike, touching pairs
+included.
 """
 
 from __future__ import annotations
@@ -42,20 +43,19 @@ class ConvexPolygon:
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 1:
+        if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must be an (s, 2) array")
+        if v.shape[0] < 3:
+            raise ValueError("a polygon needs at least 3 vertices")
         if not np.isfinite(v).all():
             raise ValueError("vertices must be finite")
         s = v.shape[0]
-        if s >= 3:
-            for i in range(s):
-                turn = _cross(v[i], v[(i + 1) % s], v[(i + 2) % s])
-                if turn <= TOL:
-                    raise ValueError(
-                        "vertices must be strictly convex and CCW "
-                        f"(turn {turn:.3g} at vertex {(i + 1) % s})")
-        elif s == 2 and np.allclose(v[0], v[1], atol=TOL):
-            raise ValueError("degenerate segment")
+        for i in range(s):
+            turn = _cross(v[i], v[(i + 1) % s], v[(i + 2) % s])
+            if turn <= TOL:
+                raise ValueError(
+                    "vertices must be strictly convex and CCW "
+                    f"(turn {turn:.3g} at vertex {(i + 1) % s})")
         self.vertices = v
         self.s = s
 
@@ -78,98 +78,18 @@ class ConvexPolygon:
             out.append((nrm, float(nrm @ self.vertices[i])))
         return out
 
-    def is_symmetric(self, tol: float = 1e-7) -> bool:
-        """Central symmetry about the origin (vertex i pairs with vertex
-        i + s/2 negated, after cyclic alignment)."""
-        if self.s % 2 != 0:
-            return False
-        v = self.vertices
-        half = self.s // 2
-        target = -v[0]
-        dists = np.hypot(v[:, 0] - target[0], v[:, 1] - target[1])
-        j = int(np.argmin(dists))
-        rolled = np.roll(v, -((j - half) % self.s), axis=0)
-        return bool(np.allclose(rolled[half:], -rolled[:half], atol=tol))
-
     def slabs(self) -> list:
-        """(outward unit normal, offset) of the first side of each pair of
-        opposite sides of a centrally symmetric polygon: the polygon is
-        exactly the set of points p with ``|normal . p| <= offset`` for every
-        pair."""
-        if self.s < 3:
-            raise ValueError("a polygon needs at least 3 vertices")
-        if not self.is_symmetric():
-            raise ValueError("polygon must be centrally symmetric")
-        return self.side_normals()[:self.s // 2]
-
-    def scaled(self, factor: float) -> "ConvexPolygon":
-        # Negative factors are point reflections, which keep CCW order.
-        if factor == 0:
-            raise ValueError("zero scale")
-        return ConvexPolygon(self.vertices * factor)
-
-    def negated(self) -> "ConvexPolygon":
-        return ConvexPolygon(-self.vertices)
-
-
-def _start_at_bottom(poly: ConvexPolygon) -> np.ndarray:
-    v = poly.vertices
-    keys = list(zip(v[:, 1], v[:, 0]))
-    j = min(range(len(keys)), key=keys.__getitem__)
-    return np.roll(v, -j, axis=0)
-
-
-def _edge_angle(e) -> float:
-    a = math.atan2(e[1], e[0])
-    if a < -TOL:
-        a += 2 * math.pi
-    return a
-
-
-def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
-    """Pointwise sum of two convex shapes via the edge merge by angle.
-
-    Starting both chains at their bottom-most vertices, edge directions are
-    visited in increasing angle; parallel edges combine, so the output has at
-    most s_p + s_q vertices.
-    """
-    vp = _start_at_bottom(p)
-    vq = _start_at_bottom(q)
-    ep = list(np.diff(np.vstack([vp, vp[:1]]), axis=0)) if len(vp) > 1 else []
-    eq = list(np.diff(np.vstack([vq, vq[:1]]), axis=0)) if len(vq) > 1 else []
-    if not ep and not eq:
-        return ConvexPolygon(vp + vq)
-    merged = []
-    i = j = 0
-    while i < len(ep) or j < len(eq):
-        if j == len(eq):
-            take = ep[i]; i += 1
-        elif i == len(ep):
-            take = eq[j]; j += 1
-        else:
-            ai, aj = _edge_angle(ep[i]), _edge_angle(eq[j])
-            if abs(ai - aj) <= 1e-12:
-                take = ep[i] + eq[j]; i += 1; j += 1
-            elif ai < aj:
-                take = ep[i]; i += 1
-            else:
-                take = eq[j]; j += 1
-        if merged and abs(_edge_angle(merged[-1]) - _edge_angle(take)) <= 1e-12:
-            merged[-1] = merged[-1] + take
-        else:
-            merged.append(take)
-    verts = [vp[0] + vq[0]]
-    for e in merged[:-1]:
-        verts.append(verts[-1] + e)
-    return ConvexPolygon(np.array(verts))
-
-
-def symmetrize(f: ConvexPolygon) -> ConvexPolygon:
-    """Centrally symmetric shape defining the same intersection graph:
-    half the sum of the shape and its point reflection."""
-    if f.s == 1:
-        return ConvexPolygon([[0.0, 0.0]])
-    return minkowski_sum(f.scaled(0.5), f.negated().scaled(0.5))
+        """(outward unit normal, lo, hi) per class of parallel sides, the
+        normal being the first such side's and lo/hi the least and greatest
+        of ``vertices @ normal``: the polygon is exactly the set of points p
+        with ``lo <= normal . p <= hi`` for every class."""
+        out = []
+        for nrm, _ in self.side_normals():
+            if all(abs(nrm[0] * m[1] - nrm[1] * m[0]) > 1e-12
+                   for m, _, _ in out):
+                proj = self.vertices @ nrm
+                out.append((nrm, float(proj.min()), float(proj.max())))
+        return out
 
 
 def norm_value(f: ConvexPolygon, x) -> float:
@@ -207,14 +127,11 @@ def check_distinct(points) -> None:
 
 
 def adjacency_slabs(f: ConvexPolygon) -> list:
-    """(unit normal, half-width) per pair of opposite sides of the
-    adjacency shape for copies of ``f``: u ~ v iff
-    ``|normal . u - normal . v| <= half-width`` for every pair.  The sides of
-    twice the symmetrized shape, each pushed out by ``TOL`` (see the module
-    docstring).  A shape that :meth:`ConvexPolygon.is_symmetric` accepts
-    may still be asymmetric within its tolerance, so it is symmetrized too:
-    the opposite sides of ``symmetrize(f)`` are exact negations."""
-    return [(nrm, 2.0 * w + TOL) for nrm, w in symmetrize(f).slabs()]
+    """(unit normal, lo, hi) per class of parallel sides of ``f``: u ~ v iff
+    ``lo <= normal . u - normal . v <= hi`` for every class.  The slabs of
+    ``f - f``, each side pushed out by ``TOL`` (see the module docstring);
+    ``lo == -hi`` exactly."""
+    return [(nrm, lo - hi - TOL, hi - lo + TOL) for nrm, lo, hi in f.slabs()]
 
 
 def intersection_graph_naive(points, f: ConvexPolygon) -> Graph:
@@ -229,9 +146,10 @@ def intersection_graph_naive(points, f: ConvexPolygon) -> Graph:
     n = pts.shape[0]
     check_distinct(pts)
     adj = np.ones((n, n), dtype=bool)
-    for nrm, w in adjacency_slabs(f):
+    for nrm, lo, hi in adjacency_slabs(f):
         dots = pts @ nrm
-        adj &= np.abs(dots[:, None] - dots[None, :]) <= w
+        diff = dots[:, None] - dots[None, :]
+        adj &= (lo <= diff) & (diff <= hi)
     np.fill_diagonal(adj, False)
     edges = [(i, j) for i, j in zip(*np.nonzero(np.triu(adj)))]
     return from_edges(n, [(int(i), int(j)) for i, j in edges])

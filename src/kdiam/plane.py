@@ -1,12 +1,11 @@
 """Plane-wide marking structure and its neighbour-set adapter.
 
-A centrally symmetric convex polygon is the intersection of one slab
-``|normal . x| <= half-width`` per pair of opposite sides
-(:meth:`kdiam.geometry.ConvexPolygon.slabs`).  Per slab, the points a copy
-of the polygon covers are a contiguous run of the points sorted by their
-projection on the slab's normal, so each slab is one stripe
-(:mod:`kdiam.stripes`) and the cover of a center is the AND of one lookup
-per stripe.  A marked set is one exact mask with bit i for point i: marking
+A convex polygon is the intersection of one slab ``lo <= normal . x <= hi``
+per class of parallel sides (:meth:`kdiam.geometry.ConvexPolygon.slabs`).
+Per slab, the points a copy of the polygon covers are a contiguous run of
+the points sorted by their projection on the slab's normal, so each slab is
+one stripe (:mod:`kdiam.stripes`) and the cover of a center is the AND of
+one lookup per stripe.  A marked set is one exact mask with bit i for point i: marking
 ORs in each center's cover, and listing a difference is one XOR.
 """
 
@@ -32,8 +31,8 @@ class PlaneVersion:
 
 class PlaneStructure:
     """Family of point subsets under marks of one shape, given by its
-    ``slabs``: (unit normal, half-width) pairs, the shape being the points
-    x with ``|normal . x| <= half-width`` for every pair.  ``keys[j][i]`` is
+    ``slabs``: (unit normal, lo, hi) triples, the shape being the points x
+    with ``lo <= normal . x <= hi`` for every triple.  ``keys[j][i]`` is
     the projection of point i on slab j's normal, computed as
     ``points @ normal`` just as the oracle computes it, and ``stripes[j]``
     holds those projections sorted."""
@@ -45,7 +44,7 @@ class PlaneStructure:
         check_distinct(pts)
         self.n = pts.shape[0]
         self.slabs = slabs
-        self.keys = [(pts @ nrm).tolist() for nrm, _ in self.slabs]
+        self.keys = [(pts @ nrm).tolist() for nrm, _, _ in self.slabs]
         self.stripes = [st.stripe_init(keys).stripe for keys in self.keys]
         self.aux_nodes = 0  # listings made (the benchmark's counter name)
 
@@ -59,14 +58,14 @@ class PlaneStructure:
         projections on the slab normals are ``keys``: the AND of one lookup
         per stripe."""
         mask = -1
-        for stripe, (_, w), c in zip(self.stripes, self.slabs, keys):
-            mask &= stripe.covered(c, w)
+        for stripe, (_, lo, hi), c in zip(self.stripes, self.slabs, keys):
+            mask &= stripe.covered(c, lo, hi)
         return mask
 
     def cover(self, center) -> int:
         """Mask of the points the shape centered at ``center`` covers."""
         c = np.asarray(center, dtype=np.float64)
-        return self.cover_keys([float(c @ nrm) for nrm, _ in self.slabs])
+        return self.cover_keys([float(c @ nrm) for nrm, _, _ in self.slabs])
 
     def mark(self, version: PlaneVersion, centers) -> PlaneVersion:
         """New version whose marked set gains the points covered by the

@@ -1,12 +1,13 @@
 """Flat marking masks for one slab.
 
-A slab ``|normal . x| <= w`` centered at c covers the points whose
-projection ``p = normal . point`` has ``-w <= p - c <= w``: a contiguous run
-of the points sorted by projection.  Float subtraction is monotone, so two
-bisects on ``p - c`` find that run exactly where a direct comparison of
-every ``p - c`` with ``w`` would put it.  The stripe keeps the mask of every
-prefix of the sorted order, bit i for point i, so a lookup costs two
-bisects and one XOR of prefix masks: O(log n + n/w) word operations.
+A slab ``lo <= normal . x <= hi`` centered at c covers the points whose
+projection ``p = normal . point`` has ``lo <= p - c <= hi``: a contiguous
+run of the points sorted by projection.  Float subtraction is monotone, so
+two bisects on ``p - c`` find that run exactly where a direct comparison of
+every ``p - c`` with ``lo`` and ``hi`` would put it.  The stripe keeps the
+mask of every prefix of the sorted order, bit i for point i, so a lookup
+costs two bisects and one XOR of prefix masks: O(log n + n/w) word
+operations.
 """
 
 from __future__ import annotations
@@ -33,19 +34,19 @@ class Stripe:
                                       initial=0))
         self.marks = self.mark_nodes = self.list_nodes = 0
 
-    def covered(self, c: float, w: float) -> int:
-        """Mask of the points whose projection p has ``-w <= p - c <= w``."""
+    def covered(self, c: float, lo: float, hi: float) -> int:
+        """Mask of the points whose projection p has ``lo <= p - c <= hi``."""
         self.marks += 1
 
         def offset(p):
             return p - c
 
-        lo = bisect.bisect_left(self.keys, -w, key=offset)
-        hi = bisect.bisect_right(self.keys, w, key=offset)
-        if lo == hi:
+        first = bisect.bisect_left(self.keys, lo, key=offset)
+        end = bisect.bisect_right(self.keys, hi, key=offset)
+        if first == end:
             return 0
         self.mark_nodes += 1
-        return self.pmasks[hi] ^ self.pmasks[lo]
+        return self.pmasks[end] ^ self.pmasks[first]
 
 
 _BYTE_BITS = tuple(tuple(i for i in range(8) if v >> i & 1)
@@ -78,12 +79,11 @@ def stripe_init(keys) -> StripeVersion:
     return StripeVersion(Stripe(keys), 0)
 
 
-def stripe_mark_line(version: StripeVersion, c: float, w: float
-                     ) -> StripeVersion:
-    """The version with what the slab of half-width ``w`` centered at
-    projection ``c`` covers added; the version itself when no point is
-    gained."""
-    mask = version.mask | version.stripe.covered(c, w)
+def stripe_mark_line(version: StripeVersion, c: float, lo: float,
+                     hi: float) -> StripeVersion:
+    """The version with what the slab ``[lo, hi]`` centered at projection
+    ``c`` covers added; the version itself when no point is gained."""
+    mask = version.mask | version.stripe.covered(c, lo, hi)
     return version if mask == version.mask else version._replace(mask=mask)
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from kdiam import cli, geometry
 from kdiam.cli import main
 from kdiam.graph import load_edge_list
 
@@ -231,6 +232,28 @@ class TestErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {pts}: a polygon needs at least 3 vertices"]
+
+    def test_implicit_points_never_build_the_graph(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # connectivity is checked on the structure the algorithm builds
+        def refuse(*args):
+            raise AssertionError("the oracle graph was built")
+
+        monkeypatch.setattr(cli, "intersection_graph_naive", refuse)
+        monkeypatch.setattr(geometry, "intersection_graph_naive", refuse)
+        for text, code in (("0,0\n0.5,0.5\n1,1\n", 0), ("0,0\n5,5\n", 2)):
+            pts = tmp_path / "pts.csv"
+            pts.write_text(text)
+            try:
+                got = main(["diam", "--algo", "implicit", "--input", str(pts),
+                            "--k", "2"])
+            except SystemExit as exc:
+                got = exc.code
+            assert got == code
+        out = capsys.readouterr()
+        assert json.loads(out.out)["answer"] is True
+        assert out.err.strip().splitlines() == \
+            [f"error: {pts}: intersection graph is disconnected"]
 
     @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
     def test_disconnected_points_rejected(self, tmp_path, capsys, algo):

@@ -6,25 +6,18 @@ import pytest
 from kdiam.gen import random_symmetric_polygon
 from kdiam.geometry import (TOL, ConvexPolygon, adjacency_slabs, axis_square,
                             format_points, format_polygon,
-                            intersection_graph_naive, minkowski_sum,
-                            norm_value, parse_points, parse_polygon,
-                            shape_metric, symmetrize)
+                            intersection_graph_naive, norm_value,
+                            parse_points, parse_polygon, shape_metric)
 from kdiam.plane import geometric_nsds
 
-from helpers import convex_hull, gauge_by_bisection, geometric_graph_sat
+from helpers import (convex_hull, gauge_by_bisection, geometric_graph_sat,
+                     point_in_polygon)
 
 
-def hull_equal(poly: ConvexPolygon, points, tol=1e-9):
-    want = convex_hull(points)
-    got = [tuple(v) for v in poly.vertices]
-    if len(want) != len(got):
-        return False
-    for shift in range(len(got)):
-        rolled = got[shift:] + got[:shift]
-        if all(abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
-               for a, b in zip(rolled, want)):
-            return True
-    return False
+def difference_body(f: ConvexPolygon) -> ConvexPolygon:
+    """f - f, as the convex hull of every vertex difference a - b."""
+    return ConvexPolygon(convex_hull([a - b for a in f.vertices
+                                      for b in f.vertices]))
 
 
 def random_convex(rng, sides=5, radius=1.0):
@@ -48,59 +41,10 @@ class TestConvexPolygon:
         with pytest.raises(ValueError):
             ConvexPolygon([[0, 0], [1, 0], [2, 0], [0, 1]])
 
-    def test_symmetry_predicate(self):
-        assert axis_square(1.0).is_symmetric()
-        assert not ConvexPolygon([[0, 0], [1, 0], [0, 1]]).is_symmetric()
-
-
-class TestMinkowskiSum:
-    def test_identity_element(self):
-        sq = axis_square(1.0)
-        out = minkowski_sum(sq, ConvexPolygon([[0.0, 0.0]]))
-        assert np.allclose(out.vertices, sq.vertices)
-
-    def test_doubling(self):
-        sq = axis_square(1.0)
-        out = minkowski_sum(sq, sq)
-        assert hull_equal(out, [(2 * x, 2 * y) for x, y in sq.vertices])
-
-    def test_triangle_with_negation_is_hexagon(self):
-        tri = ConvexPolygon([[0, 0], [1, 0], [0, 1]])
-        out = minkowski_sum(tri, tri.negated())
-        sums = [(a[0] + b[0], a[1] + b[1])
-                for a in tri.vertices for b in tri.negated().vertices]
-        assert out.s == 6
-        assert hull_equal(out, sums)
-
-    def test_random_pairs_match_hull_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            p = random_convex(rng, sides=int(rng.integers(3, 7)))
-            q = random_convex(rng, sides=int(rng.integers(3, 7)))
-            out = minkowski_sum(p, q)
-            sums = [(a[0] + b[0], a[1] + b[1])
-                    for a in p.vertices for b in q.vertices]
-            assert out.s <= p.s + q.s
-            assert hull_equal(out, sums, tol=1e-8)
-
-
-class TestSymmetrize:
-    def test_fixed_point_on_symmetric(self):
-        sq = axis_square(2.0)
-        out = symmetrize(sq)
-        assert hull_equal(out, [tuple(v) for v in sq.vertices])
-
-    def test_triangle_becomes_hexagon(self):
-        tri = ConvexPolygon([[0, 0], [1, 0], [0, 1]])
-        out = symmetrize(tri)
-        assert out.s == 6
-        assert out.is_symmetric()
-
-    def test_random_pentagons_point_symmetric(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            out = symmetrize(random_convex(rng, sides=5))
-            assert out.is_symmetric()
+    def test_needs_three_vertices(self):
+        for vertices in ([[0, 0]], [[-1, 0], [1, 0]]):
+            with pytest.raises(ValueError, match="at least 3 vertices"):
+                ConvexPolygon(vertices)
 
 
 class TestNormValue:
@@ -113,7 +57,7 @@ class TestNormValue:
 
     def test_homogeneous(self):
         rng = np.random.default_rng(2)
-        f = symmetrize(random_convex(rng, sides=6))
+        f = random_symmetric_polygon(3, rng)
         for _ in range(30):
             x = rng.normal(size=2)
             lam = float(rng.uniform(-3, 3))
@@ -123,7 +67,7 @@ class TestNormValue:
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            f = symmetrize(random_convex(rng, sides=5))
+            f = random_symmetric_polygon(5, rng)
             verts = [tuple(v) for v in f.vertices]
             for _ in range(20):
                 x = rng.normal(scale=2.0, size=2)
@@ -138,7 +82,7 @@ class TestNormValue:
 
     def test_triangle_inequality_and_segment_additivity(self):
         rng = np.random.default_rng(4)
-        f = symmetrize(random_convex(rng, sides=6))
+        f = random_symmetric_polygon(3, rng)
         for _ in range(500):
             a, b, c = rng.normal(scale=3.0, size=(3, 2))
             assert shape_metric(f, a, c) <= shape_metric(f, a, b) + \
@@ -203,33 +147,36 @@ class TestIntersectionGraph:
 
 class TestAdjacencyShape:
     def test_sides_are_twice_the_symmetrized_shape_plus_tol(self):
-        # One slab per pair of opposite sides of 2 * symmetrize(f): the
-        # first side's normal, its offset pushed out by TOL.
+        # One slab per class of parallel sides of f - f (twice the
+        # symmetrized shape): its normal up to sign, its bounds the offsets
+        # of its two sides pushed out by TOL, one the other's negation.
         rng = np.random.default_rng(9)
-        # A square with one corner 4e-6 off passes is_symmetric(); its
-        # adjacency shape is still a hexagon.
+        # A square with one corner 4e-6 off has a tilted top side: its
+        # adjacency shape is a hexagon.
         near_square = ConvexPolygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5],
                                      [-0.5, 0.5 + 4e-6]])
-        assert near_square.is_symmetric()
         assert len(adjacency_slabs(near_square)) == 3
         for sides in (3, 4, 5, 6, near_square):
             f = near_square if sides is near_square \
                 else random_convex(rng, sides=sides)
-            want = symmetrize(f).scaled(2.0).side_normals()
+            want = difference_body(f).side_normals()
             got = adjacency_slabs(f)
             assert 2 * len(got) == len(want)
-            for (n0, o0), (n1, o1) in zip(want, got):
-                assert np.allclose(n0, n1, atol=1e-9)
-                assert o1 == pytest.approx(o0 + TOL, abs=1e-12)
+            for nrm, lo, hi in got:
+                assert lo == -hi
+                for sign, bound in ((1.0, hi), (-1.0, -lo)):
+                    (off,) = [o for n, o in want
+                              if np.allclose(n, sign * nrm, atol=1e-9)]
+                    assert bound == pytest.approx(off + TOL, abs=1e-12)
 
     def test_shape_is_bounded_by_the_sides(self):
         # The intersection of the slabs is the polygon bounded by every
-        # side of 2 * symmetrize(f) pushed out by TOL: on random offsets
-        # and on each pushed-out vertex, nudged in and out.
+        # side of f - f pushed out by TOL: on random offsets and on each
+        # pushed-out vertex, nudged in and out.
         rng = np.random.default_rng(10)
         for sides in (3, 4, 5, 6):
             f = random_convex(rng, sides=sides)
-            h = symmetrize(f).scaled(2.0)
+            h = difference_body(f)
             pushed = [(nrm, off + TOL) for nrm, off in h.side_normals()]
             slabs = adjacency_slabs(f)
             probes = list(rng.uniform(-4, 4, size=(400, 2)))
@@ -237,7 +184,7 @@ class TestAdjacencyShape:
                 probes += [v * (1 - 1e-6), v * (1 + 1e-6)]
             inside_count = 0
             for x in probes:
-                in_slabs = all(abs(nrm @ x) <= w for nrm, w in slabs)
+                in_slabs = all(lo <= nrm @ x <= hi for nrm, lo, hi in slabs)
                 in_sides = all(nrm @ x <= off for nrm, off in pushed)
                 assert in_slabs == in_sides
                 inside_count += in_slabs
@@ -249,20 +196,20 @@ UNIT_SQUARE = [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
 
 def slab_frame(poly):
     """The vertices of ``poly`` in the frame of its slabs: coordinate j is
-    ``normal_j . v / (2 * offset_j)``."""
-    return np.array([[nrm @ v / (2.0 * off) for nrm, off in poly.slabs()]
+    ``normal_j . v / (hi_j - lo_j)``."""
+    return np.array([[nrm @ v / (hi - lo) for nrm, lo, hi in poly.slabs()]
                      for v in poly.vertices])
 
 
 class TestNormalize:
-    """A symmetric polygon's slabs are the frame the plane structure works
-    in: one (outward unit normal, offset) per pair of opposite sides, the
-    polygon being exactly where ``|normal . p| <= offset`` for each."""
+    """A polygon's slabs are the frame the plane structure works in: one
+    (outward unit normal, lo, hi) per class of parallel sides, the polygon
+    being exactly where ``lo <= normal . p <= hi`` for each."""
 
     def test_square_identity(self):
         slabs = axis_square(1.0).slabs()
-        assert [(nrm.tolist(), off) for nrm, off in slabs] == \
-            [([0.0, -1.0], 0.5), ([1.0, 0.0], 0.5)]
+        assert [(nrm.tolist(), lo, hi) for nrm, lo, hi in slabs] == \
+            [([0.0, -1.0], -0.5, 0.5), ([1.0, 0.0], -0.5, 0.5)]
         assert slab_frame(axis_square(1.0)).tolist() == \
             [[0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5]]
 
@@ -273,9 +220,10 @@ class TestNormalize:
             [[c, s], [-s, c]]))
         slabs = sq.slabs()
         assert len(slabs) == 2
-        for (nrm, off), want in zip(slabs, ([s, -c], [c, s])):
+        for (nrm, lo, hi), want in zip(slabs, ([s, -c], [c, s])):
             assert np.allclose(nrm, want, atol=1e-15)
-            assert off == pytest.approx(0.5, abs=1e-15)
+            assert lo == pytest.approx(-0.5, abs=1e-15)
+            assert hi == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("vertices", [
         [[-0.5, -0.3], [0.6, -0.3], [0.5, 0.3], [-0.6, 0.3]],
@@ -297,27 +245,37 @@ class TestNormalize:
             f = random_symmetric_polygon(int(rng.integers(2, 6)), rng)
             slabs = f.slabs()
             assert len(slabs) == f.s // 2
-            for nrm, off in slabs:
+            for nrm, lo, hi in slabs:
                 assert math.hypot(*nrm) == pytest.approx(1.0, abs=1e-15)
-                assert off > 0
+                assert hi > 0
+                assert lo == pytest.approx(-hi, abs=1e-12)
             # every vertex lies on the boundary of exactly two slabs and
             # inside all of them
             for v in f.vertices:
-                slack = [off - abs(nrm @ v) for nrm, off in slabs]
+                slack = [min(hi - nrm @ v, nrm @ v - lo)
+                         for nrm, lo, hi in slabs]
                 assert min(slack) >= -1e-12
                 assert sum(sl <= 1e-12 for sl in slack) == 2
             # the polygon is the intersection of its slabs
             for x in rng.uniform(-2, 2, size=(200, 2)):
-                assert all(abs(nrm @ x) <= off for nrm, off in slabs) == \
+                assert all(lo <= nrm @ x <= hi for nrm, lo, hi in slabs) == \
                     (norm_value(f, x) <= 1.0)
-
-    def test_requires_symmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            ConvexPolygon([[0, 0], [1, 0], [0, 1]]).slabs()
-        with pytest.raises(ValueError, match="at least 3 vertices"):
-            ConvexPolygon([[-1, 0], [1, 0]]).slabs()
-        with pytest.raises(ValueError, match="at least 3 vertices"):
-            adjacency_slabs(ConvexPolygon([[0, 0], [1, 0]]))
+        # Any convex polygon, centrally symmetric or not: every vertex lies
+        # inside every slab and on the boundary of at least two, and the
+        # polygon is the intersection of its slabs.
+        rng = np.random.default_rng(8)
+        for _ in range(15):
+            f = random_convex(rng, sides=int(rng.integers(3, 8)))
+            slabs = f.slabs()
+            for v in f.vertices:
+                slack = [min(hi - nrm @ v, nrm @ v - lo)
+                         for nrm, lo, hi in slabs]
+                assert min(slack) >= -1e-12
+                assert sum(sl <= 1e-12 for sl in slack) >= 2
+            verts = [tuple(v) for v in f.vertices]
+            for x in rng.uniform(-1.2, 1.2, size=(200, 2)):
+                assert all(lo <= nrm @ x <= hi for nrm, lo, hi in slabs) == \
+                    point_in_polygon(x, verts)
 
 
 class TestFileFormats:

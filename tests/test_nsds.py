@@ -128,9 +128,9 @@ class TestClosedMasks:
         computed = []
         covered = Stripe.covered
 
-        def counting(self, c, w):
-            computed.append((c, w))
-            return covered(self, c, w)
+        def counting(self, c, lo, hi):
+            computed.append((c, lo, hi))
+            return covered(self, c, lo, hi)
 
         monkeypatch.setattr(Stripe, "covered", counting)
         made = []

@@ -17,8 +17,8 @@ DATA = Path(__file__).parent / "data"
 
 SKEW_HEX = ConvexPolygon([[1.2, 0.0], [0.5, 0.9], [-0.6, 0.8],
                           [-1.2, 0.0], [-0.5, -0.9], [0.6, -0.8]])
-# Shapes that are not centrally symmetric: the structure and the oracle both
-# work with their symmetrization.
+# Shapes that are not centrally symmetric: the structure marks their own
+# slabs, and the oracle and geometric_nsds use the slabs of f - f.
 TRIANGLE = ConvexPolygon([[-0.7, -0.4], [0.9, -0.2], [0.1, 0.8]])
 PENTAGON = ConvexPolygon([[-0.5, -0.6], [0.6, -0.5], [0.9, 0.3],
                           [0.0, 0.9], [-0.8, 0.2]])
@@ -70,6 +70,8 @@ class TestMarkAndDiff:
     @pytest.mark.parametrize("shape,label", [
         (None, "square"),
         (SKEW_HEX, "hexagon"),
+        (TRIANGLE, "triangle"),
+        (PENTAGON, "pentagon"),
     ])
     def test_random_sequences_match_naive(self, shape, label):
         rng = np.random.default_rng(hash(label) % 2 ** 31)
@@ -168,6 +170,8 @@ class TestBatchedMark:
     @pytest.mark.parametrize("shape,label", [
         (None, "square"),
         (SKEW_HEX, "hexagon"),
+        (TRIANGLE, "triangle"),
+        (PENTAGON, "pentagon"),
     ])
     def test_batches_match_one_by_one(self, shape, label):
         rng = np.random.default_rng(50 if label == "square" else 51)
@@ -207,8 +211,8 @@ def benchmark_hexagon():
 
 
 class TestDirections:
-    """One stripe per pair of opposite sides: its normal is the first
-    side's outward normal, and the opposite side, whose normal is its
+    """One stripe per class of parallel sides: its normal is the first
+    side's outward normal, and a parallel side, whose normal is its
     negation (the "down" to its "up"), is the same slab's other bound and
     adds no stripe.  Each stripe holds every point's projection on its
     normal, sorted."""
@@ -222,7 +226,7 @@ class TestDirections:
         assert len(structure.stripes) == len(structure.slabs) == half
         sides = shape.side_normals()
         offsets, pairs = [], set()
-        for j, (nrm, _) in enumerate(structure.slabs):
+        for j, (nrm, _, _) in enumerate(structure.slabs):
             (i,) = [i for i, (side, _) in enumerate(sides)
                     if np.allclose(side, nrm, rtol=0, atol=1e-15)]
             opposite = sides[(i + half) % shape.s][0]
@@ -241,8 +245,9 @@ class TestDirections:
         pts = rng.uniform(0, 4, size=(40, 2))
         structure = PlaneStructure(pts, adjacency_slabs(shape))
         offsets = self.check_slabs(structure, shape)
-        for (_, w), off in zip(structure.slabs, offsets):
-            assert w == pytest.approx(2.0 * off + TOL, rel=0, abs=1e-15)
+        for (_, lo, hi), off in zip(structure.slabs, offsets):
+            assert lo == -hi
+            assert hi == pytest.approx(2.0 * off + TOL, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("label", ["unit-square", "rectangle",
                                        "sheared", "rotated-square"])
@@ -269,7 +274,7 @@ class TestDirections:
         structure = PlaneStructure([(0.0, 0.0), (0.3, 0.2)],
                                    octagon.slabs())
         self.check_slabs(structure, octagon)
-        normals = [nrm.tolist() for nrm, _ in structure.slabs]
+        normals = [nrm.tolist() for nrm, _, _ in structure.slabs]
         assert sum(abs(nx) == 0.0 for nx, _ in normals) == 1
         assert [0.0, 1.0] in normals
 
@@ -363,15 +368,17 @@ class TestGeometricNSDS:
                 assert got == sorted(replay[i] ^ replay[j]), (seq, i, j)
 
     @pytest.mark.parametrize("offset", [0.0, 3.0, 1e3, 1e6])
-    @pytest.mark.parametrize("label", ["square", "hexagon"])
+    @pytest.mark.parametrize("label", ["square", "hexagon", "triangle",
+                                       "pentagon"])
     def test_tol_edge_rows_match_the_oracle(self, label, offset):
         # 8 points in a row along a slab normal of the adjacency shape,
-        # spaced its half-width (1 + TOL for the unit square) give or take
+        # spaced the slab's hi (1 + TOL for the unit square) give or take
         # 0-6 ulps, start at (offset, offset): every neighbouring pair lies
         # on the adjacency boundary or a few roundings from it, and closed[v]
         # must be the oracle's row bit for bit.
-        shape = axis_square(1.0) if label == "square" else benchmark_hexagon()
-        nrm, w = adjacency_slabs(shape)[0]
+        shape = {"square": axis_square(1.0), "hexagon": benchmark_hexagon(),
+                 "triangle": TRIANGLE, "pentagon": PENTAGON}[label]
+        nrm, _, w = adjacency_slabs(shape)[0]
         for ulps in range(-6, 7):
             step = w
             for _ in range(abs(ulps)):

@@ -24,6 +24,10 @@ CASES = [
     # touches exactly.
     ("rotated_square_lattice.csv", "points",
      "rotated_square_lattice.poly.csv"),
+    # The triangle (0,0), (1,0), (0,1) on the 6x6 integer grid: f - f is the
+    # hexagon with vertices +-(1,0), +-(0,1), +-(1,-1), so those neighbours
+    # touch exactly and (1,1) does not.
+    ("triangle_lattice.csv", "points", "triangle_lattice.poly.csv"),
 ]
 
 
@@ -49,7 +53,8 @@ POINT_CASES = [c for c in CASES if c[1] == "points"]
 @pytest.mark.parametrize("name,kind,poly", POINT_CASES,
                          ids=[c[0] for c in POINT_CASES])
 def test_every_closed_neighbourhood_matches_the_oracle(name, kind, poly):
-    # On the rotated-square lattice every lattice neighbour touches exactly.
+    # On the rotated-square and triangle lattices every lattice neighbour
+    # touches exactly.
     pts = load_points(DATA / name)
     shape = load_polygon(DATA / poly) if poly else axis_square(1.0)
     g = intersection_graph_naive(pts, shape)
@@ -67,6 +72,20 @@ def test_rotated_square_lattice_touches_are_edges(seed):
     shape = load_polygon(DATA / "rotated_square_lattice.poly.csv")
     assert diameter_naive(intersection_graph_naive(pts, shape)) == 4
     for k, want in ((3, False), (4, True), (5, True)):
+        got = k_diameter_implicit(lambda: geometric_nsds(pts, shape),
+                                  len(pts), k, 3,
+                                  np.random.default_rng(seed))
+        assert got is want, (seed, k)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_triangle_lattice_touches_are_edges(seed):
+    pts = load_points(DATA / "triangle_lattice.csv")
+    shape = load_polygon(DATA / "triangle_lattice.poly.csv")
+    g = intersection_graph_naive(pts, shape)
+    assert g.m == 85
+    assert diameter_naive(g) == 10
+    for k, want in ((9, False), (10, True), (11, True)):
         got = k_diameter_implicit(lambda: geometric_nsds(pts, shape),
                                   len(pts), k, 3,
                                   np.random.default_rng(seed))

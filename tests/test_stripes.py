@@ -34,7 +34,7 @@ def mask_of(marked):
 
 def mark_parts(version, parts):
     for c, w in parts:
-        version = stripe_mark_line(version, c, w)
+        version = stripe_mark_line(version, c, -w, w)
     return version
 
 
@@ -48,7 +48,7 @@ class TestInit:
         rng = np.random.default_rng(1)
         v = stripe_init(projections(make_points(rng, 40)))
         for x in np.linspace(0, 20, 41):
-            v = stripe_mark_line(v, float(x), 0.5)
+            v = stripe_mark_line(v, float(x), -0.5, 0.5)
         assert v.mask == (1 << 40) - 1
 
     def test_leaves_x_sorted(self):
@@ -67,27 +67,28 @@ class TestInit:
                 for i in range(100)] == want
 
     def test_point_on_band_floor_starts_unmarked(self):
-        # A point exactly on the slab floor (p - c == -w) is covered; with
+        # A point exactly on the slab floor (p - c == lo) is covered; with
         # the center one step further it is not.
         v = stripe_init([0.0, 0.5])
         assert v.mask == 0
         assert stripe_list_differences(
-            v, stripe_mark_line(v, 0.5, 0.5)) == [0, 1]
+            v, stripe_mark_line(v, 0.5, -0.5, 0.5)) == [0, 1]
         assert stripe_list_differences(
-            v, stripe_mark_line(v, math.nextafter(0.5, 1.0), 0.5)) == [1]
-        assert stripe_mark_line(v, math.nextafter(0.0, -1.0), 0.0) is v
+            v, stripe_mark_line(v, math.nextafter(0.5, 1.0), -0.5, 0.5)
+        ) == [1]
+        assert stripe_mark_line(v, math.nextafter(0.0, -1.0), -0.0, 0.0) is v
 
 
 class TestMark:
     def test_mark_far_left_noop(self):
         rng = np.random.default_rng(5)
         v = stripe_init(projections(make_points(rng, 30)))
-        assert stripe_mark_line(v, -50.0, 0.5) is v
+        assert stripe_mark_line(v, -50.0, -0.5, 0.5) is v
         assert v.stripe.mark_nodes == 0 and v.stripe.marks == 1
 
     def test_single_point_centered_square(self):
         v = stripe_init([0.0])
-        assert stripe_mark_line(v, 0.0, 0.5).mask == 1
+        assert stripe_mark_line(v, 0.0, -0.5, 0.5).mask == 1
 
     def test_random_marks_match_naive(self):
         rng = np.random.default_rng(7)
@@ -97,9 +98,21 @@ class TestMark:
         for step in range(500):
             c = float(rng.uniform(-1, 21))
             w = float(rng.uniform(0, 1))
-            v = stripe_mark_line(v, c, w)
+            v = stripe_mark_line(v, c, -w, w)
             marked |= slab_covers(keys, c, w)
             assert v.mask == mask_of(marked), f"step {step}"
+
+    def test_asymmetric_bounds_match_naive(self):
+        # lo and hi are independent: the slab of a shape that is not
+        # centrally symmetric sits off center.
+        rng = np.random.default_rng(8)
+        keys = projections(make_points(rng, 150), DIAGONAL)
+        stripe = stripe_init(keys).stripe
+        for step in range(400):
+            c = float(rng.uniform(-1, 16))
+            lo, hi = sorted(rng.uniform(-1.5, 1.5, size=2).tolist())
+            want = {i for i, p in enumerate(keys) if lo <= p - c <= hi}
+            assert stripe.covered(c, lo, hi) == mask_of(want), f"step {step}"
 
     @pytest.mark.parametrize("j", range(len(NORMALS)))
     def test_ties_are_covered(self, j):
@@ -115,12 +128,13 @@ class TestMark:
                 w = abs(p - c)
                 want = slab_covers(keys, c, w)
                 assert i in want
-                assert v.stripe.covered(c, w) == mask_of(want)
+                assert v.stripe.covered(c, -w, w) == mask_of(want)
                 if w > 0:
                     narrower = math.nextafter(w, 0.0)
                     want = slab_covers(keys, c, narrower)
                     assert i not in want
-                    assert v.stripe.covered(c, narrower) == mask_of(want)
+                    assert v.stripe.covered(c, -narrower, narrower) == \
+                        mask_of(want)
 
 
 class TestListDifferences:
@@ -131,7 +145,7 @@ class TestListDifferences:
 
     def test_empty_vs_one_mark(self):
         v = stripe_init([10.0 * i for i in range(8)])
-        v2 = stripe_mark_line(v, 70.0, 0.5)
+        v2 = stripe_mark_line(v, 70.0, -0.5, 0.5)
         assert stripe_list_differences(v, v2) == [7]
 
     def test_mismatched_universes(self):
@@ -147,7 +161,7 @@ class TestListDifferences:
         naive = [set()]
         for _ in range(300):
             c = float(rng.uniform(-1, 21))
-            versions.append(stripe_mark_line(versions[-1], c, 0.5))
+            versions.append(stripe_mark_line(versions[-1], c, -0.5, 0.5))
             naive.append(naive[-1] | slab_covers(keys, c, 0.5))
         for _ in range(400):
             i = int(rng.integers(0, len(versions)))
@@ -215,7 +229,7 @@ class TestPolygonMode:
         for step in range(200):
             c = float(rng.uniform(-1, 9))
             w = float(rng.uniform(0.25, 1.5))
-            v = stripe_mark_line(v, c, w)
+            v = stripe_mark_line(v, c, -w, w)
             marked |= slab_covers(keys, c, w)
             assert v.mask == mask_of(marked), f"step {step}"
 
@@ -236,7 +250,7 @@ class TestBatchedMarks:
             parts = [(float(rng.uniform(-1, 10)), float(rng.uniform(0, 2)))
                      for _ in range(int(rng.integers(1, 13)))]
             for c, w in parts:
-                batched |= chained.stripe.covered(c, w)
+                batched |= chained.stripe.covered(c, -w, w)
             chained = mark_parts(chained, parts)
             for c, w in parts:
                 marked |= slab_covers(keys, c, w)
@@ -258,11 +272,12 @@ class TestPersistence:
         naive = [set()]
         for _ in range(200):
             c = float(rng.uniform(0, 20))
-            versions.append(stripe_mark_line(versions[-1], c, 0.5))
+            versions.append(stripe_mark_line(versions[-1], c, -0.5, 0.5))
             naive.append(naive[-1] | slab_covers(keys, c, 0.5))
         # 1000 extra operations on top of the last version
         extra = versions[-1]
         for _ in range(1000):
-            extra = stripe_mark_line(extra, float(rng.uniform(0, 20)), 0.5)
+            extra = stripe_mark_line(extra, float(rng.uniform(0, 20)),
+                                     -0.5, 0.5)
         for i in range(0, len(versions), 9):
             assert versions[i].mask == mask_of(naive[i])
