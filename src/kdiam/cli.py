@@ -205,12 +205,16 @@ def cmd_verify(args):
             pts = gen_mod.random_unit_square_points(
                 n, gen_mod.default_box(n), np.random.default_rng(seed))
             kind, payload = "points", (pts, axis_square(1.0))
+        # naive and explicit reuse the trial's graph; implicit keeps the
+        # points so that it builds its own structure
         g = _materialize(kind, payload)
         diam = diameter_naive(g)
         for k in range(args.k_min, args.k_max + 1):
             want = diam <= k
             for algo in args.algos:
-                report = run_algorithm(algo, kind, payload, k, args.d, seed)
+                instance = (kind, payload) if algo == "implicit" \
+                    else ("graph", g)
+                report = run_algorithm(algo, *instance, k, args.d, seed)
                 checked += 1
                 if report.answer != want:
                     failures.append({"trial": trial, "seed": seed, "k": k,

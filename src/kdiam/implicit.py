@@ -5,7 +5,10 @@ Balls are delta-encoded along a vertex order: D_1 is the first ball and D_i
 the symmetric difference of consecutive balls, so the prefix-xor of the
 deltas reconstructs any ball.  One radius step expands all balls with a
 divide-and-conquer that shares common work, reorders with membership read
-from the ball handles just built, and re-extracts deltas output-sensitively.
+from the ball handles just built, and re-extracts deltas output-sensitively
+as the sorted id lists ListDifferences returns.  The recursion turns each
+delta into an ``int`` mask once and does its unions, intersections and
+symmetric differences as int operations, so a delta's size is its popcount.
 The last radius step stops after the expansion and checks the balls
 directly.
 """
@@ -14,17 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import or_, xor
 
 import numpy as np
 
 from .nsds import MaskNeighbourSets
 from .order import order_from_membership
+from .stripes import ids_of
 
 
 @dataclass
 class ExpandCost:
     """Operation counter for the expansion recursion: every call contributes
-    its delta count plus the total size of its delta sets."""
+    its delta count plus the total size of its deltas, each size the
+    popcount of the delta's mask."""
 
     operations: int = 0
     calls: int = 0
@@ -41,30 +47,37 @@ def expand_balls(deltas, nsds: MaskNeighbourSets, *,
                  cost: ExpandCost | None = None) -> list[int]:
     """Handles for N[D_1 xor ... xor D_i], one per prefix of the deltas.
 
-    Elements unique to D_1 belong to every prefix, so their neighborhoods are
-    added once to a shared base set; the midpoint replacement folds the first
-    half into the second half's leading delta before recursing.
+    Each delta, a collection of vertex ids, becomes an ``int`` mask once, and
+    the recursion does its set algebra on the masks.  Elements unique to D_1
+    belong to every prefix, so their neighborhoods are added once, in
+    increasing id, to a shared base set; the midpoint replacement folds the
+    first half into the second half's leading delta before recursing.
     """
-    deltas = [set(d) for d in deltas]
     if not deltas:
         raise ValueError("need at least one delta set")
-    return _expand_rec(nsds.empty, deltas, nsds, cost)
+    masks = []
+    for d in deltas:
+        mask = 0
+        for v in d:
+            mask |= 1 << v
+        masks.append(mask)
+    return _expand_rec(nsds.empty, masks, nsds, cost)
 
 
-def _expand_rec(base: int, deltas, nsds, cost) -> list[int]:
+def _expand_rec(base: int, deltas: list[int], nsds, cost) -> list[int]:
     t = len(deltas)
     if cost is not None:
         cost.calls += 1
-        cost.operations += t + sum(len(d) for d in deltas)
-    common = set().union(*deltas[1:]) if t > 1 else set()
+        cost.operations += t + sum(d.bit_count() for d in deltas)
+    common = reduce(or_, deltas[1:], 0)
     shared = base
-    for v in sorted(deltas[0] - common):
+    for v in ids_of(deltas[0] & ~common):
         shared = nsds.add_neighbours(shared, v)
     if t == 1:
         return [shared]
     m = t // 2 + 1
     d1 = deltas[0] & common
-    dm = reduce(set.symmetric_difference, deltas[1:m], d1)
+    dm = reduce(xor, deltas[1:m], d1)
     first = _expand_rec(shared, [d1] + deltas[1:m - 1], nsds, cost)
     second = _expand_rec(shared, [dm] + deltas[m:], nsds, cost)
     return first + second
@@ -113,7 +126,8 @@ def k_diameter_implicit(nsds_factory, n: int, k: int, d: int,
     comparisons are exact, so the answer does not depend on the rng draw.
 
     Radii 1..k-1 each build a fresh low-difference order and its deltas,
-    and ``inspect(r, nsds, order, deltas)`` is called after each of them.
+    and ``inspect(r, nsds, order, deltas)`` is called after each of them,
+    with every delta the sorted id list that ListDifferences returned.
     The last radius only asks whether every ball is full: it lists the
     first ball, then its difference to each other ball, and answers False
     at the first shortfall, so it builds no order and lists no deltas.
@@ -136,10 +150,9 @@ def k_diameter_implicit(nsds_factory, n: int, k: int, d: int,
             lambda x: nsds.list_differences(nsds.empty, handles[old_pos[x]]),
             n, d, rng)
         mapped = [handles[old_pos[v]] for v in new_order]
-        deltas = [set(nsds.list_differences(nsds.empty, mapped[0]))]
-        deltas.extend(
-            set(nsds.list_differences(mapped[i - 1], mapped[i]))
-            for i in range(1, n))
+        deltas = [nsds.list_differences(nsds.empty, mapped[0])]
+        deltas.extend(nsds.list_differences(mapped[i - 1], mapped[i])
+                      for i in range(1, n))
         order = new_order
         if inspect is not None:
             inspect(r, nsds, order, deltas)

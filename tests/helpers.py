@@ -252,21 +252,66 @@ def geometric_graph_sat(points, verts):
 # -- implicit driver --------------------------------------------------------
 
 
+def expand_balls_reference(deltas, nsds, cost=None):
+    """The expansion recursion on Python sets: the version
+    ``kdiam.implicit.expand_balls`` replaced with int masks, and must match
+    add for add, handle for handle and count for count."""
+    from functools import reduce
+
+    def rec(base, deltas):
+        t = len(deltas)
+        if cost is not None:
+            cost.calls += 1
+            cost.operations += t + sum(len(d) for d in deltas)
+        common = set().union(*deltas[1:]) if t > 1 else set()
+        shared = base
+        for v in sorted(deltas[0] - common):
+            shared = nsds.add_neighbours(shared, v)
+        if t == 1:
+            return [shared]
+        m = t // 2 + 1
+        d1 = deltas[0] & common
+        dm = reduce(set.symmetric_difference, deltas[1:m], d1)
+        return (rec(shared, [d1] + deltas[1:m - 1])
+                + rec(shared, [dm] + deltas[m:]))
+
+    deltas = [set(d) for d in deltas]
+    if not deltas:
+        raise ValueError("need at least one delta set")
+    return rec(nsds.empty, deltas)
+
+
+def expansion_inputs(rng, trials):
+    """(graph, deltas) pairs: a random connected graph on 3..39 vertices
+    and 1..39 random delta sets over its vertices."""
+    from kdiam.gen import random_connected_graph
+
+    for _ in range(trials):
+        n = int(rng.integers(3, 40))
+        m_hi = min(n * (n - 1) // 2, 3 * n)
+        g = random_connected_graph(n, int(rng.integers(n - 1, m_hi + 1)), rng)
+        t = int(rng.integers(1, 40))
+        yield g, [set(int(x) for x in
+                      rng.choice(n, size=rng.integers(0, n + 1),
+                                 replace=False))
+                  for _ in range(t)]
+
+
 def k_diameter_implicit_reference(nsds_factory, n, k, d, rng, *,
                                   inspect=None):
     """The implicit driver with order membership by BFS simulated through
-    the structure and a fresh structure per radius: what
+    the structure, a fresh structure per radius and the set recursion: what
     ``k_diameter_implicit``, which reads membership from the ball handles,
     must reproduce order for order and delta for delta at every radius
     below k, and answer for answer."""
-    from kdiam.implicit import expand_balls, simulate_bfs
+    from kdiam.implicit import simulate_bfs
     from kdiam.order import order_from_membership
 
     order = list(range(n))
     deltas = [{order[0]}] + [{order[i - 1], order[i]} for i in range(1, n)]
     for r in range(1, k + 1):
         nsds = nsds_factory()
-        handles = expand_balls(deltas, nsds)
+        handles = expand_balls_reference(deltas, nsds)
         new_order = list(order_from_membership(
             lambda x: simulate_bfs(nsds, x, r).keys(), n, d, rng))
         old_pos = {v: i for i, v in enumerate(order)}

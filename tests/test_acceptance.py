@@ -23,7 +23,7 @@ from kdiam.plane import geometric_nsds, plane_init, plane_list_differences, \
     plane_mark
 from kdiam.bench import loglog_slope, order_difference_sum
 
-from helpers import geometric_graph_sat, point_in_polygon
+from helpers import expansion_inputs, geometric_graph_sat, point_in_polygon
 
 
 def report(number, label, start, budget):
@@ -107,15 +107,8 @@ def test_criterion_3_persistent_structure_correctness():
 def test_criterion_4_expansion_cost_bound():
     start = time.time()
     rng = np.random.default_rng(20260104)
-    for trial in range(100):
-        n = int(rng.integers(3, 40))
-        m_hi = min(n * (n - 1) // 2, 3 * n)
-        g = random_connected_graph(n, int(rng.integers(n - 1, m_hi + 1)), rng)
-        t = int(rng.integers(1, 40))
-        deltas = [set(int(x) for x in
-                      rng.choice(n, size=rng.integers(0, n + 1),
-                                 replace=False))
-                  for _ in range(t)]
+    for trial, (g, deltas) in enumerate(expansion_inputs(rng, 100)):
+        t = len(deltas)
         nsds = MaskNeighbourSets.from_graph(g)
         cost = ExpandCost()
         expand_balls(deltas, nsds, cost=cost)
@@ -224,7 +217,7 @@ def test_criterion_8_invariant_audits():
                 i = int(i)
                 acc = set()
                 for d in deltas[:i + 1]:
-                    acc ^= d
+                    acc ^= set(d)
                 if acc != set(simulate_bfs(nsds, order[i], r)):
                     violations.append(("delta", trial, r, i))
 

@@ -115,6 +115,25 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["failures"] == []
 
+    def test_oracle_graph_built_once_per_trial(self, capsys, monkeypatch):
+        # naive and explicit run on the trial's graph at every k; implicit
+        # builds its structure from the points
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return geometry.intersection_graph_naive(*args)
+
+        monkeypatch.setattr(cli, "intersection_graph_naive", counting)
+        code, out, _ = run(capsys, "verify", "--generator", "unit-squares",
+                           "--trials", "2", "--n-max", "12",
+                           "--k-max", "4", "--seed", "0")
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["failures"] == []
+        assert summary["checks"] == 2 * 4 * 3
+        assert len(built) == 2
+
 
 class TestBench:
     def test_csv_shape_and_slope_line(self, tmp_path, capsys):

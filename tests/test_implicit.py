@@ -11,7 +11,8 @@ from kdiam.implicit import (ExpandCost, expand_balls, k_diameter_implicit,
 from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import geometric_nsds
 
-from helpers import k_diameter_implicit_reference
+from helpers import (expand_balls_reference, expansion_inputs,
+                     k_diameter_implicit_reference)
 
 
 def path_graph(n):
@@ -67,6 +68,45 @@ class TestExpandBalls:
             a = len(deltas[0])
             b = sum(len(d) for d in deltas[1:])
             assert cost.operations <= ExpandCost.bound(a, b, t)
+
+
+class RecordingNeighbourSets(MaskNeighbourSets):
+    """Masks that log every AddNeighbours as its (handle, vertex) pair."""
+
+    def __init__(self, closed):
+        super().__init__(closed)
+        self.adds = []
+
+    def add_neighbours(self, h, v):
+        self.adds.append((h, v))
+        return super().add_neighbours(h, v)
+
+
+class TestSameWorkAsSetRecursion:
+    """The mask recursion must make the set recursion's AddNeighbours
+    sequence, return its handles and count its operations."""
+
+    @staticmethod
+    def check(g, deltas):
+        closed = MaskNeighbourSets.from_graph(g).closed
+        got, want = (RecordingNeighbourSets(closed) for _ in range(2))
+        got_cost, want_cost = ExpandCost(), ExpandCost()
+        assert expand_balls(deltas, got, cost=got_cost) == \
+            expand_balls_reference(deltas, want, cost=want_cost)
+        assert got.adds == want.adds
+        assert got_cost == want_cost
+
+    def test_criterion_4_inputs(self):
+        rng = np.random.default_rng(20260104)
+        for g, deltas in expansion_inputs(rng, 100):
+            self.check(g, deltas)
+
+    def test_edge_cases(self):
+        g = random_connected_graph(12, 20, np.random.default_rng(3))
+        self.check(g, [{4, 0, 9}])                   # t = 1
+        self.check(g, [set(), {1, 2}, {2, 3}, {5}])  # empty first delta
+        self.check(g, [{1, 5, 7}] * 6)               # all deltas equal
+        self.check(g, [[7, 5, 1], (5,), range(3)])   # any id collection
 
 
 class TestSimulateBfs:
@@ -164,7 +204,7 @@ class TestKDiameterImplicit:
                 i = int(i)
                 acc = set()
                 for d in deltas[:i + 1]:
-                    acc ^= d
+                    acc ^= set(d)
                 want = set(simulate_bfs(nsds, order[i], r))
                 assert acc == want
                 checked.append((r, i))
@@ -241,11 +281,11 @@ def in_descent_order(nsds):
 
 class TestSameWorkAsReference:
     """The driver reads order membership from the ball handles it has built;
-    the reference simulates BFS and builds a fresh structure per radius.
-    Both must make the same order and the same deltas at every radius below
-    k (the driver builds none at k), and the driver's one structure must
-    have made exactly the expansion's adds over radii 1..k.  Every listing
-    must come in increasing id order."""
+    the reference simulates BFS, builds a fresh structure per radius and
+    expands on sets.  Both must make the same order and the same deltas at
+    every radius below k (the driver builds none at k), and the driver's one
+    structure must have made exactly the set recursion's adds over radii
+    1..k.  Every listing must come in increasing id order."""
 
     @staticmethod
     def run(driver, make, n, k, d, seed):
@@ -275,7 +315,7 @@ class TestSameWorkAsReference:
         adds = 0
         for _, _, next_deltas in ref_steps:
             fresh = make()
-            expand_balls(deltas, fresh)
+            expand_balls_reference(deltas, fresh)
             adds += fresh.add_count
             deltas = next_deltas
         assert nsds.add_count == adds

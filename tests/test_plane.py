@@ -74,7 +74,9 @@ class TestMarkAndDiff:
         (PENTAGON, "pentagon"),
     ])
     def test_random_sequences_match_naive(self, shape, label):
-        rng = np.random.default_rng(hash(label) % 2 ** 31)
+        # a fixed seed per case, so that a failure replays
+        rng = np.random.default_rng({"square": 71, "hexagon": 72,
+                                     "triangle": 73, "pentagon": 74}[label])
         pts = rng.uniform(0, 10, size=(120, 2))
         structure, v = plane_init(pts, shape)
         shape_verts = [tuple(vv) for vv in
