@@ -51,7 +51,12 @@ def bfs_distances(indptr, indices, source):
 
 
 def eccentricities(indptr, indices):
-    """Eccentricity of every vertex, -1 where the graph is disconnected."""
+    """Eccentricity of every vertex, -1 where the graph is disconnected.
+
+    One BFS per source, O(n·(n + m)) numpy-dispatched work.  Kept as the
+    independent per-source check that the tests compare
+    ``graph.diameter_naive``, which grows all balls at once, against.
+    """
     n = indptr.shape[0] - 1
     ecc = np.empty(n, np.int64)
     for s in range(n):

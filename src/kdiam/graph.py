@@ -1,13 +1,16 @@
 """Undirected unweighted graphs, BFS, and the brute-force oracles.
 
 Everything downstream is verified against the functions in this module, so
-they stay deliberately simple: plain adjacency lists plus CSR arrays for the
-BFS kernels.
+they stay deliberately simple: plain adjacency lists, lazily built CSR
+arrays for the single-source BFS kernels, and a diameter oracle that grows
+every ball at once as an ``int`` bit mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 import numpy as np
@@ -124,12 +127,27 @@ def is_connected(g: Graph) -> bool:
 
 
 def diameter_naive(g: Graph) -> int:
-    """Max over all pairs of BFS distances (the all-sources oracle)."""
-    indptr, indices = g.csr
-    ecc = _kernels.eccentricities(indptr, indices)
-    if (ecc < 0).any():
-        raise DisconnectedGraphError("graph is disconnected: infinite diameter")
-    return int(ecc.max())
+    """Max over all pairs of hop distances (the all-sources oracle).
+
+    Grows every ball one hop per round: bit u of ``balls[v]`` is set iff
+    dist(v, u) <= r after round r, and round r + 1 ORs the balls of v's
+    closed neighbourhood.  The diameter is the first round at which every
+    ball is the whole vertex set; a round that changes no ball proves the
+    graph disconnected.  Cost: D·(n + 2m) ORs of n-bit masks, with memory
+    for two generations of n masks, about n²/4 bytes.
+    """
+    full = (1 << g.n) - 1
+    closed = [(v, *neigh) for v, neigh in enumerate(g.adjacency)]
+    balls = [1 << v for v in range(g.n)]
+    radius = 0
+    while balls.count(full) < g.n:
+        grown = [reduce(or_, map(balls.__getitem__, nv)) for nv in closed]
+        if grown == balls:
+            raise DisconnectedGraphError(
+                "graph is disconnected: infinite diameter")
+        balls = grown
+        radius += 1
+    return radius
 
 
 def k_diameter_naive(g: Graph, k: int) -> bool:

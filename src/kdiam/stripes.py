@@ -56,6 +56,8 @@ _BYTE_BITS = tuple(tuple(i for i in range(8) if v >> i & 1)
 def ids_of(mask: int) -> list:
     """Every set bit i of ``mask``, in increasing i: one step per byte of
     the mask plus one per set bit."""
+    if not mask:
+        return []
     out = []
     append = out.append
     base = 0

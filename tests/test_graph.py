@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from kdiam import _kernels
 from kdiam.graph import (DisconnectedGraphError, Graph, GraphFormatError,
                          bfs_distances, diameter_naive,
                          distance_vc_shatter_check, from_edges, is_connected,
                          k_diameter_naive, load_edge_list, neighborhood,
                          parse_edge_list, save_edge_list)
-from kdiam.gen import random_connected_graph, random_unit_square_points
+from kdiam.gen import (default_box, random_connected_graph,
+                       random_unit_square_points)
 from kdiam.geometry import axis_square, intersection_graph_naive
 
 from helpers import all_pairs_dist, ball
@@ -94,10 +96,51 @@ class TestDiameter:
         assert expect == 4
         assert diameter_naive(g) == 4
 
+    def test_single_vertex(self):
+        assert diameter_naive(Graph([[]])) == 0
+
+    def test_single_edge(self):
+        assert diameter_naive(path_graph(2)) == 1
+
     def test_disconnected_infinite(self):
-        g = Graph([[1], [0], [3], [2]])
-        with pytest.raises(DisconnectedGraphError, match="infinite"):
-            diameter_naive(g)
+        for adjacency in ([[1], [0], [3], [2]],     # two components
+                          [[1], [0, 2], [1], []],   # an isolated vertex
+                          [[], []]):                # two vertices, no edge
+            with pytest.raises(DisconnectedGraphError, match="infinite"):
+                diameter_naive(Graph(adjacency))
+
+
+def eccentricity_diameter(g):
+    """The per-source oracle: one numpy BFS from every vertex."""
+    return int(_kernels.eccentricities(*g.csr).max())
+
+
+class TestDiameterAgainstPerSourceBfs:
+    @pytest.mark.parametrize("family,n", [
+        (path_graph, 1), (path_graph, 2), (path_graph, 7),
+        (cycle_graph, 3), (cycle_graph, 8), (cycle_graph, 11),
+        (star_graph, 1), (star_graph, 5),
+        (complete_graph, 2), (complete_graph, 6),
+    ], ids=lambda p: getattr(p, "__name__", p))
+    def test_named_families(self, family, n):
+        g = family(n)
+        assert diameter_naive(g) == eccentricity_diameter(g)
+
+    def test_random_connected_graphs(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            n = int(rng.integers(1, 61))
+            m = int(rng.integers(n - 1, min(3 * n, n * (n - 1) // 2) + 1))
+            g = random_connected_graph(n, m, rng)
+            assert diameter_naive(g) == eccentricity_diameter(g)
+
+    def test_unit_square_graphs(self):
+        rng = np.random.default_rng(18)
+        for _ in range(30):
+            n = int(rng.integers(2, 80))
+            pts = random_unit_square_points(n, default_box(n), rng)
+            g = intersection_graph_naive(pts, axis_square(1.0))
+            assert diameter_naive(g) == eccentricity_diameter(g)
 
 
 class TestKDiameter:
