@@ -9,6 +9,7 @@ from .graph import (
     GraphFormatError,
     bfs_distances,
     diameter_naive,
+    diameter_upto,
     distance_vc_shatter_check,
     from_edges,
     is_connected,
@@ -52,6 +53,7 @@ __all__ = [
     "bfs_distances",
     "canonicalize",
     "diameter_naive",
+    "diameter_upto",
     "distance_vc_shatter_check",
     "expand_balls",
     "expand_step",

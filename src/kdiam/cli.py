@@ -22,15 +22,14 @@ import numpy as np
 
 log = logging.getLogger("kdiam")
 
+from . import _kernels, explicit, implicit
 from . import bench as bench_mod
 from . import gen as gen_mod
 from .geometry import (axis_square, format_points, format_polygon,
                        intersection_graph_naive, load_points, load_polygon)
 from .graph import (DisconnectedGraphError, Graph, diameter_naive,
-                    format_edge_list, is_connected, k_diameter_naive,
-                    load_edge_list)
-from .explicit import k_diameter_explicit
-from .implicit import k_diameter_implicit, simulate_bfs
+                    diameter_upto, format_edge_list, is_connected,
+                    k_diameter_naive, load_edge_list)
 from .nsds import MaskNeighbourSets
 from .plane import geometric_nsds
 
@@ -108,11 +107,14 @@ def _materialize(kind, payload) -> Graph:
     return g
 
 
-def _points_nsds(pts, shape) -> MaskNeighbourSets:
-    nsds = geometric_nsds(pts, shape)
+def _nsds(kind, payload) -> MaskNeighbourSets:
+    if kind == "graph":
+        return MaskNeighbourSets.from_graph(payload)
+    nsds = geometric_nsds(*payload)
     # a BFS on a fresh structure over the same masks leaves the counters of
     # the returned one at zero
-    if len(simulate_bfs(MaskNeighbourSets(nsds.closed), 0)) != nsds.n:
+    reached = implicit.simulate_bfs(MaskNeighbourSets(nsds.closed), 0)
+    if len(reached) != nsds.n:
         raise DisconnectedGraphError("intersection graph is disconnected")
     return nsds
 
@@ -136,15 +138,13 @@ def run_algorithm(algorithm, kind, payload, k, d, seed) -> RunReport:
         if algorithm == "naive":
             answer = k_diameter_naive(g, k)
         else:
-            answer = k_diameter_explicit(g, k, d, rng)
+            answer = explicit.k_diameter_explicit(g, k, d, rng)
         counters["n"] = g.n
         counters["m"] = g.m
     elif algorithm == "implicit":
-        if kind == "points":
-            nsds = _points_nsds(*payload)
-        else:
-            nsds = MaskNeighbourSets.from_graph(payload)
-        answer = k_diameter_implicit(lambda: nsds, nsds.n, k, d, rng)
+        nsds = _nsds(kind, payload)
+        answer = implicit.k_diameter_implicit(lambda: nsds, nsds.n, k, d,
+                                             rng)
         counters["n"] = nsds.n
         counters["add_neighbours"] = nsds.add_count
         counters["list_differences"] = nsds.list_count
@@ -188,7 +188,32 @@ def cmd_diam(args):
     return 0
 
 
+def _found_diameter(algo, kind, payload, g, k_max, d, seed):
+    """What one run of ``algo`` says about the diameter: naive gives the
+    diameter, a fast path the first full radius of one sweep to ``k_max``
+    (None when none is full).  Either way the answer for k is ``found <= k``.
+    """
+    if algo == "naive":
+        return diameter_naive(g)
+    rng = np.random.default_rng(seed)
+    if algo == "explicit":
+        steps = explicit.radius_steps(g, d, rng)
+    else:
+        nsds = _nsds(kind, payload)
+        steps = implicit.radius_steps(nsds, nsds.n, d, rng)
+    return diameter_upto(steps, k_max)
+
+
 def cmd_verify(args):
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    if args.n_max < 3:
+        raise UsageError(f"--n-max must be >= 3, got {args.n_max}")
+    for algo in args.algos:
+        _check_k_d(f"{algo} algorithm", args.k_min,
+                   0 if algo == "naive" else 1, args.d)
+    if args.k_max < args.k_min:
+        raise UsageError(f"--k-max {args.k_max} is below --k-min {args.k_min}")
     rng = np.random.default_rng(args.seed)
     failures = []
     checked = 0
@@ -206,20 +231,22 @@ def cmd_verify(args):
                 n, gen_mod.default_box(n), np.random.default_rng(seed))
             kind, payload = "points", (pts, axis_square(1.0))
         # naive and explicit reuse the trial's graph; implicit keeps the
-        # points so that it builds its own structure
+        # points so that it builds its own structure.  Every algorithm is
+        # checked against the per-source BFS oracle.
         g = _materialize(kind, payload)
-        diam = diameter_naive(g)
+        diam = int(_kernels.eccentricities(*g.csr).max())
+        found = {algo: _found_diameter(algo, kind, payload, g, args.k_max,
+                                       args.d, seed)
+                 for algo in args.algos}
         for k in range(args.k_min, args.k_max + 1):
             want = diam <= k
             for algo in args.algos:
-                instance = (kind, payload) if algo == "implicit" \
-                    else ("graph", g)
-                report = run_algorithm(algo, *instance, k, args.d, seed)
+                got = found[algo] is not None and found[algo] <= k
                 checked += 1
-                if report.answer != want:
+                if got != want:
                     failures.append({"trial": trial, "seed": seed, "k": k,
                                      "algorithm": algo, "expected": want,
-                                     "got": report.answer})
+                                     "got": got})
     summary = {"instances": args.trials, "checks": checked,
                "failures": failures}
     print(json.dumps(summary, indent=2))
@@ -280,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--format", choices=["json", "csv"], default="json")
     d.set_defaults(func=cmd_diam)
 
-    v = sub.add_parser("verify", help="cross-check all algorithms")
+    v = sub.add_parser("verify",
+                       help="check every algorithm against the oracle")
     v.add_argument("--generator", default="unit-squares",
                    choices=["sparse-graph", "unit-squares"])
     v.add_argument("--trials", type=int, default=20)
@@ -290,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--d", type=int, default=4)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--algos", nargs="+",
+                   choices=["naive", "explicit", "implicit"],
                    default=["naive", "explicit", "implicit"])
     v.set_defaults(func=cmd_verify)
 

@@ -1,9 +1,14 @@
 """Interval-encoded k-diameter algorithm for explicitly given sparse graphs.
 
 Balls are kept as canonical interval sets over a vertex order chosen so the
-weighted total interval count stays sub-quadratic.  Growing the radius by one
-is: sweep-union over neighbors' representations, reorder, re-express under
-the new order via consecutive-difference endpoint extraction.
+weighted total interval count stays sub-quadratic.  :func:`radius_steps`
+grows every ball one radius at a time, lazily: each step sweep-unions the
+neighbours' representations and yields the radius, whether every ball is
+full (every union the one interval [1, n]) and the unions; only when the
+next step is asked for does it draw a fresh order and re-express the unions
+under it via consecutive-difference endpoint extraction.
+``k_diameter_explicit`` reads its answer for one k from the sweep with
+:func:`kdiam.graph.diameter_upto`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intervals, order
-from .graph import Graph, neighborhood
+from .graph import Graph, diameter_upto, neighborhood
 from .intervals import IntervalSets
 
 # Most intervals one bulk union or difference sweep takes in.  Larger work is
@@ -43,14 +48,12 @@ class BallEncoding:
         return {order[p - 1] for p in intervals.positions(self.reps[v])}
 
 
-def initial_encoding(g: Graph, order=None) -> BallEncoding:
-    """Radius-0 encoding: every ball is the vertex itself."""
-    if order is None:
-        order = tuple(range(g.n))
-    pos = np.empty(g.n, dtype=np.int64)
-    pos[np.asarray(order, dtype=np.int64)] = np.arange(1, g.n + 1)
+def initial_encoding(g: Graph) -> BallEncoding:
+    """Radius-0 encoding under the identity order: every ball is the vertex
+    itself."""
+    pos = np.arange(1, g.n + 1, dtype=np.int64)
     reps = IntervalSets(np.arange(g.n + 1, dtype=np.int64), pos, pos.copy())
-    return BallEncoding(tuple(order), reps, 0)
+    return BallEncoding(tuple(range(g.n)), reps, 0)
 
 
 def _blocks(weights):
@@ -138,51 +141,58 @@ def rebase(reps_old, order_old, order_new) -> IntervalSets:
                         np.remainder(rights, n + 1, out=rights))
 
 
-def expand_step(g: Graph, enc: BallEncoding, d: int,
-                rng: np.random.Generator, *, reorder: bool = True) -> BallEncoding:
-    """Encoding of (radius+1)-balls from a radius encoding.
+def expand_step(g: Graph, enc: BallEncoding) -> BallEncoding:
+    """Encoding of the (radius + 1)-balls under the same order: each ball is
+    the union of the representations of a closed neighbourhood."""
+    return BallEncoding(enc.order, _closed_unions(g, enc.reps), enc.radius + 1)
 
-    Step 1 unions each closed neighborhood's representations under the old
-    order; step 2 draws a fresh degree-weighted order for the new radius,
-    reading its membership from those unions; step 3 rebases the unions
-    onto that order.  With ``reorder`` off the unions are kept under the old
-    order and steps 2 and 3 are skipped.
+
+@dataclass(frozen=True)
+class RadiusStep:
+    """One radius of the sweep: ``grown`` holds the radius-``radius`` balls,
+    the unions grown from ``start`` and still under its order."""
+
+    radius: int
+    full: bool
+    start: BallEncoding
+    grown: BallEncoding
+
+
+def radius_steps(g: Graph, d: int, rng: np.random.Generator):
+    """Yield one :class:`RadiusStep` per radius r = 1, 2, ..., without end.
+
+    A ball is full iff its union is the one interval [1, n], under any
+    order.  Randomness only affects how much work the interval
+    representations take, never ``full``.
     """
-    r = enc.radius + 1
-    unions = _closed_unions(g, enc.reps)
-    if not reorder:
-        return BallEncoding(enc.order, unions, r)
     degrees = [max(deg, 1) for deg in g.degrees()]
-    new_order = order.order_from_membership(
-        BallEncoding(enc.order, unions, r).decode, g.n, d, rng,
-        weights=degrees)
-    return BallEncoding(new_order, rebase(unions, enc.order, new_order), r)
+    enc = initial_encoding(g)
+    while True:
+        grown = expand_step(g, enc)
+        reps = grown.reps
+        yield RadiusStep(grown.radius,
+                         bool((reps.counts() == 1).all()
+                              and (reps.starts == 1).all()
+                              and (reps.ends == g.n).all()),
+                         enc, grown)
+        new_order = order.order_from_membership(grown.decode, g.n, d, rng,
+                                                weights=degrees)
+        enc = BallEncoding(new_order, rebase(reps, enc.order, new_order),
+                           grown.radius)
 
 
-def k_diameter_explicit(g: Graph, k: int, d: int, rng: np.random.Generator,
-                        *, inspect=None) -> bool:
+def k_diameter_explicit(g: Graph, k: int, d: int,
+                        rng: np.random.Generator) -> bool:
     """True iff the diameter is at most ``k``.
 
-    Randomness only affects how much work the interval representations take,
-    never the answer.  ``inspect`` (if given) is called with every encoding
-    produced, radius 0 included.
+    The sweep stops at the first full radius or at k, whichever comes
+    first, so it draws no order for the radius it stops at.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if d < 2:
         raise ValueError("d must be >= 2")
-    enc = initial_encoding(g)
-    if inspect is not None:
-        inspect(enc)
-    for r in range(1, k + 1):
-        # The answer only asks whether every last-radius ball is full, which
-        # the unions show under any order, so the last step keeps the old one.
-        enc = expand_step(g, enc, d, rng, reorder=r < k)
-        if inspect is not None:
-            inspect(enc)
-    reps = enc.reps
-    return bool((reps.counts() == 1).all() and (reps.starts == 1).all()
-                and (reps.ends == g.n).all())
+    return diameter_upto(radius_steps(g, d, rng), k) is not None
 
 
 def encoding_is_valid(g: Graph, enc: BallEncoding) -> bool:

@@ -150,6 +150,19 @@ def diameter_naive(g: Graph) -> int:
     return radius
 
 
+def diameter_upto(steps, k_max: int) -> int | None:
+    """The first radius r <= ``k_max`` at which every ball is full, that is
+    max(diameter, 1), or None; no step beyond it is asked for.  ``steps``
+    yields records with ``radius`` (1, 2, ...) and ``full``, as both fast
+    drivers' ``radius_steps`` do."""
+    for step in steps:
+        if step.full:
+            return step.radius
+        if step.radius >= k_max:
+            return None
+    return None
+
+
 def k_diameter_naive(g: Graph, k: int) -> bool:
     """True iff every pair of vertices is within hop distance ``k``."""
     if k < 0:

@@ -3,24 +3,30 @@ neighbour-set structure.
 
 Balls are delta-encoded along a vertex order: D_1 is the first ball and D_i
 the symmetric difference of consecutive balls, so the prefix-xor of the
-deltas reconstructs any ball.  One radius step expands all balls with a
-divide-and-conquer that shares common work, reorders with membership read
-from the ball handles just built, and re-extracts deltas output-sensitively
-as the sorted id lists ListDifferences returns.  The recursion turns each
-delta into an ``int`` mask once and does its unions, intersections and
-symmetric differences as int operations, so a delta's size is its popcount.
-The last radius step stops after the expansion and checks the balls
-directly.
+deltas reconstructs any ball.  :func:`radius_steps` grows every ball one
+radius at a time, lazily: each step expands all balls with a
+divide-and-conquer that shares common work and yields the radius, whether
+every ball is full and the handles; only when the next step is asked for
+does it draw the next order, with membership read from the handles just
+built, and re-extract deltas output-sensitively as the sorted id lists
+ListDifferences returns.  The recursion turns each delta into an ``int``
+mask once and does its unions, intersections and symmetric differences as
+int operations, so a delta's size is its popcount.  A handle is its own set, so fullness is each
+handle compared with the full mask, at every radius, the last one included:
+the last radius lists nothing.  ``k_diameter_implicit`` reads its answer for
+one k from the sweep with :func:`kdiam.graph.diameter_upto`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import count
 from operator import or_, xor
 
 import numpy as np
 
+from .graph import diameter_upto
 from .nsds import MaskNeighbourSets
 from .order import order_from_membership
 from .stripes import ids_of
@@ -116,49 +122,57 @@ def simulate_bfs(nsds: MaskNeighbourSets, v: int,
     return dist
 
 
+@dataclass(frozen=True)
+class RadiusStep:
+    """One radius of the sweep: ``handles[i]`` is B_radius(order[i]),
+    expanded from ``deltas``, the (radius - 1)-balls delta-encoded along
+    ``order`` (each delta a collection of vertex ids)."""
+
+    radius: int
+    full: bool
+    order: tuple
+    deltas: list
+    handles: list
+
+
+def radius_steps(nsds: MaskNeighbourSets, n: int, d: int,
+                 rng: np.random.Generator):
+    """Yield one :class:`RadiusStep` per radius r = 1, 2, ..., without end.
+
+    Set comparisons are exact, so ``full`` does not depend on the rng draw.
+    """
+    full = (1 << n) - 1
+    order = tuple(range(n))
+    deltas = [{order[0]}] + [{order[i - 1], order[i]} for i in range(1, n)]
+    for r in count(1):
+        handles = expand_balls(deltas, nsds)
+        yield RadiusStep(r, all(h == full for h in handles), order, deltas,
+                         handles)
+        # Fresh low-difference order for the next radius.  By symmetry of
+        # hop distance the balls containing x are the balls centred in
+        # B_r(x), which is listed straight from x's own handle.
+        old_pos = {v: i for i, v in enumerate(order)}
+        order = order_from_membership(
+            lambda x: nsds.list_differences(nsds.empty, handles[old_pos[x]]),
+            n, d, rng)
+        mapped = [handles[old_pos[v]] for v in order]
+        deltas = [nsds.list_differences(nsds.empty, mapped[0])]
+        deltas.extend(nsds.list_differences(mapped[i - 1], mapped[i])
+                      for i in range(1, n))
+
+
 def k_diameter_implicit(nsds_factory, n: int, k: int, d: int,
-                        rng: np.random.Generator, *, inspect=None) -> bool:
+                        rng: np.random.Generator) -> bool:
     """True iff the graph behind the structure has diameter at most ``k``.
 
     ``nsds_factory`` is called once per decide call, and the structure it
-    returns serves every radius step.  A handle lives only while the driver
-    holds it: the balls of one radius and the recursion's shared sets.  Set
-    comparisons are exact, so the answer does not depend on the rng draw.
-
-    Radii 1..k-1 each build a fresh low-difference order and its deltas,
-    and ``inspect(r, nsds, order, deltas)`` is called after each of them,
-    with every delta the sorted id list that ListDifferences returned.
-    The last radius only asks whether every ball is full: it lists the
-    first ball, then its difference to each other ball, and answers False
-    at the first shortfall, so it builds no order and lists no deltas.
+    returns serves every radius step.  The sweep stops at the first full
+    radius or at k, whichever comes first, so it draws no order for the
+    radius it stops at.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if d < 2:
         raise ValueError("d must be >= 2")
-    nsds = nsds_factory()
-    order = list(range(n))
-    deltas = [{order[0]}] + [{order[i - 1], order[i]} for i in range(1, n)]
-    for r in range(1, k):
-        # Ball handles under the previous order: handles[i] is B_r(order[i]).
-        handles = expand_balls(deltas, nsds)
-        old_pos = {v: i for i, v in enumerate(order)}
-        # Fresh low-difference order for the current radius.  By symmetry of
-        # hop distance the balls containing x are the balls centred in
-        # B_r(x), which is listed straight from x's own handle.
-        new_order = order_from_membership(
-            lambda x: nsds.list_differences(nsds.empty, handles[old_pos[x]]),
-            n, d, rng)
-        mapped = [handles[old_pos[v]] for v in new_order]
-        deltas = [nsds.list_differences(nsds.empty, mapped[0])]
-        deltas.extend(nsds.list_differences(mapped[i - 1], mapped[i])
-                      for i in range(1, n))
-        order = new_order
-        if inspect is not None:
-            inspect(r, nsds, order, deltas)
-    # Every k-ball is full iff the first one is and no other differs from it.
-    handles = expand_balls(deltas, nsds)
-    first = handles[0]
-    if len(nsds.list_differences(nsds.empty, first)) < n:
-        return False
-    return not any(nsds.list_differences(first, h) for h in handles[1:])
+    return diameter_upto(radius_steps(nsds_factory(), n, d, rng),
+                         k) is not None

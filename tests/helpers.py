@@ -204,6 +204,26 @@ def point_in_polygon(p, verts):
     return inside
 
 
+def points_in_polygon(pts, verts):
+    """:func:`point_in_polygon` for every row of an (m, 2) array at once,
+    with the same float operations per point (so the same answer on the
+    boundary too).  Returns a boolean array."""
+    import numpy as np
+
+    x, y = pts[:, 0], pts[:, 1]
+    inside = np.zeros(len(pts), dtype=bool)
+    s = len(verts)
+    for i in range(s):
+        x1, y1 = verts[i]
+        x2, y2 = verts[(i + 1) % s]
+        crosses = (y1 > y) != (y2 > y)
+        # a horizontal side divides by zero, but never crosses
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = x1 + (y - y1) / (y2 - y1) * (x2 - x1)
+        inside ^= crosses & (x < xi)
+    return inside
+
+
 def gauge_by_bisection(verts, p, hi=1e6, iters=100):
     """min r with p in r*polygon, via bisection over crossing-number
     containment; independent of the normal-form gauge."""
@@ -297,19 +317,21 @@ def expansion_inputs(rng, trials):
                   for _ in range(t)]
 
 
-def k_diameter_implicit_reference(nsds_factory, n, k, d, rng, *,
-                                  inspect=None):
-    """The implicit driver with order membership by BFS simulated through
-    the structure, a fresh structure per radius and the set recursion: what
-    ``k_diameter_implicit``, which reads membership from the ball handles,
-    must reproduce order for order and delta for delta at every radius
-    below k, and answer for answer."""
+def radius_steps_reference(nsds_factory, n, d, rng):
+    """The implicit sweep with order membership by BFS simulated through
+    the structure, a fresh structure per radius and the set recursion.
+    Yields (r, order, deltas) for r = 1, 2, ...: the order drawn from the
+    radius-r balls and those balls delta-encoded along it.  What
+    ``kdiam.implicit.radius_steps``, which reads membership from the ball
+    handles, must reproduce order for order and delta for delta."""
+    from itertools import count
+
     from kdiam.implicit import simulate_bfs
     from kdiam.order import order_from_membership
 
     order = list(range(n))
     deltas = [{order[0]}] + [{order[i - 1], order[i]} for i in range(1, n)]
-    for r in range(1, k + 1):
+    for r in count(1):
         nsds = nsds_factory()
         handles = expand_balls_reference(deltas, nsds)
         new_order = list(order_from_membership(
@@ -320,6 +342,4 @@ def k_diameter_implicit_reference(nsds_factory, n, k, d, rng, *,
         deltas.extend(set(nsds.list_differences(mapped[i - 1], mapped[i]))
                       for i in range(1, n))
         order = new_order
-        if inspect is not None:
-            inspect(r, nsds, order, deltas)
-    return deltas[0] == set(range(n)) and all(not x for x in deltas[1:])
+        yield r, order, deltas

@@ -5,25 +5,25 @@ one PASS line with its runtime.  Run with ``pytest tests/test_acceptance.py
 
 import math
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
 
+from kdiam import explicit, implicit
 from kdiam.explicit import k_diameter_explicit
 from kdiam.gen import (default_box, random_connected_graph,
                        random_symmetric_polygon, random_unit_square_points)
 from kdiam.geometry import (axis_square, intersection_graph_naive,
                             shape_metric)
-from kdiam.graph import (diameter_naive, distance_vc_shatter_check,
-                         neighborhood)
+from kdiam.graph import diameter_naive, distance_vc_shatter_check
 from kdiam.implicit import ExpandCost, expand_balls, k_diameter_implicit
-from kdiam.intervals import is_canonical
 from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import geometric_nsds, plane_init, plane_list_differences, \
     plane_mark
 from kdiam.bench import loglog_slope, order_difference_sum
 
-from helpers import expansion_inputs, geometric_graph_sat, point_in_polygon
+from helpers import expansion_inputs, geometric_graph_sat, points_in_polygon
 
 
 def report(number, label, start, budget):
@@ -91,9 +91,8 @@ def test_criterion_3_persistent_structure_correctness():
             c = (float(rng.uniform(-1, width + 1)),
                  float(rng.uniform(-1, width + 1)))
             versions.append(plane_mark(versions[-1], c))
-            cur = naive[-1] | {i for i, p in enumerate(pts)
-                               if point_in_polygon((p[0] - c[0], p[1] - c[1]),
-                                                   verts)}
+            cur = naive[-1] | set(
+                np.flatnonzero(points_in_polygon(pts - c, verts)).tolist())
             naive.append(cur)
         for _ in range(200):
             i = int(rng.integers(0, len(versions)))
@@ -189,41 +188,34 @@ def test_criterion_8_invariant_audits():
     start = time.time()
     violations = []
 
-    # (a) interval canonicality after every explicit step
+    # (a) interval canonicality and exact decoding of every encoding the
+    # explicit sweep builds up to radius 3: the rebased ones (radii 0..2)
+    # and the unions (radii 1..3)
     rng = np.random.default_rng(20260108)
-    for _ in range(5):
+    for trial in range(5):
         n = int(rng.integers(6, 30))
         g = random_connected_graph(n, int(rng.integers(n - 1, 2 * n)), rng)
+        for step in islice(explicit.radius_steps(g, 3, rng), 3):
+            for enc in (step.start, step.grown):
+                if not explicit.encoding_is_valid(g, enc):
+                    violations.append(("encoding", trial, enc.radius))
 
-        def check_enc(enc):
-            for v in range(g.n):
-                if not is_canonical(enc.reps[v], g.n):
-                    violations.append(("canonical", v))
-                if enc.decode(v) != neighborhood(g, v, enc.radius):
-                    violations.append(("decode", v))
-
-        k_diameter_explicit(g, 3, 3, rng, inspect=check_enc)
-
-    # (b) delta prefix-reconstruction spot checks
-    from kdiam.implicit import simulate_bfs
-
+    # (b) delta prefix-reconstruction spot checks: step r expands the
+    # (r - 1)-balls, so four steps audit radii 0..3
     for trial in range(5):
         n = int(rng.integers(6, 25))
         g = random_connected_graph(n, int(rng.integers(n - 1, 2 * n)), rng)
-
-        def check_deltas(r, nsds, order, deltas):
+        nsds = MaskNeighbourSets.from_graph(g)
+        for step in islice(implicit.radius_steps(nsds, n, 3, rng), 4):
+            r = step.radius - 1
             probe = np.random.default_rng(r)
             for i in probe.choice(n, size=max(1, n // 10), replace=False):
                 i = int(i)
                 acc = set()
-                for d in deltas[:i + 1]:
+                for d in step.deltas[:i + 1]:
                     acc ^= set(d)
-                if acc != set(simulate_bfs(nsds, order[i], r)):
+                if acc != set(implicit.simulate_bfs(nsds, step.order[i], r)):
                     violations.append(("delta", trial, r, i))
-
-        # Deltas are built for radii below k, so k = 4 audits radius 3.
-        k_diameter_implicit(lambda: MaskNeighbourSets.from_graph(g),
-                            g.n, 4, 3, rng, inspect=check_deltas)
 
     # (c) every stripe lookup's covered mask against brute force, on
     # stripes with n <= 256: the points i whose projection p has
@@ -256,9 +248,8 @@ def test_criterion_8_invariant_audits():
     for step in range(200):
         c = (float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
         version = plane_mark(version, c)
-        marked |= {i for i, p in enumerate(pts)
-                   if point_in_polygon((p[0] - c[0], p[1] - c[1]),
-                                       square_verts)}
+        marked |= set(np.flatnonzero(
+            points_in_polygon(pts - c, square_verts)).tolist())
         if (step + 1) % 10 == 0 and \
                 version.mask != sum(1 << i for i in marked):
             violations.append(("plane mask", step + 1))

@@ -1,9 +1,11 @@
 import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import kdiam.explicit
 from kdiam import cli, geometry
 from kdiam.cli import main
 from kdiam.graph import load_edge_list
@@ -133,6 +135,56 @@ class TestVerify:
         assert summary["failures"] == []
         assert summary["checks"] == 2 * 4 * 3
         assert len(built) == 2
+
+    @pytest.mark.parametrize("algo", ["naive", "explicit"])
+    def test_a_lying_algorithm_fails(self, capsys, monkeypatch, algo):
+        # Each algorithm is checked against the per-source BFS oracle, so a
+        # wrong naive diameter fails too.  The liar claims diameter 1.
+        if algo == "naive":
+            monkeypatch.setattr(cli, "diameter_naive", lambda g: 1)
+        else:
+            full = SimpleNamespace(radius=1, full=True)
+            monkeypatch.setattr(kdiam.explicit, "radius_steps",
+                                lambda g, d, rng: iter([full]))
+        code, out, _ = run(capsys, "verify", "--generator", "sparse-graph",
+                           "--trials", "2", "--n-max", "12",
+                           "--k-max", "2", "--seed", "0")
+        assert code == 1
+        summary = json.loads(out)
+        assert summary["checks"] == 2 * 2 * 3
+        assert summary["failures"]
+        assert {f["algorithm"] for f in summary["failures"]} == {algo}
+        assert all(f["got"] and not f["expected"]
+                   for f in summary["failures"])
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--n-max", "2"], "--n-max must be >= 3, got 2"),
+        (["--generator", "sparse-graph", "--n-max", "2"],
+         "--n-max must be >= 3, got 2"),
+        (["--k-min", "3", "--k-max", "2"], "--k-max 2 is below --k-min 3"),
+        (["--trials", "0"], "--trials must be >= 1, got 0"),
+        (["--k-min", "0"], "explicit algorithm needs k >= 1"),
+        (["--d", "1"], "d must be >= 2, got 1"),
+    ])
+    def test_bad_arguments_exit_2_before_any_work(self, capsys, monkeypatch,
+                                                   argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generated an instance")
+
+        monkeypatch.setattr(cli.gen_mod, "random_connected_graph", refuse)
+        monkeypatch.setattr(cli.gen_mod, "random_unit_square_points", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.strip().splitlines() == ["error: " + message]
+
+    def test_unknown_algorithm_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--algos", "naive", "fast"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fast'" in capsys.readouterr().err
 
 
 class TestBench:

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 import helpers
 import kdiam.order
 from kdiam import explicit, intervals
-from kdiam.explicit import (BallEncoding, encoding_is_valid, expand_step,
-                            initial_encoding, k_diameter_explicit, rebase)
+from kdiam.explicit import (encoding_is_valid, expand_step,
+                            initial_encoding, k_diameter_explicit,
+                            radius_steps, rebase)
 from kdiam.gen import random_connected_graph
 from kdiam.graph import diameter_naive, from_edges, neighborhood
 
@@ -90,22 +93,19 @@ class TestRebase:
 class TestExpandStep:
     def test_k3_radius1_full(self):
         g = complete_graph(3)
-        enc = expand_step(g, initial_encoding(g), 2, np.random.default_rng(0))
+        enc = expand_step(g, initial_encoding(g))
         assert enc.radius == 1
         assert all(rep == ((1, 3),) for rep in enc.reps)
 
     def test_p4_radius1_decodes_closed_neighborhoods(self):
         g = path_graph(4)
-        enc = expand_step(g, initial_encoding(g), 2, np.random.default_rng(1))
+        enc = expand_step(g, initial_encoding(g))
         for v in range(4):
             assert enc.decode(v) == neighborhood(g, v, 1)
 
     def test_five_cycle_radius2_full(self):
         g = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-        enc = initial_encoding(g)
-        rng = np.random.default_rng(2)
-        enc = expand_step(g, enc, 2, rng)
-        enc = expand_step(g, enc, 2, rng)
+        enc = expand_step(g, expand_step(g, initial_encoding(g)))
         for v in range(5):
             assert enc.decode(v) == set(range(5))
 
@@ -115,12 +115,11 @@ class TestExpandStep:
             n = int(rng.integers(4, 18))
             m = int(rng.integers(n - 1, min(n * (n - 1) // 2, 2 * n) + 1))
             g = random_connected_graph(n, m, rng)
-            enc = initial_encoding(g)
-            prev = [enc.decode(v) for v in range(g.n)]
-            for r in range(1, 4):
-                enc = expand_step(g, enc, 3, rng)
-                assert encoding_is_valid(g, enc)
-                cur = [enc.decode(v) for v in range(g.n)]
+            prev = [{v} for v in range(g.n)]
+            for step in islice(radius_steps(g, 3, rng), 3):
+                assert encoding_is_valid(g, step.start)
+                assert encoding_is_valid(g, step.grown)
+                cur = [step.grown.decode(v) for v in range(g.n)]
                 for v in range(g.n):
                     assert prev[v] <= cur[v]
                 prev = cur
@@ -135,16 +134,20 @@ class TestExpandStep:
             g = random_connected_graph(n, m, rng)
             enc = initial_encoding(g)
             order, reps = enc.order, tuple(enc.reps)
-            for r in range(4):
-                enc = expand_step(g, enc, 3, np.random.default_rng(10 + r))
-                order, reps = helpers.expand_step(
-                    g, order, reps, r, 3, np.random.default_rng(10 + r))
-                assert enc.order == order
-                assert tuple(enc.reps) == reps
+            # The sweep draws the order for radius r + 1 when step r + 2 is
+            # asked for, from one rng; the reference draws it per call.
+            ref_rng = np.random.default_rng(10)
+            steps = radius_steps(g, 3, np.random.default_rng(10))
+            for r, step in zip(range(5), steps):
+                assert step.start.radius == r
+                assert step.start.order == order
+                assert tuple(step.start.reps) == reps
+                order, reps = helpers.expand_step(g, order, reps, r, 3,
+                                                  ref_rng)
 
     def test_single_vertex_graph(self):
         g = from_edges(1, [])
-        enc = expand_step(g, initial_encoding(g), 2, np.random.default_rng(0))
+        enc = expand_step(g, initial_encoding(g))
         assert tuple(enc.reps) == (((1, 1),),)
         assert k_diameter_explicit(g, 1, 2, np.random.default_rng(0))
 
@@ -153,7 +156,7 @@ class TestExpandStep:
         g = random_connected_graph(12, 20, rng)
         enc = initial_encoding(g)
         for _ in range(3):
-            enc = expand_step(g, enc, 3, rng, reorder=False)
+            enc = expand_step(g, enc)
             assert enc.order == tuple(range(g.n))
             assert encoding_is_valid(g, enc)
 
@@ -196,20 +199,19 @@ class TestKDiameterExplicit:
                        for s in range(8)}
             assert answers == {diam <= k}
 
-    def test_canonicality_audit_via_inspect(self):
+    def test_canonicality_audit_over_the_sweep(self):
         g = random_connected_graph(14, 22, np.random.default_rng(7))
         seen = []
+        for step in islice(radius_steps(g, 3, np.random.default_rng(8)), 3):
+            for enc in (step.start, step.grown):
+                for rep in enc.reps:
+                    assert intervals.is_canonical(rep, g.n)
+                seen.append(enc.radius)
+        assert seen == [0, 1, 1, 2, 2, 3]
 
-        def check(enc: BallEncoding):
-            for rep in enc.reps:
-                assert intervals.is_canonical(rep, g.n)
-            seen.append(enc.radius)
-
-        k_diameter_explicit(g, 3, 3, np.random.default_rng(8), inspect=check)
-        assert seen == [0, 1, 2, 3]
-
-    def test_last_radius_keeps_the_order(self, monkeypatch):
-        g = random_connected_graph(14, 22, np.random.default_rng(7))
+    @staticmethod
+    def radii_ordered(monkeypatch, g):
+        """Record the radius of the balls each order is drawn from."""
         calls = []
         real = kdiam.order.order_from_membership
 
@@ -222,8 +224,21 @@ class TestKDiameterExplicit:
             return real(membership, *args, **kwargs)
 
         monkeypatch.setattr(kdiam.order, "order_from_membership", counting)
-        orders = []
-        k_diameter_explicit(g, 3, 3, np.random.default_rng(8),
-                            inspect=lambda enc: orders.append(enc.order))
+        return calls
+
+    def test_last_radius_keeps_the_order(self, monkeypatch):
+        g = random_connected_graph(14, 22, np.random.default_rng(7))
+        assert diameter_naive(g) > 3
+        calls = self.radii_ordered(monkeypatch, g)
+        assert k_diameter_explicit(g, 3, 3, np.random.default_rng(8)) is False
         assert calls == [1, 2]
-        assert orders[3] == orders[2]
+        steps = radius_steps(g, 3, np.random.default_rng(8))
+        *_, last = islice(steps, 3)
+        assert last.grown.order == last.start.order
+
+    def test_stops_at_the_first_full_radius(self, monkeypatch):
+        g = random_connected_graph(14, 22, np.random.default_rng(7))
+        diam = diameter_naive(g)
+        calls = self.radii_ordered(monkeypatch, g)
+        assert k_diameter_explicit(g, diam + 3, 3, np.random.default_rng(8))
+        assert calls == list(range(1, diam))

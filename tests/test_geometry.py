@@ -11,7 +11,7 @@ from kdiam.geometry import (TOL, ConvexPolygon, adjacency_slabs, axis_square,
 from kdiam.plane import geometric_nsds
 
 from helpers import (convex_hull, gauge_by_bisection, geometric_graph_sat,
-                     point_in_polygon)
+                     point_in_polygon, points_in_polygon)
 
 
 def difference_body(f: ConvexPolygon) -> ConvexPolygon:
@@ -276,6 +276,29 @@ class TestNormalize:
             for x in rng.uniform(-1.2, 1.2, size=(200, 2)):
                 assert all(lo <= nrm @ x <= hi for nrm, lo, hi in slabs) == \
                     point_in_polygon(x, verts)
+
+
+class TestPointInPolygonHelpers:
+    def test_vectorised_helper_agrees_on_boundary_points(self):
+        # The criterion 3 shapes: the unit square and the radius-1.3
+        # hexagon.  Points on every side and corner, then random points,
+        # each also shifted by a mark centre as criterion 3 shifts them.
+        rng = np.random.default_rng(12)
+        hexagon = random_symmetric_polygon(3, np.random.default_rng(99),
+                                           radius=1.3)
+        for shape in (axis_square(1.0), hexagon):
+            verts = [tuple(v) for v in shape.vertices]
+            corners = np.array(verts)
+            t = np.linspace(0.0, 1.0, 11)[:, None]
+            sides = [a + t * (b - a)
+                     for a, b in zip(corners, np.roll(corners, -1, axis=0))]
+            pts = np.vstack(sides + [rng.uniform(-2, 2, size=(200, 2))])
+            centres = [(0.0, 0.0)] + [tuple(c) for c in
+                                      rng.uniform(-1, 5, size=(20, 2))]
+            for c in centres:
+                shifted = (pts + c) - c
+                want = [point_in_polygon(p, verts) for p in shifted]
+                assert points_in_polygon(shifted, verts).tolist() == want
 
 
 class TestFileFormats:

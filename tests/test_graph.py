@@ -1,15 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from kdiam import _kernels
+from kdiam import _kernels, explicit, implicit
 from kdiam.graph import (DisconnectedGraphError, Graph, GraphFormatError,
-                         bfs_distances, diameter_naive,
+                         bfs_distances, diameter_naive, diameter_upto,
                          distance_vc_shatter_check, from_edges, is_connected,
                          k_diameter_naive, load_edge_list, neighborhood,
                          parse_edge_list, save_edge_list)
 from kdiam.gen import (default_box, random_connected_graph,
                        random_unit_square_points)
 from kdiam.geometry import axis_square, intersection_graph_naive
+from kdiam.nsds import MaskNeighbourSets
+from kdiam.plane import geometric_nsds
 
 from helpers import all_pairs_dist, ball
 
@@ -167,6 +171,62 @@ class TestKDiameter:
                 full = all(len(neighborhood(g, v, k)) == g.n
                            for v in range(g.n))
                 assert k_diameter_naive(g, k) == full
+
+
+class TestDiameterUpto:
+    @staticmethod
+    def steps(diameter, asked):
+        r = 0
+        while True:
+            r += 1
+            asked.append(r)
+            yield SimpleNamespace(radius=r, full=r >= diameter)
+
+    @pytest.mark.parametrize("diameter,k_max,want", [
+        (0, 3, 1), (1, 3, 1), (3, 3, 3), (2, 5, 2), (4, 3, None),
+        (9, 1, None)])
+    def test_first_full_radius_and_nothing_beyond(self, diameter, k_max,
+                                                  want):
+        asked = []
+        assert diameter_upto(self.steps(diameter, asked), k_max) == want
+        assert asked == list(range(1, min(max(diameter, 1), k_max) + 1))
+
+    @staticmethod
+    def instances():
+        rng = np.random.default_rng(40)
+        for _ in range(8):
+            n = int(rng.integers(1, 30))
+            m_hi = min(n * (n - 1) // 2, 2 * n)
+            g = random_connected_graph(n, int(rng.integers(n - 1, m_hi + 1)),
+                                       rng)
+            yield g, lambda g=g: MaskNeighbourSets.from_graph(g)
+        for _ in range(4):
+            n = int(rng.integers(5, 40))
+            pts = random_unit_square_points(n, default_box(n), rng)
+            yield (intersection_graph_naive(pts, axis_square(1.0)),
+                   lambda pts=pts: geometric_nsds(pts, None))
+
+    @pytest.mark.parametrize("path", ["explicit", "implicit"])
+    def test_one_sweep_equals_per_k_answers_and_naive(self, path):
+        k_max = 6
+        for g, make in self.instances():
+            diam = diameter_naive(g)
+            if path == "explicit":
+                steps = explicit.radius_steps(g, 3, np.random.default_rng(1))
+            else:
+                steps = implicit.radius_steps(make(), g.n, 3,
+                                              np.random.default_rng(1))
+            found = diameter_upto(steps, k_max)
+            assert found == (max(diam, 1) if diam <= k_max else None)
+            for k in range(1, k_max + 1):
+                rng = np.random.default_rng(k)
+                if path == "explicit":
+                    answer = explicit.k_diameter_explicit(g, k, 3, rng)
+                else:
+                    answer = implicit.k_diameter_implicit(make, g.n, k, 3,
+                                                          rng)
+                assert answer == (found is not None and found <= k) \
+                    == (diam <= k)
 
 
 class TestNeighborhood:

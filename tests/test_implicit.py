@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,12 @@ from kdiam.gen import (default_box, random_connected_graph,
 from kdiam.geometry import axis_square, intersection_graph_naive
 from kdiam.graph import bfs_distances, diameter_naive, from_edges
 from kdiam.implicit import (ExpandCost, expand_balls, k_diameter_implicit,
-                            simulate_bfs)
+                            radius_steps, simulate_bfs)
 from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import geometric_nsds
 
 from helpers import (expand_balls_reference, expansion_inputs,
-                     k_diameter_implicit_reference)
+                     radius_steps_reference)
 
 
 def path_graph(n):
@@ -195,24 +197,22 @@ class TestKDiameterImplicit:
     def test_delta_reconstruction_invariant(self):
         g = random_connected_graph(16, 26, np.random.default_rng(6))
         rng = np.random.default_rng(7)
+        nsds = MaskNeighbourSets.from_graph(g)
         checked = []
-
-        def inspect(r, nsds, order, deltas):
+        # Step r expands the (r - 1)-balls, so four steps audit radii 0..3.
+        for step in islice(radius_steps(nsds, g.n, 3, rng), 4):
+            r = step.radius - 1
             probe = np.random.default_rng(100 + r)
             idx = probe.choice(g.n, size=max(1, g.n // 10), replace=False)
             for i in idx:
                 i = int(i)
                 acc = set()
-                for d in deltas[:i + 1]:
+                for d in step.deltas[:i + 1]:
                     acc ^= set(d)
-                want = set(simulate_bfs(nsds, order[i], r))
+                want = set(simulate_bfs(nsds, step.order[i], r))
                 assert acc == want
                 checked.append((r, i))
-
-        # Deltas are built for radii below k, so k = 4 audits radius 3.
-        k_diameter_implicit(lambda: MaskNeighbourSets.from_graph(g), g.n, 4, 3,
-                            rng, inspect=inspect)
-        assert {r for r, _ in checked} == {1, 2, 3}
+        assert {r for r, _ in checked} == {0, 1, 2, 3}
 
     def test_one_structure_and_k_minus_one_orders(self, monkeypatch):
         import kdiam.implicit
@@ -239,7 +239,8 @@ class TestKDiameterImplicit:
                                       np.random.default_rng(k))
             assert got == (diam <= k)
             assert len(made) == 1
-            assert len(orders) == k - 1
+            # the sweep stops at k or at the first full radius
+            assert len(orders) == min(k, diam) - 1
 
     def test_last_radius_stops_at_first_short_ball(self):
         made = []
@@ -251,7 +252,8 @@ class TestKDiameterImplicit:
         assert k_diameter_implicit(factory, 10, 1, 3,
                                    np.random.default_rng(0)) is False
         (nsds,) = made
-        assert nsds.list_count == 1
+        # fullness compares handles with the full mask: nothing is listed
+        assert nsds.list_count == 0
         assert nsds.add_count == 10
 
     def test_validates_arguments(self):
@@ -280,37 +282,26 @@ def in_descent_order(nsds):
 
 
 class TestSameWorkAsReference:
-    """The driver reads order membership from the ball handles it has built;
+    """The sweep reads order membership from the ball handles it has built;
     the reference simulates BFS, builds a fresh structure per radius and
     expands on sets.  Both must make the same order and the same deltas at
-    every radius below k (the driver builds none at k), and the driver's one
-    structure must have made exactly the set recursion's adds over radii
-    1..k.  Every listing must come in increasing id order."""
-
-    @staticmethod
-    def run(driver, make, n, k, d, seed):
-        steps, made = [], []
-
-        def factory():
-            nsds = in_descent_order(make())
-            made.append(nsds)
-            return nsds
-
-        def inspect(r, nsds, order, deltas):
-            steps.append((r, list(order), [set(x) for x in deltas]))
-
-        answer = driver(factory, n, k, d, np.random.default_rng(seed),
-                        inspect=inspect)
-        return answer, steps, made
+    every radius below k (the sweep stopped at k draws none for k), and the
+    sweep's one structure must have made exactly the set recursion's adds
+    over radii 1..k.  Every listing must come in increasing id order."""
 
     def check(self, make, n, k, d, seed):
-        got, steps, made = self.run(k_diameter_implicit, make, n, k, d, seed)
-        want, ref_steps, _ = self.run(k_diameter_implicit_reference, make,
-                                      n, k, d, seed)
-        assert got == want
-        assert len(ref_steps) == k
-        assert steps == ref_steps[:k - 1]
-        (nsds,) = made
+        nsds = in_descent_order(make())
+        steps = list(islice(
+            radius_steps(nsds, n, d, np.random.default_rng(seed)), k))
+        ref_steps = list(islice(radius_steps_reference(
+            lambda: in_descent_order(make()), n, d,
+            np.random.default_rng(seed)), k))
+        _, _, last = ref_steps[-1]
+        assert steps[-1].full == (last[0] == set(range(n))
+                                  and not any(last[1:]))
+        # step r + 1 expands the radius-r deltas along the radius-r order
+        assert [(s.radius - 1, list(s.order), [set(x) for x in s.deltas])
+                for s in steps[1:]] == ref_steps[:k - 1]
         deltas = [{0}] + [{i - 1, i} for i in range(1, n)]
         adds = 0
         for _, _, next_deltas in ref_steps:
