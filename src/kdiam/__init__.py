@@ -4,7 +4,6 @@ graphs and brute-force oracles for verification."""
 
 from .graph import (
     DisconnectedGraphError,
-    DistanceVector,
     Graph,
     GraphFormatError,
     bfs_distances,
@@ -28,14 +27,8 @@ from .geometry import (
     intersection_graph_naive,
     norm_value,
 )
-from .plane import (
-    PlaneStructure,
-    geometric_nsds,
-    plane_init,
-    plane_list_differences,
-    plane_mark,
-)
-from .stripes import StripeVersion, stripe_init, stripe_list_differences
+from .plane import PlaneStructure, geometric_nsds
+from .stripes import stripe_init, stripe_list_differences
 
 __version__ = "0.1.0"
 
@@ -43,13 +36,11 @@ __all__ = [
     "BallEncoding",
     "ConvexPolygon",
     "DisconnectedGraphError",
-    "DistanceVector",
     "Graph",
     "GraphFormatError",
     "IntervalSets",
     "MaskNeighbourSets",
     "PlaneStructure",
-    "StripeVersion",
     "bfs_distances",
     "canonicalize",
     "diameter_naive",
@@ -68,9 +59,6 @@ __all__ = [
     "neighborhood",
     "norm_value",
     "order_from_membership",
-    "plane_init",
-    "plane_list_differences",
-    "plane_mark",
     "rebase",
     "save_edge_list",
     "simulate_bfs",

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -29,7 +30,7 @@ from .geometry import (axis_square, format_points, format_polygon,
                        intersection_graph_naive, load_points, load_polygon)
 from .graph import (DisconnectedGraphError, Graph, diameter_naive,
                     diameter_upto, format_edge_list, is_connected,
-                    k_diameter_naive, load_edge_list)
+                    load_edge_list)
 from .nsds import MaskNeighbourSets
 from .plane import geometric_nsds
 
@@ -69,30 +70,48 @@ def _sniff_kind(path: Path) -> str:
     return "points" if "," in first else "graph"
 
 
+def _check_gen(args) -> None:
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
+    if args.generator == "sparse-graph" and args.m is None:
+        raise UsageError("sparse-graph needs --m")
+    if args.generator == "polygon-points" \
+            and (args.sides < 4 or args.sides % 2):
+        raise UsageError(f"--sides must be even and >= 4, got {args.sides}")
+    for flag, value in (("--box", args.box), ("--radius", args.radius)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise UsageError(f"{flag} must be finite and > 0, got {value}")
+
+
 def cmd_gen(args):
+    _check_gen(args)
     rng = np.random.default_rng(args.seed)
     out = Path(args.output)
-    if args.generator == "sparse-graph":
-        g = gen_mod.random_connected_graph(args.n, args.m, rng)
-        out.write_text(format_edge_list(g))
-    elif args.generator == "unit-squares":
-        # with an explicit box the density is the caller's choice, so the
-        # connectivity retry is skipped; the default box targets connectivity
-        box = args.box if args.box is not None else gen_mod.default_box(args.n)
-        pts = gen_mod.random_unit_square_points(
-            args.n, box, rng, require_connected=args.box is None)
-        out.write_text(format_points(pts))
-    elif args.generator == "polygon-points":
-        shape = gen_mod.random_symmetric_polygon(args.sides // 2, rng,
-                                                 radius=args.radius)
-        box = args.box if args.box is not None else gen_mod.default_box(args.n)
-        pts = gen_mod.random_points_for_shape(args.n, shape, box, rng)
-        out.write_text(format_points(pts))
+    box = args.box if args.box is not None else gen_mod.default_box(args.n)
+    try:  # an edge count out of range, or no connected draw in the box
+        if args.generator == "sparse-graph":
+            text = format_edge_list(
+                gen_mod.random_connected_graph(args.n, args.m, rng))
+        elif args.generator == "unit-squares":
+            # with an explicit box the density is the caller's choice, so
+            # the connectivity retry is skipped; the default box targets
+            # connectivity
+            text = format_points(gen_mod.random_unit_square_points(
+                args.n, box, rng, require_connected=args.box is None))
+        else:
+            shape = gen_mod.random_symmetric_polygon(args.sides // 2, rng,
+                                                     radius=args.radius)
+            text = format_points(
+                gen_mod.random_points_for_shape(args.n, shape, box, rng))
+    except (ValueError, RuntimeError) as exc:
+        raise UsageError(str(exc)) from None
+    out.write_text(text)
+    if args.generator == "polygon-points":
         poly_out = Path(args.polygon_output or out.with_suffix(".poly.csv"))
         poly_out.write_text(format_polygon(shape))
         print(f"wrote {out} and {poly_out}")
-        return 0
-    print(f"wrote {out}")
+    else:
+        print(f"wrote {out}")
     return 0
 
 
@@ -130,28 +149,11 @@ def run_algorithm(algorithm, kind, payload, k, d, seed) -> RunReport:
     # naive ignores d but rejects a bad one too, like the other algorithms.
     _check_k_d(f"{algorithm} algorithm", k, 0 if algorithm == "naive" else 1,
                d)
-    rng = np.random.default_rng(seed)
-    counters = {}
     start = time.perf_counter()
-    if algorithm in ("naive", "explicit"):
-        g = _materialize(kind, payload)
-        if algorithm == "naive":
-            answer = k_diameter_naive(g, k)
-        else:
-            answer = explicit.k_diameter_explicit(g, k, d, rng)
-        counters["n"] = g.n
-        counters["m"] = g.m
-    elif algorithm == "implicit":
-        nsds = _nsds(kind, payload)
-        answer = implicit.k_diameter_implicit(lambda: nsds, nsds.n, k, d,
-                                             rng)
-        counters["n"] = nsds.n
-        counters["add_neighbours"] = nsds.add_count
-        counters["list_differences"] = nsds.list_count
-    else:
-        raise UsageError(f"unknown algorithm {algorithm!r}")
+    found, counters = _found_diameter(algorithm, kind, payload, k, d, seed)
     wall = time.perf_counter() - start
-    return RunReport("", algorithm, k, d, seed, bool(answer), wall, counters)
+    return RunReport("", algorithm, k, d, seed,
+                     found is not None and found <= k, wall, counters)
 
 
 def _format_report(report: RunReport, fmt: str) -> str:
@@ -188,20 +190,29 @@ def cmd_diam(args):
     return 0
 
 
-def _found_diameter(algo, kind, payload, g, k_max, d, seed):
-    """What one run of ``algo`` says about the diameter: naive gives the
-    diameter, a fast path the first full radius of one sweep to ``k_max``
-    (None when none is full).  Either way the answer for k is ``found <= k``.
+def _found_diameter(algo, kind, payload, k_max, d, seed, g=None):
+    """What one run of ``algo`` says about the diameter, and its counters.
+    Naive gives the diameter, a fast path the first full radius of one
+    sweep to ``k_max`` (None when none is full).  Either way the answer for
+    k is ``found <= k``.  Naive and explicit run on ``g``, the instance's
+    graph, built here when it is None; implicit builds its own structure.
     """
-    if algo == "naive":
-        return diameter_naive(g)
     rng = np.random.default_rng(seed)
-    if algo == "explicit":
-        steps = explicit.radius_steps(g, d, rng)
-    else:
+    if algo == "implicit":
         nsds = _nsds(kind, payload)
-        steps = implicit.radius_steps(nsds, nsds.n, d, rng)
-    return diameter_upto(steps, k_max)
+        found = diameter_upto(implicit.radius_steps(nsds, nsds.n, d, rng),
+                              k_max)
+        return found, {"n": nsds.n, "add_neighbours": nsds.add_count,
+                       "list_differences": nsds.list_count}
+    if algo not in ("naive", "explicit"):
+        raise UsageError(f"unknown algorithm {algo!r}")
+    if g is None:
+        g = _materialize(kind, payload)
+    if algo == "naive":
+        found = diameter_naive(g)
+    else:
+        found = diameter_upto(explicit.radius_steps(g, d, rng), k_max)
+    return found, {"n": g.n, "m": g.m}
 
 
 def cmd_verify(args):
@@ -235,8 +246,8 @@ def cmd_verify(args):
         # checked against the per-source BFS oracle.
         g = _materialize(kind, payload)
         diam = int(_kernels.eccentricities(*g.csr).max())
-        found = {algo: _found_diameter(algo, kind, payload, g, args.k_max,
-                                       args.d, seed)
+        found = {algo: _found_diameter(algo, kind, payload, args.k_max,
+                                       args.d, seed, g)[0]
                  for algo in args.algos}
         for k in range(args.k_min, args.k_max + 1):
             want = diam <= k
@@ -337,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("KDIAM_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
-    if args.command == "gen" and args.generator == "sparse-graph" \
-            and args.m is None:
-        raise UsageError("sparse-graph needs --m")
-    if args.command == "gen" and args.generator == "polygon-points" \
-            and (args.sides < 4 or args.sides % 2):
-        raise UsageError(f"--sides must be even and >= 4, got {args.sides}")
     return args.func(args)
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, from_edges
+from .graph import Graph
 
 TOL = 1e-9
 
@@ -151,8 +151,7 @@ def intersection_graph_naive(points, f: ConvexPolygon) -> Graph:
         diff = dots[:, None] - dots[None, :]
         adj &= (lo <= diff) & (diff <= hi)
     np.fill_diagonal(adj, False)
-    edges = [(i, j) for i, j in zip(*np.nonzero(np.triu(adj)))]
-    return from_edges(n, [(int(i), int(j)) for i, j in edges])
+    return Graph([np.flatnonzero(row).tolist() for row in adj])
 
 
 def axis_square(side: float = 1.0, center=(0.0, 0.0)) -> ConvexPolygon:

@@ -8,7 +8,6 @@ every ball at once as an ``int`` bit mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from pathlib import Path
@@ -97,17 +96,8 @@ def from_edges(n: int, edges) -> Graph:
     return Graph(adj)
 
 
-@dataclass(frozen=True)
-class DistanceVector:
-    """Hop distances from one source; ``dist[source] == 0`` and distances of
-    adjacent vertices differ by at most 1."""
-
-    source: int
-    dist: np.ndarray
-
-
-def bfs_distances(g: Graph, source: int) -> DistanceVector:
-    """Exact hop distances from ``source``.
+def bfs_distances(g: Graph, source: int) -> np.ndarray:
+    """Exact hop distances from ``source``, one per vertex.
 
     Raises ``DisconnectedGraphError`` if some vertex is unreachable and
     ``ValueError`` for an out-of-range source.
@@ -118,7 +108,7 @@ def bfs_distances(g: Graph, source: int) -> DistanceVector:
     dist = _kernels.bfs_distances(indptr, indices, source)
     if (dist < 0).any():
         raise DisconnectedGraphError("graph is disconnected: infinite diameter")
-    return DistanceVector(source, dist)
+    return dist
 
 
 def is_connected(g: Graph) -> bool:

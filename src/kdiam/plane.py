@@ -5,13 +5,17 @@ per class of parallel sides (:meth:`kdiam.geometry.ConvexPolygon.slabs`).
 Per slab, the points a copy of the polygon covers are a contiguous run of
 the points sorted by their projection on the slab's normal, so each slab is
 one stripe (:mod:`kdiam.stripes`) and the cover of a center is the AND of
-one lookup per stripe.  A marked set is one exact mask with bit i for point i: marking
-ORs in each center's cover, and listing a difference is one XOR.
+one lookup per stripe.
+
+A marked set is a plain ``int`` mask with bit i for point i: marking ORs in
+each center's cover, and listing a difference is one XOR.  The decide path
+reaches this module only through :func:`geometric_nsds`.  The methods
+:meth:`PlaneStructure.mark` and :meth:`PlaneStructure.list_differences`,
+the ``aux_nodes`` counter and :meth:`PlaneStructure.stripe_node_counters`
+stay because the benchmark's tracer hooks or reads them by name.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,14 +23,6 @@ from . import stripes as st
 from .geometry import (ConvexPolygon, adjacency_slabs, axis_square,
                        check_distinct)
 from .nsds import MaskNeighbourSets
-
-
-@dataclass(frozen=True)
-class PlaneVersion:
-    """Immutable marked set: bit i of ``mask`` is point i."""
-
-    structure: "PlaneStructure"
-    mask: int
 
 
 class PlaneStructure:
@@ -45,11 +41,8 @@ class PlaneStructure:
         self.n = pts.shape[0]
         self.slabs = slabs
         self.keys = [(pts @ nrm).tolist() for nrm, _, _ in self.slabs]
-        self.stripes = [st.stripe_init(keys).stripe for keys in self.keys]
+        self.stripes = [st.stripe_init(keys) for keys in self.keys]
         self.aux_nodes = 0  # listings made (the benchmark's counter name)
-
-    def empty_version(self) -> PlaneVersion:
-        return PlaneVersion(self, 0)
 
     # -- marking ------------------------------------------------------------
 
@@ -67,53 +60,26 @@ class PlaneStructure:
         c = np.asarray(center, dtype=np.float64)
         return self.cover_keys([float(c @ nrm) for nrm, _, _ in self.slabs])
 
-    def mark(self, version: PlaneVersion, centers) -> PlaneVersion:
-        """New version whose marked set gains the points covered by the
-        shape centered at each of ``centers``; the version itself when no
-        point is gained."""
-        if version.structure is not self:
-            raise ValueError("version belongs to a different structure")
-        mask = version.mask
+    def mark(self, mask: int, centers) -> int:
+        """``mask`` with the points covered by the shape centered at each of
+        ``centers`` added."""
         for center in centers:
             mask |= self.cover(center)
-        return version if mask == version.mask else PlaneVersion(self, mask)
+        return mask
 
     # -- queries ------------------------------------------------------------
 
-    def list_differences(self, v1: PlaneVersion, v2: PlaneVersion) -> list:
-        """Point ids marked in exactly one version, in increasing order: the
-        set bits of the XOR of the two version masks."""
-        if v1.structure is not self or v2.structure is not self:
-            raise ValueError("versions belong to a different structure")
+    def list_differences(self, m1: int, m2: int) -> list:
+        """Point ids marked in exactly one of the two masks, in increasing
+        order: the set bits of their XOR."""
         self.aux_nodes += 1
-        return st.ids_of(v1.mask ^ v2.mask)
-
-    def decode(self, version: PlaneVersion) -> set:
-        """Full marked set of a version."""
-        return set(st.ids_of(version.mask))
+        return st.ids_of(m1 ^ m2)
 
     def stripe_node_counters(self):
         """Per slab index: (lookups, lookups that found a point,
         listings)."""
         return {j: (s.marks, s.mark_nodes, s.list_nodes)
                 for j, s in enumerate(self.stripes)}
-
-
-def plane_init(points, shape: ConvexPolygon | None):
-    """Build the structure for marks of ``shape`` (None: the axis-aligned
-    unit square); returns (structure, empty version)."""
-    if shape is None:
-        shape = axis_square(1.0)
-    structure = PlaneStructure(points, shape.slabs())
-    return structure, structure.empty_version()
-
-
-def plane_mark(version: PlaneVersion, center) -> PlaneVersion:
-    return version.structure.mark(version, (center,))
-
-
-def plane_list_differences(v1: PlaneVersion, v2: PlaneVersion) -> list:
-    return v1.structure.list_differences(v1, v2)
 
 
 def geometric_nsds(points, shape: ConvexPolygon | None,

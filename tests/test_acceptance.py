@@ -19,8 +19,7 @@ from kdiam.geometry import (axis_square, intersection_graph_naive,
 from kdiam.graph import diameter_naive, distance_vc_shatter_check
 from kdiam.implicit import ExpandCost, expand_balls, k_diameter_implicit
 from kdiam.nsds import MaskNeighbourSets
-from kdiam.plane import geometric_nsds, plane_init, plane_list_differences, \
-    plane_mark
+from kdiam.plane import PlaneStructure, geometric_nsds
 from kdiam.bench import loglog_slope, order_difference_sum
 
 from helpers import expansion_inputs, geometric_graph_sat, points_in_polygon
@@ -83,24 +82,25 @@ def test_criterion_3_persistent_structure_correctness():
         n = int(rng.integers(50, 501))
         width = max(2.0, math.sqrt(n))
         pts = rng.uniform(0, width, size=(n, 2))
-        structure, v = plane_init(pts, shape)
+        structure = PlaneStructure(
+            pts, (shape or axis_square(1.0)).slabs())
         n_marks = int(rng.integers(100, 501))
-        versions = [v]
+        masks = [0]
         naive = [set()]
         for _ in range(n_marks):
             c = (float(rng.uniform(-1, width + 1)),
                  float(rng.uniform(-1, width + 1)))
-            versions.append(plane_mark(versions[-1], c))
+            masks.append(structure.mark(masks[-1], [c]))
             cur = naive[-1] | set(
                 np.flatnonzero(points_in_polygon(pts - c, verts)).tolist())
             naive.append(cur)
         for _ in range(200):
-            i = int(rng.integers(0, len(versions)))
-            j = int(rng.integers(0, len(versions)))
-            got = plane_list_differences(versions[i], versions[j])
+            i = int(rng.integers(0, len(masks)))
+            j = int(rng.integers(0, len(masks)))
+            got = structure.list_differences(masks[i], masks[j])
             assert len(got) == len(set(got))
             assert set(got) == naive[i] ^ naive[j], (seq, i, j)
-    report(3, "50 mark sequences, 200 version-pair diffs each", start, 300)
+    report(3, "50 mark sequences, 200 mask-pair diffs each", start, 300)
 
 
 def test_criterion_4_expansion_cost_bound():
@@ -219,15 +219,14 @@ def test_criterion_8_invariant_audits():
 
     # (c) every stripe lookup's covered mask against brute force, on
     # stripes with n <= 256: the points i whose projection p has
-    # -w <= p - c <= w, and the version mask as the OR of the lookups so far
+    # -w <= p - c <= w, and the marked mask as the OR of the lookups so far
     from kdiam.stripes import stripe_init, stripe_mark_line
 
     for n in (64, 256):
         pts = rng.uniform((0, 0), (25, 1), size=(n, 2))
         keys = (pts @ np.array([1.0, 0.0])).tolist()
-        v = stripe_init(keys)
-        stripe = v.stripe
-        marked = 0
+        stripe = stripe_init(keys)
+        mask = marked = 0
         for step in range(200):
             c = float(rng.uniform(-1, 26))
             w = float(rng.uniform(0, 1))
@@ -235,23 +234,24 @@ def test_criterion_8_invariant_audits():
             if stripe.covered(c, -w, w) != want:
                 violations.append(("stripe lookup", n, step))
             marked |= want
-            v = stripe_mark_line(v, c, -w, w)
-            if v.mask != marked:
+            mask = stripe_mark_line(stripe, mask, c, -w, w)
+            if mask != marked:
                 violations.append(("stripe mask", n, step))
 
-    # (d) plane version masks: bit i for point i of the brute-force marked
-    # set (point in shape over the marks applied)
+    # (d) plane masks: bit i for point i of the brute-force marked set
+    # (point in shape over the marks applied)
     pts = rng.uniform(0, 10, size=(150, 2))
-    structure, version = plane_init(pts, None)
+    structure = PlaneStructure(pts, axis_square(1.0).slabs())
+    mask = 0
     square_verts = [tuple(v) for v in axis_square(1.0).vertices]
     marked = set()
     for step in range(200):
         c = (float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
-        version = plane_mark(version, c)
+        mask = structure.mark(mask, [c])
         marked |= set(np.flatnonzero(
             points_in_polygon(pts - c, square_verts)).tolist())
         if (step + 1) % 10 == 0 and \
-                version.mask != sum(1 << i for i in marked):
+                mask != sum(1 << i for i in marked):
             violations.append(("plane mask", step + 1))
 
     assert violations == []

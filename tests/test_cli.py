@@ -291,6 +291,30 @@ class TestErrors:
         assert err == [f"error: --sides must be even and >= 4, got {sides}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["unit-squares", "--n", "0"], "--n must be >= 1, got 0"),
+        (["sparse-graph", "--n", "5", "--m", "100"], "m must be in [4, 10]"),
+        (["unit-squares", "--n", "10", "--box", "-2"],
+         "--box must be finite and > 0, got -2.0"),
+        (["unit-squares", "--n", "10", "--box", "nan"],
+         "--box must be finite and > 0, got nan"),
+        (["polygon-points", "--n", "5", "--radius", "0"],
+         "--radius must be finite and > 0, got 0.0"),
+        (["polygon-points", "--n", "60", "--box", "40"],
+         "no connected instance in 200 tries (n=60, box=40.0); shrink the"
+         " box"),
+    ], ids=["n=0", "m=100", "box=-2", "box=nan", "radius=0", "no-connected-draw"])
+    def test_bad_gen_arguments_rejected(self, tmp_path, capsys, argv,
+                                        message):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", *argv, "--output", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == ["error: " + message]
+        assert not out.exists()
+
     @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
     def test_shape_with_two_vertices_rejected(self, tmp_path, capsys, algo):
         # unit segments 10 apart do not touch; no algorithm may answer

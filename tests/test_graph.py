@@ -54,13 +54,13 @@ class TestGraphValidation:
 
 class TestBfs:
     def test_path(self):
-        assert bfs_distances(path_graph(3), 0).dist.tolist() == [0, 1, 2]
+        assert bfs_distances(path_graph(3), 0).tolist() == [0, 1, 2]
 
     def test_triangle_middle(self):
-        assert bfs_distances(complete_graph(3), 1).dist.tolist() == [1, 0, 1]
+        assert bfs_distances(complete_graph(3), 1).tolist() == [1, 0, 1]
 
     def test_five_cycle(self):
-        assert bfs_distances(cycle_graph(5), 0).dist.tolist() == [0, 1, 2, 2, 1]
+        assert bfs_distances(cycle_graph(5), 0).tolist() == [0, 1, 2, 2, 1]
 
     def test_out_of_range_source(self):
         with pytest.raises(ValueError):
@@ -74,11 +74,11 @@ class TestBfs:
             g = random_connected_graph(n, m, rng)
             ref = all_pairs_dist(g.adjacency)
             for s in range(g.n):
-                dv = bfs_distances(g, s)
-                assert dv.dist.tolist() == [ref[s][u] for u in range(g.n)]
-                assert dv.dist[s] == 0
+                dist = bfs_distances(g, s)
+                assert dist.tolist() == [ref[s][u] for u in range(g.n)]
+                assert dist[s] == 0
                 for u, v in g.edges():
-                    assert abs(int(dv.dist[u]) - int(dv.dist[v])) <= 1
+                    assert abs(int(dist[u]) - int(dist[v])) <= 1
 
     def test_disconnected_raises(self):
         g = Graph([[1], [0], [3], [2]])

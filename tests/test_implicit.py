@@ -127,7 +127,7 @@ class TestSimulateBfs:
         nsds = geometric_nsds(pts, None)
         for v in range(0, g.n, 5):
             got = simulate_bfs(nsds, v)
-            ref = bfs_distances(g, v).dist
+            ref = bfs_distances(g, v)
             assert got == {u: int(ref[u]) for u in range(g.n)}
 
     def test_each_vertex_listed_once(self):

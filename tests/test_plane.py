@@ -8,8 +8,8 @@ from kdiam.gen import random_symmetric_polygon, random_unit_square_points
 from kdiam.geometry import (TOL, ConvexPolygon, adjacency_slabs,
                             axis_square, intersection_graph_naive,
                             load_polygon)
-from kdiam.plane import (PlaneStructure, geometric_nsds, plane_init,
-                         plane_list_differences, plane_mark)
+from kdiam.plane import PlaneStructure, geometric_nsds
+from kdiam.stripes import ids_of
 
 from helpers import point_in_polygon
 
@@ -24,6 +24,11 @@ PENTAGON = ConvexPolygon([[-0.5, -0.6], [0.6, -0.5], [0.9, 0.3],
                           [0.0, 0.9], [-0.8, 0.2]])
 
 
+def marking_structure(points, shape):
+    """The structure for marks of ``shape`` (None: the unit square)."""
+    return PlaneStructure(points, (shape or axis_square(1.0)).slabs())
+
+
 def naive_cover(points, shape_vertices, center):
     return {i for i, p in enumerate(points)
             if point_in_polygon((p[0] - center[0], p[1] - center[1]),
@@ -33,39 +38,32 @@ def naive_cover(points, shape_vertices, center):
 class TestInit:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            plane_init([(1.0, 1.0), (1.0, 1.0)], None)
+            marking_structure([(1.0, 1.0), (1.0, 1.0)], None)
 
 
 class TestMarkAndDiff:
     def test_mark_far_away_noop(self):
         pts = [(0.0, 0.0), (1.0, 0.5)]
-        structure, v = plane_init(pts, None)
-        v2 = plane_mark(v, (50.0, 50.0))
-        assert structure.decode(v2) == set()
+        structure = marking_structure(pts, None)
+        assert structure.mark(0, [(50.0, 50.0)]) == 0
 
     def test_mark_near_point(self):
-        structure, v = plane_init([(0.0, 0.0), (5.0, 5.0)], None)
-        v2 = plane_mark(v, (0.4, 0.0))
-        assert structure.decode(v2) == {0}
+        structure = marking_structure([(0.0, 0.0), (5.0, 5.0)], None)
+        assert structure.mark(0, [(0.4, 0.0)]) == 0b1
 
     def test_same_version_diff_empty(self):
-        structure, v = plane_init([(0.0, 0.0)], None)
-        assert plane_list_differences(v, v) == []
-
-    def test_cross_structure_rejected(self):
-        _, v1 = plane_init([(0.0, 0.0)], None)
-        _, v2 = plane_init([(0.0, 0.0)], None)
-        with pytest.raises(ValueError):
-            plane_list_differences(v1, v2)
+        structure = marking_structure([(0.0, 0.0)], None)
+        assert structure.list_differences(1, 1) == []
+        assert structure.aux_nodes == 1
 
     def test_two_stripes_one_mark(self):
         # one lookup per slab: the square covers both points only where
         # both slabs do
         pts = [(0.0, 0.9), (0.0, 1.1)]
-        structure, v = plane_init(pts, axis_square(2.0))
-        v2 = plane_mark(v, (0.0, 1.0))
-        assert structure.decode(v2) == {0, 1}
-        assert sorted(plane_list_differences(v, v2)) == [0, 1]
+        structure = marking_structure(pts, axis_square(2.0))
+        mask = structure.mark(0, [(0.0, 1.0)])
+        assert mask == 0b11
+        assert structure.list_differences(0, mask) == [0, 1]
 
     @pytest.mark.parametrize("shape,label", [
         (None, "square"),
@@ -78,96 +76,92 @@ class TestMarkAndDiff:
         rng = np.random.default_rng({"square": 71, "hexagon": 72,
                                      "triangle": 73, "pentagon": 74}[label])
         pts = rng.uniform(0, 10, size=(120, 2))
-        structure, v = plane_init(pts, shape)
+        structure = marking_structure(pts, shape)
         shape_verts = [tuple(vv) for vv in
                        (shape or axis_square(1.0)).vertices]
-        versions = [v]
+        masks = [0]
         naive = [set()]
         for _ in range(250):
             c = (float(rng.uniform(-1, 11)), float(rng.uniform(-1, 11)))
-            versions.append(plane_mark(versions[-1], c))
+            masks.append(structure.mark(masks[-1], [c]))
             naive.append(naive[-1] | naive_cover(pts, shape_verts, c))
-            assert structure.decode(versions[-1]) == naive[-1]
+            assert set(ids_of(masks[-1])) == naive[-1]
         for _ in range(300):
-            i = int(rng.integers(0, len(versions)))
-            j = int(rng.integers(0, len(versions)))
-            got = plane_list_differences(versions[i], versions[j])
+            i = int(rng.integers(0, len(masks)))
+            j = int(rng.integers(0, len(masks)))
+            got = structure.list_differences(masks[i], masks[j])
             assert len(got) == len(set(got))
             assert set(got) == naive[i] ^ naive[j]
 
 
 class TestMarkPlans:
-    """Marking keeps no state but the version masks: a center marked on two
-    versions, or twice, must give the same sets as marking on a fresh
-    structure."""
+    """Marking keeps no state but the masks: a center marked on two masks,
+    or twice, must give the same sets as marking on a fresh structure."""
 
     def test_same_center_on_two_versions(self):
         rng = np.random.default_rng(21)
         pts = rng.uniform(0, 6, size=(80, 2))
-        structure, v0 = plane_init(pts, SKEW_HEX)
+        structure = marking_structure(pts, SKEW_HEX)
         c, other = tuple(pts[5]), tuple(pts[40])
-        v1 = plane_mark(v0, other)
-        a = plane_mark(v0, c)
-        b = plane_mark(v1, c)
-        fresh, f0 = plane_init(pts, SKEW_HEX)
-        assert structure.decode(a) == fresh.decode(plane_mark(f0, c))
-        fresh, f0 = plane_init(pts, SKEW_HEX)
-        assert structure.decode(b) == fresh.decode(
-            plane_mark(plane_mark(f0, other), c))
+        m1 = structure.mark(0, [other])
+        a = structure.mark(0, [c])
+        b = structure.mark(m1, [c])
+        fresh = marking_structure(pts, SKEW_HEX)
+        assert a == fresh.mark(0, [c])
+        fresh = marking_structure(pts, SKEW_HEX)
+        assert b == fresh.mark(fresh.mark(0, [other]), [c])
 
     def test_ndarray_center_matches_tuple(self):
         rng = np.random.default_rng(23)
         pts = rng.uniform(0, 6, size=(60, 2))
-        structure, v0 = plane_init(pts, SKEW_HEX)
-        by_tuple = plane_mark(v0, (float(pts[7][0]), float(pts[7][1])))
-        by_array = plane_mark(v0, pts[7])
-        fresh, f0 = plane_init(pts, SKEW_HEX)
-        want = fresh.decode(plane_mark(f0, pts[7]))
-        assert structure.decode(by_tuple) == want
-        assert structure.decode(by_array) == want
-        assert plane_list_differences(by_tuple, by_array) == []
+        structure = marking_structure(pts, SKEW_HEX)
+        by_tuple = structure.mark(0, [(float(pts[7][0]), float(pts[7][1]))])
+        by_array = structure.mark(0, [pts[7]])
+        want = marking_structure(pts, SKEW_HEX).mark(0, [pts[7]])
+        assert by_tuple == by_array == want
+        assert structure.list_differences(by_tuple, by_array) == []
 
     def test_non_vertex_center(self):
         rng = np.random.default_rng(25)
         pts = rng.uniform(0, 6, size=(60, 2))
-        structure, v0 = plane_init(pts, SKEW_HEX)
+        structure = marking_structure(pts, SKEW_HEX)
         verts = [tuple(vv) for vv in SKEW_HEX.vertices]
         # centers sharing one coordinate cover different sets
         for c in [(2.345, 3.21), (2.345, 1.5), (4.0, 1.5), (2.345, 3.21)]:
             assert not any(tuple(p) == c for p in pts)
-            v1 = plane_mark(v0, c)
-            v2 = plane_mark(v1, c)
-            assert structure.decode(v1) == naive_cover(pts, verts, c)
-            assert structure.decode(v2) == structure.decode(v1)
+            m1 = structure.mark(0, [c])
+            m2 = structure.mark(m1, [c])
+            assert set(ids_of(m1)) == naive_cover(pts, verts, c)
+            assert m2 == m1
 
     def test_repeated_centers_random_polygon(self):
         # centers come from a small pool, so most are marked again, on
-        # versions branching off earlier ones
+        # masks branching off earlier ones
         rng = np.random.default_rng(27)
         shape = random_symmetric_polygon(4, rng, radius=1.5)
         pts = rng.uniform(0, 8, size=(100, 2))
-        structure, v0 = plane_init(pts, shape)
+        structure = marking_structure(pts, shape)
         verts = [tuple(vv) for vv in shape.vertices]
         pool = [tuple(pts[i]) for i in range(0, 100, 9)]
         pool += [(float(x), float(y))
                  for x, y in rng.uniform(-1, 9, size=(6, 2))]
-        versions, naive = [v0], [set()]
+        masks, naive = [0], [set()]
         for _ in range(200):
-            base = int(rng.integers(0, len(versions)))
+            base = int(rng.integers(0, len(masks)))
             c = pool[int(rng.integers(0, len(pool)))]
-            versions.append(plane_mark(versions[base], c))
+            masks.append(structure.mark(masks[base], [c]))
             naive.append(naive[base] | naive_cover(pts, verts, c))
-            assert structure.decode(versions[-1]) == naive[-1]
+            assert set(ids_of(masks[-1])) == naive[-1]
         for _ in range(100):
-            i = int(rng.integers(0, len(versions)))
-            j = int(rng.integers(0, len(versions)))
-            assert set(plane_list_differences(versions[i], versions[j])) \
+            i = int(rng.integers(0, len(masks)))
+            j = int(rng.integers(0, len(masks)))
+            assert set(structure.list_differences(masks[i], masks[j])) \
                 == naive[i] ^ naive[j]
 
 
 class TestBatchedMark:
-    """``mark(v, centers)`` ORs the covers of all centers into one mask; it
-    must give the set of the same centers marked one by one."""
+    """``mark(mask, centers)`` ORs the covers of all centers into one mask;
+    it must give the set of the same centers marked one by one."""
 
     @pytest.mark.parametrize("shape,label", [
         (None, "square"),
@@ -178,13 +172,13 @@ class TestBatchedMark:
     def test_batches_match_one_by_one(self, shape, label):
         rng = np.random.default_rng(50 if label == "square" else 51)
         pts = rng.uniform(0, 8, size=(90, 2))
-        structure, v0 = plane_init(pts, shape)
+        structure = marking_structure(pts, shape)
         pool = [tuple(pts[i]) for i in range(0, 90, 7)]
         # centers far outside the point cloud cover no point
         pool += [(float(x), float(y))
                  for x, y in rng.uniform(-1, 9, size=(8, 2))]
         pool += [(-40.0, 3.0), (4.0, 60.0)]
-        batched = single = v0
+        batched = single = 0
         for _ in range(40):
             centers = [pool[int(i)] for i in
                        rng.integers(0, len(pool),
@@ -195,15 +189,14 @@ class TestBatchedMark:
             batched = structure.mark(batched, centers)
             for c in centers:
                 single = structure.mark(single, (c,))
-            assert structure.decode(batched) == structure.decode(single)
-            assert batched.mask == single.mask
+            assert batched == single
             if not centers:
-                assert batched is before
+                assert batched == before
 
     def test_centers_touching_no_band_return_the_version(self):
-        structure, v0 = plane_init([(0.0, 0.0), (1.0, 0.5)], SKEW_HEX)
-        assert structure.mark(v0, []) is v0
-        assert structure.mark(v0, [(50.0, 50.0), (-30.0, 0.0)]) is v0
+        structure = marking_structure([(0.0, 0.0), (1.0, 0.5)], SKEW_HEX)
+        assert structure.mark(0b10, []) == 0b10
+        assert structure.mark(0b10, [(50.0, 50.0), (-30.0, 0.0)]) == 0b10
 
 
 def benchmark_hexagon():
@@ -308,14 +301,15 @@ class TestVersionMask:
     def test_mask_has_bit_i_for_point_i(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 8, size=(60, 2))
-        structure, v = plane_init(pts, None)
+        structure = marking_structure(pts, None)
         verts = [tuple(vv) for vv in axis_square(1.0).vertices]
+        mask = 0
         marked = set()
         for _ in range(120):
             c = (float(rng.uniform(0, 8)), float(rng.uniform(0, 8)))
-            v = plane_mark(v, c)
+            mask = structure.mark(mask, [c])
             marked |= naive_cover(pts, verts, c)
-            assert v.mask == sum(1 << i for i in marked)
+            assert mask == sum(1 << i for i in marked)
 
 
 class TestGeometricNSDS:
