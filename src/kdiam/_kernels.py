@@ -1,4 +1,6 @@
-"""Hot BFS kernels over CSR adjacency: frontier-vectorised numpy.
+"""Single-source BFS over CSR adjacency (frontier-vectorised numpy) and the
+per-source eccentricities the tests check the diameter oracle against; no
+decide path calls them.
 
 All kernels take CSR arrays (indptr, indices) as produced by
 :attr:`kdiam.graph.Graph.csr` and int64 vertex ids.  Distances use -1 for
@@ -68,15 +70,3 @@ def eccentricities(indptr, indices):
 def ball_mask(indptr, indices, source, radius):
     return _bfs(indptr, indices, source, radius) >= 0
 
-
-def order_diff_sum(indptr, indices, order, radius):
-    """Sum of |ball(order[i]) xor ball(order[i+1])| over consecutive pairs."""
-    n = indptr.shape[0] - 1
-    prev = np.zeros(n, bool)
-    total = 0
-    for i, v in enumerate(order):
-        cur = _bfs(indptr, indices, int(v), radius) >= 0
-        if i > 0:
-            total += int(np.count_nonzero(prev != cur))
-        prev = cur
-    return total

@@ -88,21 +88,21 @@ def cmd_gen(args):
     rng = np.random.default_rng(args.seed)
     out = Path(args.output)
     box = args.box if args.box is not None else gen_mod.default_box(args.n)
+    # with an explicit box the density is the caller's choice, so neither
+    # point generator retries for connectivity; the default box targets it
+    connected = args.box is None
     try:  # an edge count out of range, or no connected draw in the box
         if args.generator == "sparse-graph":
             text = format_edge_list(
                 gen_mod.random_connected_graph(args.n, args.m, rng))
         elif args.generator == "unit-squares":
-            # with an explicit box the density is the caller's choice, so
-            # the connectivity retry is skipped; the default box targets
-            # connectivity
             text = format_points(gen_mod.random_unit_square_points(
-                args.n, box, rng, require_connected=args.box is None))
+                args.n, box, rng, require_connected=connected))
         else:
             shape = gen_mod.random_symmetric_polygon(args.sides // 2, rng,
                                                      radius=args.radius)
-            text = format_points(
-                gen_mod.random_points_for_shape(args.n, shape, box, rng))
+            text = format_points(gen_mod.random_points_for_shape(
+                args.n, shape, box, rng, require_connected=connected))
     except (ValueError, RuntimeError) as exc:
         raise UsageError(str(exc)) from None
     out.write_text(text)

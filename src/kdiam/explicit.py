@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intervals, order
-from .graph import Graph, diameter_upto, neighborhood
+from .graph import Graph, balls_at, diameter_upto
 from .intervals import IntervalSets
+from .stripes import ids_of
 
 # Most intervals one bulk union or difference sweep takes in.  Larger work is
 # split into blocks of consecutive vertices, which bounds the memory of the
@@ -198,9 +199,6 @@ def k_diameter_explicit(g: Graph, k: int, d: int,
 def encoding_is_valid(g: Graph, enc: BallEncoding) -> bool:
     """Audit helper: every representation canonical and decoding to the exact
     ball (used by the invariant tests, not on the hot path)."""
-    for v in range(g.n):
-        if not intervals.is_canonical(enc.reps[v], g.n):
-            return False
-        if enc.decode(v) != neighborhood(g, v, enc.radius):
-            return False
-    return True
+    balls = balls_at(g, enc.radius)
+    return all(intervals.is_canonical(enc.reps[v], g.n)
+               and enc.decode(v) == set(ids_of(balls[v])) for v in range(g.n))

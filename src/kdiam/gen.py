@@ -9,6 +9,9 @@ import numpy as np
 from .geometry import ConvexPolygon, axis_square, intersection_graph_naive
 from .graph import Graph, from_edges, is_connected
 
+# Draws a point generator makes before giving up on a connected instance.
+MAX_TRIES = 200
+
 
 def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
     """Connected simple graph with exactly m edges: a uniform random labelled
@@ -37,13 +40,12 @@ def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
 
 def random_unit_square_points(n: int, box: float,
                               rng: np.random.Generator,
-                              *, require_connected: bool = True,
-                              max_tries: int = 200) -> np.ndarray:
+                              *, require_connected=True) -> np.ndarray:
     """n distinct points in [0, box]^2 whose unit-square intersection graph
-    is connected (resampled until it is)."""
+    is connected (resampled until it is, unless ``require_connected`` is
+    false)."""
     return random_points_for_shape(n, axis_square(1.0), box, rng,
-                                   require_connected=require_connected,
-                                   max_tries=max_tries)
+                                   require_connected=require_connected)
 
 
 def default_box(n: int) -> float:
@@ -70,14 +72,13 @@ def random_symmetric_polygon(half_sides: int, rng: np.random.Generator,
 
 def random_points_for_shape(n: int, shape: ConvexPolygon, box: float,
                             rng: np.random.Generator,
-                            *, require_connected: bool = True,
-                            max_tries: int = 200) -> np.ndarray:
+                            *, require_connected=True) -> np.ndarray:
     """n distinct points in [0, box]^2 whose intersection graph for
     ``shape`` is connected (resampled until it is, unless
     ``require_connected`` is false)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         pts = rng.uniform(0.0, box, size=(n, 2))
         if len({(x, y) for x, y in pts}) < n:
             continue
@@ -86,5 +87,5 @@ def random_points_for_shape(n: int, shape: ConvexPolygon, box: float,
         if n == 1 or is_connected(intersection_graph_naive(pts, shape)):
             return pts
     raise RuntimeError(
-        f"no connected instance in {max_tries} tries (n={n}, box={box}); "
+        f"no connected instance in {MAX_TRIES} tries (n={n}, box={box}); "
         "shrink the box")

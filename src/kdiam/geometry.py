@@ -31,8 +31,6 @@ from .graph import Graph
 
 TOL = 1e-9
 
-Point = tuple  # (x, y) floats
-
 
 def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])

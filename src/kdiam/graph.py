@@ -2,13 +2,16 @@
 
 Everything downstream is verified against the functions in this module, so
 they stay deliberately simple: plain adjacency lists, lazily built CSR
-arrays for the single-source BFS kernels, and a diameter oracle that grows
-every ball at once as an ``int`` bit mask.
+arrays for the single-source BFS kernels, and one sweep,
+:func:`ball_masks`, that grows every ball at once as an ``int`` bit mask
+for the diameter oracle and every other all-sources reader.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import reduce
+from itertools import chain, combinations, islice
 from operator import or_
 from pathlib import Path
 
@@ -64,11 +67,9 @@ class Graph:
         """(indptr, indices) int64 CSR arrays, built lazily."""
         if self._csr is None:
             indptr = np.zeros(self.n + 1, np.int64)
-            for v, neigh in enumerate(self.adjacency):
-                indptr[v + 1] = indptr[v] + len(neigh)
-            indices = np.empty(indptr[-1], np.int64)
-            for v, neigh in enumerate(self.adjacency):
-                indices[indptr[v]:indptr[v + 1]] = neigh
+            np.cumsum(self.degrees(), out=indptr[1:])
+            indices = np.fromiter(chain.from_iterable(self.adjacency),
+                                  np.int64, count=indptr[-1])
             self._csr = (indptr, indices)
         return self._csr
 
@@ -116,28 +117,41 @@ def is_connected(g: Graph) -> bool:
     return not (_kernels.bfs_distances(indptr, indices, 0) < 0).any()
 
 
-def diameter_naive(g: Graph) -> int:
-    """Max over all pairs of hop distances (the all-sources oracle).
+def ball_masks(g: Graph):
+    """Every vertex's ball as an ``int`` bit mask, one round per radius.
 
-    Grows every ball one hop per round: bit u of ``balls[v]`` is set iff
-    dist(v, u) <= r after round r, and round r + 1 ORs the balls of v's
-    closed neighbourhood.  The diameter is the first round at which every
-    ball is the whole vertex set; a round that changes no ball proves the
-    graph disconnected.  Cost: D·(n + 2m) ORs of n-bit masks, with memory
-    for two generations of n masks, about n²/4 bytes.
+    Round r yields the list whose entry v has bit u set iff dist(v, u) <= r,
+    for r = 0, 1, ...; round r + 1 ORs the balls of v's closed
+    neighbourhood.  The sweep ends before a round that would change no
+    ball, so its last round holds every ball as its connected component.
+    Each round costs n + 2m ORs of n-bit masks; the sweep holds two rounds,
+    about n²/4 bytes.
     """
-    full = (1 << g.n) - 1
     closed = [(v, *neigh) for v, neigh in enumerate(g.adjacency)]
     balls = [1 << v for v in range(g.n)]
-    radius = 0
-    while balls.count(full) < g.n:
+    while True:
+        yield balls
         grown = [reduce(or_, map(balls.__getitem__, nv)) for nv in closed]
         if grown == balls:
-            raise DisconnectedGraphError(
-                "graph is disconnected: infinite diameter")
+            return
         balls = grown
-        radius += 1
-    return radius
+
+
+def balls_at(g: Graph, r: int) -> list:
+    """Round ``r`` of :func:`ball_masks`, or its last round (the same balls)
+    if the sweep stops earlier."""
+    return deque(islice(ball_masks(g), r + 1), maxlen=1)[0]
+
+
+def diameter_naive(g: Graph) -> int:
+    """Max over all pairs of hop distances (the all-sources oracle): the
+    first round of :func:`ball_masks` whose balls are all the whole vertex
+    set.  Cost: D·(n + 2m) ORs of n-bit masks."""
+    full = (1 << g.n) - 1
+    for radius, balls in enumerate(ball_masks(g)):
+        if balls.count(full) == g.n:
+            return radius
+    raise DisconnectedGraphError("graph is disconnected: infinite diameter")
 
 
 def diameter_upto(steps, k_max: int) -> int | None:
@@ -180,9 +194,10 @@ def distance_vc_shatter_check(g: Graph, max_subset: int, *,
                               allow_large: bool = False) -> int:
     """Largest subset size shattered by the family of all balls of ``g``.
 
-    Exhaustive: enumerates every ball N^k[v] for k in [0, n) and every
-    candidate subset of size <= max_subset.  Refuses graphs with more than
-    ``SHATTER_GUARD`` vertices unless ``allow_large`` is set.
+    Exhaustive: enumerates every ball N^k[v], k >= 0 (every round of
+    :func:`ball_masks`), and every candidate subset of size <= max_subset.
+    Refuses graphs with more than ``SHATTER_GUARD`` vertices unless
+    ``allow_large`` is set.
     """
     n = g.n
     if n > SHATTER_GUARD and not allow_large:
@@ -192,39 +207,15 @@ def distance_vc_shatter_check(g: Graph, max_subset: int, *,
     if max_subset < 1:
         raise ValueError("max_subset must be >= 1")
 
-    # Balls as bitmasks.  Radii beyond n-1 add nothing: balls stabilize at V.
-    indptr, indices = g.csr
-    balls = set()
-    for v in range(n):
-        dist = _kernels.bfs_distances(indptr, indices, v)
-        for k in range(n):
-            mask = 0
-            for u in range(n):
-                if 0 <= dist[u] <= k:
-                    mask |= 1 << u
-            balls.add(mask)
-    balls = list(balls)
-
-    from itertools import combinations
-
-    best = 0
+    # Radii past the sweep's last round add nothing: each ball is then its
+    # component.
+    balls = set().union(*ball_masks(g))
     for size in range(min(max_subset, n), 0, -1):
-        target = 1 << size
         for subset in combinations(range(n), size):
-            y_mask = 0
-            for u in subset:
-                y_mask |= 1 << u
-            traces = set()
-            for b in balls:
-                traces.add(b & y_mask)
-                if len(traces) == target:
-                    break
-            if len(traces) == target:
-                best = size
-                break
-        if best:
-            break
-    return best
+            y_mask = sum(1 << u for u in subset)
+            if len({b & y_mask for b in balls}) == 1 << size:
+                return size
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -300,9 +300,10 @@ class TestErrors:
          "--box must be finite and > 0, got nan"),
         (["polygon-points", "--n", "5", "--radius", "0"],
          "--radius must be finite and > 0, got 0.0"),
-        (["polygon-points", "--n", "60", "--box", "40"],
-         "no connected instance in 200 tries (n=60, box=40.0); shrink the"
-         " box"),
+        # the default box requires a connected draw; these shapes are tiny
+        (["polygon-points", "--n", "60", "--radius", "0.05"],
+         "no connected instance in 200 tries (n=60, box=5.477225575051661);"
+         " shrink the box"),
     ], ids=["n=0", "m=100", "box=-2", "box=nan", "radius=0", "no-connected-draw"])
     def test_bad_gen_arguments_rejected(self, tmp_path, capsys, argv,
                                         message):
@@ -314,6 +315,16 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.strip().splitlines() == ["error: " + message]
         assert not out.exists()
+
+    @pytest.mark.parametrize("generator", ["unit-squares", "polygon-points"])
+    def test_explicit_box_skips_connectivity_retry(self, tmp_path, generator):
+        # 60 shapes in a box of side 40 are almost surely not connected
+        out = tmp_path / "x.csv"
+        assert main(["gen", generator, "--n", "60", "--box", "40",
+                     "--output", str(out)]) == 0
+        pts = geometry.load_points(out)
+        assert pts.shape == (60, 2)
+        assert ((0 <= pts) & (pts <= 40)).all()
 
     @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
     def test_shape_with_two_vertices_rejected(self, tmp_path, capsys, algo):

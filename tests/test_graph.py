@@ -1,3 +1,4 @@
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from kdiam import _kernels, explicit, implicit
 from kdiam.graph import (DisconnectedGraphError, Graph, GraphFormatError,
-                         bfs_distances, diameter_naive, diameter_upto,
-                         distance_vc_shatter_check, from_edges, is_connected,
-                         k_diameter_naive, load_edge_list, neighborhood,
-                         parse_edge_list, save_edge_list)
+                         ball_masks, balls_at, bfs_distances, diameter_naive,
+                         diameter_upto, distance_vc_shatter_check, from_edges,
+                         is_connected, k_diameter_naive, load_edge_list,
+                         neighborhood, parse_edge_list, save_edge_list)
 from kdiam.gen import (default_box, random_connected_graph,
                        random_unit_square_points)
 from kdiam.geometry import axis_square, intersection_graph_naive
@@ -50,6 +51,39 @@ class TestGraphValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Graph([])
+
+
+class TestCsr:
+    def test_rows_are_the_adjacency(self):
+        # vertex 3 is isolated, so its row is empty
+        graphs = [Graph([[1, 2], [0], [0], []]), Graph([[]]),
+                  random_connected_graph(30, 70, np.random.default_rng(2))]
+        for g in graphs:
+            indptr, indices = g.csr
+            assert indptr.dtype == indices.dtype == np.int64
+            assert indptr.tolist() == [0, *np.cumsum(g.degrees()).tolist()]
+            assert [indices[indptr[v]:indptr[v + 1]].tolist()
+                    for v in range(g.n)] == [list(a) for a in g.adjacency]
+
+
+class TestBallMasks:
+    def test_rounds_are_the_balls(self):
+        rng = np.random.default_rng(8)
+        graphs = [Graph([[1], [0, 2], [1], [4], [3], []]), Graph([[]])]
+        for n in rng.integers(2, 25, size=10).tolist():
+            graphs.append(random_connected_graph(
+                n, min(n + 5, n * (n - 1) // 2), rng))
+        for g in graphs:
+            ref = all_pairs_dist(g.adjacency)
+            rounds = list(ball_masks(g))
+            # the last round is the first whose successor changes nothing
+            last = max(max(d.values()) for d in ref)
+            assert len(rounds) == last + 1
+            for r, balls in enumerate(rounds):
+                assert balls == [sum(1 << u for u, d in ref[v].items()
+                                     if d <= r) for v in range(g.n)]
+            for r in range(last + 3):
+                assert balls_at(g, r) == rounds[min(r, last)]
 
 
 class TestBfs:
@@ -268,6 +302,23 @@ class TestShatterCheck:
         with pytest.raises(ValueError, match="guard"):
             distance_vc_shatter_check(g, 3)
         assert distance_vc_shatter_check(g, 1, allow_large=True) == 1
+
+    def test_disconnected_graph_matches_brute_force(self):
+        # a path, a triangle, an edge and an isolated vertex
+        g = from_edges(10, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4),
+                            (7, 8)])
+        family = {frozenset(neighborhood(g, v, r))
+                  for v in range(g.n) for r in range(g.n)}
+
+        def shattered(subset):
+            return len({frozenset(subset) & b for b in family}) \
+                == 2 ** len(subset)
+
+        for max_subset in (1, 2, 3, 4):
+            expect = max(size for size in range(max_subset + 1)
+                         if any(shattered(s) for s in
+                                combinations(range(g.n), size)))
+            assert distance_vc_shatter_check(g, max_subset) == expect
 
     def test_unit_square_instances_at_most_4(self):
         rng = np.random.default_rng(4)
