@@ -28,7 +28,6 @@ from .geometry import (
     norm_value,
 )
 from .plane import PlaneStructure, geometric_nsds
-from .stripes import stripe_init, stripe_list_differences
 
 __version__ = "0.1.0"
 
@@ -62,7 +61,5 @@ __all__ = [
     "rebase",
     "save_edge_list",
     "simulate_bfs",
-    "stripe_init",
-    "stripe_list_differences",
     "__version__",
 ]

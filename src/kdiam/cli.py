@@ -26,11 +26,12 @@ log = logging.getLogger("kdiam")
 from . import _kernels, explicit, implicit
 from . import bench as bench_mod
 from . import gen as gen_mod
-from .geometry import (axis_square, format_points, format_polygon,
-                       intersection_graph_naive, load_points, load_polygon)
+from .geometry import (axis_square, check_distinct, format_points,
+                       format_polygon, intersection_graph_naive, parse_points,
+                       parse_polygon)
 from .graph import (DisconnectedGraphError, Graph, diameter_naive,
                     diameter_upto, format_edge_list, is_connected,
-                    load_edge_list)
+                    parse_edge_list)
 from .nsds import MaskNeighbourSets
 from .plane import geometric_nsds
 
@@ -47,40 +48,50 @@ class RunReport:
     counters: dict = field(default_factory=dict)
 
 
-class UsageError(SystemExit):
-    def __init__(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
+def _load(path, polygon=None):
+    """The instance in file ``path``, checked once for every algorithm: a
+    connected Graph for an edge list, or ``(points, shape)`` for a points
+    CSV (a comma on the first non-blank line), ``shape`` being the polygon
+    in file ``polygon`` (the unit square when None).  Points must be finite
+    and distinct and their intersection graph connected.  A ValueError
+    names the file at fault."""
+    shape = _parse(polygon, parse_polygon) if polygon else axis_square(1.0)
+    return _parse(path, _instance, shape)
 
 
-def _load_instance(args):
-    """Returns (kind, payload): ('graph', Graph) or ('points', (pts, shape))."""
-    path = Path(args.input)
-    kind = getattr(args, "kind", None) or _sniff_kind(path)
-    if kind == "graph":
-        return "graph", load_edge_list(path)
-    pts = load_points(path)
-    shape = load_polygon(args.polygon) if getattr(args, "polygon", None) \
-        else axis_square(1.0)
-    return "points", (pts, shape)
+def _parse(path, parse, *args):
+    try:
+        return parse(Path(path).read_text(), *args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _sniff_kind(path: Path) -> str:
-    first = next(iter(path.read_text().splitlines()), "")
-    return "points" if "," in first else "graph"
+def _instance(text: str, shape):
+    first = next((ln for ln in text.splitlines() if ln.strip()), "")
+    if "," not in first:
+        g = parse_edge_list(text)
+        if not is_connected(g):
+            raise DisconnectedGraphError("graph is disconnected")
+        return g
+    pts = parse_points(text)
+    check_distinct(pts)
+    # a BFS on the geometric structure costs a fraction of the oracle graph
+    if len(implicit.simulate_bfs(geometric_nsds(pts, shape), 0)) < len(pts):
+        raise DisconnectedGraphError("intersection graph is disconnected")
+    return pts, shape
 
 
 def _check_gen(args) -> None:
     if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.generator == "sparse-graph" and args.m is None:
-        raise UsageError("sparse-graph needs --m")
+        raise ValueError("sparse-graph needs --m")
     if args.generator == "polygon-points" \
             and (args.sides < 4 or args.sides % 2):
-        raise UsageError(f"--sides must be even and >= 4, got {args.sides}")
+        raise ValueError(f"--sides must be even and >= 4, got {args.sides}")
     for flag, value in (("--box", args.box), ("--radius", args.radius)):
         if value is not None and not (math.isfinite(value) and value > 0):
-            raise UsageError(f"{flag} must be finite and > 0, got {value}")
+            raise ValueError(f"{flag} must be finite and > 0, got {value}")
 
 
 def cmd_gen(args):
@@ -91,20 +102,17 @@ def cmd_gen(args):
     # with an explicit box the density is the caller's choice, so neither
     # point generator retries for connectivity; the default box targets it
     connected = args.box is None
-    try:  # an edge count out of range, or no connected draw in the box
-        if args.generator == "sparse-graph":
-            text = format_edge_list(
-                gen_mod.random_connected_graph(args.n, args.m, rng))
-        elif args.generator == "unit-squares":
-            text = format_points(gen_mod.random_unit_square_points(
-                args.n, box, rng, require_connected=connected))
-        else:
-            shape = gen_mod.random_symmetric_polygon(args.sides // 2, rng,
-                                                     radius=args.radius)
-            text = format_points(gen_mod.random_points_for_shape(
-                args.n, shape, box, rng, require_connected=connected))
-    except (ValueError, RuntimeError) as exc:
-        raise UsageError(str(exc)) from None
+    if args.generator == "sparse-graph":
+        text = format_edge_list(
+            gen_mod.random_connected_graph(args.n, args.m, rng))
+    elif args.generator == "unit-squares":
+        text = format_points(gen_mod.random_unit_square_points(
+            args.n, box, rng, require_connected=connected))
+    else:
+        shape = gen_mod.random_symmetric_polygon(args.sides // 2, rng,
+                                                 radius=args.radius)
+        text = format_points(gen_mod.random_points_for_shape(
+            args.n, shape, box, rng, require_connected=connected))
     out.write_text(text)
     if args.generator == "polygon-points":
         poly_out = Path(args.polygon_output or out.with_suffix(".poly.csv"))
@@ -115,42 +123,17 @@ def cmd_gen(args):
     return 0
 
 
-# Every algorithm needs a finite diameter.  load_edge_list checks an edge
-# list; a point instance is checked on what the algorithm builds from it.
-def _materialize(kind, payload) -> Graph:
-    if kind == "graph":
-        return payload
-    g = intersection_graph_naive(*payload)
-    if not is_connected(g):
-        raise DisconnectedGraphError("intersection graph is disconnected")
-    return g
-
-
-def _nsds(kind, payload) -> MaskNeighbourSets:
-    if kind == "graph":
-        return MaskNeighbourSets.from_graph(payload)
-    nsds = geometric_nsds(*payload)
-    # a BFS on a fresh structure over the same masks leaves the counters of
-    # the returned one at zero
-    reached = implicit.simulate_bfs(MaskNeighbourSets(nsds.closed), 0)
-    if len(reached) != nsds.n:
-        raise DisconnectedGraphError("intersection graph is disconnected")
-    return nsds
-
-
 def _check_k_d(what: str, k: int, k_min: int, d: int) -> None:
     if k < k_min:
-        raise UsageError(f"{what} needs k >= {k_min}")
+        raise ValueError(f"{what} needs k >= {k_min}")
     if d < 2:
-        raise UsageError(f"d must be >= 2, got {d}")
+        raise ValueError(f"d must be >= 2, got {d}")
 
 
-def run_algorithm(algorithm, kind, payload, k, d, seed) -> RunReport:
-    # naive ignores d but rejects a bad one too, like the other algorithms.
-    _check_k_d(f"{algorithm} algorithm", k, 0 if algorithm == "naive" else 1,
-               d)
+def run_algorithm(algorithm, inst, k, d, seed) -> RunReport:
+    """Decide diameter <= k on ``inst``, an instance from :func:`_load`."""
     start = time.perf_counter()
-    found, counters = _found_diameter(algorithm, kind, payload, k, d, seed)
+    found, counters = _found_diameter(algorithm, inst, k, d, seed)
     wall = time.perf_counter() - start
     return RunReport("", algorithm, k, d, seed,
                      found is not None and found <= k, wall, counters)
@@ -160,54 +143,58 @@ def _format_report(report: RunReport, fmt: str) -> str:
     payload = asdict(report)
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
-    counters = payload.pop("counters")
-    payload.update(counters)
+    payload.update(payload.pop("counters"))
+    return _csv([payload])
+
+
+def _csv(rows: list) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(payload.keys()))
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
     writer.writeheader()
-    writer.writerow(payload)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
+def _write(text: str, output) -> None:
+    """``text`` to the file ``output``, or to stdout when it is None."""
+    if output:
+        Path(output).write_text(text)
+    else:
+        print(text, end="")
+
+
 def cmd_diam(args):
-    try:
-        kind, payload = _load_instance(args)
-    except (OSError, ValueError) as exc:  # unreadable, malformed, disconnected
-        raise UsageError(f"{args.input}: {exc}") from None
-    try:
-        report = run_algorithm(args.algo, kind, payload, args.k, args.d,
-                               args.seed)
-    except DisconnectedGraphError as exc:  # a disconnected point instance
-        raise UsageError(f"{args.input}: {exc}") from None
+    # naive ignores d but rejects a bad one too, like the other algorithms.
+    _check_k_d(f"{args.algo} algorithm", args.k,
+               0 if args.algo == "naive" else 1, args.d)
+    report = run_algorithm(args.algo, _load(args.input, args.polygon),
+                           args.k, args.d, args.seed)
     report.instance = str(args.input)
     log.info("diam %s on %s: %s in %.3fs", args.algo, args.input,
              report.answer, report.wall_seconds)
-    text = _format_report(report, args.format)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        print(text, end="")
+    _write(_format_report(report, args.format), args.output)
     return 0
 
 
-def _found_diameter(algo, kind, payload, k_max, d, seed, g=None):
-    """What one run of ``algo`` says about the diameter, and its counters.
-    Naive gives the diameter, a fast path the first full radius of one
-    sweep to ``k_max`` (None when none is full).  Either way the answer for
-    k is ``found <= k``.  Naive and explicit run on ``g``, the instance's
-    graph, built here when it is None; implicit builds its own structure.
+def _found_diameter(algo, inst, k_max, d, seed, g=None):
+    """What one run of ``algo`` on ``inst`` (a Graph or ``(points, shape)``)
+    says about the diameter, and its counters.  Naive gives the diameter, a
+    fast path the first full radius of one sweep to ``k_max`` (None when
+    none is full).  Either way the answer for k is ``found <= k``.  Naive
+    and explicit run on ``g``, the instance's graph, built here when it is
+    None; implicit builds its own structure.
     """
     rng = np.random.default_rng(seed)
     if algo == "implicit":
-        nsds = _nsds(kind, payload)
+        nsds = MaskNeighbourSets.from_graph(inst) if isinstance(inst, Graph) \
+            else geometric_nsds(*inst)
         found = diameter_upto(implicit.radius_steps(nsds, nsds.n, d, rng),
                               k_max)
         return found, {"n": nsds.n, "add_neighbours": nsds.add_count,
                        "list_differences": nsds.list_count}
-    if algo not in ("naive", "explicit"):
-        raise UsageError(f"unknown algorithm {algo!r}")
     if g is None:
-        g = _materialize(kind, payload)
+        g = inst if isinstance(inst, Graph) \
+            else intersection_graph_naive(*inst)
     if algo == "naive":
         found = diameter_naive(g)
     else:
@@ -217,14 +204,14 @@ def _found_diameter(algo, kind, payload, k_max, d, seed, g=None):
 
 def cmd_verify(args):
     if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.n_max < 3:
-        raise UsageError(f"--n-max must be >= 3, got {args.n_max}")
+        raise ValueError(f"--n-max must be >= 3, got {args.n_max}")
     for algo in args.algos:
         _check_k_d(f"{algo} algorithm", args.k_min,
                    0 if algo == "naive" else 1, args.d)
     if args.k_max < args.k_min:
-        raise UsageError(f"--k-max {args.k_max} is below --k-min {args.k_min}")
+        raise ValueError(f"--k-max {args.k_max} is below --k-min {args.k_min}")
     rng = np.random.default_rng(args.seed)
     failures = []
     checked = 0
@@ -234,20 +221,20 @@ def cmd_verify(args):
             n = int(rng.integers(3, args.n_max + 1))
             m_max = min(n * (n - 1) // 2, 3 * n)
             m = int(rng.integers(n - 1, m_max + 1))
-            kind, payload = "graph", gen_mod.random_connected_graph(
+            g = inst = gen_mod.random_connected_graph(
                 n, m, np.random.default_rng(seed))
         else:
             n = int(rng.integers(3, args.n_max + 1))
             pts = gen_mod.random_unit_square_points(
                 n, gen_mod.default_box(n), np.random.default_rng(seed))
-            kind, payload = "points", (pts, axis_square(1.0))
+            inst = (pts, axis_square(1.0))
+            g = intersection_graph_naive(*inst)
         # naive and explicit reuse the trial's graph; implicit keeps the
         # points so that it builds its own structure.  Every algorithm is
         # checked against the per-source BFS oracle.
-        g = _materialize(kind, payload)
         diam = int(_kernels.eccentricities(*g.csr).max())
-        found = {algo: _found_diameter(algo, kind, payload, args.k_max,
-                                       args.d, seed, g)[0]
+        found = {algo: _found_diameter(algo, inst, args.k_max, args.d, seed,
+                                       g)[0]
                  for algo in args.algos}
         for k in range(args.k_min, args.k_max + 1):
             want = diam <= k
@@ -268,20 +255,18 @@ def cmd_verify(args):
 
 def cmd_bench(args):
     _check_k_d("bench", args.k, 1, args.d)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = args.sizes.split(",")
+    if not all(s.strip().isdecimal() and int(s) >= 1 for s in sizes):
+        raise ValueError(f"--sizes must be integers >= 1, got {args.sizes}")
     rows = [r.as_dict() for r in bench_mod.scaling_rows(
-        args.kind, sizes, args.k, args.d, args.seed)]
+        args.kind, [int(s) for s in sizes], args.k, args.d, args.seed)]
+    _write(_csv(rows), args.output)
+    if args.output:
+        print(f"wrote {args.output}")
     if len(sizes) >= 2:
         slope = bench_mod.loglog_slope([r["n"] for r in rows],
                                        [r["diff_sum"] for r in rows])
         print(f"# diff_sum log-log slope: {slope:.3f}", file=sys.stderr)
-    out = Path(args.output).open("w", newline="") if args.output else sys.stdout
-    writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    if args.output:
-        out.close()
-        print(f"wrote {args.output}")
     return 0
 
 
@@ -309,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--algo", choices=["naive", "explicit", "implicit"],
                    required=True)
     d.add_argument("--input", required=True)
-    d.add_argument("--kind", choices=["graph", "points"])
     d.add_argument("--polygon", help="polygon CSV for point instances")
     d.add_argument("--k", type=int, required=True)
     d.add_argument("--d", type=int, default=4)
@@ -346,9 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Rejected input, a ValueError (the library's type
+    for it) or an OSError, prints one ``error:`` line and exits 2; anything
+    else is a fault in the program and keeps its traceback."""
     logging.basicConfig(level=os.environ.get("KDIAM_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        message = f"{exc.filename}: {exc.strerror}" \
+            if isinstance(exc, OSError) and exc.filename else exc
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

@@ -86,6 +86,6 @@ def random_points_for_shape(n: int, shape: ConvexPolygon, box: float,
             return pts
         if n == 1 or is_connected(intersection_graph_naive(pts, shape)):
             return pts
-    raise RuntimeError(
+    raise ValueError(
         f"no connected instance in {MAX_TRIES} tries (n={n}, box={box}); "
         "shrink the box")

@@ -192,16 +192,23 @@ def load_points(path) -> np.ndarray:
 
 
 def parse_polygon(text: str) -> ConvexPolygon:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
     if not lines:
         raise ValueError("empty polygon file")
     try:
-        s = int(lines[0])
+        s = int(lines[0][1])
     except ValueError as exc:
         raise ValueError("first line must be the side count") from exc
     if len(lines) - 1 != s:
         raise ValueError(f"expected {s} vertex lines, found {len(lines) - 1}")
-    verts = [tuple(float(t) for t in ln.split(",")) for ln in lines[1:]]
+    verts = []
+    for i, ln in lines[1:]:
+        try:
+            x, y = map(float, ln.split(","))
+        except ValueError:
+            raise ValueError(f"line {i}: expected 'x,y'") from None
+        verts.append((x, y))
     return ConvexPolygon(verts)
 
 

@@ -222,15 +222,22 @@ class TestErrors:
             main(["diam", "--algo", "nope", "--input", "x", "--k", "1"])
 
     @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_non_finite_point_rejected(self, tmp_path, capsys, algo, bad):
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", "line 3: coordinates must be finite"),
+        ("inf", "line 3: coordinates must be finite"),
+        ("-inf", "line 3: coordinates must be finite"),
+        ("0.0", "duplicate points 0 and 2"),
+    ], ids=["nan", "inf", "-inf", "duplicate"])
+    def test_non_finite_point_rejected(self, tmp_path, capsys, algo, bad,
+                                       message):
         pts = tmp_path / "pts.csv"
-        pts.write_text(f"0.0,0.0\n0.5,0.0\n{bad},0.5\n")
+        pts.write_text(f"0.0,0.5\n0.5,0.0\n{bad},0.5\n")
         with pytest.raises(SystemExit) as exc:
             main(["diam", "--algo", algo, "--input", str(pts), "--k", "2"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {pts}: line 3: coordinates must be finite"]
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.strip().splitlines() == [f"error: {pts}: {message}"]
 
     @pytest.mark.parametrize("text", ["4 2\n0 1\n2 3\n", "", None])
     def test_bad_input_file_rejected(self, tmp_path, capsys, text):
@@ -258,27 +265,42 @@ class TestErrors:
     @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
     @pytest.mark.parametrize("flags, message", [
         (["--k", "2", "--d", "1"], "d must be >= 2, got 1"),
-        (["--k", "-1"], "{algo} algorithm needs k >= {k_min}")],
-        ids=["d=1", "k=-1"])
-    def test_bad_k_or_d_rejected(self, capsys, algo, flags, message):
+        (["--k", "-1"], "{algo} algorithm needs k >= {k_min}"),
+        (["--k", "2", "--output", "{tmp}/no/r.json"],
+         "{tmp}/no/r.json: No such file or directory")],
+        ids=["d=1", "k=-1", "output-unwritable"])
+    def test_bad_k_or_d_rejected(self, tmp_path, capsys, algo, flags,
+                                 message):
         pts = Path(__file__).parent / "data" / "squares_small.csv"
+        flags = [f.format(tmp=tmp_path) for f in flags]
         with pytest.raises(SystemExit) as exc:
             main(["diam", "--algo", algo, "--input", str(pts), *flags])
         assert exc.value.code == 2
-        err = capsys.readouterr().err.strip().splitlines()
+        out = capsys.readouterr()
+        assert out.out == ""
         k_min = 0 if algo == "naive" else 1
-        assert err == ["error: " + message.format(algo=algo, k_min=k_min)]
+        assert out.err.strip().splitlines() == \
+            ["error: " + message.format(algo=algo, k_min=k_min, tmp=tmp_path)]
 
     @pytest.mark.parametrize("flags, message", [
         (["--d", "1"], "d must be >= 2, got 1"),
-        (["--k", "0"], "bench needs k >= 1")], ids=["d=1", "k=0"])
-    def test_bench_bad_k_or_d_rejected(self, capsys, flags, message):
+        (["--k", "0"], "bench needs k >= 1"),
+        (["--sizes", "20,abc"], "--sizes must be integers >= 1, got 20,abc"),
+        (["--kind", "sparse-graph", "--sizes", "0,5"],
+         "--sizes must be integers >= 1, got 0,5"),
+        (["--output", "{tmp}/no/b.csv"],
+         "{tmp}/no/b.csv: No such file or directory")],
+        ids=["d=1", "k=0", "sizes=abc", "sizes=0", "output-unwritable"])
+    def test_bench_bad_k_or_d_rejected(self, tmp_path, capsys, flags,
+                                       message):
+        flags = [f.format(tmp=tmp_path) for f in flags]
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--sizes", "20,40", *flags])
         assert exc.value.code == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.strip().splitlines() == ["error: " + message]
+        assert out.err.strip().splitlines() == \
+            ["error: " + message.format(tmp=tmp_path)]
 
     @pytest.mark.parametrize("sides", ["5", "3", "2"])
     def test_bad_polygon_sides_rejected(self, tmp_path, capsys, sides):
@@ -304,16 +326,22 @@ class TestErrors:
         (["polygon-points", "--n", "60", "--radius", "0.05"],
          "no connected instance in 200 tries (n=60, box=5.477225575051661);"
          " shrink the box"),
-    ], ids=["n=0", "m=100", "box=-2", "box=nan", "radius=0", "no-connected-draw"])
+        (["unit-squares", "--n", "10", "--output", "{tmp}/no/x.csv"],
+         "{tmp}/no/x.csv: No such file or directory"),
+    ], ids=["n=0", "m=100", "box=-2", "box=nan", "radius=0",
+            "no-connected-draw", "output-unwritable"])
     def test_bad_gen_arguments_rejected(self, tmp_path, capsys, argv,
                                         message):
+        # a later --output in argv takes the place of this one
         out = tmp_path / "x.csv"
+        argv = [a.format(tmp=tmp_path) for a in argv]
         with pytest.raises(SystemExit) as exc:
-            main(["gen", *argv, "--output", str(out)])
+            main(["gen", "--output", str(out), *argv])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.strip().splitlines() == ["error: " + message]
+        assert captured.err.strip().splitlines() == \
+            ["error: " + message.format(tmp=tmp_path)]
         assert not out.exists()
 
     @pytest.mark.parametrize("generator", ["unit-squares", "polygon-points"])
@@ -326,18 +354,36 @@ class TestErrors:
         assert pts.shape == (60, 2)
         assert ((0 <= pts) & (pts <= 40)).all()
 
-    @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
-    def test_shape_with_two_vertices_rejected(self, tmp_path, capsys, algo):
-        # unit segments 10 apart do not touch; no algorithm may answer
+    # (polygon file text, None for no file; the fault), each under every
+    # algorithm; the two-vertex cases keep their plain algorithm ids
+    POLYGON_FAULTS = [
+        ("", "2\n0,0\n1,0\n", "a polygon needs at least 3 vertices"),
+        ("missing-", None, "No such file or directory"),
+        ("short-", "3\n0,0\n1,0\n", "expected 3 vertex lines, found 2"),
+        ("malformed-", "3\n0,0\n1,0,5\n0,1\n", "line 3: expected 'x,y'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "algo, text, message",
+        [(a, t, m) for _, t, m in POLYGON_FAULTS
+         for a in ("naive", "explicit", "implicit")],
+        ids=[f + a for f, _, _ in POLYGON_FAULTS
+             for a in ("naive", "explicit", "implicit")])
+    def test_shape_with_two_vertices_rejected(self, tmp_path, capsys, algo,
+                                              text, message):
+        # a fault in the polygon file names that file, not the points file;
+        # unit segments 10 apart would not touch, so no algorithm may answer
         pts, poly = tmp_path / "pts.csv", tmp_path / "seg.poly.csv"
         pts.write_text("0,0\n10,0\n20,0\n")
-        poly.write_text("2\n0,0\n1,0\n")
+        if text is not None:
+            poly.write_text(text)
         with pytest.raises(SystemExit) as exc:
             main(["diam", "--algo", algo, "--input", str(pts),
                   "--polygon", str(poly), "--k", "1"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {pts}: a polygon needs at least 3 vertices"]
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.strip().splitlines() == [f"error: {poly}: {message}"]
 
     def test_implicit_points_never_build_the_graph(self, tmp_path, capsys,
                                                    monkeypatch):

@@ -317,6 +317,8 @@ class TestFileFormats:
             parse_polygon("x\n1,2\n")
         with pytest.raises(ValueError):
             parse_polygon("3\n0,0\n1,0\n")
+        with pytest.raises(ValueError, match="line 3: expected 'x,y'"):
+            parse_polygon("3\n0,0\n1,0,5\n0,1\n")
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
     def test_points_reject_non_finite(self, bad):

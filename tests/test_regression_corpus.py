@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kdiam.cli import run_algorithm
+from kdiam.cli import _load, run_algorithm
 from kdiam.geometry import (axis_square, intersection_graph_naive,
                             load_points, load_polygon)
-from kdiam.graph import diameter_naive, load_edge_list
+from kdiam.graph import diameter_naive
 from kdiam.implicit import k_diameter_implicit
 from kdiam.plane import geometric_nsds
 
@@ -34,14 +34,11 @@ CASES = [
 @pytest.mark.parametrize("name,kind,poly", CASES,
                          ids=[c[0] for c in CASES])
 def test_all_algorithms_agree(name, kind, poly):
-    if kind == "graph":
-        payload = load_edge_list(DATA / name)
-    else:
-        shape = load_polygon(DATA / poly) if poly else axis_square(1.0)
-        payload = (load_points(DATA / name), shape)
+    inst = _load(DATA / name, DATA / poly if poly else None)
+    assert isinstance(inst, tuple) == (kind == "points")
     for k in range(1, 5):
         answers = {
-            algo: run_algorithm(algo, kind, payload, k, 4, seed=7).answer
+            algo: run_algorithm(algo, inst, k, 4, seed=7).answer
             for algo in ("naive", "explicit", "implicit")
         }
         assert len(set(answers.values())) == 1, (name, k, answers)
