@@ -53,9 +53,6 @@ class BenchRow:
     diff_sum: int
     identity_diff_sum: int
 
-    def as_dict(self):
-        return self.__dict__.copy()
-
 
 def squares_graph(n: int, seed: int) -> Graph:
     rng = np.random.default_rng(seed)

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,26 +36,14 @@ from .nsds import MaskNeighbourSets
 from .plane import geometric_nsds
 
 
-@dataclass
-class RunReport:
-    instance: str
-    algorithm: str
-    k: int
-    d: int
-    seed: int
-    answer: bool
-    wall_seconds: float
-    counters: dict = field(default_factory=dict)
-
-
 def _load(path, polygon=None):
     """The instance in file ``path``, checked once for every algorithm: a
     connected Graph for an edge list, or ``(points, shape)`` for a points
     CSV (a comma on the first non-blank line), ``shape`` being the polygon
-    in file ``polygon`` (the unit square when None).  Points must be finite
-    and distinct and their intersection graph connected.  A ValueError
-    names the file at fault."""
-    shape = _parse(polygon, parse_polygon) if polygon else axis_square(1.0)
+    in file ``polygon`` (the unit square when None; an edge list takes
+    none).  Points must be finite and distinct and their intersection graph
+    connected.  A ValueError names the file at fault."""
+    shape = _parse(polygon, parse_polygon) if polygon else None
     return _parse(path, _instance, shape)
 
 
@@ -69,12 +57,15 @@ def _parse(path, parse, *args):
 def _instance(text: str, shape):
     first = next((ln for ln in text.splitlines() if ln.strip()), "")
     if "," not in first:
+        if shape is not None:
+            raise ValueError("an edge list takes no --polygon")
         g = parse_edge_list(text)
         if not is_connected(g):
             raise DisconnectedGraphError("graph is disconnected")
         return g
     pts = parse_points(text)
     check_distinct(pts)
+    shape = shape or axis_square(1.0)
     # a BFS on the geometric structure costs a fraction of the oracle graph
     if len(implicit.simulate_bfs(geometric_nsds(pts, shape), 0)) < len(pts):
         raise DisconnectedGraphError("intersection graph is disconnected")
@@ -116,7 +107,11 @@ def cmd_gen(args):
     out.write_text(text)
     if args.generator == "polygon-points":
         poly_out = Path(args.polygon_output or out.with_suffix(".poly.csv"))
-        poly_out.write_text(format_polygon(shape))
+        try:
+            poly_out.write_text(format_polygon(shape))
+        except OSError:
+            out.unlink()  # a failed run leaves no partial output
+            raise
         print(f"wrote {out} and {poly_out}")
     else:
         print(f"wrote {out}")
@@ -128,23 +123,6 @@ def _check_k_d(what: str, k: int, k_min: int, d: int) -> None:
         raise ValueError(f"{what} needs k >= {k_min}")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-
-
-def run_algorithm(algorithm, inst, k, d, seed) -> RunReport:
-    """Decide diameter <= k on ``inst``, an instance from :func:`_load`."""
-    start = time.perf_counter()
-    found, counters = _found_diameter(algorithm, inst, k, d, seed)
-    wall = time.perf_counter() - start
-    return RunReport("", algorithm, k, d, seed,
-                     found is not None and found <= k, wall, counters)
-
-
-def _format_report(report: RunReport, fmt: str) -> str:
-    payload = asdict(report)
-    if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    payload.update(payload.pop("counters"))
-    return _csv([payload])
 
 
 def _csv(rows: list) -> str:
@@ -167,12 +145,19 @@ def cmd_diam(args):
     # naive ignores d but rejects a bad one too, like the other algorithms.
     _check_k_d(f"{args.algo} algorithm", args.k,
                0 if args.algo == "naive" else 1, args.d)
-    report = run_algorithm(args.algo, _load(args.input, args.polygon),
-                           args.k, args.d, args.seed)
-    report.instance = str(args.input)
+    inst = _load(args.input, args.polygon)
+    start = time.perf_counter()
+    found, counters = _found_diameter(args.algo, inst, args.k, args.d,
+                                      args.seed)
+    report = {"instance": str(args.input), "algorithm": args.algo,
+              "k": args.k, "d": args.d, "seed": args.seed,
+              "answer": found is not None and found <= args.k,
+              "wall_seconds": time.perf_counter() - start}
     log.info("diam %s on %s: %s in %.3fs", args.algo, args.input,
-             report.answer, report.wall_seconds)
-    _write(_format_report(report, args.format), args.output)
+             report["answer"], report["wall_seconds"])
+    text = json.dumps({**report, "counters": counters}, indent=2) + "\n" \
+        if args.format == "json" else _csv([{**report, **counters}])
+    _write(text, args.output)
     return 0
 
 
@@ -258,8 +243,12 @@ def cmd_bench(args):
     sizes = args.sizes.split(",")
     if not all(s.strip().isdecimal() and int(s) >= 1 for s in sizes):
         raise ValueError(f"--sizes must be integers >= 1, got {args.sizes}")
-    rows = [r.as_dict() for r in bench_mod.scaling_rows(
-        args.kind, [int(s) for s in sizes], args.k, args.d, args.seed)]
+    sizes = [int(s) for s in sizes]
+    if len(set(sizes)) < len(sizes):
+        # a repeated n adds no point to the fitted slope
+        raise ValueError(f"--sizes must be distinct, got {args.sizes}")
+    rows = [asdict(r) for r in bench_mod.scaling_rows(
+        args.kind, sizes, args.k, args.d, args.seed)]
     _write(_csv(rows), args.output)
     if args.output:
         print(f"wrote {args.output}")

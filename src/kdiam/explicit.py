@@ -40,10 +40,6 @@ class BallEncoding:
     reps: IntervalSets
     radius: int
 
-    @property
-    def n(self):
-        return len(self.order)
-
     def decode(self, v: int) -> set:
         order = self.order
         return {order[p - 1] for p in intervals.positions(self.reps[v])}
@@ -88,7 +84,7 @@ def _closed_unions(g: Graph, reps: IntervalSets) -> IntervalSets:
                         np.concatenate(starts), np.concatenate(ends))
 
 
-def rebase(reps_old, order_old, order_new) -> IntervalSets:
+def rebase(reps_old: IntervalSets, order_old, order_new) -> IntervalSets:
     """Re-express per-vertex interval sets under a new order.
 
     Under the new order, position i opens an interval of rep[x] exactly when
@@ -96,14 +92,10 @@ def rebase(reps_old, order_old, order_new) -> IntervalSets:
     ball(v_i) but not ball(v_i+1); both fall out of one difference sweep
     over the old representations of each consecutive new-order pair.  The
     first position opens all of ball(v_1), the last closes all of ball(v_n).
-    ``reps_old`` is an :class:`IntervalSets` or a sequence of canonical
-    interval tuples.
     """
     n = len(order_old)
     if len(order_new) != n or len(reps_old) != n:
         raise ValueError("orders and representations must agree in size")
-    if not isinstance(reps_old, IntervalSets):
-        reps_old = IntervalSets.from_reps(reps_old)
     old_vertex = np.asarray(order_old, dtype=np.int64)
     # Sets P_0 .. P_{n+1}: P_i is the set of the i-th new-order vertex and
     # P_0 = P_{n+1} is empty.  Pair j compares P_j with P_{j+1}: positions

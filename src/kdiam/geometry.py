@@ -152,11 +152,9 @@ def intersection_graph_naive(points, f: ConvexPolygon) -> Graph:
     return Graph([np.flatnonzero(row).tolist() for row in adj])
 
 
-def axis_square(side: float = 1.0, center=(0.0, 0.0)) -> ConvexPolygon:
+def axis_square(side: float = 1.0) -> ConvexPolygon:
     h = side / 2.0
-    cx, cy = center
-    return ConvexPolygon([[cx - h, cy - h], [cx + h, cy - h],
-                          [cx + h, cy + h], [cx - h, cy + h]])
+    return ConvexPolygon([[-h, -h], [h, -h], [h, h], [-h, h]])
 
 
 # ---------------------------------------------------------------------------

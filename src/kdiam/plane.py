@@ -20,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import stripes as st
-from .geometry import (ConvexPolygon, adjacency_slabs, axis_square,
-                       check_distinct)
+from .geometry import ConvexPolygon, adjacency_slabs, check_distinct
 from .nsds import MaskNeighbourSets
 
 
@@ -38,7 +37,6 @@ class PlaneStructure:
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty (n, 2) array")
         check_distinct(pts)
-        self.n = pts.shape[0]
         self.slabs = slabs
         self.keys = [(pts @ nrm).tolist() for nrm, _, _ in self.slabs]
         self.stripes = [st.stripe_init(keys) for keys in self.keys]
@@ -82,17 +80,15 @@ class PlaneStructure:
                 for j, s in enumerate(self.stripes)}
 
 
-def geometric_nsds(points, shape: ConvexPolygon | None,
+def geometric_nsds(points, shape: ConvexPolygon,
                    seed=None) -> MaskNeighbourSets:
     """Neighbour-set structure of the intersection graph of ``shape``
-    (None: the axis-aligned unit square) placed at ``points``, built without
-    the graph.  The closed neighbourhood of v is exactly the point set the
-    slabs of :func:`kdiam.geometry.adjacency_slabs` cover when centered at
-    v, so ``closed[v]`` is the cover at point v's own projections.  The
-    structure draws nothing at random; ``seed`` is accepted and ignored so
-    callers written for a seeded structure keep working."""
-    if shape is None:
-        shape = axis_square(1.0)
+    placed at ``points``, built without the graph.  The closed
+    neighbourhood of v is exactly the point set the slabs of
+    :func:`kdiam.geometry.adjacency_slabs` cover when centered at v, so
+    ``closed[v]`` is the cover at point v's own projections.  The structure
+    draws nothing at random; ``seed`` is accepted and ignored so callers
+    written for a seeded structure keep working."""
     plane = PlaneStructure(points, adjacency_slabs(shape))
     closed = [plane.cover_keys(keys) for keys in zip(*plane.keys)]
     return MaskNeighbourSets(closed)

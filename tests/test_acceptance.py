@@ -59,7 +59,7 @@ def test_criterion_2_implicit_geometric_oracle_equivalence():
         diam = diameter_naive(g)
         for k in range(1, 6):
             got = k_diameter_implicit(
-                lambda: geometric_nsds(pts, None),
+                lambda: geometric_nsds(pts, axis_square(1.0)),
                 n, k, 4, rng)
             if got != (diam <= k):
                 mismatches += 1

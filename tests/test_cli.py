@@ -288,9 +288,12 @@ class TestErrors:
         (["--sizes", "20,abc"], "--sizes must be integers >= 1, got 20,abc"),
         (["--kind", "sparse-graph", "--sizes", "0,5"],
          "--sizes must be integers >= 1, got 0,5"),
+        # a slope fitted through one repeated n means nothing
+        (["--sizes", "20,20"], "--sizes must be distinct, got 20,20"),
         (["--output", "{tmp}/no/b.csv"],
          "{tmp}/no/b.csv: No such file or directory")],
-        ids=["d=1", "k=0", "sizes=abc", "sizes=0", "output-unwritable"])
+        ids=["d=1", "k=0", "sizes=abc", "sizes=0", "sizes-repeated",
+             "output-unwritable"])
     def test_bench_bad_k_or_d_rejected(self, tmp_path, capsys, flags,
                                        message):
         flags = [f.format(tmp=tmp_path) for f in flags]
@@ -328,8 +331,13 @@ class TestErrors:
          " shrink the box"),
         (["unit-squares", "--n", "10", "--output", "{tmp}/no/x.csv"],
          "{tmp}/no/x.csv: No such file or directory"),
+        # the points file is written first and must not be left behind
+        (["polygon-points", "--n", "12", "--polygon-output",
+          "{tmp}/no/p.poly.csv"],
+         "{tmp}/no/p.poly.csv: No such file or directory"),
     ], ids=["n=0", "m=100", "box=-2", "box=nan", "radius=0",
-            "no-connected-draw", "output-unwritable"])
+            "no-connected-draw", "output-unwritable",
+            "polygon-output-unwritable"])
     def test_bad_gen_arguments_rejected(self, tmp_path, capsys, argv,
                                         message):
         # a later --output in argv takes the place of this one
@@ -343,6 +351,20 @@ class TestErrors:
         assert captured.err.strip().splitlines() == \
             ["error: " + message.format(tmp=tmp_path)]
         assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["naive", "explicit", "implicit"])
+    def test_polygon_with_edge_list_rejected(self, capsys, algo):
+        # --polygon has no meaning for an edge list
+        data = Path(__file__).parent / "data"
+        gf = data / "graph_small.el"
+        with pytest.raises(SystemExit) as exc:
+            main(["diam", "--algo", algo, "--k", "2", "--input", str(gf),
+                  "--polygon", str(data / "hexagon_points.poly.csv")])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.strip().splitlines() == \
+            [f"error: {gf}: an edge list takes no --polygon"]
 
     @pytest.mark.parametrize("generator", ["unit-squares", "polygon-points"])
     def test_explicit_box_skips_connectivity_retry(self, tmp_path, generator):

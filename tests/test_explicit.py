@@ -13,6 +13,7 @@ from kdiam.explicit import (encoding_is_valid, expand_step,
                             radius_steps, rebase)
 from kdiam.gen import random_connected_graph
 from kdiam.graph import diameter_naive, from_edges, neighborhood
+from kdiam.intervals import IntervalSets
 
 
 def complete_graph(n):
@@ -33,7 +34,7 @@ class TestRebase:
 
     def test_k3_any_reorder_full(self):
         g = complete_graph(3)
-        reps = tuple(((1, 3),) for _ in range(3))
+        reps = IntervalSets.from_reps([((1, 3),)] * 3)
         out = rebase(reps, (0, 1, 2), (2, 0, 1))
         assert tuple(out) == (((1, 3),),) * 3
 
@@ -41,9 +42,9 @@ class TestRebase:
         g = path_graph(5)
         order_old = (0, 1, 2, 3, 4)
         pos = {v: i + 1 for i, v in enumerate(order_old)}
-        reps = tuple(
+        reps = IntervalSets.from_reps([
             intervals.canonicalize({pos[u] for u in neighborhood(g, v, 1)})
-            for v in range(5))
+            for v in range(5)])
         rng = np.random.default_rng(1)
         for _ in range(10):
             new_order = tuple(int(x) for x in rng.permutation(5))
@@ -56,7 +57,7 @@ class TestRebase:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            rebase((((1, 1),),), (0,), (0, 1))
+            rebase(IntervalSets.from_reps([((1, 1),)]), (0,), (0, 1))
 
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
         st.lists(st.sets(st.integers(1, n)), min_size=n, max_size=n),
@@ -68,7 +69,8 @@ class TestRebase:
         reps = tuple(intervals.canonicalize(s) for s in sets)
         saved, explicit.BLOCK = explicit.BLOCK, block
         try:
-            got = tuple(rebase(reps, order_old, order_new))
+            got = tuple(rebase(IntervalSets.from_reps(reps), order_old,
+                               order_new))
         finally:
             explicit.BLOCK = saved
         assert got == helpers.rebase(reps, order_old, order_new)
@@ -80,14 +82,16 @@ class TestRebase:
             assert got[x] == intervals.canonicalize(holders)
 
     def test_single_vertex(self):
-        assert tuple(rebase((((1, 1),),), (0,), (0,))) == (((1, 1),),)
+        one = IntervalSets.from_reps([((1, 1),)])
+        assert tuple(rebase(one, (0,), (0,))) == (((1, 1),),)
 
     def test_lost_interval_is_an_error(self):
         # A non-canonical set (the same interval twice) breaks the sweep's
         # coverage count; the endpoint check reports it instead of
         # returning wrong sets.
         with pytest.raises(AssertionError, match="lost an interval"):
-            rebase((((1, 1), (1, 1)), ((2, 2),)), (0, 1), (1, 0))
+            rebase(IntervalSets.from_reps([((1, 1), (1, 1)), ((2, 2),)]),
+                   (0, 1), (1, 0))
 
 
 class TestExpandStep:

@@ -238,7 +238,7 @@ class TestDiameterUpto:
             n = int(rng.integers(5, 40))
             pts = random_unit_square_points(n, default_box(n), rng)
             yield (intersection_graph_naive(pts, axis_square(1.0)),
-                   lambda pts=pts: geometric_nsds(pts, None))
+                   lambda pts=pts: geometric_nsds(pts, axis_square(1.0)))
 
     @pytest.mark.parametrize("path", ["explicit", "implicit"])
     def test_one_sweep_equals_per_k_answers_and_naive(self, path):

@@ -124,7 +124,7 @@ class TestSimulateBfs:
         rng = np.random.default_rng(1)
         pts = random_unit_square_points(25, default_box(25), rng)
         g = intersection_graph_naive(pts, axis_square(1.0))
-        nsds = geometric_nsds(pts, None)
+        nsds = geometric_nsds(pts, axis_square(1.0))
         for v in range(0, g.n, 5):
             got = simulate_bfs(nsds, v)
             ref = bfs_distances(g, v)
@@ -142,8 +142,9 @@ class TestSimulateBfs:
 class TestKDiameterImplicit:
     def test_three_mutually_intersecting_squares(self):
         pts = np.array([[0.0, 0.0], [0.5, 0.3], [0.2, 0.6]])
-        got = k_diameter_implicit(lambda: geometric_nsds(pts, None, 0),
-                                  3, 1, 4, np.random.default_rng(0))
+        got = k_diameter_implicit(
+            lambda: geometric_nsds(pts, axis_square(1.0), 0),
+            3, 1, 4, np.random.default_rng(0))
         assert got is True
 
     def test_collinear_squares_chain(self):
@@ -181,7 +182,7 @@ class TestKDiameterImplicit:
             diam = diameter_naive(g)
             for k in range(1, 5):
                 got = k_diameter_implicit(
-                    lambda: geometric_nsds(pts, None),
+                    lambda: geometric_nsds(pts, axis_square(1.0)),
                     n, k, 4, rng)
                 assert got == (diam <= k)
 
@@ -327,12 +328,12 @@ class TestSameWorkAsReference:
         for trial in range(3):
             n = int(rng.integers(20, 40))
             if label == "square":
-                shape = None
+                shape = axis_square(1.0)
                 pts = random_unit_square_points(n, default_box(n), rng)
             else:
                 shape = random_symmetric_polygon(3, rng)
                 pts = random_points_for_shape(n, shape, 2.5, rng)
-            g = intersection_graph_naive(pts, shape or axis_square(1.0))
+            g = intersection_graph_naive(pts, shape)
             diam = diameter_naive(g)
             for k in sorted({max(1, diam - 1), diam}):
                 self.check(lambda: geometric_nsds(pts, shape),

@@ -37,7 +37,8 @@ class TestHandles:
     def test_out_of_range_vertex_rejected(self):
         # A plain closed[v] lookup would wrap v = -1 around silently.
         for nsds in (MaskNeighbourSets.from_graph(star_graph(2)),
-                     geometric_nsds([(0.0, 0.0), (3.0, 3.0)], None)):
+                     geometric_nsds([(0.0, 0.0), (3.0, 3.0)],
+                                    axis_square(1.0))):
             for v in (99, -1):
                 with pytest.raises(ValueError):
                     nsds.add_neighbours(nsds.empty, v)
@@ -105,7 +106,7 @@ class TestClosedMasks:
         pts = rng.uniform(0, 5, size=(40, 2))
         g = intersection_graph_naive(pts, axis_square(1.0))
         closed = [set(g.adjacency[v]) | {v} for v in range(g.n)]
-        geo = geometric_nsds(pts, None)
+        geo = geometric_nsds(pts, axis_square(1.0))
         replay, hg = [set()], [geo.empty]
         for _ in range(120):
             base = int(rng.integers(0, len(hg)))
@@ -136,7 +137,7 @@ class TestClosedMasks:
         made = []
 
         def factory():
-            made.append(geometric_nsds(pts, None))
+            made.append(geometric_nsds(pts, axis_square(1.0)))
             return made[-1]
 
         got = k_diameter_implicit(factory, 60, 3, 4,
@@ -148,7 +149,7 @@ class TestClosedMasks:
 
     def test_handles_are_checked(self):
         pts = [(0.0, 0.0), (3.0, 3.0)]
-        nsds = geometric_nsds(pts, None)
+        nsds = geometric_nsds(pts, axis_square(1.0))
         h = nsds.add_neighbours(nsds.empty, 1)
         with pytest.raises(ValueError):
             nsds.add_neighbours(h, 2)

@@ -317,7 +317,7 @@ class TestGeometricNSDS:
         rng = np.random.default_rng(9)
         pts = random_unit_square_points(40, 4.0, rng)
         g = intersection_graph_naive(pts, axis_square(1.0))
-        nsds = geometric_nsds(pts, None)
+        nsds = geometric_nsds(pts, axis_square(1.0))
         for v in range(0, 40, 7):
             h = nsds.add_neighbours(nsds.empty, v)
             got = set(nsds.list_differences(nsds.empty, h))
@@ -325,7 +325,7 @@ class TestGeometricNSDS:
 
     def test_far_apart_points_self_only(self):
         pts = [(0.0, 0.0), (40.0, 40.0)]
-        nsds = geometric_nsds(pts, None)
+        nsds = geometric_nsds(pts, axis_square(1.0))
         h = nsds.add_neighbours(nsds.empty, 0)
         assert nsds.list_differences(nsds.empty, h) == [0]
 
@@ -338,7 +338,8 @@ class TestGeometricNSDS:
             h = nsds.add_neighbours(nsds.empty, v)
             assert v in set(nsds.list_differences(nsds.empty, h))
 
-    @pytest.mark.parametrize("shape", [None, SKEW_HEX, TRIANGLE, PENTAGON])
+    @pytest.mark.parametrize("shape",
+                             [axis_square(1.0), SKEW_HEX, TRIANGLE, PENTAGON])
     def test_contract_equivalence_with_naive(self, shape):
         # 50 random operation sequences per shape, each checked against
         # Python sets replayed over the materialized graph
@@ -346,7 +347,7 @@ class TestGeometricNSDS:
             rng = np.random.default_rng(1000 + seq)
             n = int(rng.integers(5, 40))
             pts = rng.uniform(0, 6, size=(n, 2))
-            g = intersection_graph_naive(pts, shape or axis_square(1.0))
+            g = intersection_graph_naive(pts, shape)
             closed = [set(g.adjacency[v]) | {v} for v in range(g.n)]
             geo = geometric_nsds(pts, shape)
             geo_handles = [geo.empty]

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kdiam.cli import _load, run_algorithm
+from kdiam.cli import _found_diameter, _load
 from kdiam.geometry import (axis_square, intersection_graph_naive,
                             load_points, load_polygon)
-from kdiam.graph import diameter_naive
+from kdiam.graph import Graph, diameter_naive, from_edges
 from kdiam.implicit import k_diameter_implicit
 from kdiam.plane import geometric_nsds
 
@@ -37,11 +37,48 @@ def test_all_algorithms_agree(name, kind, poly):
     inst = _load(DATA / name, DATA / poly if poly else None)
     assert isinstance(inst, tuple) == (kind == "points")
     for k in range(1, 5):
-        answers = {
-            algo: run_algorithm(algo, inst, k, 4, seed=7).answer
-            for algo in ("naive", "explicit", "implicit")
-        }
+        answers = {}
+        for algo in ("naive", "explicit", "implicit"):
+            found = _found_diameter(algo, inst, k, 4, seed=7)[0]
+            answers[algo] = found is not None and found <= k
         assert len(set(answers.values())) == 1, (name, k, answers)
+
+
+def _permuted(inst, perm):
+    """``inst`` with vertex v renamed perm[v]: an edge list relabelled, or
+    the point rows reordered so that row perm[v] holds point v."""
+    if isinstance(inst, Graph):
+        return from_edges(inst.n, [(perm[u], perm[v])
+                                   for u, v in inst.edges()])
+    pts, shape = inst
+    moved = np.empty_like(pts)
+    moved[perm] = pts
+    return moved, shape
+
+
+@pytest.mark.parametrize("name,kind,poly", CASES,
+                         ids=[c[0] for c in CASES])
+def test_answers_survive_relabelling(name, kind, poly):
+    # Renaming the vertices changes no distance, so for k = D - 1 and D
+    # every algorithm must answer on 3 seeded relabellings as it does on
+    # the file's own order.  Only the orders the fast paths draw change.
+    inst = _load(DATA / name, DATA / poly if poly else None)
+    g = inst if isinstance(inst, Graph) else intersection_graph_naive(*inst)
+    diam = diameter_naive(g)
+    ks = [k for k in (diam - 1, diam) if k >= 1]
+
+    def answers(instance):
+        out = {}
+        for algo in ("naive", "explicit", "implicit"):
+            found = _found_diameter(algo, instance, diam, 4, seed=7)[0]
+            out[algo] = [found is not None and found <= k for k in ks]
+        return out
+
+    want = answers(inst)
+    assert want == {algo: [k >= diam for k in ks] for algo in want}
+    for seed in range(3):
+        perm = np.random.default_rng([seed, g.n]).permutation(g.n).tolist()
+        assert answers(_permuted(inst, perm)) == want, (name, seed)
 
 
 POINT_CASES = [c for c in CASES if c[1] == "points"]
