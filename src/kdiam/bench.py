@@ -9,23 +9,14 @@ import numpy as np
 
 from .gen import default_box, random_connected_graph, random_unit_square_points
 from .geometry import axis_square, intersection_graph_naive
-from .graph import Graph, balls_at
+from .graph import Graph, balls_at, ids_of
 from .order import order_from_membership
-from .stripes import ids_of
 
 
-def order_difference_sum(g: Graph, k: int, d: int,
-                         rng: np.random.Generator) -> tuple:
-    """Compute a low-difference order and the exact total consecutive ball
-    difference under it.  Returns (order, diff_sum).
-
-    The radius-k balls are read from one all-sources sweep as n masks of n
-    bits, about n²/8 bytes (20 MB at n = 12,800).
-    """
-    return _order_and_sum(balls_at(g, k), d, rng)
-
-
-def _order_and_sum(balls: list, d: int, rng: np.random.Generator) -> tuple:
+def order_and_sum(balls: list, d: int, rng: np.random.Generator) -> tuple:
+    """A low-difference order of ``balls`` (masks in the format of
+    :func:`kdiam.graph.ball_masks`, such as ``balls_at(g, k)``) and the
+    exact total consecutive ball difference under it: (order, diff_sum)."""
     order = order_from_membership(lambda x: ids_of(balls[x]), len(balls), d,
                                   rng)
     return order, _difference_sum(balls, order)
@@ -76,7 +67,7 @@ def scaling_rows(kind: str, sizes, k: int, d: int, seed: int) -> list:
         rng = np.random.default_rng(seed)
         start = time.perf_counter()
         balls = balls_at(g, k)
-        _, diff = _order_and_sum(balls, d, rng)
+        _, diff = order_and_sum(balls, d, rng)
         elapsed = time.perf_counter() - start
         ident = _difference_sum(balls, range(g.n))
         rows.append(BenchRow(g.n, g.m, seed, elapsed, diff, ident))

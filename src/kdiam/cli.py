@@ -161,13 +161,13 @@ def cmd_diam(args):
     return 0
 
 
-def _found_diameter(algo, inst, k_max, d, seed, g=None):
+def _found_diameter(algo, inst, k_max, d, seed):
     """What one run of ``algo`` on ``inst`` (a Graph or ``(points, shape)``)
     says about the diameter, and its counters.  Naive gives the diameter, a
     fast path the first full radius of one sweep to ``k_max`` (None when
     none is full).  Either way the answer for k is ``found <= k``.  Naive
-    and explicit run on ``g``, the instance's graph, built here when it is
-    None; implicit builds its own structure.
+    and explicit build the graph of a point instance; implicit builds its
+    own structure.
     """
     rng = np.random.default_rng(seed)
     if algo == "implicit":
@@ -177,9 +177,7 @@ def _found_diameter(algo, inst, k_max, d, seed, g=None):
                               k_max)
         return found, {"n": nsds.n, "add_neighbours": nsds.add_count,
                        "list_differences": nsds.list_count}
-    if g is None:
-        g = inst if isinstance(inst, Graph) \
-            else intersection_graph_naive(*inst)
+    g = inst if isinstance(inst, Graph) else intersection_graph_naive(*inst)
     if algo == "naive":
         found = diameter_naive(g)
     else:
@@ -218,8 +216,8 @@ def cmd_verify(args):
         # points so that it builds its own structure.  Every algorithm is
         # checked against the per-source BFS oracle.
         diam = int(_kernels.eccentricities(*g.csr).max())
-        found = {algo: _found_diameter(algo, inst, args.k_max, args.d, seed,
-                                       g)[0]
+        found = {algo: _found_diameter(algo, inst if algo == "implicit"
+                                       else g, args.k_max, args.d, seed)[0]
                  for algo in args.algos}
         for k in range(args.k_min, args.k_max + 1):
             want = diam <= k
@@ -253,9 +251,10 @@ def cmd_bench(args):
     if args.output:
         print(f"wrote {args.output}")
     if len(sizes) >= 2:
-        slope = bench_mod.loglog_slope([r["n"] for r in rows],
-                                       [r["diff_sum"] for r in rows])
-        print(f"# diff_sum log-log slope: {slope:.3f}", file=sys.stderr)
+        ns, sums = zip(*((r["n"], r["diff_sum"]) for r in rows))
+        slope = f"{bench_mod.loglog_slope(ns, sums):.3f}" if all(sums) \
+            else "undefined (a diff_sum is 0)"
+        print(f"# diff_sum log-log slope: {slope}", file=sys.stderr)
     return 0
 
 

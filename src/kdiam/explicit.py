@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intervals, order
-from .graph import Graph, balls_at, diameter_upto
+from .graph import Graph, balls_at, diameter_upto, ids_of
 from .intervals import IntervalSets
-from .stripes import ids_of
 
 # Most intervals one bulk union or difference sweep takes in.  Larger work is
 # split into blocks of consecutive vertices, which bounds the memory of the

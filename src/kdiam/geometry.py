@@ -103,13 +103,6 @@ def norm_value(f: ConvexPolygon, x) -> float:
     return max(0.0, max(float(nrm @ x) / off for nrm, off in sides))
 
 
-def shape_metric(f: ConvexPolygon, a, b) -> float:
-    """Distance induced by the gauge (a true metric for symmetric shapes)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return norm_value(f, a - b)
-
-
 def check_distinct(points) -> None:
     """Raise ``ValueError("duplicate points i and j")`` if two rows of the
     (n, 2) array ``points`` are equal, for the smallest such j and i the

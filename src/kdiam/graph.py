@@ -4,7 +4,9 @@ Everything downstream is verified against the functions in this module, so
 they stay deliberately simple: plain adjacency lists, lazily built CSR
 arrays for the single-source BFS kernels, and one sweep,
 :func:`ball_masks`, that grows every ball at once as an ``int`` bit mask
-for the diameter oracle and every other all-sources reader.
+for the diameter oracle and every other all-sources reader.  That mask
+format, bit v for vertex v, is every vertex set's format in the package;
+:func:`ids_of` reads it back.
 """
 
 from __future__ import annotations
@@ -135,6 +137,27 @@ def ball_masks(g: Graph):
         if grown == balls:
             return
         balls = grown
+
+
+_BYTE_BITS = tuple(tuple(i for i in range(8) if v >> i & 1)
+                   for v in range(256))
+
+
+def ids_of(mask: int) -> list:
+    """Every set bit i of ``mask``, in increasing i: the vertices of a mask
+    in :func:`ball_masks`' format.  One step per byte of the mask plus one
+    per set bit."""
+    if not mask:
+        return []
+    out = []
+    append = out.append
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+        if byte:
+            for i in _BYTE_BITS[byte]:
+                append(base + i)
+        base += 8
+    return out
 
 
 def balls_at(g: Graph, r: int) -> list:
@@ -269,7 +292,3 @@ def format_edge_list(g: Graph) -> str:
     out = [f"{g.n} {g.m}"]
     out.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(out) + "\n"
-
-
-def save_edge_list(g: Graph, path) -> None:
-    Path(path).write_text(format_edge_list(g))

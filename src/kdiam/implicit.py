@@ -26,10 +26,9 @@ from operator import or_, xor
 
 import numpy as np
 
-from .graph import diameter_upto
+from .graph import diameter_upto, ids_of
 from .nsds import MaskNeighbourSets
 from .order import order_from_membership
-from .stripes import ids_of
 
 
 @dataclass

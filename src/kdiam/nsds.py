@@ -12,8 +12,7 @@ stripe per slab of the shape, without the graph.
 
 from __future__ import annotations
 
-from .graph import Graph
-from .stripes import ids_of
+from .graph import Graph, balls_at, ids_of
 
 
 class MaskNeighbourSets:
@@ -36,9 +35,8 @@ class MaskNeighbourSets:
 
     @classmethod
     def from_graph(cls, g: Graph) -> MaskNeighbourSets:
-        """Structure over an explicit graph."""
-        return cls([sum(1 << u for u in (v, *g.adjacency[v]))
-                    for v in range(g.n)])
+        """Structure over an explicit graph: N[v] is v's radius-1 ball."""
+        return cls(balls_at(g, 1))
 
     def add_neighbours(self, h: int, v: int) -> int:
         """The set h union N[v]."""

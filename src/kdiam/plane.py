@@ -21,6 +21,7 @@ import numpy as np
 
 from . import stripes as st
 from .geometry import ConvexPolygon, adjacency_slabs, check_distinct
+from .graph import ids_of
 from .nsds import MaskNeighbourSets
 
 
@@ -71,7 +72,7 @@ class PlaneStructure:
         """Point ids marked in exactly one of the two masks, in increasing
         order: the set bits of their XOR."""
         self.aux_nodes += 1
-        return st.ids_of(m1 ^ m2)
+        return ids_of(m1 ^ m2)
 
     def stripe_node_counters(self):
         """Per slab index: (lookups, lookups that found a point,

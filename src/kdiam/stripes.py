@@ -22,6 +22,8 @@ import bisect
 import operator
 from itertools import accumulate
 
+from .graph import ids_of
+
 
 class Stripe:
     """One slab's point projections, sorted, with the mask of each prefix.
@@ -48,26 +50,6 @@ class Stripe:
             return 0
         self.mark_nodes += 1
         return self.pmasks[end] ^ self.pmasks[first]
-
-
-_BYTE_BITS = tuple(tuple(i for i in range(8) if v >> i & 1)
-                   for v in range(256))
-
-
-def ids_of(mask: int) -> list:
-    """Every set bit i of ``mask``, in increasing i: one step per byte of
-    the mask plus one per set bit."""
-    if not mask:
-        return []
-    out = []
-    append = out.append
-    base = 0
-    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
-        if byte:
-            for i in _BYTE_BITS[byte]:
-                append(base + i)
-        base += 8
-    return out
 
 
 def stripe_init(keys) -> Stripe:

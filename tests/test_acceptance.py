@@ -14,13 +14,12 @@ from kdiam import explicit, implicit
 from kdiam.explicit import k_diameter_explicit
 from kdiam.gen import (default_box, random_connected_graph,
                        random_symmetric_polygon, random_unit_square_points)
-from kdiam.geometry import (axis_square, intersection_graph_naive,
-                            shape_metric)
-from kdiam.graph import diameter_naive, distance_vc_shatter_check
+from kdiam.geometry import axis_square, intersection_graph_naive, norm_value
+from kdiam.graph import balls_at, diameter_naive, distance_vc_shatter_check
 from kdiam.implicit import ExpandCost, expand_balls, k_diameter_implicit
 from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import PlaneStructure, geometric_nsds
-from kdiam.bench import loglog_slope, order_difference_sum
+from kdiam.bench import loglog_slope, order_and_sum
 
 from helpers import expansion_inputs, geometric_graph_sat, points_in_polygon
 
@@ -144,7 +143,7 @@ def test_criterion_6_subquadratic_difference_sum():
             rng = np.random.default_rng(1000 * seed + n)
             pts = random_unit_square_points(n, default_box(n), rng)
             g = intersection_graph_naive(pts, axis_square(1.0))
-            _, diff = order_difference_sum(g, 2, 4, rng)
+            _, diff = order_and_sum(balls_at(g, 2), 4, rng)
             sums.append(diff)
         slopes.append(loglog_slope(sizes, sums))
     assert all(s < 2.0 for s in slopes), slopes
@@ -174,12 +173,12 @@ def test_criterion_7_geometry_equivalences():
     f = random_symmetric_polygon(3, rng)
     for _ in range(10_000):
         a, b, c = rng.normal(scale=3.0, size=(3, 2))
-        assert shape_metric(f, a, c) <= \
-            shape_metric(f, a, b) + shape_metric(f, b, c) + 1e-9
+        assert norm_value(f, a - c) <= \
+            norm_value(f, a - b) + norm_value(f, b - c) + 1e-9
         t = float(rng.uniform(0, 1))
         mid = a + t * (c - a)
-        lhs = shape_metric(f, a, c)
-        rhs = shape_metric(f, a, mid) + shape_metric(f, mid, c)
+        lhs = norm_value(f, a - c)
+        rhs = norm_value(f, a - mid) + norm_value(f, mid - c)
         assert abs(lhs - rhs) <= 1e-9
     report(7, "50 isomorphism instances + 10^4 metric triples", start, 120)
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from kdiam.bench import (order_difference_sum, scaling_rows, sparse_graph,
-                         squares_graph)
+from kdiam.bench import order_and_sum, scaling_rows, sparse_graph, squares_graph
 from kdiam.gen import random_connected_graph, random_unit_square_points
 from kdiam.geometry import axis_square, intersection_graph_naive
-from kdiam.graph import diameter_naive, neighborhood
+from kdiam.graph import balls_at, diameter_naive, neighborhood
 
 
 def brute_force_sum(g, order, k):
@@ -30,7 +29,7 @@ def test_order_difference_sum_matches_brute_force(d):
         diam = diameter_naive(g)
         # k >= D reads the sweep's last round, where every ball is full
         for k in sorted({1, 2, diam, diam + 2}):
-            order, diff = order_difference_sum(g, k, d, rng)
+            order, diff = order_and_sum(balls_at(g, k), d, rng)
             assert sorted(order) == list(range(g.n))
             assert diff == brute_force_sum(g, order, k)
             if k >= diam:
@@ -45,5 +44,6 @@ def test_scaling_rows_match_brute_force(kind, make):
         g = make(n, 0)
         assert (row.n, row.m) == (g.n, g.m)
         assert row.identity_diff_sum == brute_force_sum(g, range(g.n), 2)
-        order, diff = order_difference_sum(g, 2, 4, np.random.default_rng(0))
+        order, diff = order_and_sum(balls_at(g, 2), 4,
+                                    np.random.default_rng(0))
         assert row.diff_sum == diff == brute_force_sum(g, order, 2)

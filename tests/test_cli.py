@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -209,6 +210,19 @@ class TestBench:
             outs.append([(r["n"], r["diff_sum"], r["identity_diff_sum"])
                          for r in rows])
         assert outs[0] == outs[1]
+
+    def test_zero_diff_sum_leaves_the_slope_undefined(self, capsys):
+        # On one and two vertices every radius-2 ball is full, so both
+        # diff_sums are 0 and log(0) has no slope to fit.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "bench", "--kind", "sparse-graph",
+                                 "--sizes", "1,2")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [(r["n"], r["diff_sum"]) for r in rows] == [("1", "0"),
+                                                           ("2", "0")]
+        assert err == "# diff_sum log-log slope: undefined (a diff_sum is 0)\n"
 
 
 class TestErrors:

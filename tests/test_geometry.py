@@ -7,7 +7,7 @@ from kdiam.gen import random_symmetric_polygon
 from kdiam.geometry import (TOL, ConvexPolygon, adjacency_slabs, axis_square,
                             format_points, format_polygon,
                             intersection_graph_naive, norm_value,
-                            parse_points, parse_polygon, shape_metric)
+                            parse_points, parse_polygon)
 from kdiam.plane import geometric_nsds
 
 from helpers import (convex_hull, gauge_by_bisection, geometric_graph_sat,
@@ -85,12 +85,12 @@ class TestNormValue:
         f = random_symmetric_polygon(3, rng)
         for _ in range(500):
             a, b, c = rng.normal(scale=3.0, size=(3, 2))
-            assert shape_metric(f, a, c) <= shape_metric(f, a, b) + \
-                shape_metric(f, b, c) + 1e-9
+            assert norm_value(f, a - c) <= norm_value(f, a - b) + \
+                norm_value(f, b - c) + 1e-9
             t = float(rng.uniform(0, 1))
             mid = a + t * (c - a)
-            assert shape_metric(f, a, c) == pytest.approx(
-                shape_metric(f, a, mid) + shape_metric(f, mid, c), abs=1e-9)
+            assert norm_value(f, a - c) == pytest.approx(
+                norm_value(f, a - mid) + norm_value(f, mid - c), abs=1e-9)
 
 
 class TestIntersectionGraph:

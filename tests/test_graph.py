@@ -9,7 +9,7 @@ from kdiam.graph import (DisconnectedGraphError, Graph, GraphFormatError,
                          ball_masks, balls_at, bfs_distances, diameter_naive,
                          diameter_upto, distance_vc_shatter_check, from_edges,
                          is_connected, k_diameter_naive, load_edge_list,
-                         neighborhood, parse_edge_list, save_edge_list)
+                         format_edge_list, neighborhood, parse_edge_list)
 from kdiam.gen import (default_box, random_connected_graph,
                        random_unit_square_points)
 from kdiam.geometry import axis_square, intersection_graph_naive
@@ -333,7 +333,7 @@ class TestEdgeListFormat:
     def test_roundtrip(self, tmp_path):
         g = random_connected_graph(12, 20, np.random.default_rng(5))
         path = tmp_path / "g.el"
-        save_edge_list(g, path)
+        path.write_text(format_edge_list(g))
         assert load_edge_list(path) == g
 
     def test_strict_errors(self):

@@ -8,8 +8,8 @@ from kdiam.gen import random_symmetric_polygon, random_unit_square_points
 from kdiam.geometry import (TOL, ConvexPolygon, adjacency_slabs,
                             axis_square, intersection_graph_naive,
                             load_polygon)
+from kdiam.graph import ids_of
 from kdiam.plane import PlaneStructure, geometric_nsds
-from kdiam.stripes import ids_of
 
 from helpers import point_in_polygon
 

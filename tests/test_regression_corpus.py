@@ -81,6 +81,17 @@ def test_answers_survive_relabelling(name, kind, poly):
         assert answers(_permuted(inst, perm)) == want, (name, seed)
 
 
+def test_numpy_vertex_ids_give_the_same_diameter():
+    # Ids read from a numpy array are np.int64, whose shifts overflow past
+    # bit 63; every mask is built from range(n), so a 70-vertex path built
+    # from them has diameter 69 under every algorithm, as with Python ints.
+    pairs = np.c_[np.arange(69), np.arange(1, 70)]
+    for edges in (pairs.tolist(), [tuple(p) for p in pairs]):
+        g = from_edges(70, edges)
+        for algo in ("naive", "explicit", "implicit"):
+            assert _found_diameter(algo, g, 69, 4, seed=7)[0] == 69, algo
+
+
 POINT_CASES = [c for c in CASES if c[1] == "points"]
 
 

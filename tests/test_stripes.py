@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kdiam.stripes import (ids_of, stripe_init, stripe_list_differences,
-                           stripe_mark_line)
+from kdiam.graph import ids_of
+from kdiam.stripes import stripe_init, stripe_list_differences, stripe_mark_line
 
 S2 = math.sqrt(0.5)
 X_AXIS = (1.0, 0.0)
