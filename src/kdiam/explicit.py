@@ -14,20 +14,27 @@ under it via consecutive-difference endpoint extraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import intervals, order
+from ._kernels import concat_ranges
 from .graph import Graph, balls_at, diameter_upto, ids_of
 from .intervals import IntervalSets
 
 # Most intervals one bulk union or difference sweep takes in.  Larger work is
 # split into blocks of consecutive vertices, which bounds the memory of the
-# endpoint-event arrays (about a dozen int64 arrays of up to 2 * BLOCK
-# entries each) without changing any result.  On 400-vertex sparse graphs
-# 16,384 raised peak RSS by 2 MB over the tuple-based sweep it replaced,
-# while 4,096 stays level with it and costs about 5% in speed.
-BLOCK = 4_096
+# sweep arrays (the union's one key per interval, the difference sweep's
+# four endpoint events per interval, and a few temporaries of either size)
+# without changing any result.  Union owners are numbered within a block,
+# so its int64 keys stay in range for n below about 2**25.  On the
+# 400-vertex sparse benchmark graphs (2-vCPU host), two 12 s runs each gave
+# peak RSS 54.0-54.1 MB at 4,096, 54.1-54.3 MB at 8,192 and 54.8-54.9 MB at
+# 16,384 (53.9 MB before the union sorted one key per interval); 8,192
+# decided about 10% faster than 4,096, and 16,384 no faster than 8,192
+# within the runs' spread.
+BLOCK = 8_192
 
 
 @dataclass(frozen=True)
@@ -39,9 +46,16 @@ class BallEncoding:
     reps: IntervalSets
     radius: int
 
+    @cached_property
+    def _vertex_at(self) -> np.ndarray:
+        """The order as an array: the vertex at position p is entry p - 1."""
+        return np.asarray(self.order, dtype=np.int64)
+
     def decode(self, v: int) -> set:
-        order = self.order
-        return {order[p - 1] for p in intervals.positions(self.reps[v])}
+        reps = self.reps
+        lo, hi = reps.offsets[v], reps.offsets[v + 1]
+        positions = concat_ranges(reps.starts[lo:hi], reps.ends[lo:hi] + 1)
+        return set(self._vertex_at[positions - 1].tolist())
 
 
 def initial_encoding(g: Graph) -> BallEncoding:
@@ -70,12 +84,19 @@ def _closed_unions(g: Graph, reps: IntervalSets) -> IntervalSets:
     # Closed-neighbourhood CSR: each vertex first, then its neighbours.
     cptr = indptr + np.arange(n + 1)
     cidx = np.insert(indices, indptr[:-1], np.arange(n))
-    member_counts = reps.counts()[cidx]
+    # Interval total of every closed neighbourhood, and where each one's
+    # intervals start in the gathered sequence.
+    totals = np.add.reduceat(reps.counts()[cidx], cptr[:-1])
+    bounds = intervals.offsets_of(totals)
     counts, starts, ends = [], [], []
-    for lo, hi in _blocks(np.add.reduceat(member_counts, cptr[:-1])):
-        owner = np.repeat(np.arange(hi - lo), np.diff(cptr[lo:hi + 1]))
-        rows = intervals.union_sweep(reps.take(cidx[cptr[lo]:cptr[hi]]),
-                                     owner, n)
+    for lo, hi in _blocks(totals):
+        items = cidx[cptr[lo]:cptr[hi]]
+        idx = concat_ranges(reps.offsets[items], reps.offsets[items + 1])
+        # One set per vertex: the intervals of its whole closed
+        # neighbourhood, so the sweep's owner offsets come from the totals.
+        gathered = IntervalSets(bounds[lo:hi + 1] - bounds[lo],
+                                reps.starts[idx], reps.ends[idx])
+        rows = intervals.union_sweep(gathered, np.arange(hi - lo), n)
         counts.append(np.bincount(rows[:, 0], minlength=hi - lo))
         starts.append(rows[:, 1].copy())  # copies, so each block's rows
         ends.append(rows[:, 2].copy())    # are freed with the block
@@ -109,11 +130,15 @@ def rebase(reps_old: IntervalSets, order_old, order_new) -> IntervalSets:
         sets = reps_old.take(seq[i - 1])
         pair = np.repeat(i, sets.counts())
         starts, ends = sets.starts, sets.ends
-        as_a, as_b = pair < hi, pair > lo
+        # Set i is A of pair i when i < hi: every set but set hi, the last
+        # when present.  It is B of pair i - 1 when i > lo: every set but
+        # set lo, the first when present.
+        a = slice(sets.offsets[-2] if hi <= n else None)
+        b = slice(sets.offsets[1] if lo >= 1 else None, None)
         (close_at, close_pos), (open_at, open_pos) = \
             intervals.split_difference(
-                pair[as_a], starts[as_a], ends[as_a],
-                pair[as_b] - 1, starts[as_b], ends[as_b], n)
+                pair[a], starts[a], ends[a],
+                pair[b] - 1, starts[b], ends[b], n)
         # Keyed by (vertex, new position), so one sort per side groups the
         # endpoints of each vertex in order.
         rights.append(old_vertex[close_pos - 1] * (n + 1) + close_at)
@@ -124,13 +149,17 @@ def rebase(reps_old: IntervalSets, order_old, order_new) -> IntervalSets:
     lefts.sort()
     rights = np.concatenate(rights)
     rights.sort()
-    counts = np.bincount(lefts // (n + 1), minlength=n)
+    # One division per side gives both the vertex (to count its intervals)
+    # and the position; integer // is much faster than % in numpy.
+    vertex = lefts // (n + 1)
+    counts = np.bincount(vertex, minlength=n)
+    lefts -= vertex * (n + 1)
+    vertex = rights // (n + 1)
     if len(lefts) != len(rights) or \
-            (counts != np.bincount(rights // (n + 1), minlength=n)).any():
+            (counts != np.bincount(vertex, minlength=n)).any():
         raise AssertionError("endpoint extraction lost an interval")
-    return IntervalSets(intervals.offsets_of(counts),
-                        np.remainder(lefts, n + 1, out=lefts),
-                        np.remainder(rights, n + 1, out=rights))
+    rights -= vertex * (n + 1)
+    return IntervalSets(intervals.offsets_of(counts), lefts, rights)
 
 
 def expand_step(g: Graph, enc: BallEncoding) -> BallEncoding:

@@ -6,9 +6,11 @@ makes the representation unique and minimal for the set it covers, which the
 difference-extraction step relies on.
 
 Many sets over the positions 1..n are stored together as
-:class:`IntervalSets` (CSR arrays) and combined in bulk: :func:`union_sweep`
-and :func:`split_difference` turn every interval into two endpoint events,
-sort all events of all sets once and read the result off a running depth.
+:class:`IntervalSets` (CSR arrays) and combined in bulk, with one sort of
+int64 keys for all sets at once: :func:`union_sweep` makes one key per
+interval and reads the unions off a running maximum of the ends;
+:func:`split_difference` makes two endpoint events per interval and reads
+the differences off a running coverage count.
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ class IntervalSets:
 
     Set ``v`` is the intervals ``[starts[j], ends[j]]`` for
     ``offsets[v] <= j < offsets[v + 1]``, in increasing order; all three
-    arrays are int64.  Indexing and iteration yield the canonical tuple of
-    pairs, so code written against tuples of interval sets reads it as is.
+    arrays are int64.  (:func:`union_sweep` also takes sets whose intervals
+    overlap, touch or come in any order.)  Indexing and iteration yield the
+    canonical tuple of pairs, so code written against tuples of interval
+    sets reads it as is.
     """
 
     offsets: np.ndarray
@@ -117,35 +121,50 @@ def offsets_of(counts) -> np.ndarray:
 def union_sweep(sets: IntervalSets, owner, n: int) -> np.ndarray:
     """Canonical union of the sets that share an owner, for every owner.
 
-    Set ``s`` of ``sets`` (canonical, over positions 1..n) goes into the
-    union of owner ``owner[s]``, a non-negative int.  Each interval becomes
-    an opening event at its start and a closing event one past its end,
-    encoded as ``(owner * (n + 2) + position) * 2 + closing`` so that one
-    sort groups events by owner and position, with openings first.  Closed
-    intervals [a, b] and [b + 1, c] therefore merge: the depth never drops
-    to zero at b + 1.
+    Set ``s`` of ``sets`` goes into the union of owner ``owner[s]``, a
+    non-negative int; its intervals lie in 1..n and may overlap or touch,
+    within a set as across the sets of one owner.  Each interval becomes one
+    key ``(owner * span + start) * span + end`` with ``span = n + 2``, so one
+    sort orders the intervals by owner, then start.  The running maximum of
+    the reaches ``owner * span + end`` is how far the union has got; a head
+    ``owner * span + start`` more than one past it begins a new union
+    interval, so closed intervals [a, b] and [b + 1, c] merge.  The owner
+    offsets keep owners apart: an owner's first head lies at least three
+    past the reach of the owner before it.
 
     Returns an int64 array with one row ``(owner, start, end)`` per union
-    interval, sorted by owner, then start.
+    interval, sorted by owner, then start.  Raises ``ValueError`` when a key
+    could reach 2**63.
     """
+    if len(sets.starts) == 0:
+        return np.zeros((0, 3), dtype=np.int64)
     span = n + 2
-    m = len(sets.starts)
-    base = np.repeat(owner * span, sets.counts())
+    if (int(np.max(owner)) + 1) * span * span >= 1 << 63:
+        raise ValueError("too many owners or positions for int64 keys")
     # Worked on in place: these arrays set the peak memory of a step.
-    events = np.concatenate((base + sets.starts, base + sets.ends))
-    del base
-    events[m:] += 1
-    events <<= 1
-    events[m:] |= 1
-    events.sort()
-    opening = (events & 1) == 0
-    depth = np.cumsum(np.where(opening, 1, -1))
-    events >>= 1
-    opened = events[opening & (depth == 1)]
-    closed = events[depth == 0]
-    out_owner = opened // span
-    return np.column_stack((out_owner, opened - out_owner * span,
-                            closed % span - 1))
+    keys = np.repeat(owner * span, sets.counts())
+    keys += sets.starts
+    keys *= span
+    keys += sets.ends
+    keys.sort()
+    head = keys // span  # owner * span + start
+    # The reaches, worked out in place of the keys; numpy's integer // is
+    # far faster than %, so the owner part is rebuilt from // alone.
+    reach = keys
+    reach -= head * span  # end
+    reach += head // span * span  # owner * span + end
+    np.maximum.accumulate(reach, out=reach)
+    # A union interval begins at the first head and at every head more than
+    # one past the reach before it; it ends at the reach before the next.
+    begins = np.ones(len(head), dtype=bool)
+    np.greater(head[1:], reach[:-1] + 1, out=begins[1:])
+    begins = np.flatnonzero(begins)
+    first = head[begins]
+    out_owner = first // span
+    base = out_owner * span
+    return np.column_stack((out_owner, first - base,
+                            reach[np.append(begins[1:], len(head)) - 1]
+                            - base))
 
 
 # Coverage change of each event kind: A opens, A closes, B opens, B closes.

@@ -128,7 +128,7 @@ class TestExpandStep:
                     assert prev[v] <= cur[v]
                 prev = cur
 
-    @pytest.mark.parametrize("block", [1, 5, explicit.BLOCK])
+    @pytest.mark.parametrize("block", [1, 5, 4_096, explicit.BLOCK])
     def test_matches_reference_steps(self, monkeypatch, block):
         monkeypatch.setattr(explicit, "BLOCK", block)
         for seed in range(4):
@@ -163,6 +163,33 @@ class TestExpandStep:
             enc = expand_step(g, enc)
             assert enc.order == tuple(range(g.n))
             assert encoding_is_valid(g, enc)
+
+
+def grid_graph(width, height):
+    n = width * height
+    edges = [(v, v + 1) for v in range(n) if (v + 1) % width]
+    edges += [(v, v + width) for v in range(n - width)]
+    return from_edges(n, edges)
+
+
+class TestSameWork:
+    """The interval totals of every radius, pinned: a change to the sweeps
+    that keeps the answers but not the representations shows here."""
+
+    @pytest.mark.parametrize("g, grown, rebased", [
+        (random_connected_graph(400, 1200, np.random.default_rng(0)),
+         [2757, 13995, 35253, 11805, 826, 402, 400],
+         [2697, 13702, 33988, 11533, 828, 402]),
+        (grid_graph(9, 7),
+         [171, 295, 378, 454, 422, 354, 328, 258, 171, 126, 97, 73, 66, 63],
+         [182, 292, 412, 429, 390, 402, 333, 242, 178, 131, 91, 74, 65]),
+    ], ids=["random-400-1200", "grid-9x7"])
+    def test_interval_totals_per_radius(self, g, grown, rebased):
+        steps = list(islice(radius_steps(g, 3, np.random.default_rng(0)),
+                            diameter_naive(g)))
+        assert steps[-1].full and not steps[-2].full
+        assert [len(s.grown.reps.starts) for s in steps] == grown
+        assert [len(s.start.reps.starts) for s in steps[1:]] == rebased
 
 
 class TestKDiameterExplicit:

@@ -123,6 +123,41 @@ class TestUnionSweep:
         rows = intervals.union_sweep(sets, np.zeros(2, np.int64), 1)
         assert rows.tolist() == [[0, 1, 1]]
 
+    @pytest.mark.parametrize("reps", [[], [()], [(), (), ()]])
+    def test_no_intervals_gives_no_rows(self, reps):
+        sets = intervals.IntervalSets.from_reps(reps)
+        rows = intervals.union_sweep(sets, np.arange(len(reps)), 60)
+        assert rows.shape == (0, 3)
+        assert rows.dtype == np.int64
+
+    def test_key_range_guard(self):
+        n = 1 << 20
+        span = n + 2
+        top = (2 ** 63 - 1) // span ** 2 - 1  # largest owner that fits
+        sets = intervals.IntervalSets.from_reps([((1, n),), ((n, n),)])
+        rows = intervals.union_sweep(sets, np.array([top, 0]), n)
+        assert rows.tolist() == [[0, n, n], [top, 1, n]]
+        with pytest.raises(ValueError, match="int64 keys"):
+            intervals.union_sweep(sets, np.array([top + 1, 0]), n)
+
+    # Intervals of a 12-position universe, so sets of one owner often
+    # overlap or touch; one set's intervals need not be sorted or disjoint.
+    loose_sets = st.lists(st.tuples(st.integers(1, 12), st.integers(0, 3))
+                          .map(lambda t: (t[0], min(t[0] + t[1], 12))),
+                          max_size=4)
+
+    @given(st.lists(st.tuples(loose_sets, st.integers(0, 5)), max_size=12))
+    @settings(max_examples=100)
+    def test_unsorted_owners_and_loose_sets(self, owned):
+        reps = [tuple(rep) for rep, _ in owned]
+        owner = np.array([o for _, o in owned], dtype=np.int64)
+        rows = intervals.union_sweep(intervals.IntervalSets.from_reps(reps),
+                                     owner, 12)
+        want = [(o, a, b) for o in sorted(set(owner.tolist()))
+                for a, b in helpers.union_sweep(
+                    [r for r, ro in zip(reps, owner) if ro == o])]
+        assert list(map(tuple, rows.tolist())) == want
+
 
 class TestDifferencePositions:
     @given(position_sets, position_sets)
