@@ -1,6 +1,6 @@
-"""Single-source BFS over CSR adjacency (frontier-vectorised numpy) and the
-per-source eccentricities the tests check the diameter oracle against; no
-decide path calls them.
+"""Single-source BFS over CSR adjacency (frontier-vectorised numpy), the
+per-source eccentricities the tests check the diameter oracle against, and
+:func:`concat_ranges`, which both sweeps of the explicit path call.
 
 All kernels take CSR arrays (indptr, indices) as produced by
 :attr:`kdiam.graph.Graph.csr` and int64 vertex ids.  Distances use -1 for

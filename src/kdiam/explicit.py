@@ -6,7 +6,7 @@ grows every ball one radius at a time, lazily: each step sweep-unions the
 neighbours' representations and yields the radius, whether every ball is
 full (every union the one interval [1, n]) and the unions; only when the
 next step is asked for does it draw a fresh order and re-express the unions
-under it via consecutive-difference endpoint extraction.
+under it from the symmetric differences of consecutive balls.
 ``k_diameter_explicit`` reads its answer for one k from the sweep with
 :func:`kdiam.graph.diameter_upto`.
 """
@@ -26,14 +26,14 @@ from .intervals import IntervalSets
 # Most intervals one bulk union or difference sweep takes in.  Larger work is
 # split into blocks of consecutive vertices, which bounds the memory of the
 # sweep arrays (the union's one key per interval, the difference sweep's
-# four endpoint events per interval, and a few temporaries of either size)
-# without changing any result.  Union owners are numbered within a block,
-# so its int64 keys stay in range for n below about 2**25.  On the
-# 400-vertex sparse benchmark graphs (2-vCPU host), two 12 s runs each gave
-# peak RSS 54.0-54.1 MB at 4,096, 54.1-54.3 MB at 8,192 and 54.8-54.9 MB at
-# 16,384 (53.9 MB before the union sorted one key per interval); 8,192
-# decided about 10% faster than 4,096, and 16,384 no faster than 8,192
-# within the runs' spread.
+# two endpoint keys per interval of each pair, and a few temporaries of
+# either size) without changing any result.  Union owners are numbered
+# within a block, so its int64 keys stay in range for n below about 2**25.
+# On the 400-vertex sparse benchmark graphs (2-vCPU host), two 12 s runs
+# each gave peak RSS 54.0-54.1 MB at 4,096, 54.1-54.3 MB at 8,192 and
+# 54.8-54.9 MB at 16,384 (53.9 MB before the union sorted one key per
+# interval); 8,192 decided about 10% faster than 4,096, and 16,384 no
+# faster than 8,192 within the runs' spread.
 BLOCK = 8_192
 
 
@@ -107,59 +107,59 @@ def _closed_unions(g: Graph, reps: IntervalSets) -> IntervalSets:
 def rebase(reps_old: IntervalSets, order_old, order_new) -> IntervalSets:
     """Re-express per-vertex interval sets under a new order.
 
-    Under the new order, position i opens an interval of rep[x] exactly when
-    x is in ball(v_i) but not ball(v_i-1), and closes one when x is in
-    ball(v_i) but not ball(v_i+1); both fall out of one difference sweep
-    over the old representations of each consecutive new-order pair.  The
-    first position opens all of ball(v_1), the last closes all of ball(v_n).
+    Vertex x enters or leaves the balls at position i of the new order
+    exactly when it is in one of ball(v_i) and ball(v_i+1): one symmetric
+    difference sweep over the old representations of each consecutive
+    new-order pair lists these toggles.  Every ball starts and ends outside
+    the empty sets before v_1 and after v_n, so x's toggles, in order,
+    alternate the position before an interval of rep[x] begins and the
+    position where it ends.  Raises ``ValueError`` unless ``reps_old`` is
+    canonical over 1..n.
     """
     n = len(order_old)
     if len(order_new) != n or len(reps_old) != n:
         raise ValueError("orders and representations must agree in size")
+    if not reps_old.is_canonical(n):
+        raise ValueError("representations must be canonical interval sets")
     old_vertex = np.asarray(order_old, dtype=np.int64)
     # Sets P_0 .. P_{n+1}: P_i is the set of the i-th new-order vertex and
-    # P_0 = P_{n+1} is empty.  Pair j compares P_j with P_{j+1}: positions
-    # only in P_j close at j, positions only in P_{j+1} open at j + 1.
+    # P_0 = P_{n+1} is empty.  Pair j compares P_j with P_{j+1}.
     seq = np.asarray(order_new, dtype=np.int64)
     seq_counts = np.zeros(n + 2, dtype=np.int64)
     seq_counts[1:-1] = reps_old.counts()[seq]
-    lefts, rights = [], []
+    toggles = []
     for lo, hi in _blocks(seq_counts[:-1] + seq_counts[1:]):
         # Pairs lo..hi-1 read the sets lo..hi; only P_1..P_n have intervals.
         i = np.arange(max(lo, 1), min(hi, n) + 1)
         sets = reps_old.take(seq[i - 1])
         pair = np.repeat(i, sets.counts())
         starts, ends = sets.starts, sets.ends
-        # Set i is A of pair i when i < hi: every set but set hi, the last
-        # when present.  It is B of pair i - 1 when i > lo: every set but
+        # Set i is in pair i when i < hi: every set but set hi, the last
+        # when present.  It is in pair i - 1 when i > lo: every set but
         # set lo, the first when present.
         a = slice(sets.offsets[-2] if hi <= n else None)
         b = slice(sets.offsets[1] if lo >= 1 else None, None)
-        (close_at, close_pos), (open_at, open_pos) = \
-            intervals.split_difference(
-                pair[a], starts[a], ends[a],
-                pair[b] - 1, starts[b], ends[b], n)
-        # Keyed by (vertex, new position), so one sort per side groups the
-        # endpoints of each vertex in order.
-        rights.append(old_vertex[close_pos - 1] * (n + 1) + close_at)
-        lefts.append(old_vertex[open_pos - 1] * (n + 1) + open_at + 1)
-    # Done one side at a time, in place where possible: these arrays hold
-    # every interval of the radius and set the step's peak memory.
-    lefts = np.concatenate(lefts)
-    lefts.sort()
-    rights = np.concatenate(rights)
-    rights.sort()
-    # One division per side gives both the vertex (to count its intervals)
-    # and the position; integer // is much faster than % in numpy.
-    vertex = lefts // (n + 1)
+        at, pos = intervals.symmetric_difference(
+            np.concatenate((pair[a], pair[b] - 1)),
+            np.concatenate((starts[a], starts[b])),
+            np.concatenate((ends[a], ends[b])), n)
+        # Keyed by (vertex, pair), so one sort groups the toggles of each
+        # vertex in order.
+        toggles.append(old_vertex[pos - 1] * (n + 1) + at)
+    # Worked on in place: this array holds every endpoint of the radius and
+    # sets the step's peak memory.  Its rows are each interval's toggles.
+    toggles = np.concatenate(toggles)
+    toggles.sort()
+    toggles = toggles.reshape(-1, 2)
+    # One division gives the vertex (to count its intervals); taking off its
+    # base leaves the pair, as integer // is much faster than % in numpy.
+    vertex = toggles[:, 0] // (n + 1)
     counts = np.bincount(vertex, minlength=n)
-    lefts -= vertex * (n + 1)
-    vertex = rights // (n + 1)
-    if len(lefts) != len(rights) or \
-            (counts != np.bincount(vertex, minlength=n)).any():
-        raise AssertionError("endpoint extraction lost an interval")
-    rights -= vertex * (n + 1)
-    return IntervalSets(intervals.offsets_of(counts), lefts, rights)
+    vertex *= n + 1
+    toggles -= vertex[:, None]
+    toggles[:, 0] += 1
+    return IntervalSets(intervals.offsets_of(counts), toggles[:, 0],
+                        toggles[:, 1])
 
 
 def expand_step(g: Graph, enc: BallEncoding) -> BallEncoding:
@@ -220,5 +220,5 @@ def encoding_is_valid(g: Graph, enc: BallEncoding) -> bool:
     """Audit helper: every representation canonical and decoding to the exact
     ball (used by the invariant tests, not on the hot path)."""
     balls = balls_at(g, enc.radius)
-    return all(intervals.is_canonical(enc.reps[v], g.n)
-               and enc.decode(v) == set(ids_of(balls[v])) for v in range(g.n))
+    return enc.reps.is_canonical(g.n) and all(
+        enc.decode(v) == set(ids_of(balls[v])) for v in range(g.n))

@@ -11,10 +11,11 @@ does it draw the next order, with membership read from the handles just
 built, and re-extract deltas output-sensitively as the sorted id lists
 ListDifferences returns.  The recursion turns each delta into an ``int``
 mask once and does its unions, intersections and symmetric differences as
-int operations, so a delta's size is its popcount.  A handle is its own set, so fullness is each
-handle compared with the full mask, at every radius, the last one included:
-the last radius lists nothing.  ``k_diameter_implicit`` reads its answer for
-one k from the sweep with :func:`kdiam.graph.diameter_upto`.
+int operations, so a delta's size is its popcount.  A handle is its own
+set, so fullness is each handle compared with the full mask, at every
+radius, the last one included: the last radius lists nothing.
+``k_diameter_implicit`` reads its answer for one k from the sweep with
+:func:`kdiam.graph.diameter_upto`.
 """
 
 from __future__ import annotations

@@ -2,15 +2,15 @@
 
 An interval set is a tuple of (a, b) pairs with 1 <= a <= b, sorted, pairwise
 disjoint and non-adjacent (b + 1 < a' for consecutive pairs).  Non-adjacency
-makes the representation unique and minimal for the set it covers, which the
-difference-extraction step relies on.
+makes the representation unique and minimal for the set it covers, so a set
+is full exactly when it is the one interval (1, n).
 
 Many sets over the positions 1..n are stored together as
 :class:`IntervalSets` (CSR arrays) and combined in bulk, with one sort of
 int64 keys for all sets at once: :func:`union_sweep` makes one key per
 interval and reads the unions off a running maximum of the ends;
-:func:`split_difference` makes two endpoint events per interval and reads
-the differences off a running coverage count.
+:func:`symmetric_difference` makes one key per interval endpoint and reads
+the positions in exactly one set of a pair off the parity of the sorted keys.
 """
 
 from __future__ import annotations
@@ -22,19 +22,6 @@ import numpy as np
 from ._kernels import concat_ranges
 
 IntervalSet = tuple  # of (a, b) int pairs
-
-
-def is_canonical(rep: IntervalSet, n: int | None = None) -> bool:
-    prev_end = -1
-    for a, b in rep:
-        if a < 1 or b < a:
-            return False
-        if a <= prev_end + 1:
-            return False
-        if n is not None and b > n:
-            return False
-        prev_end = b
-    return True
 
 
 def canonicalize(positions) -> IntervalSet:
@@ -87,6 +74,17 @@ class IntervalSets:
     def counts(self) -> np.ndarray:
         """Interval count of every set."""
         return np.diff(self.offsets)
+
+    def is_canonical(self, n: int) -> bool:
+        """True iff every set is canonical over the positions 1..n: each
+        interval lies in 1..n and begins more than one past the end of the
+        interval before it in its set."""
+        starts, ends = self.starts, self.ends
+        first = np.zeros(len(starts) + 1, dtype=bool)
+        first[self.offsets] = True  # the first interval of each set
+        return bool((starts >= 1).all() and (starts <= ends).all()
+                    and (ends <= n).all()
+                    and (first[1:-1] | (starts[1:] > ends[:-1] + 1)).all())
 
     def take(self, items) -> "IntervalSets":
         """The sets ``items`` (an int64 array; repeats allowed), in order."""
@@ -167,42 +165,27 @@ def union_sweep(sets: IntervalSets, owner, n: int) -> np.ndarray:
                             - base))
 
 
-# Coverage change of each event kind: A opens, A closes, B opens, B closes.
-_STEP = np.array([1, -1, 2, -2], dtype=np.int64)
+def symmetric_difference(pair, starts, ends, n: int):
+    """Positions in exactly one of the two sets of every pair.
 
+    Pair j is the two sets whose intervals ``[starts[t], ends[t]]`` have
+    ``pair[t] == j``; the intervals of each set lie in 1..n and must be
+    disjoint, as those of a canonical set are.  Every interval makes the keys
+    ``pair * (n + 2) + start`` and ``pair * (n + 2) + end + 1``, and one
+    sort orders them.  At or below a position p, a set has one key per
+    interval begun by p and one per interval ended before p; the intervals
+    being disjoint, the two counts differ by one exactly when p is covered,
+    so their sum is odd exactly then.  Over both sets of a pair, an odd sum
+    means p is in exactly one: the positions from the sorted key at each
+    even index up to, not including, the key after it.  Each pair makes an
+    even number of keys, so this pairing of keys never crosses pairs.
 
-def split_difference(a_pair, a_starts, a_ends, b_pair, b_starts, b_ends,
-                     n: int):
-    """Positions only in A_j and only in B_j, for every pair j.
-
-    A_j is the set covered by the intervals ``[a_starts[t], a_ends[t]]``
-    with ``a_pair[t] == j``, B_j likewise; the intervals of one A_j (or one
-    B_j) must be disjoint, as those of a canonical set are.  One sort of the
-    endpoint events, keyed by pair and position, and a running
-    ``cover(A) + 2 * cover(B)`` give the coverage of every segment between
-    consecutive event positions.
-
-    Returns ``((pair, pos), (pair, pos))`` arrays for A_j - B_j and for
-    B_j - A_j, each sorted by pair, then position.
+    Returns ``(pair, pos)`` arrays, sorted by pair, then position.
     """
     span = n + 2
-    a_base, b_base = a_pair * span, b_pair * span
-    events = np.concatenate(((a_base + a_starts) << 2,
-                             ((a_base + a_ends + 1) << 2) | 1,
-                             ((b_base + b_starts) << 2) | 2,
-                             ((b_base + b_ends + 1) << 2) | 3))
+    base = pair * span
+    events = np.concatenate((base + starts, base + ends + 1))
     events.sort()
-    cover = np.cumsum(_STEP[events & 3])
-    where = events >> 2
-    # Last event at each (pair, position): the coverage from there up to
-    # the next event position.  Coverage is back to 0 after a pair's last
-    # event, so a covered segment never runs into the next pair.
-    last = np.flatnonzero(where[:-1] != where[1:])
-    seg_cover = cover[last]
-    out = []
-    for side in (1, 2):
-        keep = last[seg_cover == side]
-        covered = concat_ranges(where[keep], where[keep + 1])
-        pair = covered // span
-        out.append((pair, covered - pair * span))
-    return tuple(out)
+    listed = concat_ranges(events[0::2], events[1::2])
+    at = listed // span
+    return at, listed - at * span

@@ -21,7 +21,7 @@ class TestCanonicalize:
     def test_roundtrip_and_canonical(self, pos):
         rep = intervals.canonicalize(pos)
         assert set(intervals.positions(rep)) == pos
-        assert intervals.is_canonical(rep)
+        assert intervals.IntervalSets.from_reps([rep]).is_canonical(60)
 
     def test_random_50_subset_matches_merge_oracle(self):
         rng = np.random.default_rng(0)
@@ -46,12 +46,10 @@ def union_of(reps):
 
 
 def difference_of(rep_a, rep_b):
-    """Array ``rep_a - rep_b`` as a list of positions."""
-    a = intervals.IntervalSets.from_reps([rep_a])
-    b = intervals.IntervalSets.from_reps([rep_b])
-    (pair, pos), _ = intervals.split_difference(
-        np.zeros(len(a.starts), np.int64), a.starts, a.ends,
-        np.zeros(len(b.starts), np.int64), b.starts, b.ends, 60)
+    """Array ``rep_a ^ rep_b`` as a list of positions."""
+    sets = intervals.IntervalSets.from_reps([rep_a, rep_b])
+    pair, pos = intervals.symmetric_difference(
+        np.zeros(len(sets.starts), np.int64), sets.starts, sets.ends, 60)
     assert (pair == 0).all()
     return pos.tolist()
 
@@ -74,6 +72,23 @@ class TestIntervalSets:
         packed = intervals.IntervalSets.from_reps(reps)
         taken = packed.take(np.array(items, dtype=np.int64))
         assert list(taken) == [reps[i] for i in items]
+
+    @pytest.mark.parametrize("reps, canonical", [
+        ([], True),
+        ([(), ()], True),
+        ([((1, 2), (4, 60)), (), ((3, 3),)], True),
+        ([((1, 3),), ((4, 4),)], True),  # touching across sets is fine
+        ([((0, 2),)], False),
+        ([((3, 2),)], False),
+        ([((1, 61),)], False),
+        ([((1, 2), (3, 4))], False),  # touching
+        ([(), ((1, 2), (2, 4))], False),  # overlapping
+        ([((5, 5), (5, 5))], False),  # the same interval twice
+        ([((5, 6), (1, 2))], False),  # out of order
+    ])
+    def test_is_canonical(self, reps, canonical):
+        sets = intervals.IntervalSets.from_reps(reps)
+        assert sets.is_canonical(60) is canonical
 
     def test_negative_index_and_range(self):
         packed = intervals.IntervalSets.from_reps([((1, 2),), (), ((4, 4),)])
@@ -100,7 +115,7 @@ class TestUnionSweep:
         got = union_of(reps)
         want = intervals.canonicalize(set().union(*sets) if sets else set())
         assert got == want == helpers.union_sweep(reps)
-        assert intervals.is_canonical(got)
+        assert intervals.IntervalSets.from_reps([got]).is_canonical(60)
 
     def test_empty_inputs(self):
         assert union_of([]) == ()
@@ -164,29 +179,47 @@ class TestDifferencePositions:
     def test_matches_set_difference(self, a, b):
         ra, rb = intervals.canonicalize(a), intervals.canonicalize(b)
         got = difference_of(ra, rb)
-        assert set(got) == a - b
-        assert got == helpers.difference_positions(ra, rb)
+        assert got == sorted(a ^ b)
+        assert got == sorted(helpers.difference_positions(ra, rb)
+                             + helpers.difference_positions(rb, ra))
 
     def test_sorted_output(self):
         ra = intervals.canonicalize({1, 2, 3, 7, 8, 12})
-        rb = intervals.canonicalize({2, 7})
+        rb = intervals.canonicalize({2, 7, 20})
         out = difference_of(ra, rb)
-        assert out == sorted(out) == [1, 3, 8, 12]
+        assert out == sorted(out) == [1, 3, 8, 12, 20]
+
+    def test_touching_sides(self):
+        assert difference_of(((1, 2),), ((3, 4),)) == [1, 2, 3, 4]
+
+    def test_identical_sets(self):
+        rep = ((1, 2), (5, 9))
+        assert difference_of(rep, rep) == []
+
+    def test_whole_range(self):
+        rep = ((1, 60),)
+        assert difference_of(rep, ((2, 3), (60, 60))) == \
+            [1] + list(range(4, 60))
+        assert difference_of((), rep) == list(range(1, 61))
 
     @given(st.lists(st.tuples(position_sets, position_sets), max_size=8))
     @settings(max_examples=60)
     def test_both_sides_per_pair(self, pairs):
-        a = intervals.IntervalSets.from_reps(
-            [intervals.canonicalize(x) for x, _ in pairs])
-        b = intervals.IntervalSets.from_reps(
-            [intervals.canonicalize(y) for _, y in pairs])
-        (a_pair, a_pos), (b_pair, b_pos) = intervals.split_difference(
-            np.repeat(np.arange(len(pairs)), a.counts()), a.starts, a.ends,
-            np.repeat(np.arange(len(pairs)), b.counts()), b.starts, b.ends,
-            60)
-        want_a = [(j, p) for j, (x, y) in enumerate(pairs)
-                  for p in sorted(x - y)]
-        want_b = [(j, p) for j, (x, y) in enumerate(pairs)
-                  for p in sorted(y - x)]
-        assert list(zip(a_pair.tolist(), a_pos.tolist())) == want_a
-        assert list(zip(b_pair.tolist(), b_pos.tolist())) == want_b
+        sets = intervals.IntervalSets.from_reps(
+            [intervals.canonicalize(s) for pair in pairs for s in pair])
+        at, pos = intervals.symmetric_difference(
+            np.repeat(np.arange(2 * len(pairs)) // 2, sets.counts()),
+            sets.starts, sets.ends, 60)
+        want = [(j, p) for j, (x, y) in enumerate(pairs)
+                for p in sorted(x ^ y)]
+        assert list(zip(at.tolist(), pos.tolist())) == want
+
+    def test_pair_without_intervals(self):
+        # Pair 1 has no intervals; pairs 0 and 2 list their own positions.
+        sets = intervals.IntervalSets.from_reps(
+            [((1, 3),), ((2, 2),), (), (), ((4, 4),), ((60, 60),)])
+        at, pos = intervals.symmetric_difference(
+            np.repeat(np.arange(6) // 2, sets.counts()), sets.starts,
+            sets.ends, 60)
+        assert list(zip(at.tolist(), pos.tolist())) == \
+            [(0, 1), (0, 3), (2, 4), (2, 60)]
