@@ -9,16 +9,19 @@ import numpy as np
 
 from .gen import default_box, random_connected_graph, random_unit_square_points
 from .geometry import axis_square, intersection_graph_naive
-from .graph import Graph, balls_at, ids_of
+from .graph import Graph, balls_at, ids_of, locality_rank
 from .order import order_from_membership
 
 
-def order_and_sum(balls: list, d: int, rng: np.random.Generator) -> tuple:
+def order_and_sum(balls: list, d: int, rng: np.random.Generator,
+                  rank) -> tuple:
     """A low-difference order of ``balls`` (masks in the format of
-    :func:`kdiam.graph.ball_masks`, such as ``balls_at(g, k)``) and the
-    exact total consecutive ball difference under it: (order, diff_sum)."""
+    :func:`kdiam.graph.ball_masks`, such as ``balls_at(g, k)``), its ties
+    broken by ``rank`` as the decide paths break them (the graph's
+    :func:`kdiam.graph.locality_rank`), and the exact total consecutive
+    ball difference under it: (order, diff_sum)."""
     order = order_from_membership(lambda x: ids_of(balls[x]), len(balls), d,
-                                  rng)
+                                  rng, rank=rank)
     return order, _difference_sum(balls, order)
 
 
@@ -58,8 +61,9 @@ def sparse_graph(n: int, seed: int) -> Graph:
 
 
 def scaling_rows(kind: str, sizes, k: int, d: int, seed: int) -> list:
-    """One row per n: time to compute the order plus the exact
-    difference-sum counter under it and under the identity order."""
+    """One row per n: time to compute the balls, the rank and the order,
+    plus the exact difference-sum counter under the order and under the
+    identity order."""
     make = squares_graph if kind == "unit-squares" else sparse_graph
     rows = []
     for n in sizes:
@@ -67,7 +71,7 @@ def scaling_rows(kind: str, sizes, k: int, d: int, seed: int) -> list:
         rng = np.random.default_rng(seed)
         start = time.perf_counter()
         balls = balls_at(g, k)
-        _, diff = order_and_sum(balls, d, rng)
+        _, diff = order_and_sum(balls, d, rng, locality_rank(g))
         elapsed = time.perf_counter() - start
         ident = _difference_sum(balls, range(g.n))
         rows.append(BenchRow(g.n, g.m, seed, elapsed, diff, ident))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import intervals, order
 from ._kernels import concat_ranges
-from .graph import Graph, balls_at, diameter_upto, ids_of
+from .graph import Graph, balls_at, diameter_upto, ids_of, locality_rank
 from .intervals import IntervalSets
 
 # Most intervals one bulk union or difference sweep takes in.  Larger work is
@@ -59,11 +59,14 @@ class BallEncoding:
 
 
 def initial_encoding(g: Graph) -> BallEncoding:
-    """Radius-0 encoding under the identity order: every ball is the vertex
-    itself."""
-    pos = np.arange(1, g.n + 1, dtype=np.int64)
+    """Radius-0 encoding under the graph's Cuthill–McKee order
+    (:func:`kdiam.graph.locality_rank`): every ball is the vertex itself,
+    one interval at the vertex's position."""
+    rank = locality_rank(g)
+    pos = np.empty(g.n, dtype=np.int64)
+    pos[list(rank)] = np.arange(1, g.n + 1)
     reps = IntervalSets(np.arange(g.n + 1, dtype=np.int64), pos, pos.copy())
-    return BallEncoding(tuple(range(g.n)), reps, 0)
+    return BallEncoding(rank, reps, 0)
 
 
 def _blocks(weights):
@@ -182,12 +185,15 @@ class RadiusStep:
 def radius_steps(g: Graph, d: int, rng: np.random.Generator):
     """Yield one :class:`RadiusStep` per radius r = 1, 2, ..., without end.
 
-    A ball is full iff its union is the one interval [1, n], under any
-    order.  Randomness only affects how much work the interval
-    representations take, never ``full``.
+    Radius 0 is encoded under the graph's locality rank, which also breaks
+    every drawn order's ties.  A ball is full iff its union is the one
+    interval [1, n], under any order.  The rank and the randomness only
+    affect how much work the interval representations take, never
+    ``full``.
     """
     degrees = [max(deg, 1) for deg in g.degrees()]
     enc = initial_encoding(g)
+    rank = enc.order
     while True:
         grown = expand_step(g, enc)
         reps = grown.reps
@@ -197,7 +203,7 @@ def radius_steps(g: Graph, d: int, rng: np.random.Generator):
                               and (reps.ends == g.n).all()),
                          enc, grown)
         new_order = order.order_from_membership(grown.decode, g.n, d, rng,
-                                                weights=degrees)
+                                                weights=degrees, rank=rank)
         enc = BallEncoding(new_order, rebase(reps, enc.order, new_order),
                            grown.radius)
 

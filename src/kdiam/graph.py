@@ -99,6 +99,38 @@ def from_edges(n: int, edges) -> Graph:
     return Graph(adj)
 
 
+def locality_rank(g: Graph) -> tuple:
+    """Every vertex once, in Cuthill–McKee order: BFS from a vertex of least
+    degree, each vertex's unreached neighbours taken in increasing degree,
+    restarting at the least-degree unreached vertex until every component
+    is covered.  Ties go to the lesser id.  Neighbours in the graph end up
+    close in the order, which the order construction uses to break its
+    ties (:func:`kdiam.order.order_from_membership`)."""
+    indptr, indices = g.csr
+    deg = np.diff(indptr)
+    # Each row of the CSR sorted by neighbour degree, stably: rows are
+    # sorted by id.
+    by_degree = indices[np.lexsort((deg[indices],
+                                    np.repeat(np.arange(g.n), deg)))].tolist()
+    ptr = indptr.tolist()
+    seen = [False] * g.n
+    rank = []
+    for root in np.argsort(deg, kind="stable").tolist():
+        if seen[root]:
+            continue
+        seen[root] = True
+        head = len(rank)
+        rank.append(root)
+        while head < len(rank):
+            u = rank[head]
+            for w in by_degree[ptr[u]:ptr[u + 1]]:
+                if not seen[w]:
+                    seen[w] = True
+                    rank.append(w)
+            head += 1
+    return tuple(rank)
+
+
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Exact hop distances from ``source``, one per vertex.
 

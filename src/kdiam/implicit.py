@@ -139,10 +139,12 @@ def radius_steps(nsds: MaskNeighbourSets, n: int, d: int,
                  rng: np.random.Generator):
     """Yield one :class:`RadiusStep` per radius r = 1, 2, ..., without end.
 
-    Set comparisons are exact, so ``full`` does not depend on the rng draw.
+    The first order is the structure's locality rank, which also breaks
+    every drawn order's ties.  Set comparisons are exact, so ``full``
+    depends neither on the rank nor on the rng draw.
     """
     full = (1 << n) - 1
-    order = tuple(range(n))
+    order = nsds.rank
     deltas = [{order[0]}] + [{order[i - 1], order[i]} for i in range(1, n)]
     for r in count(1):
         handles = expand_balls(deltas, nsds)
@@ -154,7 +156,7 @@ def radius_steps(nsds: MaskNeighbourSets, n: int, d: int,
         old_pos = {v: i for i, v in enumerate(order)}
         order = order_from_membership(
             lambda x: nsds.list_differences(nsds.empty, handles[old_pos[x]]),
-            n, d, rng)
+            n, d, rng, rank=nsds.rank)
         mapped = [handles[old_pos[v]] for v in order]
         deltas = [nsds.list_differences(nsds.empty, mapped[0])]
         deltas.extend(nsds.list_differences(mapped[i - 1], mapped[i])

@@ -12,7 +12,7 @@ stripe per slab of the shape, without the graph.
 
 from __future__ import annotations
 
-from .graph import Graph, balls_at, ids_of
+from .graph import Graph, balls_at, ids_of, locality_rank
 
 
 class MaskNeighbourSets:
@@ -22,21 +22,25 @@ class MaskNeighbourSets:
     The empty set is ``0``.  AddNeighbours(h, v) is ``h | closed[v]`` and
     ListDifferences(h1, h2) lists the set bits of ``h1 ^ h2``, each element
     once, in increasing order.  ``add_count`` and ``list_count`` count the
-    two operations.
+    two operations.  ``rank`` lists every vertex once, in a locality order
+    of the input: the implicit driver's first vertex order, and the
+    tie-break of every order it draws.
     """
 
     empty = 0
 
-    def __init__(self, closed: list[int]):
+    def __init__(self, closed: list[int], rank):
         self.closed = closed
         self.n = len(closed)
+        self.rank = tuple(rank)
         self.add_count = 0
         self.list_count = 0
 
     @classmethod
     def from_graph(cls, g: Graph) -> MaskNeighbourSets:
-        """Structure over an explicit graph: N[v] is v's radius-1 ball."""
-        return cls(balls_at(g, 1))
+        """Structure over an explicit graph: N[v] is v's radius-1 ball, and
+        the rank is the graph's Cuthill–McKee order."""
+        return cls(balls_at(g, 1), locality_rank(g))
 
     def add_neighbours(self, h: int, v: int) -> int:
         """The set h union N[v]."""

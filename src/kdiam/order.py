@@ -6,6 +6,12 @@ Wiring the splits into a spanning tree and walking it in preorder yields an
 order whose consecutive symmetric differences total at most twice the
 tree's (Chazelle–Welzl).  Instantiated with the k-neighborhood hypergraph of
 a graph this produces the vertex orders used by both diameter algorithms.
+
+The bound comes from the sample's refinement, not from the labels, but the
+tree's ties follow the labels.  So the tree is built on positions in a
+locality rank of the hyperedges (:func:`kdiam.graph.locality_rank` for a
+graph, :func:`kdiam.plane.hilbert_rank` for points), and each tie goes to
+hyperedges near each other in the input.
 """
 
 from __future__ import annotations
@@ -45,7 +51,9 @@ def spanning_tree(membership, n: int, sample) -> list:
     the i-th sampled element, so after i + 1 elements the ids with equal
     keys form the classes that agree on that prefix of the sample.  When
     the i-th element splits a class, one edge joins the least ids of its
-    two parts.  Each final class is chained in id order.
+    two parts.  Each final class is chained in id order.  Under
+    :func:`order_from_membership` the ids are rank positions, so the splits
+    are joined at the least ranks and each class is chained in rank order.
     """
     key = [0] * n
     edges = []
@@ -88,7 +96,7 @@ def preorder(edges, n: int) -> tuple:
 
 
 def order_from_membership(membership, n: int, d: int,
-                          rng: np.random.Generator, *,
+                          rng: np.random.Generator, *, rank,
                           weights=None) -> tuple:
     """Low-difference order over n hyperedges given a membership oracle on a
     ground set of the same ids (the self-dual ball hypergraph case).
@@ -99,6 +107,21 @@ def order_from_membership(membership, n: int, d: int,
     integers, one per vertex) the sample is drawn as if every vertex were
     duplicated weight-many times, which keeps the weighted total interval
     count small; :func:`net_sample` rejects bad weights.
+
+    ``rank`` lists the hyperedge ids in locality order; ``range(n)`` gives
+    the id-order tree.  The refinement tree and its preorder are built on
+    positions in it, hyperedge ``rank[i]`` being position i, and the order
+    is mapped back to ids.  The sample is drawn from the ground set, whose
+    ids the oracle takes as they are, so the rank changes no draw.
     """
     sample = net_sample(n, d, rng, weights=weights)
-    return preorder(spanning_tree(membership, n, sample), n)
+    rank = np.asarray(rank, dtype=np.int64)
+    if rank.shape != (n,) or not (np.sort(rank) == np.arange(n)).all():
+        raise ValueError("rank must be a permutation of the ids 0..n-1")
+    pos = np.empty(n, dtype=np.int64)
+    pos[rank] = np.arange(n)
+    pos = pos.tolist()
+    tree = spanning_tree(lambda x: map(pos.__getitem__, membership(x)), n,
+                         sample)
+    rank = rank.tolist()
+    return tuple(rank[i] for i in preorder(tree, n))

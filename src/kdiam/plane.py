@@ -81,15 +81,44 @@ class PlaneStructure:
                 for j, s in enumerate(self.stripes)}
 
 
+def hilbert_rank(points) -> tuple:
+    """Every point id once, in the order a Hilbert curve (Platzman–Bartholdi)
+    visits their cells.  The cells split the points' bounding square into
+    2**L by 2**L, L = ceil(log2(n) / 2), so about one point per cell: a
+    finer grid cost more than it saved.  Points in one cell keep id order.
+    Points close on the curve are close in the plane, which the order
+    construction uses to break its ties
+    (:func:`kdiam.order.order_from_membership`)."""
+    pts = np.asarray(points, dtype=np.float64)
+    side = 1 << (((len(pts) - 1).bit_length() + 1) // 2)
+    lo = pts.min(axis=0)
+    span = float((pts.max(axis=0) - lo).max()) or 1.0
+    cell = np.minimum(((pts - lo) * (side / span)).astype(np.int64), side - 1)
+    x, y = cell[:, 0], cell[:, 1]
+    h = np.zeros(len(pts), dtype=np.int64)
+    s = side // 2
+    while s:
+        rx, ry = (x & s) > 0, (y & s) > 0
+        h += s * s * ((3 * rx) ^ ry)
+        # Rotate the quadrant so the curve's sub-square starts where the
+        # last one ended.
+        flip = rx & ~ry
+        x, y = np.where(flip, side - 1 - x, x), np.where(flip, side - 1 - y, y)
+        x, y = np.where(ry, x, y), np.where(ry, y, x)
+        s //= 2
+    return tuple(np.argsort(h, kind="stable").tolist())
+
+
 def geometric_nsds(points, shape: ConvexPolygon,
                    seed=None) -> MaskNeighbourSets:
     """Neighbour-set structure of the intersection graph of ``shape``
     placed at ``points``, built without the graph.  The closed
     neighbourhood of v is exactly the point set the slabs of
     :func:`kdiam.geometry.adjacency_slabs` cover when centered at v, so
-    ``closed[v]`` is the cover at point v's own projections.  The structure
-    draws nothing at random; ``seed`` is accepted and ignored so callers
-    written for a seeded structure keep working."""
+    ``closed[v]`` is the cover at point v's own projections.  Its rank is
+    :func:`hilbert_rank`.  The structure draws nothing at random; ``seed``
+    is accepted and ignored so callers written for a seeded structure keep
+    working."""
     plane = PlaneStructure(points, adjacency_slabs(shape))
     closed = [plane.cover_keys(keys) for keys in zip(*plane.keys)]
-    return MaskNeighbourSets(closed)
+    return MaskNeighbourSets(closed, hilbert_rank(points))

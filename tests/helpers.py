@@ -148,9 +148,10 @@ def rebase(reps_old, order_old, order_new):
     return tuple(reps_new)
 
 
-def expand_step(g, order, reps, radius, d, rng):
+def expand_step(g, order, reps, radius, d, rng, rank):
     """(order, reps) of the (radius + 1)-balls: per-vertex sweep unions,
-    a fresh degree-weighted order, then the loop rebase."""
+    a fresh degree-weighted order with its ties broken by ``rank``, then
+    the loop rebase."""
     import kdiam.order
     from kdiam.graph import neighborhood
 
@@ -159,7 +160,7 @@ def expand_step(g, order, reps, radius, d, rng):
     degrees = [max(deg, 1) for deg in g.degrees()]
     new_order = tuple(kdiam.order.order_from_membership(
         lambda x: neighborhood(g, x, radius + 1), g.n, d, rng,
-        weights=degrees))
+        weights=degrees, rank=rank))
     return new_order, rebase(unions, order, new_order)
 
 
@@ -321,21 +322,23 @@ def radius_steps_reference(nsds_factory, n, d, rng):
     """The implicit sweep with order membership by BFS simulated through
     the structure, a fresh structure per radius and the set recursion.
     Yields (r, order, deltas) for r = 1, 2, ...: the order drawn from the
-    radius-r balls and those balls delta-encoded along it.  What
-    ``kdiam.implicit.radius_steps``, which reads membership from the ball
-    handles, must reproduce order for order and delta for delta."""
+    radius-r balls and those balls delta-encoded along it.  The first order
+    is the structure's rank, which breaks the ties of every order drawn.
+    What ``kdiam.implicit.radius_steps``, which reads membership from the
+    ball handles, must reproduce order for order and delta for delta."""
     from itertools import count
 
     from kdiam.implicit import simulate_bfs
     from kdiam.order import order_from_membership
 
-    order = list(range(n))
+    rank = nsds_factory().rank
+    order = list(rank)
     deltas = [{order[0]}] + [{order[i - 1], order[i]} for i in range(1, n)]
     for r in count(1):
         nsds = nsds_factory()
         handles = expand_balls_reference(deltas, nsds)
         new_order = list(order_from_membership(
-            lambda x: simulate_bfs(nsds, x, r).keys(), n, d, rng))
+            lambda x: simulate_bfs(nsds, x, r).keys(), n, d, rng, rank=rank))
         old_pos = {v: i for i, v in enumerate(order)}
         mapped = [handles[old_pos[v]] for v in new_order]
         deltas = [set(nsds.list_differences(nsds.empty, mapped[0]))]

@@ -15,7 +15,8 @@ from kdiam.explicit import k_diameter_explicit
 from kdiam.gen import (default_box, random_connected_graph,
                        random_symmetric_polygon, random_unit_square_points)
 from kdiam.geometry import axis_square, intersection_graph_naive, norm_value
-from kdiam.graph import balls_at, diameter_naive, distance_vc_shatter_check
+from kdiam.graph import (balls_at, diameter_naive, distance_vc_shatter_check,
+                         locality_rank)
 from kdiam.implicit import ExpandCost, expand_balls, k_diameter_implicit
 from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import PlaneStructure, geometric_nsds
@@ -143,7 +144,7 @@ def test_criterion_6_subquadratic_difference_sum():
             rng = np.random.default_rng(1000 * seed + n)
             pts = random_unit_square_points(n, default_box(n), rng)
             g = intersection_graph_naive(pts, axis_square(1.0))
-            _, diff = order_and_sum(balls_at(g, 2), 4, rng)
+            _, diff = order_and_sum(balls_at(g, 2), 4, rng, locality_rank(g))
             sums.append(diff)
         slopes.append(loglog_slope(sizes, sums))
     assert all(s < 2.0 for s in slopes), slopes

@@ -4,7 +4,8 @@ import pytest
 from kdiam.bench import order_and_sum, scaling_rows, sparse_graph, squares_graph
 from kdiam.gen import random_connected_graph, random_unit_square_points
 from kdiam.geometry import axis_square, intersection_graph_naive
-from kdiam.graph import balls_at, diameter_naive, neighborhood
+from kdiam.graph import (balls_at, diameter_naive, locality_rank,
+                         neighborhood)
 
 
 def brute_force_sum(g, order, k):
@@ -29,7 +30,8 @@ def test_order_difference_sum_matches_brute_force(d):
         diam = diameter_naive(g)
         # k >= D reads the sweep's last round, where every ball is full
         for k in sorted({1, 2, diam, diam + 2}):
-            order, diff = order_and_sum(balls_at(g, k), d, rng)
+            order, diff = order_and_sum(balls_at(g, k), d, rng,
+                                        locality_rank(g))
             assert sorted(order) == list(range(g.n))
             assert diff == brute_force_sum(g, order, k)
             if k >= diam:
@@ -45,5 +47,5 @@ def test_scaling_rows_match_brute_force(kind, make):
         assert (row.n, row.m) == (g.n, g.m)
         assert row.identity_diff_sum == brute_force_sum(g, range(g.n), 2)
         order, diff = order_and_sum(balls_at(g, 2), 4,
-                                    np.random.default_rng(0))
+                                    np.random.default_rng(0), locality_rank(g))
         assert row.diff_sum == diff == brute_force_sum(g, order, 2)

@@ -9,7 +9,8 @@ from kdiam.graph import (DisconnectedGraphError, Graph, GraphFormatError,
                          ball_masks, balls_at, bfs_distances, diameter_naive,
                          diameter_upto, distance_vc_shatter_check, from_edges,
                          is_connected, k_diameter_naive, load_edge_list,
-                         format_edge_list, neighborhood, parse_edge_list)
+                         format_edge_list, locality_rank, neighborhood,
+                         parse_edge_list)
 from kdiam.gen import (default_box, random_connected_graph,
                        random_unit_square_points)
 from kdiam.geometry import axis_square, intersection_graph_naive
@@ -84,6 +85,41 @@ class TestBallMasks:
                                      if d <= r) for v in range(g.n)]
             for r in range(last + 3):
                 assert balls_at(g, r) == rounds[min(r, last)]
+
+
+class TestLocalityRank:
+    def test_one_vertex(self):
+        assert locality_rank(from_edges(1, [])) == (0,)
+
+    def test_relabelled_path_from_its_lesser_end(self):
+        # Cuthill-McKee starts at a least-degree vertex (the ends of a path,
+        # the lesser id first) and walks the path.
+        perm = [3, 6, 0, 5, 1, 4, 2]
+        g = from_edges(7, [(perm[i], perm[i + 1]) for i in range(6)])
+        assert locality_rank(g) == tuple(reversed(perm))
+
+    def test_neighbours_in_increasing_degree(self):
+        # 0 is the one leaf; its neighbour 1 has neighbours 2 (degree 3)
+        # and 3 (degree 2), so 3 comes first.
+        g = from_edges(6, [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4)])
+        assert locality_rank(g) == (0, 1, 3, 2, 4, 5)
+
+    def test_disconnected_graph_covers_every_component(self):
+        g = from_edges(9, [(0, 1), (2, 3), (3, 4), (6, 7), (7, 8), (8, 6)])
+        rank = locality_rank(g)
+        assert sorted(rank) == list(range(9))
+        # the isolated vertex 5 has the least degree and comes first
+        assert rank[0] == 5
+
+    def test_is_a_permutation_of_random_graphs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            n = int(rng.integers(2, 60))
+            m = int(rng.integers(n - 1, min(n * (n - 1) // 2, 2 * n) + 1))
+            g = random_connected_graph(n, m, rng)
+            rank = locality_rank(g)
+            assert sorted(rank) == list(range(n))
+            assert all(type(v) is int for v in rank)
 
 
 class TestBfs:

@@ -75,8 +75,8 @@ class TestExpandBalls:
 class RecordingNeighbourSets(MaskNeighbourSets):
     """Masks that log every AddNeighbours as its (handle, vertex) pair."""
 
-    def __init__(self, closed):
-        super().__init__(closed)
+    def __init__(self, closed, rank):
+        super().__init__(closed, rank)
         self.adds = []
 
     def add_neighbours(self, h, v):
@@ -90,8 +90,9 @@ class TestSameWorkAsSetRecursion:
 
     @staticmethod
     def check(g, deltas):
-        closed = MaskNeighbourSets.from_graph(g).closed
-        got, want = (RecordingNeighbourSets(closed) for _ in range(2))
+        base = MaskNeighbourSets.from_graph(g)
+        got, want = (RecordingNeighbourSets(base.closed, base.rank)
+                     for _ in range(2))
         got_cost, want_cost = ExpandCost(), ExpandCost()
         assert expand_balls(deltas, got, cost=got_cost) == \
             expand_balls_reference(deltas, want, cost=want_cost)
@@ -303,7 +304,8 @@ class TestSameWorkAsReference:
         # step r + 1 expands the radius-r deltas along the radius-r order
         assert [(s.radius - 1, list(s.order), [set(x) for x in s.deltas])
                 for s in steps[1:]] == ref_steps[:k - 1]
-        deltas = [{0}] + [{i - 1, i} for i in range(1, n)]
+        rank = nsds.rank
+        deltas = [{rank[0]}] + [{rank[i - 1], rank[i]} for i in range(1, n)]
         adds = 0
         for _, _, next_deltas in ref_steps:
             fresh = make()

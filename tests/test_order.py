@@ -3,7 +3,7 @@ import pytest
 
 from kdiam.gen import random_connected_graph, random_unit_square_points
 from kdiam.geometry import axis_square, intersection_graph_naive
-from kdiam.graph import from_edges, neighborhood
+from kdiam.graph import from_edges, locality_rank, neighborhood
 from kdiam.order import (net_sample, order_from_membership, preorder,
                          spanning_tree)
 
@@ -11,9 +11,10 @@ from helpers import UnionFind, dfs_preorder, total_difference
 
 
 def ball_order(g, k, d, rng, weights=None):
-    """Low-difference order of the radius-k balls of ``g``."""
+    """Low-difference order of the radius-k balls of ``g``, ties broken by
+    id (the identity rank)."""
     return order_from_membership(lambda x: neighborhood(g, x, k), g.n, d, rng,
-                                 weights=weights)
+                                 rank=range(g.n), weights=weights)
 
 
 def hyperedge_membership(edges):
@@ -103,7 +104,7 @@ class TestBuildSpanningTree:
     def test_zero_hyperedges(self):
         with pytest.raises(ValueError):
             order_from_membership(hyperedge_membership([]), 0, 2,
-                                  np.random.default_rng(0))
+                                  np.random.default_rng(0), rank=())
 
 
 class TestEulerOrder:
@@ -208,6 +209,58 @@ class TestVertexOrders:
         g = from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
             ball_order(g, 1, 2, np.random.default_rng(0), [1, 0])
+
+
+class TestRankedOrders:
+    # The orders these cases gave before the order construction took a
+    # rank; the identity rank must give them unchanged.
+    PINNED = [
+        (0, 1, 2, 7, 8, 12, 3, 9, 11, 14, 4, 5, 13, 6, 10),
+        (0, 1, 2, 12, 3, 7, 8, 9, 4, 5, 11, 13, 14, 6, 10),
+        (0, 1, 2, 3, 7, 10, 12, 6, 9, 4, 8, 14, 5, 11, 13),
+        (0, 1, 2, 4, 6, 8, 3, 9, 18, 5, 14, 7, 19, 11, 12, 15, 16, 10, 13,
+         17),
+        (0, 1, 3, 16, 5, 9, 7, 11, 12, 19, 10, 13, 17, 14, 2, 4, 8, 15, 6,
+         18),
+        (0, 1, 4, 5, 6, 7, 8, 9, 13, 15, 17, 18, 19, 2, 10, 3, 14, 16, 11,
+         12),
+        (0, 1, 4, 5, 7, 9, 2, 6, 10, 8, 3, 11),
+    ]
+
+    def test_identity_rank_keeps_the_unranked_orders(self):
+        # The graphs of TestBuildSpanningTree and
+        # test_weighted_uniform_reduces_to_unweighted, on fixed seeds.
+        rng = np.random.default_rng
+        g = random_connected_graph(15, 25, rng(4))
+        got = [ball_order(g, 2, 3, rng(seed)) for seed in range(3)]
+        g = random_connected_graph(20, 30, rng(5))
+        got += [ball_order(g, 1 + seed % 3, 2, rng(seed)) for seed in range(3)]
+        g = random_connected_graph(12, 18, rng(9))
+        got.append(ball_order(g, 1, 2, rng(42),
+                              [max(1, len(a)) for a in g.adjacency]))
+        assert got == self.PINNED
+
+    def test_tree_is_built_on_rank_positions(self):
+        # Ranked, the order is the identity-rank order of the hypergraph
+        # whose hyperedge rank[i] is renamed i, mapped back through rank.
+        g = random_connected_graph(18, 30, np.random.default_rng(6))
+        rank = locality_rank(g)
+        pos = {v: i for i, v in enumerate(rank)}
+        for seed in range(5):
+            got = order_from_membership(
+                lambda x: neighborhood(g, x, 2), g.n, 2,
+                np.random.default_rng(seed), rank=rank)
+            renamed = order_from_membership(
+                lambda x: [pos[e] for e in neighborhood(g, x, 2)], g.n, 2,
+                np.random.default_rng(seed), rank=range(g.n))
+            assert got == tuple(rank[i] for i in renamed)
+
+    @pytest.mark.parametrize("rank", [[0, 1], [0, 1, 1], [0, 1, 3]],
+                             ids=["short", "repeat", "out-of-range"])
+    def test_rank_must_be_a_permutation(self, rank):
+        with pytest.raises(ValueError, match="permutation"):
+            order_from_membership(hyperedge_membership([{0}, {1}, {2}]), 3,
+                                  2, np.random.default_rng(0), rank=rank)
 
 
 def test_subquadratic_trend_small():

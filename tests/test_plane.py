@@ -9,7 +9,7 @@ from kdiam.geometry import (TOL, ConvexPolygon, adjacency_slabs,
                             axis_square, intersection_graph_naive,
                             load_polygon)
 from kdiam.graph import ids_of
-from kdiam.plane import PlaneStructure, geometric_nsds
+from kdiam.plane import PlaneStructure, geometric_nsds, hilbert_rank
 
 from helpers import point_in_polygon
 
@@ -386,3 +386,31 @@ class TestGeometricNSDS:
             for v in range(8):
                 assert nsds.closed[v] == \
                     sum(1 << u for u in (v, *g.adjacency[v])), (ulps, v)
+
+
+class TestHilbertRank:
+    @pytest.mark.parametrize("points", [
+        [[0.5, -2.0]],
+        [[x, 1.0] for x in (3.0, -1.0, 0.5, 2.0, 7.5)],
+        [[x, 2.0 * x] for x in np.linspace(0.0, 1.0, 9)],
+        (np.random.default_rng(3).uniform(0, 2, (40, 2)) + 1e9).tolist(),
+    ], ids=["one", "collinear-x", "diagonal", "offset-1e9"])
+    def test_is_a_permutation(self, points):
+        rank = hilbert_rank(points)
+        assert sorted(rank) == list(range(len(points)))
+        assert all(type(v) is int for v in rank)
+
+    def test_lattice_walk_takes_unit_steps(self):
+        # 16 points: a 4 x 4 grid of cells, one lattice point per cell, and
+        # the curve moves between edge-adjacent cells.  The ids are shuffled
+        # so the walk cannot follow them.
+        cells = np.array([(x, y) for x in range(4) for y in range(4)], float)
+        pts = cells[np.random.default_rng(5).permutation(16)]
+        walk = pts[list(hilbert_rank(pts))]
+        steps = np.abs(np.diff(walk, axis=0)).sum(axis=1)
+        assert (steps == 1).all()
+        assert tuple(walk[0]) == (0.0, 0.0)
+
+    def test_geometric_nsds_stores_it(self):
+        pts = np.random.default_rng(6).uniform(0, 3, (25, 2))
+        assert geometric_nsds(pts, axis_square(1.0)).rank == hilbert_rank(pts)

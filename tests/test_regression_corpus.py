@@ -5,12 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdiam.cli import _found_diameter, _load
+from kdiam.explicit import k_diameter_explicit
+from kdiam.gen import (default_box, random_connected_graph,
+                       random_unit_square_points)
 from kdiam.geometry import (axis_square, intersection_graph_naive,
                             load_points, load_polygon)
 from kdiam.graph import Graph, diameter_naive, from_edges
 from kdiam.implicit import k_diameter_implicit
+from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import geometric_nsds
 
 DATA = Path(__file__).parent / "data"
@@ -79,6 +85,41 @@ def test_answers_survive_relabelling(name, kind, poly):
     for seed in range(3):
         perm = np.random.default_rng([seed, g.n]).permutation(g.n).tolist()
         assert answers(_permuted(inst, perm)) == want, (name, seed)
+
+
+@given(st.sampled_from(["sparse-graph", "unit-squares"]), st.integers(2, 60),
+       st.integers(0, 2 ** 32 - 1))
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_generated_answers_survive_relabelling(kind, n, seed):
+    # The fast paths take their first order and every tie-break from a
+    # locality rank of the input, so a relabelled input walks other
+    # orders; the answers for k = D - 1 and D must not move.
+    rng = np.random.default_rng(seed)
+    if kind == "sparse-graph":
+        m = int(rng.integers(n - 1, min(n * (n - 1) // 2, 2 * n) + 1))
+        inst = random_connected_graph(n, m, rng)
+    else:
+        inst = (random_unit_square_points(n, default_box(n), rng),
+                axis_square(1.0))
+    inst = _permuted(inst, rng.permutation(n).tolist())
+    g = inst if isinstance(inst, Graph) else intersection_graph_naive(*inst)
+    diam = diameter_naive(g)
+    ks = [k for k in (diam - 1, diam) if k >= 1]
+    for algo in ("naive", "explicit", "implicit"):
+        found = _found_diameter(algo, inst, diam, 3, seed)[0]
+        assert [found is not None and found <= k for k in ks] == \
+            [k >= diam for k in ks], algo
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_disconnected_graph_answers_false(k):
+    # Infinite diameter: no radius is ever full.  The locality rank must
+    # still cover every component, or radius 0 has no position for some
+    # vertex.
+    g = from_edges(5, [(0, 1), (2, 3), (3, 4)])
+    assert k_diameter_explicit(g, k, 3, np.random.default_rng(k)) is False
+    assert k_diameter_implicit(lambda: MaskNeighbourSets.from_graph(g), g.n,
+                               k, 3, np.random.default_rng(k)) is False
 
 
 def test_numpy_vertex_ids_give_the_same_diameter():
