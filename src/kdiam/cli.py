@@ -26,9 +26,8 @@ log = logging.getLogger("kdiam")
 from . import _kernels, explicit, implicit
 from . import bench as bench_mod
 from . import gen as gen_mod
-from .geometry import (axis_square, check_distinct, format_points,
-                       format_polygon, intersection_graph_naive, parse_points,
-                       parse_polygon)
+from .geometry import (axis_square, format_points, format_polygon,
+                       intersection_graph_naive, parse_points, parse_polygon)
 from .graph import (DisconnectedGraphError, Graph, diameter_naive,
                     diameter_upto, format_edge_list, is_connected,
                     parse_edge_list)
@@ -37,12 +36,13 @@ from .plane import geometric_nsds
 
 
 def _load(path, polygon=None):
-    """The instance in file ``path``, checked once for every algorithm: a
-    connected Graph for an edge list, or ``(points, shape)`` for a points
-    CSV (a comma on the first non-blank line), ``shape`` being the polygon
-    in file ``polygon`` (the unit square when None; an edge list takes
-    none).  Points must be finite and distinct and their intersection graph
-    connected.  A ValueError names the file at fault."""
+    """The instance in file ``path``: a connected Graph for an edge list, or
+    ``(points, shape)`` for a points CSV (a comma on the first non-blank
+    line), ``shape`` being the polygon in file ``polygon`` (the unit square
+    when None; an edge list takes none).  Points must be finite here; that
+    they are distinct and their intersection graph connected is checked on
+    the graph or structure the run builds (:func:`_found_diameter`).  A
+    ValueError names the file at fault."""
     shape = _parse(polygon, parse_polygon) if polygon else None
     return _parse(path, _instance, shape)
 
@@ -63,13 +63,7 @@ def _instance(text: str, shape):
         if not is_connected(g):
             raise DisconnectedGraphError("graph is disconnected")
         return g
-    pts = parse_points(text)
-    check_distinct(pts)
-    shape = shape or axis_square(1.0)
-    # a BFS on the geometric structure costs a fraction of the oracle graph
-    if len(implicit.simulate_bfs(geometric_nsds(pts, shape), 0)) < len(pts):
-        raise DisconnectedGraphError("intersection graph is disconnected")
-    return pts, shape
+    return parse_points(text), shape or axis_square(1.0)
 
 
 def _check_gen(args) -> None:
@@ -147,8 +141,13 @@ def cmd_diam(args):
                0 if args.algo == "naive" else 1, args.d)
     inst = _load(args.input, args.polygon)
     start = time.perf_counter()
-    found, counters = _found_diameter(args.algo, inst, args.k, args.d,
-                                      args.seed)
+    try:
+        found, counters = _found_diameter(args.algo, inst, args.k, args.d,
+                                          args.seed)
+    except ValueError as exc:
+        # a point instance is checked as the run builds its graph or
+        # structure; the fault is the input file's
+        raise ValueError(f"{args.input}: {exc}") from None
     report = {"instance": str(args.input), "algorithm": args.algo,
               "k": args.k, "d": args.d, "seed": args.seed,
               "answer": found is not None and found <= args.k,
@@ -166,23 +165,39 @@ def _found_diameter(algo, inst, k_max, d, seed):
     says about the diameter, and its counters.  Naive gives the diameter, a
     fast path the first full radius of one sweep to ``k_max`` (None when
     none is full).  Either way the answer for k is ``found <= k``.  Naive
-    and explicit build the graph of a point instance; implicit builds its
-    own structure.
+    and explicit build the graph of a point instance, implicit its own
+    structure, once; the builder rejects equal points, and a disconnected
+    graph raises DisconnectedGraphError.
     """
     rng = np.random.default_rng(seed)
     if algo == "implicit":
-        nsds = MaskNeighbourSets.from_graph(inst) if isinstance(inst, Graph) \
-            else geometric_nsds(*inst)
+        if isinstance(inst, Graph):
+            nsds = MaskNeighbourSets.from_graph(inst)
+        else:
+            nsds = geometric_nsds(*inst)
+            # a BFS on the structure; the counters then restart, so that
+            # the report counts the sweep alone
+            _check_connected(len(implicit.simulate_bfs(nsds, 0)) == nsds.n)
+            nsds.add_count = nsds.list_count = 0
         found = diameter_upto(implicit.radius_steps(nsds, nsds.n, d, rng),
                               k_max)
         return found, {"n": nsds.n, "add_neighbours": nsds.add_count,
                        "list_differences": nsds.list_count}
-    g = inst if isinstance(inst, Graph) else intersection_graph_naive(*inst)
+    if isinstance(inst, Graph):
+        g = inst
+    else:
+        g = intersection_graph_naive(*inst)
+        _check_connected(is_connected(g))
     if algo == "naive":
         found = diameter_naive(g)
     else:
         found = diameter_upto(explicit.radius_steps(g, d, rng), k_max)
     return found, {"n": g.n, "m": g.m}
+
+
+def _check_connected(connected: bool) -> None:
+    if not connected:
+        raise DisconnectedGraphError("intersection graph is disconnected")
 
 
 def cmd_verify(args):

@@ -4,18 +4,18 @@ neighbour-set structure.
 Balls are delta-encoded along a vertex order: D_1 is the first ball and D_i
 the symmetric difference of consecutive balls, so the prefix-xor of the
 deltas reconstructs any ball.  :func:`radius_steps` grows every ball one
-radius at a time, lazily: each step expands all balls with a
-divide-and-conquer that shares common work and yields the radius, whether
-every ball is full and the handles; only when the next step is asked for
-does it draw the next order, with membership read from the handles just
-built, and re-extract deltas output-sensitively as the sorted id lists
-ListDifferences returns.  The recursion turns each delta into an ``int``
-mask once and does its unions, intersections and symmetric differences as
-int operations, so a delta's size is its popcount.  A handle is its own
-set, so fullness is each handle compared with the full mask, at every
-radius, the last one included: the last radius lists nothing.
-``k_diameter_implicit`` reads its answer for one k from the sweep with
-:func:`kdiam.graph.diameter_upto`.
+radius at a time, lazily, and yields per radius whether every ball is full
+and the handles.  Radius 1 is one AddNeighbours per vertex from the empty
+set.  Only when the next step is asked for does it draw the next order,
+with membership read from the handles just built, re-extract deltas
+output-sensitively as the sorted id lists ListDifferences returns, and
+expand all balls with a divide-and-conquer that shares common work.  The
+recursion turns each delta into an ``int`` mask once and does its unions,
+intersections and symmetric differences as int operations, so a delta's
+size is its popcount.  A handle is its own set, so fullness is each handle
+compared with the full mask, at every radius, the last one included: the
+last radius lists nothing.  ``k_diameter_implicit`` reads its answer for
+one k from the sweep with :func:`kdiam.graph.diameter_upto`.
 """
 
 from __future__ import annotations
@@ -146,8 +146,11 @@ def radius_steps(nsds: MaskNeighbourSets, n: int, d: int,
     full = (1 << n) - 1
     order = nsds.rank
     deltas = [{order[0]}] + [{order[i - 1], order[i]} for i in range(1, n)]
+    # Over these deltas every prefix is one vertex, so the expansion would
+    # make exactly one AddNeighbours per vertex, from the empty set, in
+    # order: make them directly.
+    handles = [nsds.add_neighbours(nsds.empty, v) for v in order]
     for r in count(1):
-        handles = expand_balls(deltas, nsds)
         yield RadiusStep(r, all(h == full for h in handles), order, deltas,
                          handles)
         # Fresh low-difference order for the next radius.  By symmetry of
@@ -161,6 +164,7 @@ def radius_steps(nsds: MaskNeighbourSets, n: int, d: int,
         deltas = [nsds.list_differences(nsds.empty, mapped[0])]
         deltas.extend(nsds.list_differences(mapped[i - 1], mapped[i])
                       for i in range(1, n))
+        handles = expand_balls(deltas, nsds)
 
 
 def k_diameter_implicit(nsds_factory, n: int, k: int, d: int,

@@ -5,7 +5,10 @@ per class of parallel sides (:meth:`kdiam.geometry.ConvexPolygon.slabs`).
 Per slab, the points a copy of the polygon covers are a contiguous run of
 the points sorted by their projection on the slab's normal, so each slab is
 one stripe (:mod:`kdiam.stripes`) and the cover of a center is the AND of
-one lookup per stripe.
+one lookup per stripe.  :meth:`PlaneStructure.covers` answers a batch of
+centers with one bulk lookup per stripe; :func:`geometric_nsds` makes one
+batch of every point, so building all n closed neighbourhoods costs one
+bulk lookup and n XORs of prefix masks per slab.
 
 A marked set is a plain ``int`` mask with bit i for point i: marking ORs in
 each center's cover, and listing a difference is one XOR.  The decide path
@@ -16,6 +19,8 @@ stay because the benchmark's tracer hooks or reads them by name.
 """
 
 from __future__ import annotations
+
+from operator import and_
 
 import numpy as np
 
@@ -30,8 +35,8 @@ class PlaneStructure:
     ``slabs``: (unit normal, lo, hi) triples, the shape being the points x
     with ``lo <= normal . x <= hi`` for every triple.  ``keys[j][i]`` is
     the projection of point i on slab j's normal, computed as
-    ``points @ normal`` just as the oracle computes it, and ``stripes[j]``
-    holds those projections sorted."""
+    ``points @ normal`` just as the oracle computes it, a float64 array, and
+    ``stripes[j]`` holds those projections sorted."""
 
     def __init__(self, points, slabs):
         pts = np.asarray(points, dtype=np.float64)
@@ -39,25 +44,28 @@ class PlaneStructure:
             raise ValueError("points must be a nonempty (n, 2) array")
         check_distinct(pts)
         self.slabs = slabs
-        self.keys = [(pts @ nrm).tolist() for nrm, _, _ in self.slabs]
+        self.keys = [pts @ nrm for nrm, _, _ in self.slabs]
         self.stripes = [st.stripe_init(keys) for keys in self.keys]
         self.aux_nodes = 0  # listings made (the benchmark's counter name)
 
     # -- marking ------------------------------------------------------------
 
-    def cover_keys(self, keys) -> int:
-        """Mask of the points the shape covers when centered where the
-        projections on the slab normals are ``keys``: the AND of one lookup
-        per stripe."""
-        mask = -1
-        for stripe, (_, lo, hi), c in zip(self.stripes, self.slabs, keys):
-            mask &= stripe.covered(c, lo, hi)
-        return mask
+    def covers(self, keys) -> list[int]:
+        """Per center, the mask of the points the shape covers when centered
+        there, ``keys[j]`` holding the centers' projections on slab j's
+        normal: the AND over the stripes of one bulk lookup each."""
+        parts = [stripe.covers(cs, lo, hi)
+                 for stripe, (_, lo, hi), cs in zip(self.stripes, self.slabs,
+                                                    keys)]
+        masks = parts[0]
+        for part in parts[1:]:
+            masks = list(map(and_, masks, part))
+        return masks
 
     def cover(self, center) -> int:
         """Mask of the points the shape centered at ``center`` covers."""
         c = np.asarray(center, dtype=np.float64)
-        return self.cover_keys([float(c @ nrm) for nrm, _, _ in self.slabs])
+        return self.covers([[float(c @ nrm)] for nrm, _, _ in self.slabs])[0]
 
     def mark(self, mask: int, centers) -> int:
         """``mask`` with the points covered by the shape centered at each of
@@ -115,10 +123,9 @@ def geometric_nsds(points, shape: ConvexPolygon,
     placed at ``points``, built without the graph.  The closed
     neighbourhood of v is exactly the point set the slabs of
     :func:`kdiam.geometry.adjacency_slabs` cover when centered at v, so
-    ``closed[v]`` is the cover at point v's own projections.  Its rank is
-    :func:`hilbert_rank`.  The structure draws nothing at random; ``seed``
-    is accepted and ignored so callers written for a seeded structure keep
-    working."""
+    ``closed`` is the covers of one batch of centers, each point at its own
+    projections.  Its rank is :func:`hilbert_rank`.  The structure draws
+    nothing at random; ``seed`` is accepted and ignored so callers written
+    for a seeded structure keep working."""
     plane = PlaneStructure(points, adjacency_slabs(shape))
-    closed = [plane.cover_keys(keys) for keys in zip(*plane.keys)]
-    return MaskNeighbourSets(closed, hilbert_rank(points))
+    return MaskNeighbourSets(plane.covers(plane.keys), hilbert_rank(points))

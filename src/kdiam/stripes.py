@@ -2,54 +2,84 @@
 
 A slab ``lo <= normal . x <= hi`` centered at c covers the points whose
 projection ``p = normal . point`` has ``lo <= p - c <= hi``: a contiguous
-run of the points sorted by projection.  Float subtraction is monotone, so
-two bisects on ``p - c`` find that run exactly where a direct comparison of
-every ``p - c`` with ``lo`` and ``hi`` would put it.  The stripe keeps the
-mask of every prefix of the sorted order, bit i for point i, so a lookup
-costs two bisects and one XOR of prefix masks: O(log n + n/w) word
-operations.
+run of the points sorted by projection.  The stripe keeps the projections
+sorted, as a float64 array, and the mask of every prefix of that order, bit
+i for point i, so a cover is ``pmasks[end] ^ pmasks[first]``.
+
+:meth:`Stripe.covers` finds the runs of many centers at once: one
+``np.searchsorted`` per bound on ``c + lo`` and ``c + hi``, then an exact
+fix-up.  Float subtraction is monotone, so ``p - c < lo`` (and
+``p - c <= hi``) holds on a prefix of the sorted projections; the fix-up
+moves each estimate over whole runs of equal projections until it sits on
+that prefix's end, comparing ``p - c`` with the bound in the same doubles
+the oracle compares.  ``c + lo`` is off from the true boundary by rounding
+only, so the fix-up steps once per distinct projection that rounding put on
+the wrong side, whatever the number of points that share it.  A batch of m
+centers costs O(m log n) numpy work and m XORs of prefix masks.
 
 A marked set is a plain ``int`` mask, bit i for point i.  The plane
 structure builds its stripes with :func:`stripe_init` and calls
-:meth:`Stripe.covered`.  :func:`stripe_mark_line` and
-:func:`stripe_list_differences` stay, on ints, because the benchmark's
-tracer hooks them (and :func:`stripe_init`) by name.
+:meth:`Stripe.covers`; :meth:`Stripe.covered` is its one-center case.
+:func:`stripe_mark_line` and :func:`stripe_list_differences` stay, on ints,
+because the benchmark's tracer hooks them (and :func:`stripe_init`) by
+name.
 """
 
 from __future__ import annotations
 
-import bisect
 import operator
 from itertools import accumulate
+
+import numpy as np
 
 from .graph import ids_of
 
 
 class Stripe:
     """One slab's point projections, sorted, with the mask of each prefix.
-    Counters: lookups (``marks``), lookups that found a point
-    (``mark_nodes``) and listings (``list_nodes``)."""
+    Counters: lookups, one per center (``marks``), lookups that found a
+    point (``mark_nodes``) and listings (``list_nodes``)."""
 
     def __init__(self, keys):
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        self.keys = [keys[i] for i in order]
-        self.pmasks = list(accumulate((1 << i for i in order), operator.or_,
-                                      initial=0))
+        keys = np.asarray(keys, dtype=np.float64)
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        self.pmasks = list(accumulate((1 << i for i in order.tolist()),
+                                      operator.or_, initial=0))
         self.marks = self.mark_nodes = self.list_nodes = 0
+
+    def _prefix(self, cs, bound: float, side: str):
+        """Per center c, how many sorted projections p have ``p - c <
+        bound`` (side "left") or ``p - c <= bound`` (side "right")."""
+        keys = self.keys
+        inside = np.less if side == "left" else np.less_equal
+        i = np.searchsorted(keys, cs + bound, side)
+        while True:
+            back = np.flatnonzero(i > 0)
+            back = back[~inside(keys[i[back] - 1] - cs[back], bound)]
+            fwd = np.flatnonzero(i < len(keys))
+            fwd = fwd[inside(keys[i[fwd]] - cs[fwd], bound)]
+            if not (back.size or fwd.size):
+                return i
+            # step over the whole run of projections equal to the one
+            # just tested
+            i[back] = np.searchsorted(keys, keys[i[back] - 1], "left")
+            i[fwd] = np.searchsorted(keys, keys[i[fwd]], "right")
+
+    def covers(self, cs, lo: float, hi: float) -> list[int]:
+        """Per center projection c in ``cs``, the mask of the points whose
+        projection p has ``lo <= p - c <= hi``."""
+        cs = np.asarray(cs, dtype=np.float64)
+        first = self._prefix(cs, lo, "left")
+        end = self._prefix(cs, hi, "right")
+        self.marks += len(cs)
+        self.mark_nodes += int(np.count_nonzero(first < end))
+        pm = self.pmasks
+        return [pm[e] ^ pm[f] for f, e in zip(first.tolist(), end.tolist())]
 
     def covered(self, c: float, lo: float, hi: float) -> int:
         """Mask of the points whose projection p has ``lo <= p - c <= hi``."""
-        self.marks += 1
-
-        def offset(p):
-            return p - c
-
-        first = bisect.bisect_left(self.keys, lo, key=offset)
-        end = bisect.bisect_right(self.keys, hi, key=offset)
-        if first == end:
-            return 0
-        self.mark_nodes += 1
-        return self.pmasks[end] ^ self.pmasks[first]
+        return self.covers([c], lo, hi)[0]
 
 
 def stripe_init(keys) -> Stripe:

@@ -258,6 +258,27 @@ class TestKDiameterImplicit:
         assert nsds.list_count == 0
         assert nsds.add_count == 10
 
+    @pytest.mark.parametrize("label", ["graph", "squares"])
+    def test_radius_one_is_one_add_per_vertex(self, label):
+        # The first step's handles are N[v] in the rank's order, made by n
+        # AddNeighbours from the empty set and no listing; its deltas are
+        # still the rank's pair deltas.
+        rng = np.random.default_rng(9)
+        if label == "graph":
+            nsds = MaskNeighbourSets.from_graph(
+                random_connected_graph(25, 40, rng))
+        else:
+            nsds = geometric_nsds(random_unit_square_points(40, 4.0, rng),
+                                  axis_square(1.0))
+        rank = nsds.rank
+        step = next(radius_steps(nsds, nsds.n, 3, rng))
+        assert step.radius == 1 and step.order == rank
+        assert step.handles == [nsds.closed[v] for v in rank]
+        assert [set(d) for d in step.deltas] == \
+            [{rank[0]}] + [{rank[i - 1], rank[i]} for i in range(1, nsds.n)]
+        assert nsds.add_count == nsds.n
+        assert nsds.list_count == 0
+
     def test_validates_arguments(self):
         g = complete_graph(3)
         with pytest.raises(ValueError):

@@ -127,13 +127,13 @@ class TestClosedMasks:
         pts = random_unit_square_points(60, 3.0, rng)
         g = intersection_graph_naive(pts, axis_square(1.0))
         computed = []
-        covered = Stripe.covered
+        covers = Stripe.covers
 
-        def counting(self, c, lo, hi):
-            computed.append((c, lo, hi))
-            return covered(self, c, lo, hi)
+        def counting(self, cs, lo, hi):
+            computed.extend((c, lo, hi) for c in cs)
+            return covers(self, cs, lo, hi)
 
-        monkeypatch.setattr(Stripe, "covered", counting)
+        monkeypatch.setattr(Stripe, "covers", counting)
         made = []
 
         def factory():

@@ -228,7 +228,8 @@ class TestDirections:
             assert np.allclose(opposite, -nrm, rtol=0, atol=1e-15)
             pairs.add(i % half)
             offsets.append(sides[i][1])
-            assert structure.stripes[j].keys == sorted(structure.keys[j])
+            assert structure.stripes[j].keys.tolist() == \
+                sorted(structure.keys[j].tolist())
         assert len(pairs) == half
         return offsets
 
@@ -364,7 +365,7 @@ class TestGeometricNSDS:
                                                   geo_handles[j]))
                 assert got == sorted(replay[i] ^ replay[j]), (seq, i, j)
 
-    @pytest.mark.parametrize("offset", [0.0, 3.0, 1e3, 1e6])
+    @pytest.mark.parametrize("offset", [0.0, 3.0, 1e3, 1e6, 1e9])
     @pytest.mark.parametrize("label", ["square", "hexagon", "triangle",
                                        "pentagon"])
     def test_tol_edge_rows_match_the_oracle(self, label, offset):
@@ -386,6 +387,24 @@ class TestGeometricNSDS:
             for v in range(8):
                 assert nsds.closed[v] == \
                     sum(1 << u for u in (v, *g.adjacency[v])), (ulps, v)
+
+    @pytest.mark.parametrize("label", ["touching-squares", "offset-1e9",
+                                       "one-point"])
+    def test_lattices_match_the_oracle(self, label):
+        # A touching lattice puts many points on one projection and every
+        # neighbour exactly on the adjacency boundary; at 1e9 the spacing
+        # 0.1 is inexact, so the gaps differ by roundings.  Each closed[v]
+        # must be the oracle's row bit for bit.
+        side, origin, m = {"touching-squares": (1.0, 0.0, 12),
+                           "offset-1e9": (0.1, 1e9, 12),
+                           "one-point": (1.0, 5.0, 1)}[label]
+        pts = np.array([(origin + side * a, origin + side * b)
+                        for a in range(m) for b in range(m)])
+        for shape in (axis_square(side), benchmark_hexagon()):
+            g = intersection_graph_naive(pts, shape)
+            nsds = geometric_nsds(pts, shape)
+            assert nsds.closed == [sum(1 << u for u in (v, *g.adjacency[v]))
+                                   for v in range(g.n)]
 
 
 class TestHilbertRank:

@@ -41,7 +41,7 @@ def mark_parts(stripe, mask, parts):
 class TestInit:
     def test_single_point(self):
         stripe = stripe_init([1.0])
-        assert stripe.keys == [1.0]
+        assert stripe.keys.tolist() == [1.0]
         assert stripe.pmasks == [0, 1]
 
     def test_full_marking_mask_is_all_bits(self):
@@ -61,7 +61,7 @@ class TestInit:
         pts[10:20, 0] = pts[0, 0]
         stripe = stripe_init(projections(pts))
         xs = pts[:, 0].tolist()
-        assert stripe.keys == sorted(xs)
+        assert stripe.keys.tolist() == sorted(xs)
         want = sorted(range(100), key=lambda i: (xs[i], i))
         pmasks = stripe.pmasks
         assert [(pmasks[i + 1] ^ pmasks[i]).bit_length() - 1
@@ -137,6 +137,56 @@ class TestMark:
                     assert i not in want
                     assert stripe.covered(c, -narrower, narrower) == \
                         mask_of(want)
+
+
+def lookup_keys(label):
+    """Projections on the x axis for the bulk lookup's cases."""
+    if label == "random":
+        return projections(make_points(np.random.default_rng(43), 150))
+    if label == "touching-lattice":
+        # unit squares on the integer lattice: 12 runs of 12 equal keys,
+        # neighbours exactly 1 apart
+        return projections([(float(a), float(b))
+                            for a in range(12) for b in range(12)])
+    if label == "offset-lattice":
+        # spacing 0.1 at 1e9 is not exact: the gaps are two doubles on
+        # either side of 0.1
+        return projections([(1e9 + 0.1 * a, 1e9 + 0.1 * b)
+                            for a in range(12) for b in range(12)])
+    return [0.25]
+
+
+class TestBulkLookup:
+    """``covers`` answers many centers in one call.  Each answer must be the
+    brute-force set, also where p - c is exactly lo or hi and where many
+    points share a projection, and the counters must advance by one lookup
+    per center and one found lookup per nonempty cover, as per-center
+    lookups do."""
+
+    @pytest.mark.parametrize("label", ["random", "touching-lattice",
+                                       "offset-lattice", "n=1"])
+    def test_covers_match_brute_force(self, label):
+        keys = lookup_keys(label)
+        stripe = stripe_init(keys)
+        rng = np.random.default_rng(44)
+        lo_key, hi_key = min(keys), max(keys)
+        centers = keys + rng.uniform(lo_key - 1, hi_key + 1, 20).tolist()
+        # every gap between two distinct keys is a width at which p - c
+        # is exactly -w or w for some point and some center (a key)
+        gaps = sorted({abs(p - q) for p in keys[::7] for q in keys} - {0.0})
+        widths = [0.0, 0.5] + gaps[:6] + gaps[-2:]
+        widths += [math.nextafter(w, 0.0) for w in widths if w > 0]
+        lookups = found = 0
+        for w in widths:
+            want = [slab_covers(keys, c, w) for c in centers]
+            assert stripe.covers(centers, -w, w) == \
+                [mask_of(m) for m in want], w
+            lookups += len(centers)
+            found += sum(1 for m in want if m)
+        assert (stripe.marks, stripe.mark_nodes) == (lookups, found)
+        if len(keys) > 1:
+            assert any(p - c == w for w in widths for p in keys
+                       for c in keys)
 
 
 class TestListDifferences:
