@@ -28,7 +28,11 @@ from .intervals import IntervalSets
 # sweep arrays (the union's one key per interval, the difference sweep's
 # two endpoint keys per interval of each pair, and a few temporaries of
 # either size) without changing any result.  Union owners are numbered
-# within a block, so its int64 keys stay in range for n below about 2**25.
+# within a block, at most BLOCK of them (every vertex gathers at least one
+# interval), so the union keys ``owner << 2b | start << b | end`` with
+# ``b = (n + 1).bit_length()`` pass the int64 guard of
+# :func:`kdiam.intervals.union_sweep` while b <= 24: for n below
+# 2**24 - 1, about 16.7 million vertices.
 # On the 400-vertex sparse benchmark graphs (2-vCPU host), two 12 s runs
 # each gave peak RSS 54.0-54.1 MB at 4,096, 54.1-54.3 MB at 8,192 and
 # 54.8-54.9 MB at 16,384 (53.9 MB before the union sorted one key per
@@ -80,23 +84,34 @@ def _blocks(weights):
         lo, done = hi, int(cum[hi - 1])
 
 
-def _closed_unions(g: Graph, reps: IntervalSets) -> IntervalSets:
-    """For every vertex v, the union of the sets of v and its neighbours."""
+def _ball_unions(g: Graph, reps: IntervalSets, radius: int) -> IntervalSets:
+    """The radius + 1 balls from the radius-``radius`` balls ``reps``.
+
+    At radius 0 each ball is the union of the sets of v's closed
+    neighbourhood.  From radius 1 on, the open neighbourhood suffices: v
+    lies in the ball of each of its neighbours, and a shortest path out of v
+    passes through one of them, so v's own set is left out, which saves
+    about 1 / (mean degree + 1) of the gathered intervals.  A vertex with no
+    neighbours keeps its own set.
+    """
     n = g.n
     indptr, indices = g.csr
-    # Closed-neighbourhood CSR: each vertex first, then its neighbours.
-    cptr = indptr + np.arange(n + 1)
-    cidx = np.insert(indices, indptr[:-1], np.arange(n))
-    # Interval total of every closed neighbourhood, and where each one's
-    # intervals start in the gathered sequence.
-    totals = np.add.reduceat(reps.counts()[cidx], cptr[:-1])
+    own = (np.ones(n, dtype=bool) if radius == 0
+           else indptr[1:] == indptr[:-1])
+    # Gather CSR: each vertex that keeps its own set first, then its
+    # neighbours.
+    gptr = indptr + intervals.offsets_of(own)
+    gidx = np.insert(indices, indptr[:-1][own], np.flatnonzero(own))
+    # Interval total of every gathered set, and where each one's intervals
+    # start in the gathered sequence.
+    totals = np.add.reduceat(reps.counts()[gidx], gptr[:-1])
     bounds = intervals.offsets_of(totals)
     counts, starts, ends = [], [], []
     for lo, hi in _blocks(totals):
-        items = cidx[cptr[lo]:cptr[hi]]
+        items = gidx[gptr[lo]:gptr[hi]]
         idx = concat_ranges(reps.offsets[items], reps.offsets[items + 1])
-        # One set per vertex: the intervals of its whole closed
-        # neighbourhood, so the sweep's owner offsets come from the totals.
+        # One set per vertex: the intervals of everything it gathers, so
+        # the sweep's owner offsets come from the totals.
         gathered = IntervalSets(bounds[lo:hi + 1] - bounds[lo],
                                 reps.starts[idx], reps.ends[idx])
         rows = intervals.union_sweep(gathered, np.arange(hi - lo), n)
@@ -130,6 +145,7 @@ def rebase(reps_old: IntervalSets, order_old, order_new) -> IntervalSets:
     seq = np.asarray(order_new, dtype=np.int64)
     seq_counts = np.zeros(n + 2, dtype=np.int64)
     seq_counts[1:-1] = reps_old.counts()[seq]
+    width = (n + 1).bit_length()  # bits that hold a pair, 0..n
     toggles = []
     for lo, hi in _blocks(seq_counts[:-1] + seq_counts[1:]):
         # Pairs lo..hi-1 read the sets lo..hi; only P_1..P_n have intervals.
@@ -148,18 +164,14 @@ def rebase(reps_old: IntervalSets, order_old, order_new) -> IntervalSets:
             np.concatenate((ends[a], ends[b])), n)
         # Keyed by (vertex, pair), so one sort groups the toggles of each
         # vertex in order.
-        toggles.append(old_vertex[pos - 1] * (n + 1) + at)
+        toggles.append(old_vertex[pos - 1] << width | at)
     # Worked on in place: this array holds every endpoint of the radius and
     # sets the step's peak memory.  Its rows are each interval's toggles.
     toggles = np.concatenate(toggles)
     toggles.sort()
     toggles = toggles.reshape(-1, 2)
-    # One division gives the vertex (to count its intervals); taking off its
-    # base leaves the pair, as integer // is much faster than % in numpy.
-    vertex = toggles[:, 0] // (n + 1)
-    counts = np.bincount(vertex, minlength=n)
-    vertex *= n + 1
-    toggles -= vertex[:, None]
+    counts = np.bincount(toggles[:, 0] >> width, minlength=n)
+    toggles &= (1 << width) - 1  # the pairs
     toggles[:, 0] += 1
     return IntervalSets(intervals.offsets_of(counts), toggles[:, 0],
                         toggles[:, 1])
@@ -167,8 +179,10 @@ def rebase(reps_old: IntervalSets, order_old, order_new) -> IntervalSets:
 
 def expand_step(g: Graph, enc: BallEncoding) -> BallEncoding:
     """Encoding of the (radius + 1)-balls under the same order: each ball is
-    the union of the representations of a closed neighbourhood."""
-    return BallEncoding(enc.order, _closed_unions(g, enc.reps), enc.radius + 1)
+    the union of the representations of a neighbourhood
+    (:func:`_ball_unions`)."""
+    return BallEncoding(enc.order, _ball_unions(g, enc.reps, enc.radius),
+                        enc.radius + 1)
 
 
 @dataclass(frozen=True)

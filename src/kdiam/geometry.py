@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -76,18 +77,29 @@ class ConvexPolygon:
             out.append((nrm, float(nrm @ self.vertices[i])))
         return out
 
-    def slabs(self) -> list:
+    def slabs(self) -> tuple:
         """(outward unit normal, lo, hi) per class of parallel sides, the
         normal being the first such side's and lo/hi the least and greatest
         of ``vertices @ normal``: the polygon is exactly the set of points p
-        with ``lo <= normal . p <= hi`` for every class."""
+        with ``lo <= normal . p <= hi`` for every class.  Worked out once
+        per polygon."""
+        return self._slabs
+
+    @cached_property
+    def _slabs(self) -> tuple:
         out = []
         for nrm, _ in self.side_normals():
             if all(abs(nrm[0] * m[1] - nrm[1] * m[0]) > 1e-12
                    for m, _, _ in out):
                 proj = self.vertices @ nrm
                 out.append((nrm, float(proj.min()), float(proj.max())))
-        return out
+        return tuple(out)
+
+    @cached_property
+    def _adjacency_slabs(self) -> tuple:
+        """:func:`adjacency_slabs`, worked out once per polygon."""
+        return tuple((nrm, lo - hi - TOL, hi - lo + TOL)
+                     for nrm, lo, hi in self._slabs)
 
 
 def norm_value(f: ConvexPolygon, x) -> float:
@@ -108,21 +120,24 @@ def check_distinct(points) -> None:
     (n, 2) array ``points`` are equal, for the smallest such j and i the
     first row equal to it.  -0.0 equals 0.0."""
     pts = np.asarray(points, dtype=np.float64)
-    _, first, inverse = np.unique(pts, axis=0, return_index=True,
-                                  return_inverse=True)
-    first_equal = first[inverse.reshape(-1)]
-    repeats = np.flatnonzero(first_equal != np.arange(len(pts)))
-    if repeats.size:
-        j = int(repeats[0])
-        raise ValueError(f"duplicate points {int(first_equal[j])} and {j}")
+    # A stable sort puts equal rows next to each other, in index order, so
+    # the rows equal to the one before them are the repeats.
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    rows = pts[order]
+    repeat = (rows[1:, 0] == rows[:-1, 0]) & (rows[1:, 1] == rows[:-1, 1])
+    if repeat.any():
+        j = int(order[1:][repeat].min())
+        i = int(np.flatnonzero((pts == pts[j]).all(axis=1))[0])
+        raise ValueError(f"duplicate points {i} and {j}")
 
 
-def adjacency_slabs(f: ConvexPolygon) -> list:
+def adjacency_slabs(f: ConvexPolygon) -> tuple:
     """(unit normal, lo, hi) per class of parallel sides of ``f``: u ~ v iff
     ``lo <= normal . u - normal . v <= hi`` for every class.  The slabs of
     ``f - f``, each side pushed out by ``TOL`` (see the module docstring);
-    ``lo == -hi`` exactly."""
-    return [(nrm, lo - hi - TOL, hi - lo + TOL) for nrm, lo, hi in f.slabs()]
+    ``lo == -hi`` exactly.  Worked out once per shape, so deciding many
+    instances of one shape does not redo it."""
+    return f._adjacency_slabs
 
 
 def intersection_graph_naive(points, f: ConvexPolygon) -> Graph:

@@ -11,6 +11,9 @@ int64 keys for all sets at once: :func:`union_sweep` makes one key per
 interval and reads the unions off a running maximum of the ends;
 :func:`symmetric_difference` makes one key per interval endpoint and reads
 the positions in exactly one set of a pair off the parity of the sorted keys.
+A key packs its fields with shifts by ``b = (n + 1).bit_length()`` bits, the
+fewest that hold every position 0..n + 1, so its fields are read back with
+``>>`` and ``&``, not with integer division.
 """
 
 from __future__ import annotations
@@ -122,35 +125,36 @@ def union_sweep(sets: IntervalSets, owner, n: int) -> np.ndarray:
     Set ``s`` of ``sets`` goes into the union of owner ``owner[s]``, a
     non-negative int; its intervals lie in 1..n and may overlap or touch,
     within a set as across the sets of one owner.  Each interval becomes one
-    key ``(owner * span + start) * span + end`` with ``span = n + 2``, so one
-    sort orders the intervals by owner, then start.  The running maximum of
-    the reaches ``owner * span + end`` is how far the union has got; a head
-    ``owner * span + start`` more than one past it begins a new union
-    interval, so closed intervals [a, b] and [b + 1, c] merge.  The owner
-    offsets keep owners apart: an owner's first head lies at least three
-    past the reach of the owner before it.
+    key ``owner << 2b | start << b | end`` with ``b = (n + 1).bit_length()``,
+    so one sort orders the intervals by owner, then start.  The running
+    maximum of the reaches ``owner << b | end`` is how far the union has
+    got; a head ``key >> b``, which is ``owner << b | start``, more than one
+    past it begins a new union interval, so closed intervals [a, b] and
+    [b + 1, c] merge.  The owner fields keep owners apart: as ``2**b`` is at
+    least n + 2, an owner's first head lies at least three past the reach
+    of the owner before it.
 
     Returns an int64 array with one row ``(owner, start, end)`` per union
-    interval, sorted by owner, then start.  Raises ``ValueError`` when a key
-    could reach 2**63.
+    interval, sorted by owner, then start.  Raises ``ValueError`` when
+    ``(max(owner) + 1) << 2b`` reaches 2**63, the first owner whose keys
+    could overflow int64.
     """
     if len(sets.starts) == 0:
         return np.zeros((0, 3), dtype=np.int64)
-    span = n + 2
-    if (int(np.max(owner)) + 1) * span * span >= 1 << 63:
+    b = (n + 1).bit_length()
+    if (int(np.max(owner)) + 1) << 2 * b >= 1 << 63:
         raise ValueError("too many owners or positions for int64 keys")
+    low = (1 << b) - 1
     # Worked on in place: these arrays set the peak memory of a step.
-    keys = np.repeat(owner * span, sets.counts())
+    keys = np.repeat(owner << b, sets.counts())
     keys += sets.starts
-    keys *= span
+    keys <<= b
     keys += sets.ends
     keys.sort()
-    head = keys // span  # owner * span + start
-    # The reaches, worked out in place of the keys; numpy's integer // is
-    # far faster than %, so the owner part is rebuilt from // alone.
-    reach = keys
-    reach -= head * span  # end
-    reach += head // span * span  # owner * span + end
+    head = keys >> b  # owner << b | start
+    reach = keys  # worked out in place of the keys
+    reach &= low  # end
+    reach |= head & ~low  # owner << b | end
     np.maximum.accumulate(reach, out=reach)
     # A union interval begins at the first head and at every head more than
     # one past the reach before it; it ends at the reach before the next.
@@ -158,11 +162,9 @@ def union_sweep(sets: IntervalSets, owner, n: int) -> np.ndarray:
     np.greater(head[1:], reach[:-1] + 1, out=begins[1:])
     begins = np.flatnonzero(begins)
     first = head[begins]
-    out_owner = first // span
-    base = out_owner * span
-    return np.column_stack((out_owner, first - base,
+    return np.column_stack((first >> b, first & low,
                             reach[np.append(begins[1:], len(head)) - 1]
-                            - base))
+                            & low))
 
 
 def symmetric_difference(pair, starts, ends, n: int):
@@ -170,22 +172,27 @@ def symmetric_difference(pair, starts, ends, n: int):
 
     Pair j is the two sets whose intervals ``[starts[t], ends[t]]`` have
     ``pair[t] == j``; the intervals of each set lie in 1..n and must be
-    disjoint, as those of a canonical set are.  Every interval makes the keys
-    ``pair * (n + 2) + start`` and ``pair * (n + 2) + end + 1``, and one
-    sort orders them.  At or below a position p, a set has one key per
-    interval begun by p and one per interval ended before p; the intervals
-    being disjoint, the two counts differ by one exactly when p is covered,
-    so their sum is odd exactly then.  Over both sets of a pair, an odd sum
-    means p is in exactly one: the positions from the sorted key at each
-    even index up to, not including, the key after it.  Each pair makes an
-    even number of keys, so this pairing of keys never crosses pairs.
+    disjoint, as those of a canonical set are.  With
+    ``b = (n + 1).bit_length()``, every interval makes the keys
+    ``pair << b | start`` and ``pair << b | end + 1``, next to each other,
+    and one stable sort orders them: a run of intervals sorted by pair,
+    then start (as ``rebase`` passes the first and then the second set of
+    every pair) is one sorted run of keys, and the stable sort merges runs.
+    At or below a position p, a set has one key per interval begun by p and
+    one per interval ended before p; the intervals being disjoint, the two
+    counts differ by one exactly when p is covered, so their sum is odd
+    exactly then.  Over both sets of a pair, an odd sum means p is in
+    exactly one: the positions from the sorted key at each even index up
+    to, not including, the key after it.  Each pair makes an even number of
+    keys, so this pairing of keys never crosses pairs.
 
     Returns ``(pair, pos)`` arrays, sorted by pair, then position.
     """
-    span = n + 2
-    base = pair * span
-    events = np.concatenate((base + starts, base + ends + 1))
-    events.sort()
+    b = (n + 1).bit_length()
+    base = pair << b
+    events = np.empty(2 * len(base), dtype=np.int64)
+    events[0::2] = base + starts
+    events[1::2] = base + ends + 1
+    events.sort(kind="stable")
     listed = concat_ranges(events[0::2], events[1::2])
-    at = listed // span
-    return at, listed - at * span
+    return listed >> b, listed & (1 << b) - 1

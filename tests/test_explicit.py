@@ -186,6 +186,36 @@ class TestExpandStep:
             assert encoding_is_valid(g, enc)
 
 
+class TestOpenNeighbourhoodUnions:
+    """From radius 1 on, a ball is the union of the balls of the open
+    neighbourhood; radius 0 and a vertex with no neighbours keep the
+    closed form."""
+
+    graphs = {
+        "isolated-vertex": from_edges(5, [(0, 1), (1, 2), (2, 3)]),
+        "two-vertices": from_edges(2, [(0, 1)]),
+        "star": from_edges(7, [(0, i) for i in range(1, 7)]),
+        "path": path_graph(8),
+    }
+
+    @pytest.mark.parametrize("name", graphs)
+    def test_every_step_is_valid(self, name):
+        g = self.graphs[name]
+        for step in islice(radius_steps(g, 3, np.random.default_rng(0)), 8):
+            assert encoding_is_valid(g, step.start)
+            assert encoding_is_valid(g, step.grown)
+
+    @pytest.mark.parametrize("name", graphs)
+    def test_expand_from_radius_0_and_1_gives_the_bfs_balls(self, name):
+        g = self.graphs[name]
+        enc = initial_encoding(g)
+        for radius in (1, 2):
+            enc = expand_step(g, enc)
+            assert enc.radius == radius
+            assert [enc.decode(v) for v in range(g.n)] == \
+                [neighborhood(g, v, radius) for v in range(g.n)]
+
+
 def grid_graph(width, height):
     n = width * height
     edges = [(v, v + 1) for v in range(n) if (v + 1) % width]

@@ -5,7 +5,7 @@ import pytest
 
 from kdiam.gen import random_symmetric_polygon
 from kdiam.geometry import (TOL, ConvexPolygon, adjacency_slabs, axis_square,
-                            format_points, format_polygon,
+                            check_distinct, format_points, format_polygon,
                             intersection_graph_naive, norm_value,
                             parse_points, parse_polygon)
 from kdiam.plane import geometric_nsds
@@ -127,6 +127,44 @@ class TestIntersectionGraph:
                 with pytest.raises(ValueError) as exc:
                     build(points, axis_square(1.0))
                 assert str(exc.value) == message
+
+    @staticmethod
+    def check_distinct_by_unique(pts):
+        """The message ``check_distinct`` raises, or None, by ``np.unique``
+        over the rows (the check's former implementation)."""
+        _, first, inverse = np.unique(pts, axis=0, return_index=True,
+                                      return_inverse=True)
+        first_equal = first[inverse.reshape(-1)]
+        repeats = np.flatnonzero(first_equal != np.arange(len(pts)))
+        if repeats.size:
+            j = int(repeats[0])
+            return f"duplicate points {int(first_equal[j])} and {j}"
+        return None
+
+    def test_duplicate_check_matches_unique(self):
+        # Coordinates from a few small values of either sign, so rows often
+        # repeat, -0.0 meets 0.0, and rows share one coordinate; then
+        # distinct rows with planted copies of earlier ones.
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            n = int(rng.integers(0, 30))
+            pts = rng.integers(-2, 3, size=(n, 2)) * 0.5
+            pts *= rng.choice([1.0, -1.0], size=(n, 2))
+            cases = [pts]
+            if n >= 2:
+                planted = rng.uniform(-1, 1, size=(n, 2))
+                for _ in range(int(rng.integers(1, 3))):
+                    i, j = rng.choice(n, size=2, replace=False)
+                    planted[j] = planted[i]
+                cases.append(planted)
+            for case in cases:
+                want = self.check_distinct_by_unique(case)
+                try:
+                    check_distinct(case)
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == want
 
     def test_matches_sat_oracle_squares(self):
         rng = np.random.default_rng(5)

@@ -146,14 +146,17 @@ class TestUnionSweep:
         assert rows.dtype == np.int64
 
     def test_key_range_guard(self):
-        n = 1 << 20
-        span = n + 2
-        top = (2 ** 63 - 1) // span ** 2 - 1  # largest owner that fits
-        sets = intervals.IntervalSets.from_reps([((1, n),), ((n, n),)])
-        rows = intervals.union_sweep(sets, np.array([top, 0]), n)
-        assert rows.tolist() == [[0, n, n], [top, 1, n]]
-        with pytest.raises(ValueError, match="int64 keys"):
-            intervals.union_sweep(sets, np.array([top + 1, 0]), n)
+        # One large owner id and two one-interval sets: the guard is
+        # checked at its boundary without allocating anything large.
+        for n in (1, 1_022, 1_023, 1 << 20):
+            b = (n + 1).bit_length()
+            top = (1 << 63 - 2 * b) - 2  # largest owner the guard lets in
+            sets = intervals.IntervalSets.from_reps([((1, n),), ((n, n),)])
+            rows = intervals.union_sweep(sets, np.array([top, 0]), n)
+            assert rows.tolist() == [[0, n, n], [top, 1, n]]
+            assert (top + 2) << 2 * b == 1 << 63
+            with pytest.raises(ValueError, match="int64 keys"):
+                intervals.union_sweep(sets, np.array([top + 1, 0]), n)
 
     # Intervals of a 12-position universe, so sets of one owner often
     # overlap or touch; one set's intervals need not be sorted or disjoint.
@@ -223,3 +226,54 @@ class TestDifferencePositions:
             sets.ends, 60)
         assert list(zip(at.tolist(), pos.tolist())) == \
             [(0, 1), (0, 3), (2, 4), (2, 60)]
+
+
+class TestKeyWidth:
+    """Keys pack their fields with shifts by ``b = (n + 1).bit_length()``
+    bits.  At n = 1,022 the values 0..n + 1 just fill 10 bits; at n = 1,023
+    they need 11, so these sizes check both sides of a width step."""
+
+    @staticmethod
+    def random_sets(rng, n, count):
+        """Position sets over 1..n; about half reach n, so ``end + 1`` is
+        often n + 1, the largest value a field holds."""
+        sets = []
+        for _ in range(count):
+            pos = set((rng.integers(1, n + 1, size=int(rng.integers(0, 30)))
+                       ).tolist())
+            if rng.random() < 0.5:
+                pos |= set(range(n - int(rng.integers(0, 4)), n + 1))
+            if rng.random() < 0.3:
+                pos.add(1)
+            sets.append(pos)
+        return sets
+
+    @pytest.mark.parametrize("n", [1_022, 1_023])
+    def test_union_sweep_matches_sets(self, n):
+        rng = np.random.default_rng(n)
+        sets = self.random_sets(rng, n, 80)
+        owner = rng.integers(0, 15, size=len(sets))
+        rows = intervals.union_sweep(intervals.IntervalSets.from_reps(
+            [intervals.canonicalize(s) for s in sets]), owner, n)
+        want = [(o, a, b) for o in sorted(set(owner.tolist()))
+                for a, b in intervals.canonicalize(set().union(
+                    *(s for s, so in zip(sets, owner) if so == o)))]
+        assert list(map(tuple, rows.tolist())) == want
+
+    @pytest.mark.parametrize("n", [1_022, 1_023])
+    def test_symmetric_difference_matches_sets_in_any_order(self, n):
+        # Pair j is sets 2j and 2j + 1.  The output depends only on which
+        # intervals come in, not on their order.
+        rng = np.random.default_rng(n)
+        sets = self.random_sets(rng, n, 60)
+        packed = intervals.IntervalSets.from_reps(
+            [intervals.canonicalize(s) for s in sets])
+        pair = np.repeat(np.arange(len(sets)) // 2, packed.counts())
+        want = [(j, p) for j in range(len(sets) // 2)
+                for p in sorted(sets[2 * j] ^ sets[2 * j + 1])]
+        for shuffled in (False, True, True, True):
+            perm = (rng.permutation(len(pair)) if shuffled
+                    else np.arange(len(pair)))
+            at, pos = intervals.symmetric_difference(
+                pair[perm], packed.starts[perm], packed.ends[perm], n)
+            assert list(zip(at.tolist(), pos.tolist())) == want

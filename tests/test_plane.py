@@ -324,6 +324,24 @@ class TestGeometricNSDS:
             got = set(nsds.list_differences(nsds.empty, h))
             assert got == set(g.adjacency[v]) | {v}
 
+    def test_one_shape_builds_equal_structures(self):
+        # The slabs are worked out once per shape: a second structure of
+        # the same shape gets the same slabs, equal to a fresh polygon's,
+        # and the same closed neighbourhoods.
+        shape = benchmark_hexagon()
+        pts = np.random.default_rng(4).uniform(0, 2.2, size=(60, 2))
+        first = geometric_nsds(pts, shape)
+        slabs = adjacency_slabs(shape)
+        second = geometric_nsds(pts, shape)
+        assert adjacency_slabs(shape) is slabs
+        assert shape.slabs() is shape.slabs()
+        fresh = adjacency_slabs(ConvexPolygon(shape.vertices))
+        assert [(nrm.tolist(), lo, hi) for nrm, lo, hi in slabs] == \
+            [(nrm.tolist(), lo, hi) for nrm, lo, hi in fresh]
+        assert first.closed == second.closed
+        assert first.closed == geometric_nsds(pts, ConvexPolygon(
+            shape.vertices)).closed
+
     def test_far_apart_points_self_only(self):
         pts = [(0.0, 0.0), (40.0, 40.0)]
         nsds = geometric_nsds(pts, axis_square(1.0))
