@@ -6,7 +6,8 @@ arrays for the single-source BFS kernels, and one sweep,
 :func:`ball_masks`, that grows every ball at once as an ``int`` bit mask
 for the diameter oracle and every other all-sources reader.  That mask
 format, bit v for vertex v, is every vertex set's format in the package;
-:func:`ids_of` reads it back.
+:func:`ids_of` reads it back, and :class:`Mask` is a mask that reads as
+its ids.
 """
 
 from __future__ import annotations
@@ -178,9 +179,11 @@ _BYTE_BITS = tuple(tuple(i for i in range(8) if v >> i & 1)
 def ids_of(mask: int) -> list:
     """Every set bit i of ``mask``, in increasing i: the vertices of a mask
     in :func:`ball_masks`' format.  One step per byte of the mask plus one
-    per set bit."""
+    per set bit.  A negative mask has no finite set of bits: ``ValueError``."""
     if not mask:
         return []
+    if mask < 0:
+        raise ValueError(f"a vertex mask is non-negative, got {mask}")
     out = []
     append = out.append
     base = 0
@@ -190,6 +193,18 @@ def ids_of(mask: int) -> list:
                 append(base + i)
         base += 8
     return out
+
+
+class Mask(int):
+    """An ``int`` mask that also reads as the set of its ids: ``len`` is
+    its popcount and iteration gives :func:`ids_of`.  Its operators are
+    ``int``'s, so they return plain ints."""
+
+    __slots__ = ()
+    __len__ = int.bit_count
+
+    def __iter__(self):
+        return iter(ids_of(self))
 
 
 def balls_at(g: Graph, r: int) -> list:

@@ -7,27 +7,26 @@ deltas reconstructs any ball.  :func:`radius_steps` grows every ball one
 radius at a time, lazily, and yields per radius whether every ball is full
 and the handles.  Radius 1 is one AddNeighbours per vertex from the empty
 set.  Only when the next step is asked for does it draw the next order,
-with membership read from the handles just built, re-extract deltas
-output-sensitively as the sorted id lists ListDifferences returns, and
-expand all balls with a divide-and-conquer that shares common work.  The
-recursion turns each delta into an ``int`` mask once and does its unions,
-intersections and symmetric differences as int operations, so a delta's
-size is its popcount.  A handle is its own set, so fullness is each handle
-compared with the full mask, at every radius, the last one included: the
-last radius lists nothing.  ``k_diameter_implicit`` reads its answer for
-one k from the sweep with :func:`kdiam.graph.diameter_upto`.
+with membership read from the handles just built, and expand all balls
+with a divide-and-conquer that shares common work.  A handle is its own
+set, an ``int`` mask, so each delta is the XOR of two consecutive handles,
+a :class:`kdiam.graph.Mask`, which the recursion takes as it is: nothing
+is listed and nothing is rebuilt, and a delta's size is its popcount.
+Fullness is each handle compared with the full mask, at every radius, the
+last one included.  ``k_diameter_implicit`` reads its answer for one k
+from the sweep with :func:`kdiam.graph.diameter_upto`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import count
+from itertools import count, pairwise
 from operator import or_, xor
 
 import numpy as np
 
-from .graph import diameter_upto, ids_of
+from .graph import Mask, diameter_upto, ids_of
 from .nsds import MaskNeighbourSets
 from .order import order_from_membership
 
@@ -49,25 +48,19 @@ class ExpandCost:
         return a + 3 * b * (ceil_log + 1) + 2 * t
 
 
-def expand_balls(deltas, nsds: MaskNeighbourSets, *,
+def expand_balls(deltas: list[int], nsds: MaskNeighbourSets, *,
                  cost: ExpandCost | None = None) -> list[int]:
     """Handles for N[D_1 xor ... xor D_i], one per prefix of the deltas.
 
-    Each delta, a collection of vertex ids, becomes an ``int`` mask once, and
-    the recursion does its set algebra on the masks.  Elements unique to D_1
-    belong to every prefix, so their neighborhoods are added once, in
-    increasing id, to a shared base set; the midpoint replacement folds the
-    first half into the second half's leading delta before recursing.
+    Each delta is an ``int`` mask, and the recursion does its set algebra
+    on the masks.  Elements unique to D_1 belong to every prefix, so their
+    neighborhoods are added once, in increasing id, to a shared base set;
+    the midpoint replacement folds the first half into the second half's
+    leading delta before recursing.
     """
     if not deltas:
         raise ValueError("need at least one delta set")
-    masks = []
-    for d in deltas:
-        mask = 0
-        for v in d:
-            mask |= 1 << v
-        masks.append(mask)
-    return _expand_rec(nsds.empty, masks, nsds, cost)
+    return _expand_rec(nsds.empty, deltas, nsds, cost)
 
 
 def _expand_rec(base: int, deltas: list[int], nsds, cost) -> list[int]:
@@ -126,7 +119,7 @@ def simulate_bfs(nsds: MaskNeighbourSets, v: int,
 class RadiusStep:
     """One radius of the sweep: ``handles[i]`` is B_radius(order[i]),
     expanded from ``deltas``, the (radius - 1)-balls delta-encoded along
-    ``order`` (each delta a collection of vertex ids)."""
+    ``order``, each delta a :class:`kdiam.graph.Mask`."""
 
     radius: int
     full: bool
@@ -145,7 +138,8 @@ def radius_steps(nsds: MaskNeighbourSets, n: int, d: int,
     """
     full = (1 << n) - 1
     order = nsds.rank
-    deltas = [{order[0]}] + [{order[i - 1], order[i]} for i in range(1, n)]
+    deltas = [Mask(1 << order[0])]
+    deltas.extend(Mask(1 << a | 1 << b) for a, b in pairwise(order))
     # Over these deltas every prefix is one vertex, so the expansion would
     # make exactly one AddNeighbours per vertex, from the empty set, in
     # order: make them directly.
@@ -155,15 +149,12 @@ def radius_steps(nsds: MaskNeighbourSets, n: int, d: int,
                          handles)
         # Fresh low-difference order for the next radius.  By symmetry of
         # hop distance the balls containing x are the balls centred in
-        # B_r(x), which is listed straight from x's own handle.
+        # B_r(x), which is read straight from x's own handle.
         old_pos = {v: i for i, v in enumerate(order)}
-        order = order_from_membership(
-            lambda x: nsds.list_differences(nsds.empty, handles[old_pos[x]]),
-            n, d, rng, rank=nsds.rank)
+        order = order_from_membership(lambda x: ids_of(handles[old_pos[x]]),
+                                      n, d, rng, rank=nsds.rank)
         mapped = [handles[old_pos[v]] for v in order]
-        deltas = [nsds.list_differences(nsds.empty, mapped[0])]
-        deltas.extend(nsds.list_differences(mapped[i - 1], mapped[i])
-                      for i in range(1, n))
+        deltas = [Mask(a ^ b) for a, b in pairwise([nsds.empty, *mapped])]
         handles = expand_balls(deltas, nsds)
 
 

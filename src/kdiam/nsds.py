@@ -4,7 +4,9 @@ The paper's framework reaches its graph only through a persistent family of
 vertex sets under two operations: AddNeighbours extends a set by a closed
 neighbourhood N[v], and ListDifferences lists the symmetric difference of
 two sets, output-sensitively.  Here a set is an ``int`` mask, so a handle is
-its own set and never changes.  The one class has two constructors:
+its own set and never changes, and the implicit driver takes the difference
+of two handles as their XOR without listing it.  The one class has two
+constructors:
 :meth:`MaskNeighbourSets.from_graph` over an explicit graph, and
 :func:`kdiam.plane.geometric_nsds`, which builds the masks from one sorted
 stripe per slab of the shape, without the graph.
@@ -22,9 +24,11 @@ class MaskNeighbourSets:
     The empty set is ``0``.  AddNeighbours(h, v) is ``h | closed[v]`` and
     ListDifferences(h1, h2) lists the set bits of ``h1 ^ h2``, each element
     once, in increasing order.  ``add_count`` and ``list_count`` count the
-    two operations.  ``rank`` lists every vertex once, in a locality order
-    of the input: the implicit driver's first vertex order, and the
-    tie-break of every order it draws.
+    two operations; the implicit driver's sweep lists nothing, so only
+    :func:`kdiam.implicit.simulate_bfs` moves ``list_count``.  ``rank``
+    lists every vertex once, in a locality order of the input: the
+    implicit driver's first vertex order, and the tie-break of every order
+    it draws.
     """
 
     empty = 0
@@ -50,6 +54,7 @@ class MaskNeighbourSets:
         return h | self.closed[v]
 
     def list_differences(self, h1: int, h2: int) -> list:
-        """The elements of exactly one of the two sets."""
+        """The elements of exactly one of the two sets, as a list: one
+        listing, which ``list_count`` counts."""
         self.list_count += 1
         return ids_of(h1 ^ h2)

@@ -302,9 +302,20 @@ def expand_balls_reference(deltas, nsds, cost=None):
     return rec(nsds.empty, deltas)
 
 
+def as_masks(deltas):
+    """Collections of vertex ids as the ``Mask`` deltas that
+    ``kdiam.implicit.expand_balls`` takes."""
+    from functools import reduce
+    from operator import or_
+
+    from kdiam.graph import Mask
+
+    return [Mask(reduce(or_, (1 << v for v in d), 0)) for d in deltas]
+
+
 def expansion_inputs(rng, trials):
     """(graph, deltas) pairs: a random connected graph on 3..39 vertices
-    and 1..39 random delta sets over its vertices."""
+    and 1..39 random delta masks over its vertices."""
     from kdiam.gen import random_connected_graph
 
     for _ in range(trials):
@@ -312,10 +323,10 @@ def expansion_inputs(rng, trials):
         m_hi = min(n * (n - 1) // 2, 3 * n)
         g = random_connected_graph(n, int(rng.integers(n - 1, m_hi + 1)), rng)
         t = int(rng.integers(1, 40))
-        yield g, [set(int(x) for x in
-                      rng.choice(n, size=rng.integers(0, n + 1),
-                                 replace=False))
-                  for _ in range(t)]
+        yield g, as_masks([set(int(x) for x in
+                               rng.choice(n, size=rng.integers(0, n + 1),
+                                          replace=False))
+                           for _ in range(t)])
 
 
 def radius_steps_reference(nsds_factory, n, d, rng):

@@ -6,8 +6,9 @@ import pytest
 
 from kdiam import _kernels, explicit, implicit
 from kdiam.graph import (DisconnectedGraphError, Graph, GraphFormatError,
-                         ball_masks, balls_at, bfs_distances, diameter_naive,
-                         diameter_upto, distance_vc_shatter_check, from_edges,
+                         Mask, ball_masks, balls_at, bfs_distances,
+                         diameter_naive, diameter_upto,
+                         distance_vc_shatter_check, from_edges, ids_of,
                          is_connected, k_diameter_naive, load_edge_list,
                          format_edge_list, locality_rank, neighborhood,
                          parse_edge_list)
@@ -85,6 +86,42 @@ class TestBallMasks:
                                      if d <= r) for v in range(g.n)]
             for r in range(last + 3):
                 assert balls_at(g, r) == rounds[min(r, last)]
+
+
+class TestIdsOfAndMask:
+    def test_ids_of_lists_set_bits_in_increasing_order(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            ids = sorted(set(rng.integers(0, 300, size=20).tolist()))
+            assert ids_of(sum(1 << v for v in ids)) == ids
+        assert ids_of(0) == []
+
+    @pytest.mark.parametrize("mask", [-1, -2, -(1 << 70)])
+    def test_ids_of_rejects_negative_masks(self, mask):
+        with pytest.raises(ValueError, match="non-negative"):
+            ids_of(mask)
+
+    def test_mask_reads_as_its_ids(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            value = int(rng.integers(0, 1 << 62)) << int(rng.integers(0, 200))
+            mask = Mask(value)
+            assert mask == value
+            assert len(mask) == value.bit_count()
+            ids = list(mask)
+            assert ids == ids_of(value)
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+
+    def test_empty_mask(self):
+        assert len(Mask(0)) == 0
+        assert list(Mask(0)) == [] and set(Mask(0)) == set()
+        assert not Mask(0)
+
+    def test_operators_return_plain_ints(self):
+        a, b = Mask(0b1100), Mask(0b1010)
+        for got, want in ((a & b, 0b1000), (a ^ b, 0b0110),
+                          (a | b, 0b1110), (a ^ 0b1, 0b1101)):
+            assert type(got) is int and got == want
 
 
 class TestLocalityRank:

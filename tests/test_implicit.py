@@ -1,19 +1,21 @@
+from contextlib import contextmanager
 from itertools import islice
 
 import numpy as np
 import pytest
 
+import kdiam.implicit
 from kdiam.gen import (default_box, random_connected_graph,
                        random_points_for_shape, random_symmetric_polygon,
                        random_unit_square_points)
 from kdiam.geometry import axis_square, intersection_graph_naive
-from kdiam.graph import bfs_distances, diameter_naive, from_edges
+from kdiam.graph import Mask, bfs_distances, diameter_naive, from_edges
 from kdiam.implicit import (ExpandCost, expand_balls, k_diameter_implicit,
                             radius_steps, simulate_bfs)
 from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import geometric_nsds
 
-from helpers import (expand_balls_reference, expansion_inputs,
+from helpers import (as_masks, expand_balls_reference, expansion_inputs,
                      radius_steps_reference)
 
 
@@ -29,13 +31,13 @@ class TestExpandBalls:
     def test_single_delta(self):
         g = path_graph(4)
         nsds = MaskNeighbourSets.from_graph(g)
-        (h,) = expand_balls([{1}], nsds)
+        (h,) = expand_balls(as_masks([{1}]), nsds)
         assert set(nsds.list_differences(nsds.empty, h)) == {0, 1, 2}
 
     def test_two_deltas_cancel(self):
         g = path_graph(4)
         nsds = MaskNeighbourSets.from_graph(g)
-        h1, h2 = expand_balls([{0}, {0, 2}], nsds)
+        h1, h2 = expand_balls(as_masks([{0}, {0, 2}]), nsds)
         assert set(nsds.list_differences(nsds.empty, h1)) == {0, 1}
         assert set(nsds.list_differences(nsds.empty, h2)) == {1, 2, 3}
 
@@ -58,7 +60,7 @@ class TestExpandBalls:
                       for _ in range(t)]
             nsds = MaskNeighbourSets.from_graph(g)
             cost = ExpandCost()
-            handles = expand_balls(deltas, nsds, cost=cost)
+            handles = expand_balls(as_masks(deltas), nsds, cost=cost)
             acc = set()
             for i in range(t):
                 acc ^= deltas[i]
@@ -94,7 +96,7 @@ class TestSameWorkAsSetRecursion:
         got, want = (RecordingNeighbourSets(base.closed, base.rank)
                      for _ in range(2))
         got_cost, want_cost = ExpandCost(), ExpandCost()
-        assert expand_balls(deltas, got, cost=got_cost) == \
+        assert expand_balls(as_masks(deltas), got, cost=got_cost) == \
             expand_balls_reference(deltas, want, cost=want_cost)
         assert got.adds == want.adds
         assert got_cost == want_cost
@@ -216,9 +218,23 @@ class TestKDiameterImplicit:
                 checked.append((r, i))
         assert {r for r, _ in checked} == {0, 1, 2, 3}
 
-    def test_one_structure_and_k_minus_one_orders(self, monkeypatch):
-        import kdiam.implicit
+    def test_deltas_are_masks_at_every_radius(self):
+        g = random_connected_graph(20, 32, np.random.default_rng(10))
+        nsds = MaskNeighbourSets.from_graph(g)
+        for step in islice(radius_steps(nsds, g.n, 3,
+                                        np.random.default_rng(11)), 4):
+            assert len(step.deltas) == g.n
+            assert all(type(d) is Mask for d in step.deltas)
+            # consecutive handles of the radius below, XORed once
+            if step.radius > 1:
+                assert step.deltas[0] == prev[step.order[0]]
+                for a, b, delta in zip(step.order, step.order[1:],
+                                       step.deltas[1:]):
+                    assert delta == prev[a] ^ prev[b]
+            prev = dict(zip(step.order, step.handles))
+        assert nsds.list_count == 0
 
+    def test_one_structure_and_k_minus_one_orders(self, monkeypatch):
         g = random_connected_graph(14, 20, np.random.default_rng(8))
         diam = diameter_naive(g)
         orders = []
@@ -273,6 +289,7 @@ class TestKDiameterImplicit:
         rank = nsds.rank
         step = next(radius_steps(nsds, nsds.n, 3, rng))
         assert step.radius == 1 and step.order == rank
+        assert all(type(d) is Mask for d in step.deltas)
         assert step.handles == [nsds.closed[v] for v in rank]
         assert [set(d) for d in step.deltas] == \
             [{rank[0]}] + [{rank[i - 1], rank[i]} for i in range(1, nsds.n)]
@@ -289,19 +306,23 @@ class TestKDiameterImplicit:
                                 3, 1, 1, np.random.default_rng(0))
 
 
-def in_descent_order(nsds):
-    """Wrap a structure's listing so that every output is checked to be
-    increasing: the order on which the order construction's membership
-    reads depend."""
-    listing = nsds.list_differences
+@contextmanager
+def in_descent_order():
+    """Wrap the membership oracle that the sweep hands to the order
+    construction, so that every listing is checked to be increasing: the
+    order on which the order construction's membership reads depend."""
+    build = kdiam.implicit.order_from_membership
 
-    def checked(h1, h2):
-        out = listing(h1, h2)
-        assert out == sorted(out)
-        return out
+    def checked_build(membership, *args, **kwargs):
+        def checked(x):
+            out = list(membership(x))
+            assert all(a < b for a, b in zip(out, out[1:]))
+            return out
+        return build(checked, *args, **kwargs)
 
-    nsds.list_differences = checked
-    return nsds
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kdiam.implicit, "order_from_membership", checked_build)
+        yield
 
 
 class TestSameWorkAsReference:
@@ -310,15 +331,18 @@ class TestSameWorkAsReference:
     expands on sets.  Both must make the same order and the same deltas at
     every radius below k (the sweep stopped at k draws none for k), and the
     sweep's one structure must have made exactly the set recursion's adds
-    over radii 1..k.  Every listing must come in increasing id order."""
+    over radii 1..k, with no listing.  Every membership the sweep hands to
+    the order construction must come in increasing id order."""
 
     def check(self, make, n, k, d, seed):
-        nsds = in_descent_order(make())
-        steps = list(islice(
-            radius_steps(nsds, n, d, np.random.default_rng(seed)), k))
+        nsds = make()
+        with in_descent_order():
+            steps = list(islice(
+                radius_steps(nsds, n, d, np.random.default_rng(seed)), k))
+        # the sweep's deltas are handle XORs: it lists nothing
+        assert nsds.list_count == 0
         ref_steps = list(islice(radius_steps_reference(
-            lambda: in_descent_order(make()), n, d,
-            np.random.default_rng(seed)), k))
+            make, n, d, np.random.default_rng(seed)), k))
         _, _, last = ref_steps[-1]
         assert steps[-1].full == (last[0] == set(range(n))
                                   and not any(last[1:]))
