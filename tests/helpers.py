@@ -69,6 +69,36 @@ def dfs_preorder(edges, n, root=0):
     return out
 
 
+def spanning_tree(membership, n, sample):
+    """Chazelle–Welzl refinement tree over ids ``0..n-1`` as a list of
+    ``(u, v)`` edges; :func:`kdiam.order.order_from_membership` is its
+    preorder on rank positions.
+
+    ``membership(x)`` lists the ids of all hyperedges containing ground
+    element ``x``.  Bit i of an id's key is set when its hyperedge contains
+    the i-th sampled element, so after i + 1 elements the ids with equal
+    keys form the classes that agree on that prefix of the sample.  When
+    the i-th element splits a class, one edge joins the least ids of its
+    two parts.  Each final class is chained in id order.
+    """
+    key = [0] * n
+    edges = []
+    for i, x in enumerate(sample):
+        bit = 1 << i
+        for e in membership(x):
+            key[e] |= bit
+        # Least id of each class: later (smaller) ids overwrite earlier ones.
+        least = dict(zip(reversed(key), range(n - 1, -1, -1)))
+        edges.extend((least[k ^ bit], e) for k, e in least.items()
+                     if k & bit and (k ^ bit) in least)
+    last = {}
+    for e, k in enumerate(key):
+        if k in last:
+            edges.append((last[k], e))
+        last[k] = e
+    return edges
+
+
 def total_difference(order, set_of):
     """Exact sum of |set_of(v_i) symdiff set_of(v_i+1)| along the order."""
     return sum(len(set_of(a) ^ set_of(b)) for a, b in zip(order, order[1:]))

@@ -1,13 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from kdiam import explicit, implicit
 from kdiam.gen import random_connected_graph, random_unit_square_points
 from kdiam.geometry import axis_square, intersection_graph_naive
 from kdiam.graph import from_edges, locality_rank, neighborhood
-from kdiam.order import (net_sample, order_from_membership, preorder,
-                         spanning_tree)
+from kdiam.order import net_sample, order_from_membership
+from kdiam.plane import geometric_nsds
 
-from helpers import UnionFind, dfs_preorder, total_difference
+from helpers import UnionFind, dfs_preorder, spanning_tree, total_difference
 
 
 def ball_order(g, k, d, rng, weights=None):
@@ -24,15 +27,6 @@ def hyperedge_membership(edges):
     return membership
 
 
-def random_tree(n, rng):
-    """Edges of a random labelled tree on ``0..n-1``, in random order and
-    orientation."""
-    label = rng.permutation(n).tolist()
-    edges = [(label[int(rng.integers(v))], label[v]) for v in range(1, n)]
-    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
-    return [edges[i] for i in rng.permutation(len(edges))]
-
-
 class TestNetSchedule:
     def test_sizes_and_prefixes(self):
         rng = np.random.default_rng(0)
@@ -40,6 +34,14 @@ class TestNetSchedule:
         assert len(sample) == 3  # ceil(81 ** 0.25)
         assert len(set(sample)) == 3
         assert all(0 <= x < 81 for x in sample)
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_size_at_perfect_powers(self, d):
+        # ceil(3125 ** 0.2) is 6 in floats
+        rng = np.random.default_rng(d)
+        for b in range(1, 13):
+            assert len(net_sample(b ** d, d, rng)) == b
+            assert len(net_sample(b ** d + 1, d, rng)) == b + 1
 
     def test_weighted_rejects_bad_weights(self):
         rng = np.random.default_rng(2)
@@ -110,27 +112,6 @@ class TestBuildSpanningTree:
 class TestEulerOrder:
     """The preorder is the tree's Euler tour pruned to first visits."""
 
-    def test_single_node(self):
-        assert preorder([], 1) == (0,)
-
-    def test_path_tree(self):
-        assert preorder([(2, 1), (0, 1)], 3) == (0, 1, 2)
-
-    def test_star_first_visit(self):
-        edges = [(i, 0) for i in (4, 2, 1, 3)]
-        assert preorder(edges, 5) == (0, 1, 2, 3, 4)
-
-    def test_not_a_tree(self):
-        with pytest.raises(ValueError):
-            preorder([(0, 1)], 3)
-
-    def test_matches_recursive_reference(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            n = int(rng.integers(1, 40))
-            edges = random_tree(n, rng)
-            assert list(preorder(edges, n)) == dfs_preorder(edges, n)
-
     def test_pruning_never_increases_difference(self):
         """The Euler tour crosses every tree edge twice, so the order costs
         at most twice the tree's total difference."""
@@ -140,8 +121,34 @@ class TestEulerOrder:
             sample = net_sample(g.n, 2, np.random.default_rng(seed))
             edges = spanning_tree(hyperedge_membership(hyper), g.n, sample)
             tree_sum = sum(len(hyper[u] ^ hyper[v]) for u, v in edges)
-            order = preorder(edges, g.n)
+            order = dfs_preorder(edges, g.n)
             assert total_difference(order, hyper.__getitem__) <= 2 * tree_sum
+
+    def test_order_is_the_reference_tree_preorder(self):
+        """On the same draw the order is the preorder of the reference
+        tree built on rank positions, mapped back to ids."""
+        rng = np.random.default_rng(13)
+        for case in range(160):
+            n = 1 if case < 4 else int(rng.integers(2, 301))
+            # Random memberships with repeated ids, some of them empty.
+            cap = int(rng.integers(1, n + 1))
+            table = [rng.integers(0, n, size=rng.integers(0, cap + 1))
+                     .tolist() if rng.random() < 0.9 else []
+                     for _ in range(n)]
+            d = 2 + case % 4
+            rank = (rng.permutation(n) if case // 4 % 2
+                    else np.arange(n)).tolist()
+            weights = (rng.integers(1, 6, size=n).tolist() if case // 8 % 2
+                       else None)
+            got = order_from_membership(
+                table.__getitem__, n, d, np.random.default_rng(case),
+                rank=rank, weights=weights)
+            sample = net_sample(n, d, np.random.default_rng(case),
+                                weights=weights)
+            pos = {v: i for i, v in enumerate(rank)}
+            edges = spanning_tree(lambda x: [pos[e] for e in table[x]], n,
+                                  sample)
+            assert got == tuple(rank[i] for i in dfs_preorder(edges, n))
 
 
 class TestVertexOrders:
@@ -254,6 +261,42 @@ class TestRankedOrders:
                 lambda x: [pos[e] for e in neighborhood(g, x, 2)], g.n, 2,
                 np.random.default_rng(seed), rank=range(g.n))
             assert got == tuple(rank[i] for i in renamed)
+
+    # sha256 of the repr of the list of every order a sweep draws up to its
+    # first full radius, recorded while the orders came from an explicit
+    # spanning tree and its preorder.
+    SWEEPS = {
+        "explicit-d2": "57ffd3cdb672d4f15b452aa5d9a934d7"
+                       "c4b7715b1f254a19eadc9e6374983d6c",
+        "explicit-d3": "b476d3285fa36c458cd64c5a526d9298"
+                       "98f5d8ab5717f398f38c17050af28d3a",
+        "implicit-d2": "8c85baa2bdf18501ce59735d20d20fb7"
+                       "7ea4edabd0f18ac7459bed6c367b1ec2",
+        "implicit-d4": "80add4267e55902ae0b2780c68ac825f"
+                       "f6d1960a7700e2de17d6fef92c595dec",
+    }
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_sweep_orders_at_scale(self, sweep):
+        # 1,000 vertices at d = 2 give 32 sample levels; 600 dense squares
+        # (box 3.2) have diameter 4.
+        rng = np.random.default_rng
+        path, d = sweep.split("-d")
+        if path == "explicit":
+            g = random_connected_graph(1000, 3000, rng(3))
+            steps = explicit.radius_steps(g, int(d), rng(0))
+        else:
+            nsds = geometric_nsds(random_unit_square_points(600, 3.2, rng(5)),
+                                  axis_square(1.0))
+            steps = implicit.radius_steps(nsds, 600, int(d), rng(0))
+        orders = []
+        for step in steps:
+            orders.append(tuple(step.start.order if path == "explicit"
+                                else step.order))
+            if step.full:
+                break
+        digest = hashlib.sha256(repr(orders).encode()).hexdigest()
+        assert digest == self.SWEEPS[sweep]
 
     @pytest.mark.parametrize("rank", [[0, 1], [0, 1, 1], [0, 1, 3]],
                              ids=["short", "repeat", "out-of-range"])
