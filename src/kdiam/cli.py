@@ -67,8 +67,9 @@ def _instance(text: str, shape):
 
 
 def _check_gen(args) -> None:
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
+    n_min = 3 if args.generator == "apollonian" else 1
+    if args.n < n_min:
+        raise ValueError(f"--n must be >= {n_min}, got {args.n}")
     if args.generator == "sparse-graph" and args.m is None:
         raise ValueError("sparse-graph needs --m")
     if args.generator == "polygon-points" \
@@ -81,7 +82,10 @@ def _check_gen(args) -> None:
 
 def cmd_gen(args):
     _check_gen(args)
-    rng = np.random.default_rng(args.seed)
+    # An Apollonian series draws size n from [seed, n]: one seed, a graph
+    # per size.
+    rng = np.random.default_rng(
+        [args.seed, args.n] if args.generator == "apollonian" else args.seed)
     out = Path(args.output)
     box = args.box if args.box is not None else gen_mod.default_box(args.n)
     # with an explicit box the density is the caller's choice, so neither
@@ -90,6 +94,8 @@ def cmd_gen(args):
     if args.generator == "sparse-graph":
         text = format_edge_list(
             gen_mod.random_connected_graph(args.n, args.m, rng))
+    elif args.generator == "apollonian":
+        text = format_edge_list(gen_mod.random_apollonian(args.n, rng))
     elif args.generator == "unit-squares":
         text = format_points(gen_mod.random_unit_square_points(
             args.n, box, rng, require_connected=connected))
@@ -281,14 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a deterministic instance file")
     g.add_argument("generator",
-                   choices=["sparse-graph", "unit-squares", "polygon-points"])
+                   choices=["sparse-graph", "apollonian", "unit-squares",
+                            "polygon-points"])
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, help="edge count (sparse-graph)")
     g.add_argument("--box", type=float, help="bounding box side (geometric)")
     g.add_argument("--sides", type=int, default=6,
                    help="polygon side count (even)")
     g.add_argument("--radius", type=float, default=1.0)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=0,
+                   help="apollonian draws from [seed, n]")
     g.add_argument("--output", required=True)
     g.add_argument("--polygon-output")
     g.set_defaults(func=cmd_gen)

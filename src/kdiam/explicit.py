@@ -20,26 +20,8 @@ import numpy as np
 
 from . import intervals, order
 from ._kernels import concat_ranges
-from .graph import Graph, balls_at, diameter_upto, ids_of, locality_rank
+from .graph import Graph, diameter_upto, locality_rank
 from .intervals import IntervalSets
-
-# Most intervals one bulk union or difference sweep takes in.  Larger work is
-# split into blocks of consecutive vertices, which bounds the memory of the
-# sweep arrays (the union's one key per interval, the difference sweep's
-# two endpoint keys per interval of each pair, and a few temporaries of
-# either size) without changing any result.  Union owners are numbered
-# within a block, at most BLOCK of them (every vertex gathers at least one
-# interval), so the union keys ``owner << 2b | start << b | end`` with
-# ``b = (n + 1).bit_length()`` pass the int64 guard of
-# :func:`kdiam.intervals.union_sweep` while b <= 24: for n below
-# 2**24 - 1, about 16.7 million vertices.
-# On the 400-vertex sparse benchmark graphs (2-vCPU host), two 12 s runs
-# each gave peak RSS 54.0-54.1 MB at 4,096, 54.1-54.3 MB at 8,192 and
-# 54.8-54.9 MB at 16,384 (53.9 MB before the union sorted one key per
-# interval); 8,192 decided about 10% faster than 4,096, and 16,384 no
-# faster than 8,192 within the runs' spread.
-BLOCK = 8_192
-
 
 @dataclass(frozen=True)
 class BallEncoding:
@@ -55,11 +37,13 @@ class BallEncoding:
         """The order as an array: the vertex at position p is entry p - 1."""
         return np.asarray(self.order, dtype=np.int64)
 
-    def decode(self, v: int) -> set:
+    def decode(self, v: int) -> np.ndarray:
+        """The ball of ``v``: its vertex ids in position order, as an int64
+        array."""
         reps = self.reps
         lo, hi = reps.offsets[v], reps.offsets[v + 1]
-        positions = concat_ranges(reps.starts[lo:hi], reps.ends[lo:hi] + 1)
-        return set(self._vertex_at[positions - 1].tolist())
+        return self._vertex_at[concat_ranges(reps.starts[lo:hi] - 1,
+                                             reps.ends[lo:hi])]
 
 
 def initial_encoding(g: Graph) -> BallEncoding:
@@ -73,17 +57,6 @@ def initial_encoding(g: Graph) -> BallEncoding:
     return BallEncoding(rank, reps, 0)
 
 
-def _blocks(weights):
-    """(lo, hi) bounds of consecutive runs of items whose weights sum to at
-    most ``BLOCK`` (an item heavier than that gets a run of its own)."""
-    cum = np.cumsum(weights)
-    lo, done = 0, 0
-    while lo < len(cum):
-        hi = max(int(np.searchsorted(cum, done + BLOCK, side="right")), lo + 1)
-        yield lo, hi
-        lo, done = hi, int(cum[hi - 1])
-
-
 def _ball_unions(g: Graph, reps: IntervalSets, radius: int) -> IntervalSets:
     """The radius + 1 balls from the radius-``radius`` balls ``reps``.
 
@@ -94,32 +67,14 @@ def _ball_unions(g: Graph, reps: IntervalSets, radius: int) -> IntervalSets:
     about 1 / (mean degree + 1) of the gathered intervals.  A vertex with no
     neighbours keeps its own set.
     """
-    n = g.n
     indptr, indices = g.csr
-    own = (np.ones(n, dtype=bool) if radius == 0
+    own = (np.ones(g.n, dtype=bool) if radius == 0
            else indptr[1:] == indptr[:-1])
     # Gather CSR: each vertex that keeps its own set first, then its
     # neighbours.
     gptr = indptr + intervals.offsets_of(own)
     gidx = np.insert(indices, indptr[:-1][own], np.flatnonzero(own))
-    # Interval total of every gathered set, and where each one's intervals
-    # start in the gathered sequence.
-    totals = np.add.reduceat(reps.counts()[gidx], gptr[:-1])
-    bounds = intervals.offsets_of(totals)
-    counts, starts, ends = [], [], []
-    for lo, hi in _blocks(totals):
-        items = gidx[gptr[lo]:gptr[hi]]
-        idx = concat_ranges(reps.offsets[items], reps.offsets[items + 1])
-        # One set per vertex: the intervals of everything it gathers, so
-        # the sweep's owner offsets come from the totals.
-        gathered = IntervalSets(bounds[lo:hi + 1] - bounds[lo],
-                                reps.starts[idx], reps.ends[idx])
-        rows = intervals.union_sweep(gathered, np.arange(hi - lo), n)
-        counts.append(np.bincount(rows[:, 0], minlength=hi - lo))
-        starts.append(rows[:, 1].copy())  # copies, so each block's rows
-        ends.append(rows[:, 2].copy())    # are freed with the block
-    return IntervalSets(intervals.offsets_of(np.concatenate(counts)),
-                        np.concatenate(starts), np.concatenate(ends))
+    return intervals.union_sweep(reps, gptr, gidx, g.n)
 
 
 def rebase(reps_old: IntervalSets, order_old, order_new) -> IntervalSets:
@@ -147,7 +102,7 @@ def rebase(reps_old: IntervalSets, order_old, order_new) -> IntervalSets:
     seq_counts[1:-1] = reps_old.counts()[seq]
     width = (n + 1).bit_length()  # bits that hold a pair, 0..n
     toggles = []
-    for lo, hi in _blocks(seq_counts[:-1] + seq_counts[1:]):
+    for lo, hi in intervals.blocks(seq_counts[:-1] + seq_counts[1:]):
         # Pairs lo..hi-1 read the sets lo..hi; only P_1..P_n have intervals.
         i = np.arange(max(lo, 1), min(hi, n) + 1)
         sets = reps_old.take(seq[i - 1])
@@ -235,10 +190,3 @@ def k_diameter_explicit(g: Graph, k: int, d: int,
         raise ValueError("d must be >= 2")
     return diameter_upto(radius_steps(g, d, rng), k) is not None
 
-
-def encoding_is_valid(g: Graph, enc: BallEncoding) -> bool:
-    """Audit helper: every representation canonical and decoding to the exact
-    ball (used by the invariant tests, not on the hot path)."""
-    balls = balls_at(g, enc.radius)
-    return enc.reps.is_canonical(g.n) and all(
-        enc.decode(v) == set(ids_of(balls[v])) for v in range(g.n))

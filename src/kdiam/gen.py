@@ -38,6 +38,26 @@ def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
     return from_edges(n, sorted(edges))
 
 
+def random_apollonian(n: int, rng: np.random.Generator) -> Graph:
+    """Random Apollonian network on n >= 3 vertices: a triangle, then each
+    new vertex joined to the corners of a uniformly random inner face, which
+    it splits into three; the ids are a random permutation.  Planar, with
+    m = 3n - 6 edges."""
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    faces = [(0, 1, 2)]
+    edges = [(0, 1), (0, 2), (1, 2)]
+    # At vertex v there are 2v - 5 inner faces.
+    picks = (rng.random(n - 3) * np.arange(1, 2 * n - 5, 2)).astype(np.int64)
+    for v, i in enumerate(picks.tolist(), start=3):
+        a, b, c = faces[i]
+        faces[i] = (a, b, v)
+        faces += [(a, c, v), (b, c, v)]
+        edges += [(a, v), (b, v), (c, v)]
+    label = rng.permutation(n).tolist()
+    return from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
 def random_unit_square_points(n: int, box: float,
                               rng: np.random.Generator,
                               *, require_connected=True) -> np.ndarray:

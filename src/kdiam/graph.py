@@ -6,8 +6,8 @@ arrays for the single-source BFS kernels, and one sweep,
 :func:`ball_masks`, that grows every ball at once as an ``int`` bit mask
 for the diameter oracle and every other all-sources reader.  That mask
 format, bit v for vertex v, is every vertex set's format in the package;
-:func:`ids_of` reads it back, and :class:`Mask` is a mask that reads as
-its ids.
+:func:`ids_of` reads it back (:func:`id_array` as an array), and
+:class:`Mask` is a mask that reads as its ids.
 """
 
 from __future__ import annotations
@@ -193,6 +193,12 @@ def ids_of(mask: int) -> list:
                 append(base + i)
         base += 8
     return out
+
+
+def id_array(mask: int, n: int) -> np.ndarray:
+    """:func:`ids_of` of a mask over the ids 0..n-1, as an int64 array."""
+    bits = np.frombuffer(mask.to_bytes(-(-n // 8), "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(bits, bitorder="little"))
 
 
 class Mask(int):

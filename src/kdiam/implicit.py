@@ -26,7 +26,7 @@ from operator import or_, xor
 
 import numpy as np
 
-from .graph import Mask, diameter_upto, ids_of
+from .graph import Mask, diameter_upto, id_array, ids_of
 from .nsds import MaskNeighbourSets
 from .order import order_from_membership
 
@@ -151,8 +151,9 @@ def radius_steps(nsds: MaskNeighbourSets, n: int, d: int,
         # hop distance the balls containing x are the balls centred in
         # B_r(x), which is read straight from x's own handle.
         old_pos = {v: i for i, v in enumerate(order)}
-        order = order_from_membership(lambda x: ids_of(handles[old_pos[x]]),
-                                      n, d, rng, rank=nsds.rank)
+        order = order_from_membership(
+            lambda x: id_array(handles[old_pos[x]], n), n, d, rng,
+            rank=nsds.rank)
         mapped = [handles[old_pos[v]] for v in order]
         deltas = [Mask(a ^ b) for a, b in pairwise([nsds.empty, *mapped])]
         handles = expand_balls(deltas, nsds)

@@ -34,7 +34,8 @@ def net_sample(n: int, d: int, rng: np.random.Generator, *,
     p = None
     if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
-        if len(w) != n or (w < 1).any():
+        if (len(w) != n or not np.isfinite(w).all() or (w < 1).any()
+                or (w % 1).any()):
             raise ValueError("weights must be positive integers, one per element")
         p = w / w.sum()
     # The least size with size ** d >= n, settled in integers: the float
@@ -50,13 +51,14 @@ def order_from_membership(membership, n: int, d: int,
     """Low-difference order over n hyperedges given a membership oracle on a
     ground set of the same ids (the self-dual ball hypergraph case).
 
-    ``membership(x)`` lists the ids of all hyperedges containing ground
+    ``membership(x)`` returns the ids of all hyperedges containing ground
     element ``x`` (for balls of a graph, by symmetry of hop distance, the
-    ball around x).  It is called once per sampled element, in draw order.
-    With ``weights`` (positive integers, one per vertex) the sample is drawn
-    as if every vertex were duplicated weight-many times, which keeps the
-    weighted total interval count small; :func:`net_sample` rejects bad
-    weights.
+    ball around x) as an int array, or as a list or other iterable of ints;
+    repeats are allowed, and an id outside ``0..n-1`` is a ``ValueError``.
+    It is called once per sampled element, in draw order.  With ``weights``
+    (positive integers, one per vertex) the sample is drawn as if every
+    vertex were duplicated weight-many times, which keeps the weighted total
+    interval count small; :func:`net_sample` rejects bad weights.
 
     ``rank`` lists the hyperedge ids in locality order; ``range(n)`` gives
     the id order.  The order is the preorder of the refinement tree whose
@@ -69,12 +71,21 @@ def order_from_membership(membership, n: int, d: int,
     rank = np.asarray(rank, dtype=np.int64)
     if rank.shape != (n,) or not (np.sort(rank) == np.arange(n)).all():
         raise ValueError("rank must be a permutation of the ids 0..n-1")
-    # Bit i of an id's key is set when its hyperedge contains sample[i].
-    key = [0] * n
+    # Bit i of an id's key is set when its hyperedge contains sample[i]:
+    # bit i % 63 of its word i // 63, so that no word reaches the sign bit.
+    words = np.zeros((-(-len(sample) // 63), n), dtype=np.int64)
     for i, x in enumerate(sample):
-        bit = 1 << i
-        for e in membership(x):
-            key[e] |= bit
+        ids = membership(x)
+        ids = (np.asarray(ids, dtype=np.int64) if isinstance(ids, np.ndarray)
+               else np.fromiter(ids, np.int64))
+        # Read as unsigned, a negative id lies above every id in range.
+        if len(ids) and ids.view(np.uint64).max() >= n:
+            raise ValueError(f"membership({x}) lists an id outside 0..{n - 1}")
+        word = words[i // 63]
+        word[ids] |= 1 << i % 63
+    key = words[-1].tolist()
+    for word in words[-2::-1]:
+        key = [k << 63 | w for k, w in zip(key, word.tolist())]
     # Each block is a class in rank order, its first id m the tree node that
     # heads it.  m's children head the parts that split off at each later
     # sample element, and the rest of m's final class (the ids whose keys

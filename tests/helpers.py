@@ -105,6 +105,67 @@ def total_difference(order, set_of):
 
 
 # -- interval sets ----------------------------------------------------------
+# One interval set as a tuple of (a, b) pairs, and its conversions to and
+# from positions and ``kdiam.intervals.IntervalSets``.
+
+IntervalSet = tuple  # of (a, b) int pairs
+
+
+def canonicalize(positions) -> IntervalSet:
+    """Minimal disjoint non-adjacent interval cover of a position set."""
+    pos = sorted(set(positions))
+    if not pos:
+        return ()
+    out = []
+    start = prev = pos[0]
+    for p in pos[1:]:
+        if p == prev + 1:
+            prev = p
+        else:
+            out.append((start, prev))
+            start = prev = p
+    out.append((start, prev))
+    return tuple(out)
+
+
+def positions(rep: IntervalSet):
+    """Iterate the covered positions in increasing order."""
+    for a, b in rep:
+        yield from range(a, b + 1)
+
+
+def from_reps(reps):
+    """``IntervalSets`` holding the tuple interval sets ``reps``, in order."""
+    import numpy as np
+
+    from kdiam.intervals import IntervalSets, offsets_of
+
+    reps = list(reps)
+    pairs = np.array([p for rep in reps for p in rep],
+                     dtype=np.int64).reshape(-1, 2)
+    return IntervalSets(offsets_of([len(rep) for rep in reps]),
+                        pairs[:, 0].copy(), pairs[:, 1].copy())
+
+
+def rep_at(sets, v) -> IntervalSet:
+    """Set ``v`` of an ``IntervalSets`` (negative ``v`` counts from the end)
+    as a tuple of pairs."""
+    v = range(len(sets))[v]
+    lo, hi = sets.offsets[v], sets.offsets[v + 1]
+    return tuple(zip(sets.starts[lo:hi].tolist(), sets.ends[lo:hi].tolist()))
+
+
+def encoding_is_valid(g, enc) -> bool:
+    """Every representation of a ``kdiam.explicit.BallEncoding`` canonical
+    and decoding to the exact ball."""
+    from kdiam.graph import balls_at, ids_of
+
+    balls = balls_at(g, enc.radius)
+    return enc.reps.is_canonical(g.n) and all(
+        set(enc.decode(v).tolist()) == set(ids_of(balls[v]))
+        for v in range(g.n))
+
+
 # The per-set loop versions the explicit path used before it worked on CSR
 # arrays; they are the reference the array versions are checked against.
 

@@ -22,7 +22,8 @@ from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import PlaneStructure, geometric_nsds
 from kdiam.bench import loglog_slope, order_and_sum
 
-from helpers import expansion_inputs, geometric_graph_sat, points_in_polygon
+from helpers import (encoding_is_valid, expansion_inputs, geometric_graph_sat,
+                     points_in_polygon)
 
 
 def report(number, label, start, budget):
@@ -197,7 +198,7 @@ def test_criterion_8_invariant_audits():
         g = random_connected_graph(n, int(rng.integers(n - 1, 2 * n)), rng)
         for step in islice(explicit.radius_steps(g, 3, rng), 3):
             for enc in (step.start, step.grown):
-                if not explicit.encoding_is_valid(g, enc):
+                if not encoding_is_valid(g, enc):
                     violations.append(("encoding", trial, enc.radius))
 
     # (b) delta prefix-reconstruction spot checks: step r expands the

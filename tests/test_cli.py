@@ -45,6 +45,25 @@ class TestGen:
             "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_apollonian_series(self, tmp_path, capsys):
+        # Size n of a series draws from [seed, n]: the same file for the
+        # same seed and size, and the library's graph for that seed.
+        import numpy as np
+
+        from kdiam.gen import random_apollonian
+        from kdiam.graph import format_edge_list
+
+        a, b = tmp_path / "a.el", tmp_path / "b.el"
+        for out in (a, b):
+            code, _, _ = run(capsys, "gen", "apollonian", "--n", "120",
+                             "--seed", "7", "--output", str(out))
+            assert code == 0
+        assert a.read_bytes() == b.read_bytes()
+        g = load_edge_list(a)  # raises if disconnected
+        assert g.n == 120 and g.m == 3 * 120 - 6
+        assert a.read_text() == format_edge_list(
+            random_apollonian(120, np.random.default_rng([7, 120])))
+
     def test_polygon_points_writes_both(self, tmp_path, capsys):
         out = tmp_path / "pts.csv"
         code, _, _ = run(capsys, "gen", "polygon-points", "--n", "12",
@@ -349,9 +368,10 @@ class TestErrors:
         (["polygon-points", "--n", "12", "--polygon-output",
           "{tmp}/no/p.poly.csv"],
          "{tmp}/no/p.poly.csv: No such file or directory"),
+        (["apollonian", "--n", "2"], "--n must be >= 3, got 2"),
     ], ids=["n=0", "m=100", "box=-2", "box=nan", "radius=0",
             "no-connected-draw", "output-unwritable",
-            "polygon-output-unwritable"])
+            "polygon-output-unwritable", "apollonian-n=2"])
     def test_bad_gen_arguments_rejected(self, tmp_path, capsys, argv,
                                         message):
         # a later --output in argv takes the place of this one

@@ -8,11 +8,11 @@ from kdiam import _kernels, explicit, implicit
 from kdiam.graph import (DisconnectedGraphError, Graph, GraphFormatError,
                          Mask, ball_masks, balls_at, bfs_distances,
                          diameter_naive, diameter_upto,
-                         distance_vc_shatter_check, from_edges, ids_of,
-                         is_connected, k_diameter_naive, load_edge_list,
-                         format_edge_list, locality_rank, neighborhood,
-                         parse_edge_list)
-from kdiam.gen import (default_box, random_connected_graph,
+                         distance_vc_shatter_check, from_edges, id_array,
+                         ids_of, is_connected, k_diameter_naive,
+                         load_edge_list, format_edge_list, locality_rank,
+                         neighborhood, parse_edge_list)
+from kdiam.gen import (default_box, random_apollonian, random_connected_graph,
                        random_unit_square_points)
 from kdiam.geometry import axis_square, intersection_graph_naive
 from kdiam.nsds import MaskNeighbourSets
@@ -95,6 +95,17 @@ class TestIdsOfAndMask:
             ids = sorted(set(rng.integers(0, 300, size=20).tolist()))
             assert ids_of(sum(1 << v for v in ids)) == ids
         assert ids_of(0) == []
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 300])
+    def test_id_array_is_ids_of_as_int64(self, n):
+        rng = np.random.default_rng(n)
+        masks = [0, (1 << n) - 1, 1 << n - 1]
+        masks += [sum(1 << v for v in set(rng.integers(0, n, 20).tolist()))
+                  for _ in range(20)]
+        for mask in masks:
+            got = id_array(mask, n)
+            assert got.dtype == np.int64
+            assert got.tolist() == ids_of(mask)
 
     @pytest.mark.parametrize("mask", [-1, -2, -(1 << 70)])
     def test_ids_of_rejects_negative_masks(self, mask):
@@ -252,6 +263,65 @@ class TestDiameterAgainstPerSourceBfs:
             pts = random_unit_square_points(n, default_box(n), rng)
             g = intersection_graph_naive(pts, axis_square(1.0))
             assert diameter_naive(g) == eccentricity_diameter(g)
+
+
+class TestRandomApollonian:
+    @pytest.mark.parametrize("n", [3, 4, 5, 17, 400])
+    def test_simple_connected_with_3n_minus_6_edges(self, n):
+        g = random_apollonian(n, np.random.default_rng([7, n]))
+        edges = list(g.edges())
+        assert g.n == n and g.m == len(edges) == 3 * n - 6
+        assert len({(min(e), max(e)) for e in edges}) == g.m
+        assert all(u != v for u, v in edges)
+        assert is_connected(g)
+
+    def test_same_seed_same_graph(self):
+        draw = [random_apollonian(300, np.random.default_rng([7, 300]))
+                for _ in range(2)]
+        other = random_apollonian(300, np.random.default_rng([8, 300]))
+        assert draw[0].adjacency == draw[1].adjacency
+        assert other.adjacency != draw[0].adjacency
+
+    @pytest.mark.parametrize("n", [4, 60, 400])
+    def test_peels_to_a_triangle(self, n):
+        # An Apollonian network is a planar 3-tree: removing a vertex of
+        # degree 3 whose neighbours form a triangle, while one is left,
+        # ends at a triangle.
+        g = random_apollonian(n, np.random.default_rng([7, n]))
+        adj = [set(a) for a in g.adjacency]
+        left = set(range(n))
+
+        def peelable(v):
+            if len(adj[v]) != 3:
+                return False
+            a, b, c = adj[v]
+            return b in adj[a] and c in adj[a] and c in adj[b]
+
+        queue = [v for v in left if peelable(v)]
+        while len(left) > 3 and queue:
+            v = queue.pop()
+            if v not in left or not peelable(v):
+                continue
+            left.remove(v)
+            for u in adj[v]:
+                adj[u].remove(v)
+                queue.append(u)
+            adj[v] = set()
+        assert len(left) == 3
+        assert all(adj[u] == left - {u} for u in left)
+
+    def test_no_triangle_has_three_common_neighbours(self):
+        # Three of them would span a K3,3 with the triangle, which no
+        # planar graph contains; a draw that split one face twice would.
+        g = random_apollonian(400, np.random.default_rng([7, 400]))
+        adj = [set(a) for a in g.adjacency]
+        for a, b in g.edges():
+            for c in adj[a] & adj[b]:
+                assert len(adj[a] & adj[b] & adj[c]) <= 2
+
+    def test_needs_a_triangle(self):
+        with pytest.raises(ValueError, match="n must be >= 3"):
+            random_apollonian(2, np.random.default_rng(0))
 
 
 class TestKDiameter:

@@ -50,6 +50,13 @@ class TestNetSchedule:
         with pytest.raises(ValueError):
             net_sample(3, 2, rng, weights=[1, 1])
 
+    @pytest.mark.parametrize("weights", [[1.5, 1, 1, 1], [1, 1, 2.25, 1],
+                                         [1, float("nan"), 1, 1],
+                                         [1, 1, 1, float("inf")]])
+    def test_weights_must_be_integers(self, weights):
+        with pytest.raises(ValueError, match="positive integers"):
+            net_sample(4, 2, np.random.default_rng(2), weights=weights)
+
     def test_rejects_small_d_and_no_ids(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError):
@@ -180,7 +187,7 @@ class TestVertexOrders:
         assert sorted(o1) == list(range(g.n))
 
     def test_k3_weighted_interval_cost(self):
-        from kdiam.intervals import canonicalize
+        from helpers import canonicalize
 
         g = from_edges(3, [(0, 1), (1, 2), (0, 2)])
         weights = [5, 1, 1]
@@ -193,7 +200,7 @@ class TestVertexOrders:
         assert cost == sum(weights)
 
     def test_p4_weighted_by_degree_average(self):
-        from kdiam.intervals import canonicalize
+        from helpers import canonicalize
 
         g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
         weights = [max(1, len(a)) for a in g.adjacency]
@@ -297,6 +304,61 @@ class TestRankedOrders:
                 break
         digest = hashlib.sha256(repr(orders).encode()).hexdigest()
         assert digest == self.SWEEPS[sweep]
+
+    @pytest.mark.parametrize("bad", [-1, 3, 7])
+    def test_membership_ids_must_be_in_range(self, bad):
+        # -1 would index the last key and 3 would be past it; every sampled
+        # element of 0..2 reaches the bad id, as a list or as an array.
+        for kind in (list, np.array):
+            with pytest.raises(ValueError, match="outside 0..2"):
+                order_from_membership(lambda x: kind([0, bad, 1]), 3, 2,
+                                      np.random.default_rng(0), rank=range(3))
+
+    def test_empty_memberships(self):
+        # No sampled element is in any hyperedge: one class, in rank order.
+        for empty in ([], np.zeros(0, dtype=np.int64), set()):
+            order = order_from_membership(lambda x: empty, 5, 2,
+                                          np.random.default_rng(0),
+                                          rank=[3, 1, 4, 0, 2])
+            assert order == (3, 1, 4, 0, 2)
+
+    @staticmethod
+    def random_membership(n, as_array):
+        """Repeatable random hyperedge ids per ground element: none for
+        every fifth element, else up to n / 16 ids, a third of them
+        repeated."""
+        def membership(x):
+            if x % 5 == 0:
+                ids = np.zeros(0, dtype=np.int64)
+            else:
+                rng = np.random.default_rng([n, x])
+                ids = rng.integers(0, n, size=int(rng.integers(1, n // 16)))
+                ids = np.concatenate((ids, ids[:len(ids) // 3]))
+            return ids if as_array else ids.tolist()
+        return membership
+
+    # sha256 of the repr of the order, recorded while the keys were Python
+    # ints built one membership element at a time.  At d = 2, n = 3,969 =
+    # 63**2 draws 63 sample elements, one int64 word of keys; 3,970 draws
+    # 64, two words; 16,200 draws 128, three.  Dropping the elements past
+    # the first 63 changes the last two digests.
+    WORD_PINS = {
+        3969: "261733eb10e734761771783ca00d387e"
+              "ea8828b144c4e56dbf1cce9db5ef64af",
+        3970: "ee6af0b5553d82fa9e3ece3742c4d875"
+              "2ce873eeb7181314ab9226c417877095",
+        16200: "9139fbbcf48558ac74e2850c9f4a3932"
+               "b40dad4cafc4d48b13389ca8a6d913d8",
+    }
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    @pytest.mark.parametrize("n", WORD_PINS)
+    def test_orders_across_key_words(self, n, as_array):
+        rank = np.random.default_rng(1).permutation(n).tolist()
+        order = order_from_membership(self.random_membership(n, as_array), n,
+                                      2, np.random.default_rng(0), rank=rank)
+        digest = hashlib.sha256(repr(order).encode()).hexdigest()
+        assert digest == self.WORD_PINS[n]
 
     @pytest.mark.parametrize("rank", [[0, 1], [0, 1, 1], [0, 1, 3]],
                              ids=["short", "repeat", "out-of-range"])
