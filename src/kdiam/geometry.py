@@ -102,24 +102,15 @@ class ConvexPolygon:
                      for nrm, lo, hi in self._slabs)
 
 
-def norm_value(f: ConvexPolygon, x) -> float:
-    """Gauge of a symmetric shape: the least r >= 0 with x in r*f.
-
-    Positively homogeneous; requires the origin strictly inside, which makes
-    every side offset positive.
-    """
-    sides = f.side_normals()
-    if any(off <= TOL for _, off in sides):
-        raise ValueError("origin must be strictly interior to the shape")
-    x = np.asarray(x, dtype=np.float64)
-    return max(0.0, max(float(nrm @ x) / off for nrm, off in sides))
-
-
 def check_distinct(points) -> None:
-    """Raise ``ValueError("duplicate points i and j")`` if two rows of the
-    (n, 2) array ``points`` are equal, for the smallest such j and i the
-    first row equal to it.  -0.0 equals 0.0."""
+    """Raise ``ValueError`` if a row of the (n, 2) array ``points`` holds a
+    nan or an infinity ("point i is not finite", i the first such row) or
+    two rows are equal ("duplicate points i and j", j the smallest repeat
+    and i the first row equal to it).  -0.0 equals 0.0."""
     pts = np.asarray(points, dtype=np.float64)
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"point {int(np.argmin(finite))} is not finite")
     # A stable sort puts equal rows next to each other, in index order, so
     # the rows equal to the one before them are the repeats.
     order = np.lexsort((pts[:, 1], pts[:, 0]))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import reduce
-from itertools import chain, combinations, islice
+from itertools import chain, islice
 from operator import or_
 from pathlib import Path
 
@@ -132,21 +132,6 @@ def locality_rank(g: Graph) -> tuple:
     return tuple(rank)
 
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Exact hop distances from ``source``, one per vertex.
-
-    Raises ``DisconnectedGraphError`` if some vertex is unreachable and
-    ``ValueError`` for an out-of-range source.
-    """
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range [0, {g.n})")
-    indptr, indices = g.csr
-    dist = _kernels.bfs_distances(indptr, indices, source)
-    if (dist < 0).any():
-        raise DisconnectedGraphError("graph is disconnected: infinite diameter")
-    return dist
-
-
 def is_connected(g: Graph) -> bool:
     indptr, indices = g.csr
     return not (_kernels.bfs_distances(indptr, indices, 0) < 0).any()
@@ -261,37 +246,6 @@ def neighborhood(g: Graph, v: int, r: int) -> set[int]:
     indptr, indices = g.csr
     mask = _kernels.ball_mask(indptr, indices, v, r)
     return set(np.flatnonzero(mask).tolist())
-
-
-SHATTER_GUARD = 16
-
-
-def distance_vc_shatter_check(g: Graph, max_subset: int, *,
-                              allow_large: bool = False) -> int:
-    """Largest subset size shattered by the family of all balls of ``g``.
-
-    Exhaustive: enumerates every ball N^k[v], k >= 0 (every round of
-    :func:`ball_masks`), and every candidate subset of size <= max_subset.
-    Refuses graphs with more than ``SHATTER_GUARD`` vertices unless
-    ``allow_large`` is set.
-    """
-    n = g.n
-    if n > SHATTER_GUARD and not allow_large:
-        raise ValueError(
-            f"n={n} exceeds exhaustive-search guard {SHATTER_GUARD}; "
-            "pass allow_large=True to override")
-    if max_subset < 1:
-        raise ValueError("max_subset must be >= 1")
-
-    # Radii past the sweep's last round add nothing: each ball is then its
-    # component.
-    balls = set().union(*ball_masks(g))
-    for size in range(min(max_subset, n), 0, -1):
-        for subset in combinations(range(n), size):
-            y_mask = sum(1 << u for u in subset)
-            if len({b & y_mask for b in balls}) == 1 << size:
-                return size
-    return 0
 
 
 # ---------------------------------------------------------------------------

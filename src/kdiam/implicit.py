@@ -13,8 +13,10 @@ set, an ``int`` mask, so each delta is the XOR of two consecutive handles,
 a :class:`kdiam.graph.Mask`, which the recursion takes as it is: nothing
 is listed and nothing is rebuilt, and a delta's size is its popcount.
 Fullness is each handle compared with the full mask, at every radius, the
-last one included.  ``k_diameter_implicit`` reads its answer for one k
-from the sweep with :func:`kdiam.graph.diameter_upto`.
+last one included.  The recursion keeps no counter of its own: the
+structure's ``add_count`` is the work it does.  ``k_diameter_implicit``
+reads its answer for one k from the sweep with
+:func:`kdiam.graph.diameter_upto`.
 """
 
 from __future__ import annotations
@@ -31,43 +33,23 @@ from .nsds import MaskNeighbourSets
 from .order import order_from_membership
 
 
-@dataclass
-class ExpandCost:
-    """Operation counter for the expansion recursion: every call contributes
-    its delta count plus the total size of its deltas, each size the
-    popcount of the delta's mask."""
-
-    operations: int = 0
-    calls: int = 0
-
-    @staticmethod
-    def bound(a: int, b: int, t: int) -> int:
-        """Closed-form budget the recursion must stay within, where a is the
-        first delta's size and b the total size of the rest."""
-        ceil_log = (t - 1).bit_length() if t > 1 else 0
-        return a + 3 * b * (ceil_log + 1) + 2 * t
-
-
-def expand_balls(deltas: list[int], nsds: MaskNeighbourSets, *,
-                 cost: ExpandCost | None = None) -> list[int]:
+def expand_balls(deltas: list[int], nsds: MaskNeighbourSets) -> list[int]:
     """Handles for N[D_1 xor ... xor D_i], one per prefix of the deltas.
 
     Each delta is an ``int`` mask, and the recursion does its set algebra
     on the masks.  Elements unique to D_1 belong to every prefix, so their
     neighborhoods are added once, in increasing id, to a shared base set;
     the midpoint replacement folds the first half into the second half's
-    leading delta before recursing.
+    leading delta before recursing.  Over t deltas the recursion makes
+    2t - 1 calls.
     """
     if not deltas:
         raise ValueError("need at least one delta set")
-    return _expand_rec(nsds.empty, deltas, nsds, cost)
+    return _expand_rec(nsds.empty, deltas, nsds)
 
 
-def _expand_rec(base: int, deltas: list[int], nsds, cost) -> list[int]:
+def _expand_rec(base: int, deltas: list[int], nsds) -> list[int]:
     t = len(deltas)
-    if cost is not None:
-        cost.calls += 1
-        cost.operations += t + sum(d.bit_count() for d in deltas)
     common = reduce(or_, deltas[1:], 0)
     shared = base
     for v in ids_of(deltas[0] & ~common):
@@ -77,8 +59,8 @@ def _expand_rec(base: int, deltas: list[int], nsds, cost) -> list[int]:
     m = t // 2 + 1
     d1 = deltas[0] & common
     dm = reduce(xor, deltas[1:m], d1)
-    first = _expand_rec(shared, [d1] + deltas[1:m - 1], nsds, cost)
-    second = _expand_rec(shared, [dm] + deltas[m:], nsds, cost)
+    first = _expand_rec(shared, [d1] + deltas[1:m - 1], nsds)
+    second = _expand_rec(shared, [dm] + deltas[m:], nsds)
     return first + second
 
 

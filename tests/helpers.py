@@ -1,10 +1,15 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles for the test suite, and the analysis code
+only the tests run: the distance VC-dimension check, the gauge norm and
+the expansion's call counter.
 
-Everything here is deliberately written from scratch (brute force where
-possible) so it cannot share a bug with the library paths it checks.
+The oracles are deliberately written from scratch (brute force where
+possible) so they cannot share a bug with the library paths they check.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 
 # -- graphs -----------------------------------------------------------------
@@ -30,6 +35,31 @@ def all_pairs_dist(adj):
 
 def ball(adj, v, r):
     return {u for u, d in bfs_dict(adj, v).items() if d <= r}
+
+
+def distance_vc_shatter_check(g, max_subset: int) -> int:
+    """Largest subset size shattered by the family of all balls of ``g``.
+
+    Exhaustive: enumerates every ball N^k[v], k >= 0 (every round of
+    ``kdiam.graph.ball_masks``), and every candidate subset of size <=
+    max_subset, so it is for small graphs only.
+    """
+    from itertools import combinations
+
+    from kdiam.graph import ball_masks
+
+    if max_subset < 1:
+        raise ValueError("max_subset must be >= 1")
+    n = g.n
+    # Radii past the sweep's last round add nothing: each ball is then its
+    # component.
+    balls = set().union(*ball_masks(g))
+    for size in range(min(max_subset, n), 0, -1):
+        for subset in combinations(range(n), size):
+            y_mask = sum(1 << u for u in subset)
+            if len({b & y_mask for b in balls}) == 1 << size:
+                return size
+    return 0
 
 
 class UnionFind:
@@ -316,6 +346,24 @@ def points_in_polygon(pts, verts):
     return inside
 
 
+def norm_value(f, x) -> float:
+    """Gauge of a symmetric ``kdiam.geometry.ConvexPolygon``: the least
+    r >= 0 with x in r*f, from its side normals.
+
+    Positively homogeneous; requires the origin strictly inside, which makes
+    every side offset positive.
+    """
+    import numpy as np
+
+    from kdiam.geometry import TOL
+
+    sides = f.side_normals()
+    if any(off <= TOL for _, off in sides):
+        raise ValueError("origin must be strictly interior to the shape")
+    x = np.asarray(x, dtype=np.float64)
+    return max(0.0, max(float(nrm @ x) / off for nrm, off in sides))
+
+
 def gauge_by_bisection(verts, p, hi=1e6, iters=100):
     """min r with p in r*polygon, via bisection over crossing-number
     containment; independent of the normal-form gauge."""
@@ -362,6 +410,46 @@ def geometric_graph_sat(points, verts):
 
 
 # -- implicit driver --------------------------------------------------------
+
+
+@dataclass
+class ExpandCost:
+    """Operation counter for the expansion recursion: every call contributes
+    its delta count plus the total size of its deltas."""
+
+    operations: int = 0
+    calls: int = 0
+
+    @staticmethod
+    def bound(a: int, b: int, t: int) -> int:
+        """Closed-form budget the recursion must stay within over t deltas,
+        where a is the first delta's size and b the total size of the
+        rest."""
+        ceil_log = (t - 1).bit_length() if t > 1 else 0
+        return a + 3 * b * (ceil_log + 1) + 2 * t
+
+
+@contextmanager
+def counted_expansion():
+    """Count the production recursion while the block runs: yields an
+    :class:`ExpandCost` that every call of ``kdiam.implicit._expand_rec``
+    adds to.  The recursion looks its own name up at call time, so the
+    counting wrapper put in its place sees the inner calls too."""
+    import kdiam.implicit
+
+    cost = ExpandCost()
+    rec = kdiam.implicit._expand_rec
+
+    def counted(base, deltas, nsds):
+        cost.calls += 1
+        cost.operations += len(deltas) + sum(d.bit_count() for d in deltas)
+        return rec(base, deltas, nsds)
+
+    kdiam.implicit._expand_rec = counted
+    try:
+        yield cost
+    finally:
+        kdiam.implicit._expand_rec = rec
 
 
 def expand_balls_reference(deltas, nsds, cost=None):

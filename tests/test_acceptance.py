@@ -14,16 +14,16 @@ from kdiam import explicit, implicit
 from kdiam.explicit import k_diameter_explicit
 from kdiam.gen import (default_box, random_connected_graph,
                        random_symmetric_polygon, random_unit_square_points)
-from kdiam.geometry import axis_square, intersection_graph_naive, norm_value
-from kdiam.graph import (balls_at, diameter_naive, distance_vc_shatter_check,
-                         locality_rank)
-from kdiam.implicit import ExpandCost, expand_balls, k_diameter_implicit
+from kdiam.geometry import axis_square, intersection_graph_naive
+from kdiam.graph import balls_at, diameter_naive, locality_rank
+from kdiam.implicit import expand_balls, k_diameter_implicit
 from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import PlaneStructure, geometric_nsds
 from kdiam.bench import loglog_slope, order_and_sum
 
-from helpers import (encoding_is_valid, expansion_inputs, geometric_graph_sat,
-                     points_in_polygon)
+from helpers import (ExpandCost, counted_expansion, distance_vc_shatter_check,
+                     encoding_is_valid, expansion_inputs, geometric_graph_sat,
+                     norm_value, points_in_polygon)
 
 
 def report(number, label, start, budget):
@@ -110,8 +110,9 @@ def test_criterion_4_expansion_cost_bound():
     for trial, (g, deltas) in enumerate(expansion_inputs(rng, 100)):
         t = len(deltas)
         nsds = MaskNeighbourSets.from_graph(g)
-        cost = ExpandCost()
-        expand_balls(deltas, nsds, cost=cost)
+        with counted_expansion() as cost:
+            expand_balls(deltas, nsds)
+        assert cost.calls == 2 * t - 1, (trial, cost.calls, t)
         a = len(deltas[0])
         b = sum(len(d) for d in deltas[1:])
         assert cost.operations <= ExpandCost.bound(a, b, t), \

@@ -6,12 +6,12 @@ import pytest
 from kdiam.gen import random_symmetric_polygon
 from kdiam.geometry import (TOL, ConvexPolygon, adjacency_slabs, axis_square,
                             check_distinct, format_points, format_polygon,
-                            intersection_graph_naive, norm_value,
-                            parse_points, parse_polygon)
+                            intersection_graph_naive, parse_points,
+                            parse_polygon)
 from kdiam.plane import geometric_nsds
 
 from helpers import (convex_hull, gauge_by_bisection, geometric_graph_sat,
-                     point_in_polygon, points_in_polygon)
+                     norm_value, point_in_polygon, points_in_polygon)
 
 
 def difference_body(f: ConvexPolygon) -> ConvexPolygon:
@@ -111,6 +111,18 @@ class TestIntersectionGraph:
         for gap, edge in ((0.0, True), (0.5 * TOL, True), (3 * TOL, False)):
             g = intersection_graph_naive([(0, 0), (1.0 + gap, 0.3)], square)
             assert (list(g.edges()) == [(0, 1)]) is edge, gap
+
+    def test_non_finite_rejected_by_both_builders(self):
+        # a nan or an infinity in either column, with no duplicate to find
+        for value in (math.nan, math.inf, -math.inf):
+            for column in (0, 1):
+                pts = np.array([(0.0, 0.0), (0.5, 0.0), (0.3, 0.2),
+                                (1.0, 0.1)])
+                pts[2, column] = value
+                for build in (intersection_graph_naive, geometric_nsds):
+                    with pytest.raises(ValueError) as exc:
+                        build(pts, axis_square(1.0))
+                    assert str(exc.value) == "point 2 is not finite"
 
     def test_duplicate_check_shared(self):
         # a repeat far from its first occurrence among many points, and a

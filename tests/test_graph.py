@@ -6,9 +6,8 @@ import pytest
 
 from kdiam import _kernels, explicit, implicit
 from kdiam.graph import (DisconnectedGraphError, Graph, GraphFormatError,
-                         Mask, ball_masks, balls_at, bfs_distances,
-                         diameter_naive, diameter_upto,
-                         distance_vc_shatter_check, from_edges, id_array,
+                         Mask, ball_masks, balls_at, diameter_naive,
+                         diameter_upto, from_edges, id_array,
                          ids_of, is_connected, k_diameter_naive,
                          load_edge_list, format_edge_list, locality_rank,
                          neighborhood, parse_edge_list)
@@ -18,7 +17,7 @@ from kdiam.geometry import axis_square, intersection_graph_naive
 from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import geometric_nsds
 
-from helpers import all_pairs_dist, ball
+from helpers import all_pairs_dist, ball, distance_vc_shatter_check
 
 
 def path_graph(n):
@@ -172,17 +171,16 @@ class TestLocalityRank:
 
 class TestBfs:
     def test_path(self):
-        assert bfs_distances(path_graph(3), 0).tolist() == [0, 1, 2]
+        dist = _kernels.bfs_distances(*path_graph(3).csr, 0)
+        assert dist.tolist() == [0, 1, 2]
 
     def test_triangle_middle(self):
-        assert bfs_distances(complete_graph(3), 1).tolist() == [1, 0, 1]
+        dist = _kernels.bfs_distances(*complete_graph(3).csr, 1)
+        assert dist.tolist() == [1, 0, 1]
 
     def test_five_cycle(self):
-        assert bfs_distances(cycle_graph(5), 0).tolist() == [0, 1, 2, 2, 1]
-
-    def test_out_of_range_source(self):
-        with pytest.raises(ValueError):
-            bfs_distances(path_graph(3), 3)
+        dist = _kernels.bfs_distances(*cycle_graph(5).csr, 0)
+        assert dist.tolist() == [0, 1, 2, 2, 1]
 
     def test_matches_oracle_and_lipschitz(self):
         rng = np.random.default_rng(0)
@@ -192,16 +190,11 @@ class TestBfs:
             g = random_connected_graph(n, m, rng)
             ref = all_pairs_dist(g.adjacency)
             for s in range(g.n):
-                dist = bfs_distances(g, s)
+                dist = _kernels.bfs_distances(*g.csr, s)
                 assert dist.tolist() == [ref[s][u] for u in range(g.n)]
                 assert dist[s] == 0
                 for u, v in g.edges():
                     assert abs(int(dist[u]) - int(dist[v])) <= 1
-
-    def test_disconnected_raises(self):
-        g = Graph([[1], [0], [3], [2]])
-        with pytest.raises(DisconnectedGraphError):
-            bfs_distances(g, 0)
 
 
 class TestDiameter:
@@ -439,12 +432,6 @@ class TestShatterCheck:
     def test_triangle(self):
         got = distance_vc_shatter_check(complete_graph(3), 3)
         assert 1 <= got < 3
-
-    def test_guard(self):
-        g = random_connected_graph(17, 20, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="guard"):
-            distance_vc_shatter_check(g, 3)
-        assert distance_vc_shatter_check(g, 1, allow_large=True) == 1
 
     def test_disconnected_graph_matches_brute_force(self):
         # a path, a triangle, an edge and an isolated vertex

@@ -9,13 +9,14 @@ from kdiam.gen import (default_box, random_connected_graph,
                        random_points_for_shape, random_symmetric_polygon,
                        random_unit_square_points)
 from kdiam.geometry import axis_square, intersection_graph_naive
-from kdiam.graph import Mask, bfs_distances, diameter_naive, from_edges
-from kdiam.implicit import (ExpandCost, expand_balls, k_diameter_implicit,
-                            radius_steps, simulate_bfs)
+from kdiam.graph import Mask, diameter_naive, from_edges
+from kdiam.implicit import (expand_balls, k_diameter_implicit, radius_steps,
+                            simulate_bfs)
 from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import geometric_nsds
 
-from helpers import (as_masks, expand_balls_reference, expansion_inputs,
+from helpers import (ExpandCost, as_masks, bfs_dict, counted_expansion,
+                     expand_balls_reference, expansion_inputs,
                      radius_steps_reference)
 
 
@@ -59,8 +60,8 @@ class TestExpandBalls:
                                      replace=False))
                       for _ in range(t)]
             nsds = MaskNeighbourSets.from_graph(g)
-            cost = ExpandCost()
-            handles = expand_balls(as_masks(deltas), nsds, cost=cost)
+            with counted_expansion() as cost:
+                handles = expand_balls(as_masks(deltas), nsds)
             acc = set()
             for i in range(t):
                 acc ^= deltas[i]
@@ -71,6 +72,7 @@ class TestExpandBalls:
                 assert set(got) == want
             a = len(deltas[0])
             b = sum(len(d) for d in deltas[1:])
+            assert cost.calls == 2 * t - 1
             assert cost.operations <= ExpandCost.bound(a, b, t)
 
 
@@ -95,9 +97,10 @@ class TestSameWorkAsSetRecursion:
         base = MaskNeighbourSets.from_graph(g)
         got, want = (RecordingNeighbourSets(base.closed, base.rank)
                      for _ in range(2))
-        got_cost, want_cost = ExpandCost(), ExpandCost()
-        assert expand_balls(as_masks(deltas), got, cost=got_cost) == \
-            expand_balls_reference(deltas, want, cost=want_cost)
+        want_cost = ExpandCost()
+        with counted_expansion() as got_cost:
+            handles = expand_balls(as_masks(deltas), got)
+        assert handles == expand_balls_reference(deltas, want, cost=want_cost)
         assert got.adds == want.adds
         assert got_cost == want_cost
 
@@ -130,8 +133,7 @@ class TestSimulateBfs:
         nsds = geometric_nsds(pts, axis_square(1.0))
         for v in range(0, g.n, 5):
             got = simulate_bfs(nsds, v)
-            ref = bfs_distances(g, v)
-            assert got == {u: int(ref[u]) for u in range(g.n)}
+            assert got == bfs_dict(g.adjacency, v)
 
     def test_each_vertex_listed_once(self):
         g = random_connected_graph(15, 25, np.random.default_rng(2))
