@@ -10,7 +10,6 @@ from .graph import (
     Graph,
     GraphFormatError,
     diameter_naive,
-    from_edges,
     k_diameter_naive,
     load_edge_list,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "GraphFormatError",
     "MaskNeighbourSets",
     "diameter_naive",
-    "from_edges",
     "geometric_nsds",
     "intersection_graph_naive",
     "k_diameter_explicit",

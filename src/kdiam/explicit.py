@@ -160,7 +160,7 @@ def radius_steps(g: Graph, d: int, rng: np.random.Generator):
     affect how much work the interval representations take, never
     ``full``.
     """
-    degrees = [max(deg, 1) for deg in g.degrees()]
+    degrees = np.maximum(np.diff(g.csr[0]), 1)
     enc = initial_encoding(g)
     rank = enc.order
     while True:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .geometry import ConvexPolygon, axis_square, intersection_graph_naive
-from .graph import Graph, from_edges, is_connected
+from .graph import Graph, is_connected
 
 # Draws a point generator makes before giving up on a connected instance.
 MAX_TRIES = 200
@@ -35,7 +35,7 @@ def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
         v = int(rng.integers(0, n))
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return from_edges(n, sorted(edges))
+    return Graph(n, sorted(edges))
 
 
 def random_apollonian(n: int, rng: np.random.Generator) -> Graph:
@@ -55,7 +55,7 @@ def random_apollonian(n: int, rng: np.random.Generator) -> Graph:
         faces += [(a, c, v), (b, c, v)]
         edges += [(a, v), (b, v), (c, v)]
     label = rng.permutation(n).tolist()
-    return from_edges(n, [(label[u], label[v]) for u, v in edges])
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
 
 
 def random_unit_square_points(n: int, box: float,

@@ -103,11 +103,13 @@ class ConvexPolygon:
 
 
 def check_distinct(points) -> None:
-    """Raise ``ValueError`` if a row of the (n, 2) array ``points`` holds a
-    nan or an infinity ("point i is not finite", i the first such row) or
-    two rows are equal ("duplicate points i and j", j the smallest repeat
-    and i the first row equal to it).  -0.0 equals 0.0."""
+    """Raise ``ValueError`` unless ``points`` is a nonempty (n, 2) array, if
+    a row holds a nan or an infinity ("point i is not finite", i the first
+    such row) or if two rows are equal ("duplicate points i and j", j the
+    smallest repeat and i the first row equal to it).  -0.0 equals 0.0."""
     pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
+        raise ValueError("points must be a nonempty (n, 2) array")
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         raise ValueError(f"point {int(np.argmin(finite))} is not finite")
@@ -140,15 +142,14 @@ def intersection_graph_naive(points, f: ConvexPolygon) -> Graph:
     This is the oracle graph the geometric algorithms are checked against.
     """
     pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
     check_distinct(pts)
+    n = len(pts)
     adj = np.ones((n, n), dtype=bool)
     for nrm, lo, hi in adjacency_slabs(f):
         dots = pts @ nrm
         diff = dots[:, None] - dots[None, :]
         adj &= (lo <= diff) & (diff <= hi)
-    np.fill_diagonal(adj, False)
-    return Graph([np.flatnonzero(row).tolist() for row in adj])
+    return Graph(n, np.argwhere(np.triu(adj, 1)))
 
 
 def axis_square(side: float = 1.0) -> ConvexPolygon:

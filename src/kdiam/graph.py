@@ -1,8 +1,8 @@
 """Undirected unweighted graphs, BFS, and the brute-force oracles.
 
 Everything downstream is verified against the functions in this module, so
-they stay deliberately simple: plain adjacency lists, lazily built CSR
-arrays for the single-source BFS kernels, and one sweep,
+they stay deliberately simple: a graph is its CSR arrays, built once from
+its edges and read by the single-source BFS kernels, and one sweep,
 :func:`ball_masks`, that grows every ball at once as an ``int`` bit mask
 for the diameter oracle and every other all-sources reader.  That mask
 format, bit v for vertex v, is every vertex set's format in the package;
@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import reduce
-from itertools import chain, islice
-from operator import or_
+from itertools import islice
+from operator import index, or_
 from pathlib import Path
 
 import numpy as np
@@ -32,72 +32,56 @@ class DisconnectedGraphError(ValueError):
 
 
 class Graph:
-    """Immutable simple graph on dense vertex ids ``0..n-1``.
+    """Immutable simple graph on dense vertex ids ``0..n-1``, built from its
+    edges as (u, v) pairs and held as the int64 CSR arrays
+    ``csr = (indptr, indices)``: v's neighbours, in increasing id, are
+    ``indices[indptr[v]:indptr[v + 1]]``.
 
-    The constructor rejects self-loops, duplicate neighbors and asymmetric
-    adjacency.  Connectivity is checked at load time by :func:`load_edge_list`
-    rather than here, so that the oracles can still detect and report a
-    disconnected graph explicitly.
+    The constructor rejects an id out of range, a self-loop and an edge
+    given twice, in either direction.  Connectivity is checked at load time
+    by :func:`load_edge_list` rather than here, so that the oracles can
+    still detect and report a disconnected graph explicitly.
     """
 
-    def __init__(self, adjacency):
-        adj = tuple(tuple(sorted(neigh)) for neigh in adjacency)
-        n = len(adj)
-        if n == 0:
+    def __init__(self, n: int, edges):
+        n = index(n)
+        if n < 1:
             raise ValueError("graph must have at least one vertex")
-        for v, neigh in enumerate(adj):
-            prev = -1
-            for u in neigh:
-                if not 0 <= u < n:
-                    raise ValueError(f"neighbor {u} of {v} out of range")
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {v}")
-                if u == prev:
-                    raise ValueError(f"duplicate edge {v}-{u}")
-                prev = u
-        neighbours = [frozenset(neigh) for neigh in adj]
-        for v, neigh in enumerate(adj):
-            for u in neigh:
-                if v not in neighbours[u]:
-                    raise ValueError(f"asymmetric adjacency: {v}-{u}")
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        out = ((e < 0) | (e >= n)).any(axis=1)
+        if out.any():
+            u, v = e[out.argmax()].tolist()
+            raise ValueError(f"edge {u}-{v}: vertex out of range [0, {n})")
+        loop = e[:, 0] == e[:, 1]
+        if loop.any():
+            raise ValueError(f"self-loop at vertex {e[loop.argmax(), 0]}")
+        # Both directions of every edge as one key u * n + v: sorted, they
+        # are the rows in order, each row by id, and an edge given twice
+        # shows as two equal keys.
+        keys = np.sort(np.concatenate((e[:, 0] * n + e[:, 1],
+                                       e[:, 1] * n + e[:, 0])))
+        twice = keys[1:] == keys[:-1]
+        if twice.any():
+            u, v = divmod(int(keys[1:][twice][0]), n)
+            raise ValueError(f"duplicate edge {u}-{v}")
         self.n = n
-        self.adjacency = adj
-        self.m = sum(len(a) for a in adj) // 2
-        self._csr = None
-
-    @property
-    def csr(self):
-        """(indptr, indices) int64 CSR arrays, built lazily."""
-        if self._csr is None:
-            indptr = np.zeros(self.n + 1, np.int64)
-            np.cumsum(self.degrees(), out=indptr[1:])
-            indices = np.fromiter(chain.from_iterable(self.adjacency),
-                                  np.int64, count=indptr[-1])
-            self._csr = (indptr, indices)
-        return self._csr
-
-    def degrees(self):
-        return [len(a) for a in self.adjacency]
+        self.m = len(e)
+        # Row v is the keys from v * n on.
+        self.csr = (np.searchsorted(keys, np.arange(n + 1) * n), keys % n)
 
     def edges(self):
-        for v, neigh in enumerate(self.adjacency):
-            for u in neigh:
-                if v < u:
-                    yield (v, u)
+        """Each edge once, as (u, v) with u < v, in increasing (u, v)."""
+        indptr, indices = self.csr
+        tails = np.repeat(np.arange(self.n), np.diff(indptr))
+        keep = tails < indices
+        return zip(tails[keep].tolist(), indices[keep].tolist())
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.adjacency == other.adjacency
+        return (isinstance(other, Graph)
+                and all(map(np.array_equal, self.csr, other.csr)))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def from_edges(n: int, edges) -> Graph:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(adj)
 
 
 def locality_rank(g: Graph) -> tuple:
@@ -133,8 +117,7 @@ def locality_rank(g: Graph) -> tuple:
 
 
 def is_connected(g: Graph) -> bool:
-    indptr, indices = g.csr
-    return not (_kernels.bfs_distances(indptr, indices, 0) < 0).any()
+    return not (_kernels.bfs_distances(*g.csr, 0) < 0).any()
 
 
 def ball_masks(g: Graph):
@@ -147,7 +130,8 @@ def ball_masks(g: Graph):
     Each round costs n + 2m ORs of n-bit masks; the sweep holds two rounds,
     about n²/4 bytes.
     """
-    closed = [(v, *neigh) for v, neigh in enumerate(g.adjacency)]
+    ptr, ids = (a.tolist() for a in g.csr)
+    closed = [(v, *ids[ptr[v]:ptr[v + 1]]) for v in range(g.n)]
     balls = [1 << v for v in range(g.n)]
     while True:
         yield balls
@@ -243,8 +227,7 @@ def neighborhood(g: Graph, v: int, r: int) -> set[int]:
         raise ValueError("radius must be >= 0")
     if r == 0:
         return {v}
-    indptr, indices = g.csr
-    mask = _kernels.ball_mask(indptr, indices, v, r)
+    mask = _kernels.ball_mask(*g.csr, v, r)
     return set(np.flatnonzero(mask).tolist())
 
 
@@ -284,7 +267,7 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"line {i}: duplicate edge {u} {v}")
         seen.add(key)
         edges.append((u, v))
-    return from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def load_edge_list(path) -> Graph:

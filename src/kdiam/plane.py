@@ -40,8 +40,6 @@ class PlaneStructure:
 
     def __init__(self, points, slabs):
         pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-            raise ValueError("points must be a nonempty (n, 2) array")
         check_distinct(pts)
         self.slabs = slabs
         self.keys = [pts @ nrm for nrm, _, _ in self.slabs]
@@ -122,7 +120,7 @@ def geometric_nsds(points, shape: ConvexPolygon,
     """Neighbour-set structure of the intersection graph of ``shape``
     placed at ``points``, built without the graph.  The closed
     neighbourhood of v is exactly the point set the slabs of
-    :func:`kdiam.geometry.adjacency_slabs` cover when centered at v, so
+    :func:`adjacency_slabs` cover when centered at v, so
     ``closed`` is the covers of one batch of centers, each point at its own
     projections.  Its rank is :func:`hilbert_rank`.  The structure draws
     nothing at random; ``seed`` is accepted and ignored so callers written

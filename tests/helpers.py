@@ -15,6 +15,14 @@ from dataclasses import dataclass
 # -- graphs -----------------------------------------------------------------
 
 
+def adjacency(g):
+    """Per vertex of ``g``, its neighbours in increasing id, read off the
+    graph's CSR arrays."""
+    indptr, indices = g.csr
+    return [tuple(indices[indptr[v]:indptr[v + 1]].tolist())
+            for v in range(g.n)]
+
+
 def bfs_dict(adj, source):
     dist = {source: 0}
     frontier = [source]
@@ -276,9 +284,10 @@ def expand_step(g, order, reps, radius, d, rng, rank):
     import kdiam.order
     from kdiam.graph import neighborhood
 
-    unions = tuple(union_sweep([reps[v]] + [reps[x] for x in g.adjacency[v]])
+    adj = adjacency(g)
+    unions = tuple(union_sweep([reps[v]] + [reps[x] for x in adj[v]])
                    for v in range(g.n))
-    degrees = [max(deg, 1) for deg in g.degrees()]
+    degrees = [max(len(neigh), 1) for neigh in adj]
     new_order = tuple(kdiam.order.order_from_membership(
         lambda x: neighborhood(g, x, radius + 1), g.n, d, rng,
         weights=degrees, rank=rank))

@@ -5,7 +5,7 @@ import kdiam
 
 ROOT_NAMES = {
     "ConvexPolygon", "DisconnectedGraphError", "Graph", "GraphFormatError",
-    "MaskNeighbourSets", "diameter_naive", "from_edges", "geometric_nsds",
+    "MaskNeighbourSets", "diameter_naive", "geometric_nsds",
     "intersection_graph_naive", "k_diameter_explicit", "k_diameter_implicit",
     "k_diameter_naive", "load_edge_list", "__version__",
 }

@@ -11,18 +11,17 @@ from kdiam import intervals
 from kdiam.explicit import (expand_step, initial_encoding,
                             k_diameter_explicit, radius_steps, rebase)
 from kdiam.gen import random_connected_graph
-from kdiam.graph import (diameter_naive, from_edges, locality_rank,
-                         neighborhood)
+from kdiam.graph import Graph, diameter_naive, locality_rank, neighborhood
 
 from helpers import encoding_is_valid
 
 
 def complete_graph(n):
-    return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def path_graph(n):
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 class TestRebase:
@@ -127,7 +126,7 @@ class TestExpandStep:
             assert set(enc.decode(v).tolist()) == neighborhood(g, v, 1)
 
     def test_five_cycle_radius2_full(self):
-        g = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+        g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
         enc = expand_step(g, expand_step(g, initial_encoding(g)))
         for v in range(5):
             assert set(enc.decode(v).tolist()) == set(range(5))
@@ -172,7 +171,7 @@ class TestExpandStep:
                                                   ref_rng, rank)
 
     def test_single_vertex_graph(self):
-        g = from_edges(1, [])
+        g = Graph(1, [])
         enc = expand_step(g, initial_encoding(g))
         assert tuple(enc.reps) == (((1, 1),),)
         assert k_diameter_explicit(g, 1, 2, np.random.default_rng(0))
@@ -193,9 +192,9 @@ class TestOpenNeighbourhoodUnions:
     closed form."""
 
     graphs = {
-        "isolated-vertex": from_edges(5, [(0, 1), (1, 2), (2, 3)]),
-        "two-vertices": from_edges(2, [(0, 1)]),
-        "star": from_edges(7, [(0, i) for i in range(1, 7)]),
+        "isolated-vertex": Graph(5, [(0, 1), (1, 2), (2, 3)]),
+        "two-vertices": Graph(2, [(0, 1)]),
+        "star": Graph(7, [(0, i) for i in range(1, 7)]),
         "path": path_graph(8),
     }
 
@@ -221,7 +220,7 @@ def grid_graph(width, height):
     n = width * height
     edges = [(v, v + 1) for v in range(n) if (v + 1) % width]
     edges += [(v, v + width) for v in range(n - width)]
-    return from_edges(n, edges)
+    return Graph(n, edges)
 
 
 class TestSameWork:

@@ -124,6 +124,17 @@ class TestIntersectionGraph:
                         build(pts, axis_square(1.0))
                     assert str(exc.value) == "point 2 is not finite"
 
+    @pytest.mark.parametrize("points", [[], [1.0, 2.0, 3.0], np.zeros((2, 3)),
+                                        np.zeros((0, 2))],
+                             ids=["empty", "1-d", "2x3", "0x2"])
+    def test_shape_checked_by_both_builders(self, points):
+        # one message from the oracle and the structure, before any
+        # duplicate or finiteness check
+        for build in (intersection_graph_naive, geometric_nsds):
+            with pytest.raises(ValueError) as exc:
+                build(points, axis_square(1.0))
+            assert str(exc.value) == "points must be a nonempty (n, 2) array"
+
     def test_duplicate_check_shared(self):
         # a repeat far from its first occurrence among many points, and a
         # signed zero, give one message from the oracle and the structure;
@@ -143,7 +154,10 @@ class TestIntersectionGraph:
     @staticmethod
     def check_distinct_by_unique(pts):
         """The message ``check_distinct`` raises, or None, by ``np.unique``
-        over the rows (the check's former implementation)."""
+        over the rows (the check's former implementation); no rows at all
+        are no instance."""
+        if len(pts) == 0:
+            return "points must be a nonempty (n, 2) array"
         _, first, inverse = np.unique(pts, axis=0, return_index=True,
                                       return_inverse=True)
         first_equal = first[inverse.reshape(-1)]

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import pytest
 from kdiam import _kernels, explicit, implicit
 from kdiam.graph import (DisconnectedGraphError, Graph, GraphFormatError,
                          Mask, ball_masks, balls_at, diameter_naive,
-                         diameter_upto, from_edges, id_array,
+                         diameter_upto, id_array,
                          ids_of, is_connected, k_diameter_naive,
                          load_edge_list, format_edge_list, locality_rank,
                          neighborhood, parse_edge_list)
@@ -17,65 +18,75 @@ from kdiam.geometry import axis_square, intersection_graph_naive
 from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import geometric_nsds
 
-from helpers import all_pairs_dist, ball, distance_vc_shatter_check
+from helpers import adjacency, all_pairs_dist, ball, distance_vc_shatter_check
 
 
 def path_graph(n):
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n):
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n):
-    return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def star_graph(leaves):
-    return from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 class TestGraphValidation:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
-            Graph([[0]])
+            Graph(1, [(0, 0)])
 
     def test_rejects_duplicate(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Graph([[1, 1], [0, 0]])
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="asymmetric"):
-            Graph([[1], []])
+        for edges in ([(0, 1), (0, 1)], [(0, 1), (1, 0)]):
+            with pytest.raises(ValueError, match="duplicate"):
+                Graph(2, edges)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            Graph([])
+            Graph(0, [])
+
+    @pytest.mark.parametrize("edge", [(3, 0), (0, 3), (5, 1), (1, 5),
+                                      (-1, 0), (0, -1), (-4, -2)])
+    def test_rejects_an_id_out_of_range(self, edge):
+        # ids >= n and < 0, in either column: a ValueError, not an
+        # IndexError, and never a wrapped negative index
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(3, [(0, 1), edge])
 
 
 class TestCsr:
     def test_rows_are_the_adjacency(self):
         # vertex 3 is isolated, so its row is empty
-        graphs = [Graph([[1, 2], [0], [0], []]), Graph([[]]),
-                  random_connected_graph(30, 70, np.random.default_rng(2))]
-        for g in graphs:
+        sparse = random_connected_graph(30, 70, np.random.default_rng(2))
+        for n, edges in [(4, [(2, 0), (0, 1)]), (1, []),
+                         (sparse.n, list(sparse.edges())[::-1])]:
+            g = Graph(n, edges)
+            rows = [sorted({u for e in edges if v in e for u in e} - {v})
+                    for v in range(n)]
             indptr, indices = g.csr
             assert indptr.dtype == indices.dtype == np.int64
-            assert indptr.tolist() == [0, *np.cumsum(g.degrees()).tolist()]
+            assert indptr.tolist() == [0, *np.cumsum([len(r) for r in rows])
+                                       .tolist()]
             assert [indices[indptr[v]:indptr[v + 1]].tolist()
-                    for v in range(g.n)] == [list(a) for a in g.adjacency]
+                    for v in range(g.n)] == rows
+            assert g.m == len(edges)
 
 
 class TestBallMasks:
     def test_rounds_are_the_balls(self):
         rng = np.random.default_rng(8)
-        graphs = [Graph([[1], [0, 2], [1], [4], [3], []]), Graph([[]])]
+        graphs = [Graph(6, [(0, 1), (1, 2), (3, 4)]), Graph(1, [])]
         for n in rng.integers(2, 25, size=10).tolist():
             graphs.append(random_connected_graph(
                 n, min(n + 5, n * (n - 1) // 2), rng))
         for g in graphs:
-            ref = all_pairs_dist(g.adjacency)
+            ref = all_pairs_dist(adjacency(g))
             rounds = list(ball_masks(g))
             # the last round is the first whose successor changes nothing
             last = max(max(d.values()) for d in ref)
@@ -136,23 +147,23 @@ class TestIdsOfAndMask:
 
 class TestLocalityRank:
     def test_one_vertex(self):
-        assert locality_rank(from_edges(1, [])) == (0,)
+        assert locality_rank(Graph(1, [])) == (0,)
 
     def test_relabelled_path_from_its_lesser_end(self):
         # Cuthill-McKee starts at a least-degree vertex (the ends of a path,
         # the lesser id first) and walks the path.
         perm = [3, 6, 0, 5, 1, 4, 2]
-        g = from_edges(7, [(perm[i], perm[i + 1]) for i in range(6)])
+        g = Graph(7, [(perm[i], perm[i + 1]) for i in range(6)])
         assert locality_rank(g) == tuple(reversed(perm))
 
     def test_neighbours_in_increasing_degree(self):
         # 0 is the one leaf; its neighbour 1 has neighbours 2 (degree 3)
         # and 3 (degree 2), so 3 comes first.
-        g = from_edges(6, [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4)])
+        g = Graph(6, [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4)])
         assert locality_rank(g) == (0, 1, 3, 2, 4, 5)
 
     def test_disconnected_graph_covers_every_component(self):
-        g = from_edges(9, [(0, 1), (2, 3), (3, 4), (6, 7), (7, 8), (8, 6)])
+        g = Graph(9, [(0, 1), (2, 3), (3, 4), (6, 7), (7, 8), (8, 6)])
         rank = locality_rank(g)
         assert sorted(rank) == list(range(9))
         # the isolated vertex 5 has the least degree and comes first
@@ -188,7 +199,7 @@ class TestBfs:
             n = int(rng.integers(2, 30))
             m = int(rng.integers(n - 1, min(n * (n - 1) // 2, 3 * n) + 1))
             g = random_connected_graph(n, m, rng)
-            ref = all_pairs_dist(g.adjacency)
+            ref = all_pairs_dist(adjacency(g))
             for s in range(g.n):
                 dist = _kernels.bfs_distances(*g.csr, s)
                 assert dist.tolist() == [ref[s][u] for u in range(g.n)]
@@ -206,23 +217,23 @@ class TestDiameter:
 
     def test_nine_cycle(self):
         g = cycle_graph(9)
-        ref = all_pairs_dist(g.adjacency)
+        ref = all_pairs_dist(adjacency(g))
         expect = max(max(d.values()) for d in ref)
         assert expect == 4
         assert diameter_naive(g) == 4
 
     def test_single_vertex(self):
-        assert diameter_naive(Graph([[]])) == 0
+        assert diameter_naive(Graph(1, [])) == 0
 
     def test_single_edge(self):
         assert diameter_naive(path_graph(2)) == 1
 
     def test_disconnected_infinite(self):
-        for adjacency in ([[1], [0], [3], [2]],     # two components
-                          [[1], [0, 2], [1], []],   # an isolated vertex
-                          [[], []]):                # two vertices, no edge
+        for n, edges in ((4, [(0, 1), (2, 3)]),    # two components
+                         (4, [(0, 1), (1, 2)]),    # an isolated vertex
+                         (2, [])):                 # two vertices, no edge
             with pytest.raises(DisconnectedGraphError, match="infinite"):
-                diameter_naive(Graph(adjacency))
+                diameter_naive(Graph(n, edges))
 
 
 def eccentricity_diameter(g):
@@ -272,8 +283,8 @@ class TestRandomApollonian:
         draw = [random_apollonian(300, np.random.default_rng([7, 300]))
                 for _ in range(2)]
         other = random_apollonian(300, np.random.default_rng([8, 300]))
-        assert draw[0].adjacency == draw[1].adjacency
-        assert other.adjacency != draw[0].adjacency
+        assert adjacency(draw[0]) == adjacency(draw[1])
+        assert adjacency(other) != adjacency(draw[0])
 
     @pytest.mark.parametrize("n", [4, 60, 400])
     def test_peels_to_a_triangle(self, n):
@@ -281,7 +292,7 @@ class TestRandomApollonian:
         # degree 3 whose neighbours form a triangle, while one is left,
         # ends at a triangle.
         g = random_apollonian(n, np.random.default_rng([7, n]))
-        adj = [set(a) for a in g.adjacency]
+        adj = [set(a) for a in adjacency(g)]
         left = set(range(n))
 
         def peelable(v):
@@ -307,7 +318,7 @@ class TestRandomApollonian:
         # Three of them would span a K3,3 with the triangle, which no
         # planar graph contains; a draw that split one face twice would.
         g = random_apollonian(400, np.random.default_rng([7, 400]))
-        adj = [set(a) for a in g.adjacency]
+        adj = [set(a) for a in adjacency(g)]
         for a, b in g.edges():
             for c in adj[a] & adj[b]:
                 assert len(adj[a] & adj[b] & adj[c]) <= 2
@@ -422,12 +433,12 @@ class TestNeighborhood:
         g = random_connected_graph(18, 30, rng)
         for v in range(g.n):
             for r in range(0, 5):
-                assert neighborhood(g, v, r) == ball(g.adjacency, v, r)
+                assert neighborhood(g, v, r) == ball(adjacency(g), v, r)
 
 
 class TestShatterCheck:
     def test_single_edge(self):
-        assert distance_vc_shatter_check(from_edges(2, [(0, 1)]), 2) == 1
+        assert distance_vc_shatter_check(Graph(2, [(0, 1)]), 2) == 1
 
     def test_triangle(self):
         got = distance_vc_shatter_check(complete_graph(3), 3)
@@ -435,7 +446,7 @@ class TestShatterCheck:
 
     def test_disconnected_graph_matches_brute_force(self):
         # a path, a triangle, an edge and an isolated vertex
-        g = from_edges(10, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4),
+        g = Graph(10, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4),
                             (7, 8)])
         family = {frozenset(neighborhood(g, v, r))
                   for v in range(g.n) for r in range(g.n)}
@@ -457,6 +468,49 @@ class TestShatterCheck:
             pts = random_unit_square_points(n, max(1.5, n / 4), rng)
             g = intersection_graph_naive(pts, axis_square(1.0))
             assert distance_vc_shatter_check(g, 5) <= 4
+
+
+PINNED_GRAPHS = {
+    "sparse": (lambda: random_connected_graph(
+        1600, 4800, np.random.default_rng(5)),
+        "06adf2e3c090abd049a07e44bf44dfa0fdd0cbaf6c100f53238e65deb6d485c5"),
+    "apollonian": (lambda: random_apollonian(
+        1600, np.random.default_rng([7, 1600])),
+        "d5e69d2dbb020d762bfb11854d6f466ff508e3b98afffdf85fd302d435a1d947"),
+    "squares-600": (lambda: intersection_graph_naive(
+        random_unit_square_points(600, 3.2, np.random.default_rng([5, 600])),
+        axis_square(1.0)),
+        "37192097ff43740a9d5b52c8b957e5436053b8903318dcd4dc49177ba8e42d95"),
+}
+
+
+def graph_digest(g):
+    """sha256 of the graph's edge-list text, then its CSR arrays as
+    little-endian int64."""
+    h = hashlib.sha256(format_edge_list(g).encode())
+    for a in g.csr:
+        h.update(np.ascontiguousarray(a, "<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestGraphPins:
+    # Digests recorded when a graph still kept adjacency tuples beside its
+    # CSR arrays: the generators and the oracle build the same graphs,
+    # text and arrays, so every order and answer read off them is the same.
+    @pytest.mark.parametrize("name", sorted(PINNED_GRAPHS))
+    def test_graph_is_pinned(self, name):
+        make, digest = PINNED_GRAPHS[name]
+        assert graph_digest(make()) == digest
+
+    @pytest.mark.parametrize("name", sorted(PINNED_GRAPHS))
+    def test_load_round_trip_is_pinned(self, name, tmp_path):
+        make, digest = PINNED_GRAPHS[name]
+        g = make()
+        path = tmp_path / "g.el"
+        path.write_text(format_edge_list(g))
+        loaded = load_edge_list(path)
+        assert loaded == g
+        assert graph_digest(loaded) == digest
 
 
 class TestEdgeListFormat:
@@ -488,4 +542,4 @@ class TestEdgeListFormat:
 
     def test_is_connected(self):
         assert is_connected(path_graph(4))
-        assert not is_connected(Graph([[1], [0], [3], [2]]))
+        assert not is_connected(Graph(4, [(0, 1), (2, 3)]))

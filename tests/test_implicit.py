@@ -9,23 +9,23 @@ from kdiam.gen import (default_box, random_connected_graph,
                        random_points_for_shape, random_symmetric_polygon,
                        random_unit_square_points)
 from kdiam.geometry import axis_square, intersection_graph_naive
-from kdiam.graph import Mask, diameter_naive, from_edges
+from kdiam.graph import Graph, Mask, diameter_naive
 from kdiam.implicit import (expand_balls, k_diameter_implicit, radius_steps,
                             simulate_bfs)
 from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import geometric_nsds
 
-from helpers import (ExpandCost, as_masks, bfs_dict, counted_expansion,
+from helpers import (ExpandCost, adjacency, as_masks, bfs_dict, counted_expansion,
                      expand_balls_reference, expansion_inputs,
                      radius_steps_reference)
 
 
 def path_graph(n):
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete_graph(n):
-    return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 class TestExpandBalls:
@@ -60,6 +60,7 @@ class TestExpandBalls:
                                      replace=False))
                       for _ in range(t)]
             nsds = MaskNeighbourSets.from_graph(g)
+            adj = adjacency(g)
             with counted_expansion() as cost:
                 handles = expand_balls(as_masks(deltas), nsds)
             acc = set()
@@ -67,7 +68,7 @@ class TestExpandBalls:
                 acc ^= deltas[i]
                 want = set()
                 for v in acc:
-                    want |= set(g.adjacency[v]) | {v}
+                    want |= set(adj[v]) | {v}
                 got = nsds.list_differences(nsds.empty, handles[i])
                 assert set(got) == want
             a = len(deltas[0])
@@ -133,7 +134,7 @@ class TestSimulateBfs:
         nsds = geometric_nsds(pts, axis_square(1.0))
         for v in range(0, g.n, 5):
             got = simulate_bfs(nsds, v)
-            assert got == bfs_dict(g.adjacency, v)
+            assert got == bfs_dict(adjacency(g), v)
 
     def test_each_vertex_listed_once(self):
         g = random_connected_graph(15, 25, np.random.default_rng(2))

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from kdiam.gen import random_connected_graph, random_unit_square_points
-from kdiam.graph import diameter_naive, from_edges
+from kdiam.graph import Graph, diameter_naive
 from kdiam.geometry import axis_square, intersection_graph_naive
 from kdiam.implicit import k_diameter_implicit
 from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import geometric_nsds
 from kdiam.stripes import Stripe
 
+from helpers import adjacency
+
 
 def star_graph(leaves):
-    return from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 class TestHandles:
@@ -53,7 +55,7 @@ class TestAgainstReplay:
             m = int(rng.integers(n - 1, min(n * (n - 1) // 2, 2 * n) + 1))
             g = random_connected_graph(n, m, rng)
             nsds = MaskNeighbourSets.from_graph(g)
-            closed = [set(g.adjacency[v]) | {v} for v in range(n)]
+            closed = [set(neigh) | {v} for v, neigh in enumerate(adjacency(g))]
             replay = [set()]
             handles = [nsds.empty]
             for _ in range(40):
@@ -105,7 +107,7 @@ class TestClosedMasks:
         rng = np.random.default_rng(60)
         pts = rng.uniform(0, 5, size=(40, 2))
         g = intersection_graph_naive(pts, axis_square(1.0))
-        closed = [set(g.adjacency[v]) | {v} for v in range(g.n)]
+        closed = [set(neigh) | {v} for v, neigh in enumerate(adjacency(g))]
         geo = geometric_nsds(pts, axis_square(1.0))
         replay, hg = [set()], [geo.empty]
         for _ in range(120):

@@ -6,11 +6,12 @@ import pytest
 from kdiam import explicit, implicit
 from kdiam.gen import random_connected_graph, random_unit_square_points
 from kdiam.geometry import axis_square, intersection_graph_naive
-from kdiam.graph import from_edges, locality_rank, neighborhood
+from kdiam.graph import Graph, locality_rank, neighborhood
 from kdiam.order import net_sample, order_from_membership
 from kdiam.plane import geometric_nsds
 
-from helpers import UnionFind, dfs_preorder, spanning_tree, total_difference
+from helpers import (UnionFind, adjacency, dfs_preorder, spanning_tree,
+                     total_difference)
 
 
 def ball_order(g, k, d, rng, weights=None):
@@ -160,13 +161,13 @@ class TestEulerOrder:
 
 class TestVertexOrders:
     def test_k3_any_permutation_zero_difference(self):
-        g = from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         order = ball_order(g, 1, 2, np.random.default_rng(0))
         assert sorted(order) == [0, 1, 2]
         assert total_difference(order, lambda v: neighborhood(g, v, 1)) == 0
 
     def test_p4_not_worse_than_identity(self):
-        g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         base = total_difference((0, 1, 2, 3), lambda v: neighborhood(g, v, 1))
         for seed in range(10):
             order = ball_order(g, 1, 2, np.random.default_rng(seed))
@@ -174,7 +175,7 @@ class TestVertexOrders:
             assert got <= base
 
     def test_star_bound(self):
-        g = from_edges(6, [(0, i) for i in range(1, 6)])
+        g = Graph(6, [(0, i) for i in range(1, 6)])
         balls = [neighborhood(g, v, 1) for v in range(6)]
         worst = max(len(a ^ b) for a in balls for b in balls)
         order = ball_order(g, 1, 2, np.random.default_rng(1))
@@ -189,7 +190,7 @@ class TestVertexOrders:
     def test_k3_weighted_interval_cost(self):
         from helpers import canonicalize
 
-        g = from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         weights = [5, 1, 1]
         order = ball_order(g, 1, 2, np.random.default_rng(3), weights)
         pos = {v: i for i, v in enumerate(order)}
@@ -202,8 +203,8 @@ class TestVertexOrders:
     def test_p4_weighted_by_degree_average(self):
         from helpers import canonicalize
 
-        g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        weights = [max(1, len(a)) for a in g.adjacency]
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        weights = [max(1, len(a)) for a in adjacency(g)]
 
         def cost_under(order):
             pos = {v: i + 1 for i, v in enumerate(order)}
@@ -220,7 +221,7 @@ class TestVertexOrders:
         assert sum(costs) / len(costs) <= base
 
     def test_weight_validation(self):
-        g = from_edges(2, [(0, 1)])
+        g = Graph(2, [(0, 1)])
         with pytest.raises(ValueError):
             ball_order(g, 1, 2, np.random.default_rng(0), [1, 0])
 
@@ -251,7 +252,7 @@ class TestRankedOrders:
         got += [ball_order(g, 1 + seed % 3, 2, rng(seed)) for seed in range(3)]
         g = random_connected_graph(12, 18, rng(9))
         got.append(ball_order(g, 1, 2, rng(42),
-                              [max(1, len(a)) for a in g.adjacency]))
+                              [max(1, len(a)) for a in adjacency(g)]))
         assert got == self.PINNED
 
     def test_tree_is_built_on_rank_positions(self):

@@ -11,7 +11,7 @@ from kdiam.geometry import (TOL, ConvexPolygon, adjacency_slabs,
 from kdiam.graph import ids_of
 from kdiam.plane import PlaneStructure, geometric_nsds, hilbert_rank
 
-from helpers import point_in_polygon
+from helpers import adjacency, point_in_polygon
 
 DATA = Path(__file__).parent / "data"
 
@@ -319,10 +319,11 @@ class TestGeometricNSDS:
         pts = random_unit_square_points(40, 4.0, rng)
         g = intersection_graph_naive(pts, axis_square(1.0))
         nsds = geometric_nsds(pts, axis_square(1.0))
+        adj = adjacency(g)
         for v in range(0, 40, 7):
             h = nsds.add_neighbours(nsds.empty, v)
             got = set(nsds.list_differences(nsds.empty, h))
-            assert got == set(g.adjacency[v]) | {v}
+            assert got == set(adj[v]) | {v}
 
     def test_one_shape_builds_equal_structures(self):
         # The slabs are worked out once per shape: a second structure of
@@ -367,7 +368,7 @@ class TestGeometricNSDS:
             n = int(rng.integers(5, 40))
             pts = rng.uniform(0, 6, size=(n, 2))
             g = intersection_graph_naive(pts, shape)
-            closed = [set(g.adjacency[v]) | {v} for v in range(g.n)]
+            closed = [set(neigh) | {v} for v, neigh in enumerate(adjacency(g))]
             geo = geometric_nsds(pts, shape)
             geo_handles = [geo.empty]
             replay = [set()]
@@ -402,9 +403,10 @@ class TestGeometricNSDS:
             pts = offset + np.arange(8.0)[:, None] * step * nrm
             g = intersection_graph_naive(pts, shape)
             nsds = geometric_nsds(pts, shape)
+            adj = adjacency(g)
             for v in range(8):
                 assert nsds.closed[v] == \
-                    sum(1 << u for u in (v, *g.adjacency[v])), (ulps, v)
+                    sum(1 << u for u in (v, *adj[v])), (ulps, v)
 
     @pytest.mark.parametrize("label", ["touching-squares", "offset-1e9",
                                        "one-point"])
@@ -421,8 +423,8 @@ class TestGeometricNSDS:
         for shape in (axis_square(side), benchmark_hexagon()):
             g = intersection_graph_naive(pts, shape)
             nsds = geometric_nsds(pts, shape)
-            assert nsds.closed == [sum(1 << u for u in (v, *g.adjacency[v]))
-                                   for v in range(g.n)]
+            assert nsds.closed == [sum(1 << u for u in (v, *neigh))
+                                   for v, neigh in enumerate(adjacency(g))]
 
 
 class TestHilbertRank:

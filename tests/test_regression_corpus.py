@@ -14,10 +14,12 @@ from kdiam.gen import (default_box, random_connected_graph,
                        random_unit_square_points)
 from kdiam.geometry import (axis_square, intersection_graph_naive,
                             load_points, load_polygon)
-from kdiam.graph import Graph, diameter_naive, from_edges
+from kdiam.graph import Graph, diameter_naive
 from kdiam.implicit import k_diameter_implicit
 from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import geometric_nsds
+
+from helpers import adjacency
 
 DATA = Path(__file__).parent / "data"
 
@@ -54,8 +56,8 @@ def _permuted(inst, perm):
     """``inst`` with vertex v renamed perm[v]: an edge list relabelled, or
     the point rows reordered so that row perm[v] holds point v."""
     if isinstance(inst, Graph):
-        return from_edges(inst.n, [(perm[u], perm[v])
-                                   for u, v in inst.edges()])
+        return Graph(inst.n, [(perm[u], perm[v])
+                              for u, v in inst.edges()])
     pts, shape = inst
     moved = np.empty_like(pts)
     moved[perm] = pts
@@ -116,7 +118,7 @@ def test_disconnected_graph_answers_false(k):
     # Infinite diameter: no radius is ever full.  The locality rank must
     # still cover every component, or radius 0 has no position for some
     # vertex.
-    g = from_edges(5, [(0, 1), (2, 3), (3, 4)])
+    g = Graph(5, [(0, 1), (2, 3), (3, 4)])
     assert k_diameter_explicit(g, k, 3, np.random.default_rng(k)) is False
     assert k_diameter_implicit(lambda: MaskNeighbourSets.from_graph(g), g.n,
                                k, 3, np.random.default_rng(k)) is False
@@ -128,7 +130,7 @@ def test_numpy_vertex_ids_give_the_same_diameter():
     # from them has diameter 69 under every algorithm, as with Python ints.
     pairs = np.c_[np.arange(69), np.arange(1, 70)]
     for edges in (pairs.tolist(), [tuple(p) for p in pairs]):
-        g = from_edges(70, edges)
+        g = Graph(70, edges)
         for algo in ("naive", "explicit", "implicit"):
             assert _found_diameter(algo, g, 69, 4, seed=7)[0] == 69, algo
 
@@ -145,11 +147,12 @@ def test_every_closed_neighbourhood_matches_the_oracle(name, kind, poly):
     shape = load_polygon(DATA / poly) if poly else axis_square(1.0)
     g = intersection_graph_naive(pts, shape)
     nsds = geometric_nsds(pts, shape)
+    adj = adjacency(g)
     for v in range(len(pts)):
         h = nsds.add_neighbours(nsds.empty, v)
         got = nsds.list_differences(nsds.empty, h)
         assert len(got) == len(set(got))
-        assert set(got) == set(g.adjacency[v]) | {v}, v
+        assert set(got) == set(adj[v]) | {v}, v
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
