@@ -15,27 +15,43 @@ MAX_TRIES = 200
 
 def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
     """Connected simple graph with exactly m edges: a uniform random labelled
-    tree plus extra edges sampled without duplicates."""
+    tree plus extra edges sampled without duplicates.
+
+    The draws are those of one loop: a permutation, then for i = 1..n-1 one
+    ``integers(0, i)``, then pairs of ``integers(0, n)`` until m distinct
+    edges are held, skipping a self-loop or an edge already held.  They are
+    drawn in bulk, and the generator is left where that loop leaves it."""
     if n < 1:
         raise ValueError("n must be >= 1")
     max_m = n * (n - 1) // 2
     if not (n - 1 <= m <= max_m):
         raise ValueError(f"m must be in [{n - 1}, {max_m}]")
-    edges = set()
+    # Each edge as the key min * n + max.
+    keys = np.empty(0, np.int64)
     if n > 1:
         # Random tree by attaching each vertex to a random earlier one, over
         # a random relabelling so roots aren't biased to low ids.
         perm = rng.permutation(n)
-        for i in range(1, n):
-            j = int(rng.integers(0, i))
-            u, v = int(perm[i]), int(perm[j])
-            edges.add((min(u, v), max(u, v)))
-    while len(edges) < m:
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))
+        u, v = perm[1:], perm[rng.integers(0, np.arange(1, n))]
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+    while len(keys) < m:
+        need = m - len(keys)
+        # About 5/4 of the pairs that give `need` new edges on average; a
+        # batch that falls short is followed by another.
+        batch = need * max_m // (max_m - len(keys)) * 5 // 4 + 16
+        state = rng.bit_generator.state
+        u, v = rng.integers(0, n, size=(batch, 2)).T
+        new = np.minimum(u, v) * n + np.maximum(u, v)
+        fresh = np.flatnonzero((u != v) & ~np.isin(new, keys))
+        # The first draw of each new edge, in draw order.
+        take = np.sort(fresh[np.unique(new[fresh], return_index=True)[1]])
+        if len(take) >= need:
+            # Rewind and draw again only the pairs the loop would have drawn.
+            take = take[:need]
+            rng.bit_generator.state = state
+            rng.integers(0, n, size=(take[-1] + 1, 2))
+        keys = np.concatenate((keys, new[take]))
+    return Graph(n, np.c_[keys // n, keys % n])
 
 
 def random_apollonian(n: int, rng: np.random.Generator) -> Graph:

@@ -12,6 +12,7 @@ format, bit v for vertex v, is every vertex set's format in the package;
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from functools import reduce
 from itertools import islice
@@ -233,41 +234,73 @@ def neighborhood(g: Graph, v: int, r: int) -> set[int]:
 
 # ---------------------------------------------------------------------------
 # Edge-list text format: first line "n m", then m lines "u v" (0-based).
+# Tokens are signed decimal integers split by whitespace; blank lines are
+# skipped and take no line number.
+
+# The tokens np.loadtxt reads as int64, bar those past its range.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_edge_list(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """The graph an edge list describes; a malformed one raises
+    :class:`GraphFormatError` naming its first bad line."""
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise GraphFormatError("empty input")
     head = lines[0].split()
-    if len(head) != 2:
+    if len(head) != 2 or not all(map(_INTEGER.fullmatch, head)):
         raise GraphFormatError("first line must be 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise GraphFormatError("first line must be 'n m'") from exc
+    n, m = map(int, head)
+    if n < 1 or m < 0:
+        raise GraphFormatError(
+            "first line must be 'n m' with n >= 1 and m >= 0")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    seen = set()
-    edges = []
-    for i, ln in enumerate(lines[1:], start=2):
+    e, fault = _edge_rows(lines[1:], n)
+    u, v = e.T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    # An edge given twice, in either direction, is a key seen before; each
+    # key's first line sorts first.
+    keys = lo * n + hi
+    order = np.argsort(keys, kind="stable")
+    twice = np.zeros(len(e), bool)
+    twice[order[1:][np.diff(keys[order]) == 0]] = True
+    bad = (lo < 0) | (hi >= n) | (u == v) | twice
+    # Rows come only from lines before any that the scan stopped at.
+    if bad.any():
+        i = int(bad.argmax())
+        a, b = e[i].tolist()
+        fault = (i, "vertex out of range" if lo[i] < 0 or hi[i] >= n else
+                 f"self-loop {a}" if a == b else f"duplicate edge {a} {b}")
+    if fault:
+        i, what = fault
+        raise GraphFormatError(f"line {i + 2}: {what}")
+    return Graph(n, e)
+
+
+def _edge_rows(body: list, n: int):
+    """The edge lines as an (m, 2) int64 array, and None.  When a line is
+    not two integers: the rows before it, and (its index, its fault).  Ids
+    past int64 read as -1 or n, out of range."""
+    if body:
+        try:
+            e = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+            if e.shape[1] == 2:
+                return e, None
+        except ValueError:
+            pass
+    rows, fault = [], None
+    for i, ln in enumerate(body):
         parts = ln.split()
         if len(parts) != 2:
-            raise GraphFormatError(f"line {i}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"line {i}: expected integers") from exc
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"line {i}: vertex out of range")
-        if u == v:
-            raise GraphFormatError(f"line {i}: self-loop {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphFormatError(f"line {i}: duplicate edge {u} {v}")
-        seen.add(key)
-        edges.append((u, v))
-    return Graph(n, edges)
+            fault = (i, "expected 'u v'")
+        elif not all(map(_INTEGER.fullmatch, parts)):
+            fault = (i, "expected integers")
+        else:
+            rows.append([min(max(int(p), -1), n) for p in parts])
+            continue
+        break
+    return np.array(rows, np.int64).reshape(-1, 2), fault
 
 
 def load_edge_list(path) -> Graph:

@@ -142,6 +142,68 @@ def total_difference(order, set_of):
     return sum(len(set_of(a) ^ set_of(b)) for a, b in zip(order, order[1:]))
 
 
+def random_connected_graph_reference(n, m, rng):
+    """``kdiam.gen.random_connected_graph`` as one draw per step: a
+    permutation, then for i = 1..n-1 one ``integers(0, i)``, then pairs
+    until m distinct edges are held.  The bulk draws must give the same
+    graph and leave ``rng`` in the same state."""
+    from kdiam.graph import Graph
+
+    edges = set()
+    if n > 1:
+        perm = rng.permutation(n)
+        for i in range(1, n):
+            j = int(rng.integers(0, i))
+            u, v = int(perm[i]), int(perm[j])
+            edges.add((min(u, v), max(u, v)))
+    while len(edges) < m:
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
+def parse_edge_list_reference(text):
+    """``kdiam.graph.parse_edge_list`` one line at a time, each token read
+    by ``int``: the same graph, or the same error and message, bar the
+    differences the differential test pins."""
+    from kdiam.graph import Graph, GraphFormatError
+
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise GraphFormatError("empty input")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise GraphFormatError("first line must be 'n m'")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise GraphFormatError("first line must be 'n m'") from exc
+    if len(lines) - 1 != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
+    seen = set()
+    edges = []
+    for i, ln in enumerate(lines[1:], start=2):
+        parts = ln.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {i}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphFormatError(f"line {i}: expected integers") from exc
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"line {i}: vertex out of range")
+        if u == v:
+            raise GraphFormatError(f"line {i}: self-loop {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphFormatError(f"line {i}: duplicate edge {u} {v}")
+        seen.add(key)
+        edges.append((u, v))
+    return Graph(n, edges)
+
+
 # -- interval sets ----------------------------------------------------------
 # One interval set as a tuple of (a, b) pairs, and its conversions to and
 # from positions and ``kdiam.intervals.IntervalSets``.

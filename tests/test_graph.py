@@ -18,7 +18,9 @@ from kdiam.geometry import axis_square, intersection_graph_naive
 from kdiam.nsds import MaskNeighbourSets
 from kdiam.plane import geometric_nsds
 
-from helpers import adjacency, all_pairs_dist, ball, distance_vc_shatter_check
+from helpers import (adjacency, all_pairs_dist, ball, distance_vc_shatter_check,
+                     parse_edge_list_reference,
+                     random_connected_graph_reference)
 
 
 def path_graph(n):
@@ -267,6 +269,20 @@ class TestDiameterAgainstPerSourceBfs:
             pts = random_unit_square_points(n, default_box(n), rng)
             g = intersection_graph_naive(pts, axis_square(1.0))
             assert diameter_naive(g) == eccentricity_diameter(g)
+
+
+class TestRandomConnectedGraph:
+    @pytest.mark.parametrize("n,m", [
+        (1, 0), (2, 1), (9, 8), (60, 59), (5, 10), (12, 66), (30, 435),
+        (400, 1200), (1600, 4800)])
+    def test_bulk_draws_are_the_loop_draws(self, n, m):
+        # The same graph, and the generator left where the one-draw-per-step
+        # loop leaves it, which every caller drawing on after it relies on.
+        for seed in range(4):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert (random_connected_graph(n, m, rng)
+                    == random_connected_graph_reference(n, m, ref))
+            assert rng.integers(0, 2**40) == ref.integers(0, 2**40)
 
 
 class TestRandomApollonian:
@@ -533,6 +549,10 @@ class TestEdgeListFormat:
             parse_edge_list("3 2\n0 1\n1 0\n")
         with pytest.raises(GraphFormatError, match="out of range"):
             parse_edge_list("3 1\n0 3\n")
+        for text in ("3 -1\n", "0 0\n"):
+            with pytest.raises(GraphFormatError,
+                               match="with n >= 1 and m >= 0"):
+                parse_edge_list(text)
 
     def test_load_rejects_disconnected(self, tmp_path):
         path = tmp_path / "d.el"
@@ -543,3 +563,127 @@ class TestEdgeListFormat:
     def test_is_connected(self):
         assert is_connected(path_graph(4))
         assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
+
+
+def _edge_list_corpus(rng, count):
+    """Edge-list texts, mostly malformed: wrong token and line counts, signs,
+    tabs and other Unicode whitespace, CRLF and lone CR line ends, blank
+    lines, floats, hex, ids past int64, ids out of range, self-loops and
+    edges given twice either way.
+    Every header the reference reads has n >= 1 and m >= 0, and every token
+    is ASCII with no ``_``: the pinned differences are tested on their own."""
+    junk = ["1.0", "1e3", ".5", "0x1", "0X1F", "a", "#", "-", "+", "+-1",
+            "1-2", "2**63", "nan", str(2**63), str(2**63 + 1), str(2**64),
+            str(10**20), str(-2**63), str(-2**63 - 1), str(2**63 - 1)]
+
+    def pick(*options):
+        return options[int(rng.integers(len(options)))]
+
+    def token(n, noise):
+        r = rng.random() / noise
+        if r > 1:
+            k = int(rng.integers(0, n))
+            return pick("", "", "", "+", "0", "00") + str(k) if k \
+                else pick("0", "+0", "-0", "00")
+        if r > 0.6:
+            return str(int(rng.integers(n, n + 4)))
+        if r > 0.4:
+            return str(-int(rng.integers(1, 4)))
+        return pick(*junk)
+
+    def gap():
+        if rng.random() < 0.02:
+            # Whitespace that str.split and str.splitlines also read as such.
+            return pick("\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+                        "\u2028", "\u3000")
+        return pick(" ", " ", "\t", "  ", " \t ")
+
+    for _ in range(count):
+        n = int(rng.integers(1, 12))
+        # Most texts are clean or nearly so, to reach the later checks.
+        noise = pick(0.005, 0.02, 0.1, 0.3)
+        edges = []
+        for _ in range(int(rng.integers(0, 12))):
+            r = rng.random()
+            if edges and r < 0.08:
+                edges.append(edges[int(rng.integers(len(edges)))][::pick(1, -1)])
+            elif r > noise / 4:
+                edges.append([token(n, noise), token(n, noise)])
+            else:
+                edges.append([token(n, noise) for _ in range(pick(1, 3))])
+        m = max(0, len(edges) + pick(*[0] * 12, 1, -1, 2))
+        head = [pick("", "+", "0") + str(n), pick("", "+") + str(m)]
+        r = rng.random()
+        if r < 0.02:
+            head = [str(n)]
+        elif r < 0.04:
+            head = [str(n), str(m), "0"]
+        elif r < 0.06:
+            head = [str(n), pick("1.0", "0x2", "x", str(2**63), str(2**64))]
+        elif r < 0.07 and m == 0:
+            head = [str(n), "-0"]
+        lines = [gap().join(head)]
+        for e in edges:
+            lines.append(pick("", "", " ", "\t") + gap().join(e)
+                         + pick("", "", "", " ", "\t"))
+            if rng.random() < 0.1:
+                lines.append(pick("", " ", "\t", " \t"))
+        if rng.random() < 0.1:
+            lines.insert(0, pick("", " "))
+        end = pick("\n", "\n", "\r\n", "\r")
+        yield end.join(lines) + pick(end, end, "")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestEdgeListAgainstReference:
+    def test_same_graph_or_same_error(self):
+        # The reader scans by line only where a check fails: on a corpus
+        # reaching every check, every text reads as the one-line-at-a-time
+        # reference reads it.
+        texts = list(_edge_list_corpus(np.random.default_rng(34), 6000))
+        outcomes = [_outcome(parse_edge_list_reference, t) for t in texts]
+        for text, want in zip(texts, outcomes):
+            assert _outcome(parse_edge_list, text) == want, text
+        # The corpus reaches the success path and every error message.
+        messages = {o[1].partition(": ")[2] or o[1] for o in outcomes
+                    if isinstance(o, tuple)}
+        assert sum(isinstance(o, Graph) for o in outcomes) > 500
+        for what in ("expected 'u v'", "expected integers",
+                     "vertex out of range", "self-loop", "duplicate edge",
+                     "edge lines", "first line must be 'n m'"):
+            assert any(what in msg for msg in messages), what
+
+    @pytest.mark.parametrize("text,edge", [
+        ("12 1\n0 1_0\n", (0, 10)), ("3 1\n0 \u0661\n", (0, 1)),
+        ("3 1\n\uff12 0\n", (2, 0))])
+    def test_tokens_only_int_reads_are_not_integers(self, text, edge):
+        # int() reads underscores and non-ASCII digits; the grammar is
+        # signed ASCII decimal, as np.loadtxt reads it.
+        assert list(parse_edge_list_reference(text).edges()) == [
+            tuple(sorted(edge))]
+        with pytest.raises(GraphFormatError,
+                           match="^line 2: expected integers$"):
+            parse_edge_list(text)
+
+    @pytest.mark.parametrize("text,n", [("1_2 0\n", 12), ("\u0663 0\n", 3)])
+    def test_header_tokens_only_int_reads_are_not_integers(self, text, n):
+        assert parse_edge_list_reference(text).n == n
+        with pytest.raises(GraphFormatError,
+                           match="^first line must be 'n m'$"):
+            parse_edge_list(text)
+
+    @pytest.mark.parametrize("text,was", [
+        ("3 -1\n", "expected -1 edge lines, found 0"),
+        ("0 0\n", "graph must have at least one vertex"),
+        ("-2 1\n0 1\n", "line 2: vertex out of range")])
+    def test_header_bounds(self, text, was):
+        assert _outcome(parse_edge_list_reference, text)[1] == was
+        with pytest.raises(GraphFormatError,
+                           match="with n >= 1 and m >= 0"):
+            parse_edge_list(text)
