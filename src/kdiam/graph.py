@@ -13,6 +13,7 @@ format, bit v for vertex v, is every vertex set's format in the package;
 from __future__ import annotations
 
 import re
+import warnings
 from collections import deque
 from functools import reduce
 from itertools import islice
@@ -256,51 +257,38 @@ def parse_edge_list(text: str) -> Graph:
             "first line must be 'n m' with n >= 1 and m >= 0")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    e, fault = _edge_rows(lines[1:], n)
-    u, v = e.T
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    # An edge given twice, in either direction, is a key seen before; each
-    # key's first line sorts first.
-    keys = lo * n + hi
-    order = np.argsort(keys, kind="stable")
-    twice = np.zeros(len(e), bool)
-    twice[order[1:][np.diff(keys[order]) == 0]] = True
-    bad = (lo < 0) | (hi >= n) | (u == v) | twice
-    # Rows come only from lines before any that the scan stopped at.
-    if bad.any():
-        i = int(bad.argmax())
-        a, b = e[i].tolist()
-        fault = (i, "vertex out of range" if lo[i] < 0 or hi[i] >= n else
-                 f"self-loop {a}" if a == b else f"duplicate edge {a} {b}")
-    if fault:
-        i, what = fault
-        raise GraphFormatError(f"line {i + 2}: {what}")
-    return Graph(n, e)
-
-
-def _edge_rows(body: list, n: int):
-    """The edge lines as an (m, 2) int64 array, and None.  When a line is
-    not two integers: the rows before it, and (its index, its fault).  Ids
-    past int64 read as -1 or n, out of range."""
+    body = lines[1:]
     if body:
         try:
-            e = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-            if e.shape[1] == 2:
-                return e, None
-        except ValueError:
+            with warnings.catch_warnings():
+                # NumPy releases from 1.23 on may read a float token into
+                # an int column, truncated, with only a DeprecationWarning.
+                warnings.simplefilter("error", DeprecationWarning)
+                e = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+            if e.shape == (m, 2):
+                return Graph(n, e)
+        except (ValueError, DeprecationWarning):
             pass
-    rows, fault = [], None
-    for i, ln in enumerate(body):
+    # A check failed, or there are no edges: the first bad line names it.
+    seen = set()
+    edges = []
+    for i, ln in enumerate(body, start=2):
         parts = ln.split()
         if len(parts) != 2:
-            fault = (i, "expected 'u v'")
-        elif not all(map(_INTEGER.fullmatch, parts)):
-            fault = (i, "expected integers")
-        else:
-            rows.append([min(max(int(p), -1), n) for p in parts])
-            continue
-        break
-    return np.array(rows, np.int64).reshape(-1, 2), fault
+            raise GraphFormatError(f"line {i}: expected 'u v'")
+        if not all(map(_INTEGER.fullmatch, parts)):
+            raise GraphFormatError(f"line {i}: expected integers")
+        u, v = map(int, parts)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"line {i}: vertex out of range")
+        if u == v:
+            raise GraphFormatError(f"line {i}: self-loop {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphFormatError(f"line {i}: duplicate edge {u} {v}")
+        seen.add(key)
+        edges.append((u, v))
+    return Graph(n, edges)
 
 
 def load_edge_list(path) -> Graph:

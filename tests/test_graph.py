@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -549,6 +550,9 @@ class TestEdgeListFormat:
             parse_edge_list("3 2\n0 1\n1 0\n")
         with pytest.raises(GraphFormatError, match="out of range"):
             parse_edge_list("3 1\n0 3\n")
+        # Two rows of three ids hold three pairs' worth of ids.
+        with pytest.raises(GraphFormatError, match="^line 2: expected 'u v'$"):
+            parse_edge_list("4 2\n0 1 2\n1 2 3\n")
         for text in ("3 -1\n", "0 0\n"):
             with pytest.raises(GraphFormatError,
                                match="with n >= 1 and m >= 0"):
@@ -687,3 +691,19 @@ class TestEdgeListAgainstReference:
         with pytest.raises(GraphFormatError,
                            match="with n >= 1 and m >= 0"):
             parse_edge_list(text)
+
+    def test_a_float_read_with_a_deprecation_warning_is_not_an_integer(
+            self, monkeypatch):
+        # NumPy releases from 1.23 on may read "1.0" into an int column as
+        # 1 and only warn; such a read does not count.
+        loadtxt = np.loadtxt
+
+        def lenient(body, **kw):
+            warnings.warn("loadtxt(): Parsing an integer via a float is "
+                          "deprecated.", DeprecationWarning)
+            return loadtxt([ln.replace(".0", "") for ln in body], **kw)
+
+        monkeypatch.setattr(np, "loadtxt", lenient)
+        with pytest.raises(GraphFormatError,
+                           match="^line 2: expected integers$"):
+            parse_edge_list("3 1\n0 1.0\n")
